@@ -34,7 +34,6 @@ from .design import (
     DesignResult,
     GainVectors,
     ObserverSpec,
-    canonical_pair,
     closed_form_gains,
     companion_column,
     design,
@@ -79,7 +78,6 @@ __all__ = [
     "Polynomial",
     "ProcessModel",
     "StateSpaceModel",
-    "canonical_pair",
     "ccf_realization",
     "closed_form_gains",
     "companion_column",

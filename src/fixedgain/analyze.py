@@ -18,6 +18,7 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     NonConvergent,
+    NonFiniteValue,
     NotNormalized,
     PoleAtOne,
     PoleOnUnitCircle,
@@ -72,11 +73,6 @@ def _poly_roots(p: Polynomial) -> list[complex]:
         if moved < 1e-14 * (1.0 + max(abs(w) for w in roots)):
             break
     return roots
-
-
-def _max_pole_magnitude(den: Polynomial) -> float:
-    roots = _poly_roots(den)
-    return max((abs(r) for r in roots), default=0.0)
 
 
 def lde_filter(
@@ -138,7 +134,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     k = a.degree
     if k == 0:
         return list(b.coeffs)
-    r = _max_pole_magnitude(a)
+    r = max((abs(root) for root in _poly_roots(a)), default=0.0)
     if r >= 1.0 - 1e-9:
         raise NonConvergent(f"largest pole magnitude {r:.12g} is not inside the unit circle")
     # Slight pad keeps the envelope valid against root-finding error.
@@ -165,7 +161,10 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
         if n >= min_run:
             ratio = (r_env * r_env) * ((n + 2) / (n + 1)) ** (2 * env_deg)
             if ratio < 1.0:
-                head = (c_fit * power) ** 2 * (n + 1) ** (2 * env_deg)
+                try:
+                    head = (c_fit * power) ** 2 * (n + 1) ** (2 * env_deg)
+                except OverflowError:
+                    raise NonFiniteValue("impulse response energy overflows") from None
                 if head / (1.0 - ratio) < tol:
                     break
         if n >= _SAMPLE_CAP:
@@ -177,7 +176,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
 
 def frequency_response(num, den, omega) -> complex:
     """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
-    complex values are accepted (used internally for dc derivatives)."""
+    complex values are accepted."""
     b = _as_poly(num)
     a = _as_poly(den)
     z = cmath.exp(1j * omega)
@@ -217,14 +216,17 @@ def optimal_lag_k2(pole: float) -> float:
     return 0.5 * (1.0 + 3.0 * p) / (1.0 - p)
 
 
-def steady_state_step(num, den) -> float:
-    """Final value of the unit-step response: H at z = 1."""
-    b = _as_poly(num)
-    a = _as_poly(den)
+def _dc_denominator(a: Polynomial) -> float:
+    """D(1), refusing a denominator that vanishes at z = 1."""
     a1 = sum(a.coeffs)
     if abs(a1) < 1e-12 * max(1.0, max(abs(c) for c in a.coeffs)):
         raise PoleAtOne("denominator vanishes at z = 1; no dc steady state")
-    return sum(b.coeffs) / a1
+    return a1
+
+
+def steady_state_step(num, den) -> float:
+    """Final value of the unit-step response: H at z = 1."""
+    return sum(_as_poly(num).coeffs) / _dc_denominator(_as_poly(den))
 
 
 def ramp_error(num, den, lag: float, ts: float, horizon: int) -> float:
@@ -267,35 +269,26 @@ def flatness_targets(deriv: int, lag: float, ts: float, count: int) -> list[comp
 def _dc_derivatives(num, den, orders: int) -> list[complex]:
     """First ``orders`` derivatives of H(omega) at omega = 0.
 
-    H extends analytically to complex omega, so the derivatives are read off
-    Taylor coefficients computed by trapezoidal contour integration on a
-    circle that stays well inside the nearest pole.  This is spectrally
-    accurate and, unlike high-order difference stencils, does not lose the
-    high derivatives to rounding.
+    Coefficient m of the Taylor series of a degree-n polynomial P(e^s) at
+    s = 0 is sum c_k (n-k)**m / m!.  Dividing the numerator series by the
+    denominator series gives the series of H(e^s) exactly, and since
+    s = i*omega the m-th derivative in omega is i**m * m! times its
+    coefficient m.
     """
     b = _as_poly(num)
     a = _as_poly(den)
-    dist = math.inf
-    for root in _poly_roots(a):
-        if root != 0:
-            dist = min(dist, abs(cmath.log(root)))
-    rho = 0.5 if math.isinf(dist) else max(min(0.5, 0.45 * dist), 1e-3)
-    npts = 512
-    samples = [
-        frequency_response(b, a, rho * cmath.exp(2j * math.pi * j / npts))
-        for j in range(npts)
-    ]
-    out: list[complex] = []
-    factorial = 1.0
+    d0 = _dc_denominator(a)
+
+    def series(p: Polynomial) -> list[float]:
+        n = p.degree
+        return [sum(c * (n - k) ** m for k, c in enumerate(p.coeffs)) / math.factorial(m)
+                for m in range(orders)]
+
+    ns, ds = series(b), series(a)
+    hs: list[float] = []
     for m in range(orders):
-        if m:
-            factorial *= m
-        s = sum(
-            samples[j] * cmath.exp(-2j * math.pi * m * j / npts)
-            for j in range(npts)
-        )
-        out.append(factorial * s / (npts * rho**m))
-    return out
+        hs.append((ns[m] - sum(ds[j] * hs[m - j] for j in range(1, m + 1))) / d0)
+    return [(1j) ** m * math.factorial(m) * h for m, h in enumerate(hs)]
 
 
 def flatness_profile(

@@ -38,6 +38,7 @@ from .design import (
 )
 from .errors import (
     FixedGainError,
+    NonFiniteValue,
     Uncontrollable,
     Unobservable,
     UnstablePoles,
@@ -277,7 +278,11 @@ def cmd_design(args) -> int:
     result = _design_from_args(args)
     forms = ("kin", "pcf", "ocf", "ccf") if args.form == "all" else (args.form,)
     doc = design_document(result, forms=forms, omit_uncertifiable=args.form == "all")
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteValue("design document holds a non-finite value") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 
@@ -343,6 +348,8 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
             if i == 0:
                 continue  # header row
             raise InputDataError(f"row {i + 1}: non-numeric value {row[-1]!r}") from None
+        if not math.isfinite(value):
+            raise InputDataError(f"row {i + 1}: non-finite value {row[-1]!r}")
         label = row[0] if len(row) == 2 else str(len(samples))
         samples.append((label, value))
     return samples

@@ -15,14 +15,16 @@ bandwidth against noise through one number, with ``p = 0`` giving a deadbeat
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
     DerivativeIndexOutOfRange,
     FixedGainError,
+    NonFiniteValue,
     NonPositiveSamplingPeriod,
     NotMonic,
     SingularMatrix,
@@ -58,6 +60,8 @@ class ObserverSpec:
     def __post_init__(self):
         object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
         object.__setattr__(self, "lag", float(self.lag))
+        if not all(map(cmath.isfinite, self.poles + (self.lag,))):
+            raise NonFiniteValue(f"poles and lag must be finite, got {self.poles}, {self.lag!r}")
         if len(self.poles) != self.process.order:
             raise DimensionMismatch(
                 f"need {self.process.order} poles, got {len(self.poles)}"
@@ -146,16 +150,6 @@ def pcf_gain(col_prc: Sequence[float], col_obs: Sequence[float]) -> Matrix:
     return Matrix.column([gp - go for gp, go in zip(col_prc, col_obs)])
 
 
-def canonical_pair(order: int) -> tuple[Matrix, Callable[[Sequence[float]], Matrix]]:
-    """Measurement row and transition builder for companion coordinates.
-
-    Returns the 1 x K row (0, ..., 0, 1) together with the function that
-    expands a companion column into the full K x K transition matrix.
-    """
-    row = Matrix.row_vector([0.0] * (order - 1) + [1.0])
-    return row, companion_matrix
-
-
 def pcf_transform(model: ProcessModel) -> TransformPair:
     """Similarity pair between kinematic and process-companion coordinates.
 
@@ -165,8 +159,8 @@ def pcf_transform(model: ProcessModel) -> TransformPair:
     """
     order = model.order
     obs_kin = observability_matrix(model.predictor_row(), model.transition_matrix)
-    can_row, build = canonical_pair(order)
-    can_transition = build(companion_column(model.char_poly))
+    can_row = Matrix.row_vector([0.0] * (order - 1) + [1.0])
+    can_transition = companion_matrix(companion_column(model.char_poly))
     obs_can = observability_matrix(can_row, can_transition)
     try:
         kin_from_pcf = obs_kin.inv() @ obs_can

@@ -41,6 +41,11 @@ class NonPositiveSamplingPeriod(FixedGainError):
     """Sampling period must be strictly positive."""
 
 
+class NonFiniteValue(FixedGainError):
+    """A parameter is nan or infinite, or a quantity built from finite
+    parameters overflows the range of a double."""
+
+
 class DerivativeIndexOutOfRange(FixedGainError):
     """Requested derivative output does not exist for this order."""
 

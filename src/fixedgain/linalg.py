@@ -119,24 +119,6 @@ class Matrix:
             ]
         )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def scaled(self, s: float) -> "Matrix":
-        return Matrix([[s * v for v in row] for row in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.col(j) for j in range(self.cols)])
-
     def inv(self) -> "Matrix":
         """Inverse by Gauss-Jordan elimination with partial pivoting.
 
@@ -175,18 +157,3 @@ class Matrix:
                     a[r] = [v - f * w for v, w in zip(a[r], a[col])]
                     b[r] = [v - f * w for v, w in zip(b[r], b[col])]
         return Matrix(b)
-
-    def int_power(self, n: int) -> "Matrix":
-        """``self`` raised to an integer power; negative powers invert first."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices have powers")
-        if n < 0:
-            return self.inv().int_power(-n)
-        result = Matrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result

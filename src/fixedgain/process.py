@@ -13,6 +13,7 @@ import math
 
 from .errors import (
     DerivativeIndexOutOfRange,
+    NonFiniteValue,
     NonPositiveSamplingPeriod,
     OrderOutOfRange,
 )
@@ -22,12 +23,12 @@ from .poly import from_roots
 
 def _taylor_transition(order: int, t: float) -> Matrix:
     """Closed-form transition over an arbitrary (possibly negative) time t."""
-    return Matrix(
-        [
-            [t ** (j - i) / math.factorial(j - i) if j >= i else 0.0 for j in range(order)]
-            for i in range(order)
-        ]
-    )
+    try:
+        rows = [[t ** (j - i) / math.factorial(j - i) if j >= i else 0.0 for j in range(order)]
+                for i in range(order)]
+    except OverflowError:
+        raise NonFiniteValue(f"transition over t = {t!r} overflows") from None
+    return Matrix(rows)
 
 
 class ProcessModel:
@@ -47,6 +48,8 @@ class ProcessModel:
         if not isinstance(order, int) or order < 1 or order > ORDER_CAP:
             raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {order!r}")
         ts = float(ts)
+        if not math.isfinite(ts):
+            raise NonFiniteValue(f"sampling period must be finite, got {ts!r}")
         if not ts > 0.0:
             raise NonPositiveSamplingPeriod(f"sampling period must be > 0, got {ts!r}")
         self.order = order

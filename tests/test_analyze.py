@@ -3,8 +3,8 @@ gain, lag optimization, dc flatness.
 
 Two independent measurement routes are exercised against each other wherever
 possible: recursion vs convolution for filtering, impulse-sum vs closed form
-vs spectral integration for the noise gain, and contour-based dc derivatives
-vs impulse-response moments for flatness.
+vs spectral integration for the noise gain, and dc derivatives by Taylor-series
+division vs impulse-response moments for flatness.
 """
 
 import cmath
@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BENCH_MEMORIES,
@@ -31,6 +32,7 @@ from fixedgain import (
     flatness_targets,
     frequency_grid,
     frequency_response,
+    from_roots,
     impulse_response,
     lde_filter,
     memory_to_pole,
@@ -395,6 +397,27 @@ def test_dc_derivatives_match_impulse_moments():
     for k, (_, measured) in enumerate(profile):
         moment = sum(v * (-1j * n) ** k for n, v in enumerate(h))
         assert abs(measured - moment) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k),
+    st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k),
+)))
+def test_dc_derivatives_match_impulse_moments_property(draw):
+    poles, head = draw
+    order = len(poles)
+    num, den = head + [0.0], from_roots(poles)
+    h = impulse_response(num, den, tol=1e-30)
+    profile = flatness_profile(num, den, 0, 0.0, 1.0, order + 1)
+    for k, (_, measured) in enumerate(profile):
+        moment = sum(v * (-1j * n) ** k for n, v in enumerate(h))
+        assert abs(measured - moment) <= 1e-6 * max(1.0, abs(moment))
+
+
+def test_flatness_rejects_pole_at_one():
+    with pytest.raises(PoleAtOne):
+        flatness_profile([1, 0], [1, -1], 0, 0.0, 1.0, 2)
 
 
 def test_flatness_of_velocity_readout():

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -267,6 +268,17 @@ def test_filter_non_numeric_cell_is_input_error(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_filter_non_finite_sample_is_input_error(tmp_path, capsys, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"n,x\n0,1.0\n1,{cell}\n2,3.0\n")
+    code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "row 3" in captured.err
+
+
 def test_filter_missing_file_is_input_error(tmp_path, capsys):
     code, _ = run_cli(capsys, ["filter", "--order", "2", "--pole", "0.5",
                                "--lag", "0", "--input", str(tmp_path / "nope.csv")])
@@ -333,6 +345,26 @@ def test_unknown_flag_exits_2(capsys):
 def test_malformed_pole_list_exits_2(capsys):
     code, _ = run_cli(capsys, ["design", "--order", "2", "--poles", "a,b"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--order", "2", "--pole", "0.5", "--lag", "nan"],
+    ["analyze", "--order", "2", "--pole", "0.5", "--lag", "nan", "--flatness"],
+    ["design", "--order", "3", "--pole", "0.5", "--lag", "1e300"],
+    ["design", "--order", "3", "--pole", "0.5", "--lag", "1e100"],
+    ["design", "--order", "2", "--pole", "0.5", "--lag", "inf"],
+    ["analyze", "--order", "2", "--poles", "nan,nan", "--wng"],
+    ["design", "--order", "2", "--pole", "0.5", "--ts", "inf"],
+])
+def test_non_finite_parameters_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -25,9 +25,9 @@ from fixedgain import (
     ObserverSpec,
     Polynomial,
     ProcessModel,
-    canonical_pair,
     closed_form_gains,
     companion_column,
+    companion_matrix,
     design,
     memory_to_pole,
     pcf_gain,
@@ -41,6 +41,7 @@ from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
     FixedGainError,
+    NonFiniteValue,
     NonPositiveSamplingPeriod,
     NotMonic,
     UnstablePoles,
@@ -67,13 +68,6 @@ def test_pcf_gain_is_columnwise_gap():
     assert g.col(0) == pytest.approx((0.488, -1.08, 0.6), abs=1e-15)
     with pytest.raises(DimensionMismatch):
         pcf_gain((1.0,), (1.0, 2.0))
-
-
-def test_canonical_pair_shapes():
-    row, build = canonical_pair(3)
-    assert row.row(0) == (0.0, 0.0, 1.0)
-    m = build((1.0, -3.0, 3.0))
-    assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, -3.0), (0.0, 1.0, 3.0))
 
 
 # --- companion similarity ----------------------------------------------------
@@ -103,8 +97,7 @@ def test_pcf_transform_carries_the_similarity():
     model = ProcessModel(3, 0.04)
     pair = pcf_transform(model)
     rotated = pair.pcf_from_kin @ model.transition_matrix @ pair.kin_from_pcf
-    _, build = canonical_pair(3)
-    want = build(companion_column(model.char_poly))
+    want = companion_matrix(companion_column(model.char_poly))
     assert float(np.max(np.abs(np.array(rotated.data) - np.array(want.data)))) < 1e-8
     row = (model.predictor_row() @ pair.kin_from_pcf).row(0)
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
@@ -290,6 +283,17 @@ def test_spec_pole_count_checked():
 def test_spec_derivative_index_checked():
     with pytest.raises(DerivativeIndexOutOfRange):
         ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), deriv=2)
+
+
+@pytest.mark.parametrize("poles, lag", [
+    ((math.nan, 0.5), 0.0),
+    ((complex(0.5, math.inf), 0.5), 0.0),
+    ((0.5, 0.5), math.nan),
+    ((0.5, 0.5), -math.inf),
+])
+def test_spec_rejects_non_finite_poles_and_lag(poles, lag):
+    with pytest.raises(NonFiniteValue):
+        ObserverSpec(ProcessModel(2, 1.0), poles, lag=lag)
 
 
 def test_repeated_spec_rejects_out_of_range_pole():

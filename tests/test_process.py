@@ -8,6 +8,7 @@ import pytest
 from fixedgain import ProcessModel
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
+    NonFiniteValue,
     NonPositiveSamplingPeriod,
     OrderOutOfRange,
 )
@@ -52,7 +53,7 @@ def test_two_steps_back_matches_negative_matrix_power():
     # Closed-form transition over -2*ts against the repeated-inverse route.
     model = ProcessModel(3, 0.04)
     closed = np.array(model.transition(-0.08).data)
-    powered = np.array(model.transition_matrix.int_power(-2).data)
+    powered = np.linalg.matrix_power(np.linalg.inv(np.array(model.transition_matrix.data)), 2)
     assert float(np.max(np.abs(closed - powered))) < 1e-12
     assert closed[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert closed[0, 1] == pytest.approx(-0.08, abs=1e-15)
@@ -107,6 +108,20 @@ def test_sampling_period_validated():
         ProcessModel(2, 0.0)
     with pytest.raises(NonPositiveSamplingPeriod):
         ProcessModel(2, -0.1)
+
+
+@pytest.mark.parametrize("ts", [math.nan, math.inf])
+def test_non_finite_sampling_period_rejected(ts):
+    with pytest.raises(NonFiniteValue):
+        ProcessModel(2, ts)
+
+
+def test_overflowing_transition_is_typed():
+    model = ProcessModel(3, 1.0)
+    with pytest.raises(NonFiniteValue):
+        model.output_row(1e300)
+    with pytest.raises(NonFiniteValue):
+        ProcessModel(3, 1e200)
 
 
 def test_repr_mentions_order_and_period():
