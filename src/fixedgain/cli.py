@@ -325,8 +325,9 @@ def cmd_analyze(args) -> int:
 def _read_samples(path: str) -> list[tuple[str, float]]:
     """Parse the filter input CSV into (label, value) pairs.
 
-    Accepts one column (value) or two (n,value); a single leading non-numeric
-    row is treated as a header.  Anything else is an InputDataError.
+    Accepts one column (value) or two (n,value); blank lines are skipped and
+    the first non-blank row is treated as a header if its value is
+    non-numeric.  Anything else is an InputDataError naming the file line.
     """
     try:
         if path == "-":
@@ -337,19 +338,19 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
     except OSError as exc:
         raise InputDataError(f"cannot read {path!r}: {exc}") from exc
 
-    rows = [row for row in csv.reader(lines) if row]
+    reader = csv.reader(lines)
     samples: list[tuple[str, float]] = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(filter(None, reader)):
         if len(row) not in (1, 2):
-            raise InputDataError(f"row {i + 1}: expected 1 or 2 columns, got {len(row)}")
+            raise InputDataError(f"row {reader.line_num}: expected 1 or 2 columns, got {len(row)}")
         try:
             value = float(row[-1])
         except ValueError:
             if i == 0:
                 continue  # header row
-            raise InputDataError(f"row {i + 1}: non-numeric value {row[-1]!r}") from None
+            raise InputDataError(f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
         if not math.isfinite(value):
-            raise InputDataError(f"row {i + 1}: non-finite value {row[-1]!r}")
+            raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
         label = row[0] if len(row) == 2 else str(len(samples))
         samples.append((label, value))
     return samples
@@ -357,15 +358,17 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
 
 def cmd_filter(args) -> int:
     result = _design_from_args(args)
+    # The whole input is validated before the first output row is written.
     samples = _read_samples(args.input)
-    order = result.order
+    emit_state = args.emit == "state"
 
-    if args.emit == "position":
-        header = ["n", "y"]
-    else:
-        header = ["n", "y"] + [f"state{i}" for i in range(order)]
-
-    rows = []
+    header = ["n", "y"]
+    if emit_state:
+        header += [f"state{i}" for i in range(result.order)]
+    # csv.writer formats a float with repr, like _fmt, so rows go out as they
+    # are computed without holding them.
+    writerow = csv.writer(sys.stdout, lineterminator="\n").writerow
+    writerow(header)
     ss = result.ss_kin
     state = None
     for label, value in samples:
@@ -374,11 +377,10 @@ def cmd_filter(args) -> int:
             y = realize.read_output(ss, state)
         else:
             y = realize.step(ss, state, value)
-        row = [label, _fmt(y)]
-        if args.emit == "state":
-            row.extend(_fmt(v) for v in realize.extract_kinematic(ss, state))
-        rows.append(row)
-    _write_csv(header, rows)
+        if emit_state:
+            writerow([label, y, *realize.extract_kinematic(ss, state)])
+        else:
+            writerow((label, y))
     return 0
 
 

@@ -8,6 +8,7 @@ enforced at construction.  Storage is an immutable tuple of row tuples.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -96,16 +97,8 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.cols
-        out = []
-        for row in self.data:
-            out.append(
-                [
-                    sum(row[k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(cols)
-                ]
-            )
-        return Matrix(out)
+        columns = tuple(zip(*other.data))
+        return Matrix([[sum(map(mul, row, col)) for col in columns] for row in self.data])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):

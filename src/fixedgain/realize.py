@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -303,26 +304,23 @@ def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    row = ss.output_row.row(0)
-    return sum(c * w for c, w in zip(row, state.vector))
+    return sum(map(mul, ss.output_row.data[0], state.vector))
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
-    the output read from the updated state.  Mutates ``state`` in place."""
+    the output read from the updated state.  Mutates ``state`` in place.
+
+    Each dot product, here and in read_output/extract_kinematic, sums the
+    same products in the same order as ``Matrix @``: bit-identical results."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     w = state.vector
-    g = ss.transition.data
-    h = ss.input_gain
-    n = ss.order
-    new = [
-        sum(g[i][j] * w[j] for j in range(n)) + h[i, 0] * x
-        for i in range(n)
+    w[:] = [
+        sum(map(mul, row, w)) + h * x
+        for row, (h,) in zip(ss.transition.data, ss.input_gain.data)
     ]
-    state.vector[:] = new
-    row = ss.output_row.row(0)
-    return sum(c * v for c, v in zip(row, new))
+    return sum(map(mul, ss.output_row.data[0], w))
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:
@@ -335,5 +333,4 @@ def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, .
     (position, velocity, ... regardless of the realization's form)."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    mapped = ss.kin_from_form @ Matrix.column(state.vector)
-    return mapped.col(0)
+    return tuple([sum(map(mul, row, state.vector)) for row in ss.kin_from_form.data])

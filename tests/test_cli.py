@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,7 +19,9 @@ from conftest import (
     REF_NUMERATOR,
     max_abs_diff,
 )
+import fixedgain
 from fixedgain import (
+    Matrix,
     ObserverSpec,
     ProcessModel,
     design,
@@ -279,6 +282,67 @@ def test_filter_non_finite_sample_is_input_error(tmp_path, capsys, cell):
     assert "row 3" in captured.err
 
 
+def test_filter_error_rows_are_file_lines(tmp_path, capsys):
+    # Blank lines count: the error names the physical line of the bad row.
+    for text, line in (("1.0\n\n2.0\nxyz\n", 4),
+                       ("n,value\n\n\n1,2.0,3\n", 4),
+                       ("\n\nn,value\n0,1.0\n\n1,inf\n", 6)):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: row {line}:")
+
+
+def test_filter_header_after_blank_lines(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("\n\nn,value\n\n7,1.0\n8,2.0\n")
+    code, out = run_cli(capsys, ["filter", "--order", "1", "--pole", "0.5",
+                                 "--input", str(path)])
+    assert code == 0
+    assert out == "n,y\n7,1.0\n8,1.5\n"
+
+
+@pytest.mark.parametrize("last", ["4999,1.0,2.0", "4999,abc", "4999,nan"])
+def test_filter_validates_whole_input_before_output(tmp_path, capsys, last):
+    # Output streams row by row, but a bad last row must still leave stdout
+    # empty: the whole file is validated before the first row is written.
+    path = tmp_path / "long.csv"
+    path.write_text("n,value\n" + "".join(f"{n},{0.001 * n}\n" for n in range(4999))
+                    + last + "\n")
+    code = main(["filter", "--order", "3", "--pole", "0.7", "--input", str(path),
+                 "--emit", "state"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: row 5001:")
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
+    # Every printed number is the repr of the recursion written with Matrix
+    # products: w <- G w + h x, y = c w, kinematic state = T w.
+    xs = [math.sin(0.3 * n) + 0.01 * n * n for n in range(60)]
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{x!r}\n" for x in xs))
+    code, out = run_cli(capsys, ["filter", "--order", str(order), "--pole", "0.6",
+                                 "--ts", "0.5", "--lag", "0.7", "--input", str(path),
+                                 "--emit", "state"])
+    assert code == 0
+    ss = design(ObserverSpec.repeated(ProcessModel(order, 0.5), 0.6, lag=0.7)).ss_kin
+    w = Matrix.column([xs[0]] + [0.0] * (order - 1))
+    lines = ["n,y," + ",".join(f"state{i}" for i in range(order))]
+    for n, x in enumerate(xs):
+        if n:
+            moved = (ss.transition @ w).col(0)
+            w = Matrix.column([m + h * x for m, h in zip(moved, ss.input_gain.col(0))])
+        y = (ss.output_row @ w)[0, 0]
+        lines.append(",".join([str(n), repr(y)] + [repr(v) for v in (ss.kin_from_form @ w).col(0)]))
+    assert out == "\n".join(lines) + "\n"
+
+
 def test_filter_missing_file_is_input_error(tmp_path, capsys):
     code, _ = run_cli(capsys, ["filter", "--order", "2", "--pole", "0.5",
                                "--lag", "0", "--input", str(tmp_path / "nope.csv")])
@@ -374,9 +438,13 @@ def test_missing_subcommand_exits_2(capsys):
 # --- module entry point ---------------------------------------------------------------
 
 def test_module_invocation_subprocess():
+    # The child imports the same package as this process, also when pytest
+    # put it on the path through pyproject's `pythonpath` setting.
+    package_root = os.path.dirname(os.path.dirname(fixedgain.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fixedgain", "design", *REF_ARGS],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     REF_GAIN_OCF,
@@ -32,7 +33,13 @@ from fixedgain import (
     step,
     transfer_coefficients,
 )
-from fixedgain.errors import FormMismatch, Uncontrollable, Unobservable, UnstablePoles
+from fixedgain.errors import (
+    FixedGainError,
+    FormMismatch,
+    Uncontrollable,
+    Unobservable,
+    UnstablePoles,
+)
 
 
 def _reference_design():
@@ -400,3 +407,69 @@ def test_extract_kinematic_is_identity_in_kin_form():
     result = _reference_design()
     state = initialize_state(result.ss_kin, 3.0)
     assert extract_kinematic(result.ss_kin, state) == (3.0, 0.0, 0.0)
+
+
+# --- kernel bit-identity ------------------------------------------------------
+
+def triple_loop_product(a, b):
+    """A @ B as one generator sum per entry over k, in order: the product
+    Matrix @ must reproduce bit for bit."""
+    return tuple(
+        tuple(sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def reference_step(ss, w, x):
+    """One step of the recursion written with Matrix products: the updated
+    state and the output read from it."""
+    moved = (ss.transition @ Matrix.column(w)).col(0)
+    new = [m + h * x for m, h in zip(moved, ss.input_gain.col(0))]
+    return new, (ss.output_row @ Matrix.column(new))[0, 0]
+
+
+def run_reference(ss, xs):
+    w = list(initialize_state(ss, xs[0]).vector)
+    ys = []
+    for x in xs[1:]:
+        w, y = reference_step(ss, w, x)
+        ys.append(y)
+    return ys
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+    st.floats(0.0, 0.95),
+    st.floats(-1.0, 3.0),
+    st.sampled_from([0.04, 1.0]),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12),
+)
+def test_kernel_is_bit_identical_to_matrix_products(order_deriv, pole, lag, ts, xs):
+    order, deriv = order_deriv
+    try:
+        result = design(ObserverSpec.repeated(ProcessModel(order, ts), pole, lag=lag, deriv=deriv))
+    except FixedGainError:
+        return
+    builders = (lambda: result.ss_kin, lambda: pcf_realization(result),
+                lambda: ocf_realization(result), lambda: ccf_realization(result))
+    for build in builders:
+        try:
+            ss = build()
+        except (Unobservable, Uncontrollable):
+            continue
+        for a, b in ((ss.transition, ss.kin_from_form), (ss.form_from_kin, ss.input_gain),
+                     (ss.output_row, ss.transition), (ss.transition, ss.transition)):
+            assert (a @ b).data == triple_loop_product(a, b)
+        state = initialize_state(ss, xs[0])
+        w = list(state.vector)
+        assert read_output(ss, state) == (ss.output_row @ Matrix.column(w))[0, 0]
+        for x in xs[1:]:
+            w, y = reference_step(ss, w, x)
+            assert step(ss, state, x) == y
+            assert state.vector == w
+            assert extract_kinematic(ss, state) == (ss.kin_from_form @ Matrix.column(w)).col(0)
+        again = initialize_state(ss, xs[0])
+        assert run(ss, again, xs[1:]) == run_reference(ss, xs)
+        assert again.vector == state.vector
+
