@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -41,38 +42,34 @@ def _check_normalized(den: Polynomial) -> None:
         raise NotNormalized(f"denominator must be monic, leading {den[0]!r}")
 
 
-def _poly_roots(p: Polynomial) -> list[complex]:
-    """All complex roots by Durand-Kerner iteration.
+def _pole_radius(a: Polynomial) -> float:
+    """Upper bound on the largest root magnitude r of the monic ``a``.
 
-    Accuracy for well-separated roots is near machine precision; tight
-    clusters (repeated roots) resolve to roughly the cluster radius, which is
-    all the magnitude-based bounds here need.
+    Fujiwara's bound B = 2 max(|a_1|, |a_2|**(1/2), ..., |a_K/2|**(1/K)) lies
+    in [r, 2K r].  Dividing the roots by 2**e > B and squaring them (a Graeffe
+    step, read off x(z) x(-z)) leaves radius (r / 2**e)**2, so 32 rounds bound
+    r by prod 2**(e_j / 2**j) * B_32**(2**-32), within (2K)**(2**-32).  Every
+    partial product bounds r too; the rounds stop once one is below the 0.05
+    floor of impulse_response.  Squaring folds equal-sized roots into clusters
+    that rounding would scatter by its K-th root, so the iterates are exact
+    integers in units of 2**-512, the coefficients rounded down to that unit.
     """
-    n = p.degree
-    if n == 0:
-        return []
-    lead = p[0]
-    monic = Polynomial([c / lead for c in p.coeffs])
-    seed = 0.4 + 0.9j
-    roots = [seed ** (i + 1) for i in range(n)]
-    for _ in range(300):
-        moved = 0.0
-        for i in range(n):
-            w = roots[i]
-            d = complex(1.0)
-            for j in range(n):
-                if j != i:
-                    d *= w - roots[j]
-            if d == 0:
-                roots[i] = w + 1e-8 * (1 + 1j)
-                moved = math.inf
-                continue
-            delta = monic(w) / d
-            roots[i] = w - delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14 * (1.0 + max(abs(w) for w in roots)):
+    k, bits, exponent = a.degree, 512, 0.0
+    x = [(n << bits) // d for n, d in map(float.as_integer_ratio, a.coeffs)]
+    for j in range(33):
+        size = [abs(v) / (1 << bits) for v in x[1:]]
+        size[-1] /= 2
+        b = 2.0 * max(s ** (1.0 / i) for i, s in enumerate(size, 1))
+        bound = 2.0**exponent * b ** 0.5**j
+        if j == 32 or not 0.05 <= bound < math.inf:
             break
-    return roots
+        e = math.frexp(b)[1]
+        exponent += e / 2**j
+        x = [v << -e * i if e < 0 else v >> e * i for i, v in enumerate(x)]
+        y = [-v if i % 2 else v for i, v in enumerate(x)]
+        x = [(x[i] * y[i] + 2 * sum(map(mul, x[:i][::-1], y[i + 1:]))) >> bits
+             for i in range(k + 1)]
+    return bound
 
 
 def lde_filter(
@@ -120,24 +117,25 @@ def lde_filter(
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
-    """Unit-pulse response, truncated once the remaining tail provably
-    contributes less than ``tol`` to the sum of squares.
-
-    The truncation bound uses the decay envelope c * (n+1)**(K-1) * r**n with
-    r just above the largest pole magnitude and c fitted on the fly.  Raises
-    :class:`NonConvergent` if a pole sits on or outside the unit circle (or
-    so close that the cap of one million samples would be exceeded).
+    """Unit-pulse response, truncated once the remaining tail contributes
+    less than ``tol`` to the sum of squares, by the decay envelope
+    c * (n+1)**(K-1) * r**n with r a root-free bound on the pole magnitudes
+    and c fitted on the fly.  Raises :class:`NonFiniteValue` for a nan or
+    infinite coefficient, and :class:`NonConvergent` unless r is inside the
+    unit circle (and far enough inside to stay under a million samples).
     """
     b = _as_poly(num)
     a = _as_poly(den)
+    if not all(map(math.isfinite, b.coeffs + a.coeffs)):
+        raise NonFiniteValue("transfer coefficients must be finite")
     _check_normalized(a)
     k = a.degree
     if k == 0:
         return list(b.coeffs)
-    r = max((abs(root) for root in _poly_roots(a)), default=0.0)
-    if r >= 1.0 - 1e-9:
-        raise NonConvergent(f"largest pole magnitude {r:.12g} is not inside the unit circle")
-    # Slight pad keeps the envelope valid against root-finding error.
+    r = _pole_radius(a)
+    if not r < 1.0 - 1e-9:
+        raise NonConvergent(f"pole magnitude bound {r:.12g} is not inside the unit circle")
+    # The pad keeps r_env above the pole radius where the bound is tight.
     r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
     env_deg = k - 1
     hist = deque([0.0] * k, maxlen=k)

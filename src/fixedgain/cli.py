@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 usage or parameter error, 3 design infeasibility
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -31,6 +32,7 @@ from . import analyze
 from .design import (
     DesignResult,
     ObserverSpec,
+    _rotated_char_poly,
     design,
     memory_to_pole,
     placement_residual,
@@ -44,7 +46,6 @@ from .errors import (
     UnstablePoles,
 )
 from .linalg import Matrix
-from .poly import Polynomial
 from .process import ProcessModel
 from .realize import ccf_realization, ocf_realization, pcf_realization, transfer_coefficients
 from . import realize
@@ -251,10 +252,7 @@ def verify_document(doc: dict) -> float:
         poles = [complex(re, im) for re, im in doc["design"]["poles"]]
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"document is missing required fields: {exc}") from exc
-    rotated = pcf_from_kin @ transition @ kin_from_pcf
-    col = rotated.col(rotated.cols - 1)
-    char = Polynomial([1.0] + [-c for c in reversed(col)])
-    return placement_residual(char, poles)
+    return placement_residual(_rotated_char_poly(transition, kin_from_pcf, pcf_from_kin), poles)
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +326,31 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
     Accepts one column (value) or two (n,value); blank lines are skipped and
     the first non-blank row is treated as a header if its value is
     non-numeric.  Anything else is an InputDataError naming the file line.
+    Lines end only at a line feed or carriage return, as the csv module reads
+    them from the file.
     """
+    samples: list[tuple[str, float]] = []
     try:
-        if path == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                lines = fh.read().splitlines()
+        with (contextlib.nullcontext(sys.stdin) if path == "-"
+              else open(path, "r", encoding="utf-8", newline="")) as fh:
+            reader = csv.reader(fh)
+            for i, row in enumerate(filter(None, reader)):
+                if len(row) not in (1, 2):
+                    raise InputDataError(
+                        f"row {reader.line_num}: expected 1 or 2 columns, got {len(row)}")
+                try:
+                    value = float(row[-1])
+                except ValueError:
+                    if i == 0:
+                        continue  # header row
+                    raise InputDataError(
+                        f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
+                if not math.isfinite(value):
+                    raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
+                label = row[0] if len(row) == 2 else str(len(samples))
+                samples.append((label, value))
     except OSError as exc:
         raise InputDataError(f"cannot read {path!r}: {exc}") from exc
-
-    reader = csv.reader(lines)
-    samples: list[tuple[str, float]] = []
-    for i, row in enumerate(filter(None, reader)):
-        if len(row) not in (1, 2):
-            raise InputDataError(f"row {reader.line_num}: expected 1 or 2 columns, got {len(row)}")
-        try:
-            value = float(row[-1])
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise InputDataError(f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
-        if not math.isfinite(value):
-            raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
-        label = row[0] if len(row) == 2 else str(len(samples))
-        samples.append((label, value))
     return samples
 
 

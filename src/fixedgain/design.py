@@ -232,9 +232,12 @@ def realized_char_poly(result: DesignResult) -> Polynomial:
     """Characteristic polynomial of the assembled closed loop, recovered by
     rotating the kinematic transition into companion coordinates and reading
     its last column.  Agrees with ``result.char_poly`` up to roundoff."""
-    rotated = result.pcf_from_kin @ result.ss_kin.transition @ result.kin_from_pcf
-    col = rotated.col(result.order - 1)
-    return Polynomial([1.0] + [-c for c in reversed(col)])
+    return _rotated_char_poly(result.ss_kin.transition, result.kin_from_pcf, result.pcf_from_kin)
+
+
+def _rotated_char_poly(transition, kin_from_pcf, pcf_from_kin) -> Polynomial:
+    rotated = pcf_from_kin @ transition @ kin_from_pcf
+    return Polynomial([1.0] + [-c for c in reversed(rotated.col(rotated.cols - 1))])
 
 
 def placement_residual(char: Polynomial, poles: Sequence[complex]) -> float:

@@ -10,10 +10,11 @@ division vs impulse-response moments for flatness.
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     BENCH_MEMORIES,
@@ -44,9 +45,12 @@ from fixedgain import (
     white_noise_gain,
     white_noise_gain_k2,
 )
+from fixedgain.analyze import _pole_radius
 from fixedgain.errors import (
     DimensionMismatch,
     NonConvergent,
+    NonFiniteValue,
+    NonRealCoefficients,
     NotNormalized,
     PoleAtOne,
     PoleOnUnitCircle,
@@ -180,6 +184,79 @@ def test_impulse_rejects_marginal_and_unstable_poles():
         impulse_response([1.0, 0.0], [1.0, -1.0])
     with pytest.raises(NonConvergent):
         impulse_response([1.0, 0.0], [1.0, -1.2])
+    with pytest.raises(NonConvergent):
+        impulse_response([1.0, 0.0, 0.0, 0.0], from_roots([1.0] * 3))
+    with pytest.raises(NonConvergent):  # Fujiwara's bound overflows to inf
+        impulse_response([1.0, 0.0, 0.0], [1.0, 1e308, 1e308])
+
+
+@pytest.mark.parametrize("num, den", [
+    ([1.0, 0.0], [1.0, math.nan]),
+    ([1.0, 0.0], [1.0, -math.inf]),
+    ([math.inf, 0.0], [1.0, -0.5]),
+    ([1.0, math.nan, 0.0], [1.0, -1.0, 0.25]),
+])
+def test_non_finite_coefficients_fail_at_once(num, den):
+    for analysis in (impulse_response, white_noise_gain):
+        start = time.perf_counter()
+        with pytest.raises(NonFiniteValue):
+            analysis(num, den)
+        assert time.perf_counter() - start < 0.1
+
+
+# --- pole-magnitude bound --------------------------------------------------------
+
+@st.composite
+def _root_sets(draw):
+    """K = 1-8 conjugate-closed roots: real roots and complex pairs, clusters
+    of repeated roots, magnitudes 1e-323 to 1e100 within two decades of each
+    other, so that squaring folds roots of near-equal size.  Centres at one
+    angle (a multiple of pi/8) are equal or a quarter decade apart: nearer
+    ones are ill-conditioned in the coefficients, and rounding in from_roots
+    could move the largest root of the product past the tolerance."""
+    order = draw(st.integers(1, 8))
+    base = draw(st.floats(-322.0, 99.0))
+    roots: list[complex] = []
+    decades: dict[int, list[float]] = {}
+    while len(roots) < order:
+        turn = draw(st.integers(0, 8))
+        decade = base + draw(st.floats(-1.0, 1.0))
+        decade = next((d for d in decades.get(turn, ()) if abs(d - decade) < 0.25), decade)
+        decades.setdefault(turn, []).append(decade)
+        size = 10.0**decade
+        free = order - len(roots)
+        if turn in (0, 8):
+            roots += [-size if turn else size] * draw(st.integers(1, free))
+        elif free >= 2:
+            z = cmath.rect(size, turn * math.pi / 8)
+            roots += [z, z.conjugate()] * draw(st.integers(1, free // 2))
+    return roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_root_sets())
+def test_pole_radius_bounds_the_largest_root(roots):
+    try:
+        den = from_roots(roots)
+    except NonRealCoefficients:
+        assume(False)
+    assume(all(map(math.isfinite, den.coeffs)))
+    # Below the 0.05 floor that impulse_response applies, underflow in
+    # from_roots may drop small roots from the product.
+    radius = max(_pole_radius(den), 0.05)
+    assert radius >= max(max(map(abs, roots)), 0.05) * (1.0 - 1e-9)
+
+
+def test_pole_radius_fixed_cases():
+    assert _pole_radius(DELAY_DEN) == 0.0
+    assert _pole_radius(from_roots([0.0, 1.1125369292536007e-308])) < 0.05
+    assert _pole_radius(from_roots([1e50, 1e50j, -1e50j])) >= 1e50
+    # The first squaring folds a 7-fold root onto the largest one; iterates
+    # rounded to double precision put the bound 1e-5 below it.
+    roots = [-0.8751597419986115] * 7 + [0.900186701148647]
+    assert _pole_radius(from_roots(roots)) >= roots[-1]
+    # Exact for a simple root, up to the (2K)**(2**-32) slack.
+    assert _pole_radius(Polynomial([1.0, -0.5])) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_impulse_truncation_reaches_requested_tolerance():

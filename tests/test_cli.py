@@ -296,6 +296,18 @@ def test_filter_error_rows_are_file_lines(tmp_path, capsys):
         assert captured.err.startswith(f"error: row {line}:")
 
 
+@pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_filter_lines_end_only_at_line_feed_or_return(tmp_path, capsys, sep):
+    # str.splitlines would split here and filter two samples.
+    path = tmp_path / "samples.csv"
+    path.write_text(f"n,value\n0,1.0{sep}1,2.0\n", encoding="utf-8")
+    code = main(["filter", "--order", "1", "--pole", "0.5", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: row 2: expected 1 or 2 columns, got 3\n"
+
+
 def test_filter_header_after_blank_lines(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text("\n\nn,value\n\n7,1.0\n8,2.0\n")
@@ -437,15 +449,27 @@ def test_missing_subcommand_exits_2(capsys):
 
 # --- module entry point ---------------------------------------------------------------
 
-def test_module_invocation_subprocess():
+def _run_module(argv, stdin=b""):
     # The child imports the same package as this process, also when pytest
     # put it on the path through pyproject's `pythonpath` setting.
     package_root = os.path.dirname(os.path.dirname(fixedgain.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixedgain", "design", *REF_ARGS],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, "-m", "fixedgain", *argv], input=stdin,
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_invocation_subprocess():
+    proc = _run_module(["design", *REF_ARGS])
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert max_abs_diff(doc["gains"]["kin"], REF_GAIN_KIN) < 1e-12
+
+
+def test_filter_stdin_lines_end_only_at_line_feed_or_return():
+    proc = _run_module(["filter", "--order", "1", "--pole", "0.5", "--input", "-"],
+                       stdin=b"n,value\n0,1.0\x0c1,2.0\n")
+    assert proc.returncode == 4
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: row 2: expected 1 or 2 columns, got 3\n"
