@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
+from itertools import chain, repeat
 from operator import mul
 from typing import Sequence
 
@@ -72,6 +73,22 @@ def _pole_radius(a: Polynomial) -> float:
     return bound
 
 
+def _recursion(b: Polynomial, a: Polynomial, xs, px: Sequence[float], py: Sequence[float]):
+    """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``,
+    from past inputs ``px`` and outputs ``py`` ordered most-recent-first,
+    len(b) - 1 and len(a) - 1 of them.  The terms are added left to right,
+    from b[0] x as ``sum``'s start; lde_filter and impulse_response share this
+    one loop, so a unit pulse gives the same bits through either."""
+    b0, b_tail = b[0], b.coeffs[1:]
+    neg_a_tail = [-c for c in a.coeffs[1:]]
+    px, py = deque(px, maxlen=len(px)), deque(py, maxlen=len(py))
+    for x in xs:
+        y = sum(map(mul, neg_a_tail, py), sum(map(mul, b_tail, px), b0 * x))
+        px.appendleft(x)
+        py.appendleft(y)
+        yield y
+
+
 def lde_filter(
     num,
     den,
@@ -89,31 +106,12 @@ def lde_filter(
     _check_normalized(a)
     nb = len(b) - 1
     na = len(a) - 1
-    px = deque([0.0] * nb, maxlen=nb or 1)
-    py = deque([0.0] * na, maxlen=na or 1)
-    if prehistory is not None:
-        past_x, past_y = prehistory
-        if len(past_x) > nb or len(past_y) > na:
-            raise DimensionMismatch(
-                f"prehistory longer than coefficient memory ({nb}, {na})"
-            )
-        for i, v in enumerate(past_x):
-            px[i] = float(v)
-        for i, v in enumerate(past_y):
-            py[i] = float(v)
-    out = []
-    for x in xs:
-        acc = b[0] * x
-        for k in range(1, nb + 1):
-            acc += b[k] * px[k - 1]
-        for k in range(1, na + 1):
-            acc -= a[k] * py[k - 1]
-        out.append(acc)
-        if nb:
-            px.appendleft(x)
-        if na:
-            py.appendleft(acc)
-    return out
+    past_x, past_y = prehistory if prehistory is not None else ((), ())
+    if len(past_x) > nb or len(past_y) > na:
+        raise DimensionMismatch(f"prehistory longer than coefficient memory ({nb}, {na})")
+    px = [float(v) for v in past_x] + [0.0] * (nb - len(past_x))
+    py = [float(v) for v in past_y] + [0.0] * (na - len(past_y))
+    return list(_recursion(b, a, xs, px, py))
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
@@ -138,24 +136,17 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     # The pad keeps r_env above the pole radius where the bound is tight.
     r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
     env_deg = k - 1
-    hist = deque([0.0] * k, maxlen=k)
     h: list[float] = []
     c_fit = 0.0
-    power = 1.0  # r_env ** n
+    power = 1.0  # r_env ** (n - 1)
     min_run = max(len(b), 2 * k, 8)
-    n = 0
-    while True:
-        x = b[n] if n < len(b) else 0.0
-        val = x
-        for j in range(1, k + 1):
-            val -= a[j] * hist[j - 1]
+    pulse = chain((1.0,), repeat(0.0))
+    for n, val in enumerate(_recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k), 1):
         h.append(val)
-        hist.appendleft(val)
-        env = (n + 1) ** env_deg * power
+        env = n ** env_deg * power
         if env > 1e-300:
             c_fit = max(c_fit, abs(val) / env)
         power *= r_env
-        n += 1
         if n >= min_run:
             ratio = (r_env * r_env) * ((n + 2) / (n + 1)) ** (2 * env_deg)
             if ratio < 1.0:
@@ -215,10 +206,15 @@ def optimal_lag_k2(pole: float) -> float:
 
 
 def _dc_denominator(a: Polynomial) -> float:
-    """D(1), refusing a denominator that vanishes at z = 1."""
+    """D(1), refusing a denominator that at z = 1 vanishes, or is not
+    resolved from zero by its coefficients: |D(1)| under 1e-12 max(1, |a_k|)
+    is inside their rounding."""
     a1 = sum(a.coeffs)
     if abs(a1) < 1e-12 * max(1.0, max(abs(c) for c in a.coeffs)):
-        raise PoleAtOne("denominator vanishes at z = 1; no dc steady state")
+        raise PoleAtOne(
+            "denominator at z = 1 vanishes, or is not resolved from zero by its"
+            " coefficients; no dc steady state"
+        )
     return a1
 
 

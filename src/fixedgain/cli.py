@@ -10,8 +10,9 @@ Four subcommands:
 * ``tables``  - regenerate the two benchmark tables (second-order white-noise
   gain over memory length and lag; optimal lag and its gain).
 
-All numeric output is emitted with ``repr`` so every value re-parses to the
-exact in-memory double, and runs are byte-for-byte deterministic.
+All numeric output is emitted with ``repr``, as ``csv.writer`` writes floats,
+so every value re-parses to the exact in-memory double, and runs are
+byte-for-byte deterministic.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 design infeasibility
 (unstable poles, unobservable or uncontrollable pair), 4 malformed input data.
@@ -258,10 +259,6 @@ def verify_document(doc: dict) -> float:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_csv(header: Sequence[str], rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -291,30 +288,26 @@ def cmd_analyze(args) -> int:
 
     if args.wng:
         _write_csv(["quantity", "value"],
-                   [["wng", _fmt(analyze.white_noise_gain(num, den))]])
+                   [["wng", analyze.white_noise_gain(num, den)]])
     elif args.freq:
         rows = []
         for f, h in analyze.frequency_grid(num, den):
             mag = abs(h)
             db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
-            rows.append([_fmt(f), _fmt(h.real), _fmt(h.imag), _fmt(db),
-                         _fmt(math.degrees(math.atan2(h.imag, h.real)))])
+            rows.append([f, h.real, h.imag, db, math.degrees(math.atan2(h.imag, h.real))])
         _write_csv(["f", "re", "im", "magnitude_db", "phase_deg"], rows)
     elif args.step is not None:
         ys = analyze.step_response(result, args.step)
-        _write_csv(["n", "y"], [[str(n), _fmt(y)] for n, y in enumerate(ys)])
+        _write_csv(["n", "y"], enumerate(ys))
     elif args.impulse:
         hs = analyze.impulse_response(num, den)
-        _write_csv(["n", "h"], [[str(n), _fmt(h)] for n, h in enumerate(hs)])
+        _write_csv(["n", "h"], enumerate(hs))
     elif args.flatness:
         profile = analyze.flatness_profile(
             num, den, spec.deriv, spec.lag, spec.process.ts, spec.process.order
         )
-        rows = [
-            [str(k), _fmt(t.real), _fmt(t.imag), _fmt(m.real), _fmt(m.imag),
-             _fmt(abs(m - t))]
-            for k, (t, m) in enumerate(profile)
-        ]
+        rows = [[k, t.real, t.imag, m.real, m.imag, abs(m - t)]
+                for k, (t, m) in enumerate(profile)]
         _write_csv(["order", "target_re", "target_im", "measured_re",
                     "measured_im", "deviation"], rows)
     return 0
@@ -349,7 +342,7 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
                     raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
                 label = row[0] if len(row) == 2 else str(len(samples))
                 samples.append((label, value))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path!r}: {exc}") from exc
     return samples
 
@@ -363,8 +356,6 @@ def cmd_filter(args) -> int:
     header = ["n", "y"]
     if emit_state:
         header += [f"state{i}" for i in range(result.order)]
-    # csv.writer formats a float with repr, like _fmt, so rows go out as they
-    # are computed without holding them.
     writerow = csv.writer(sys.stdout, lineterminator="\n").writerow
     writerow(header)
     ss = result.ss_kin
@@ -400,21 +391,12 @@ def cmd_tables(args) -> int:
     header = ["q" if args.table == 1 else "quantity"] + [
         f"l={int(l)}" for l in _TABLE_MEMORIES
     ]
-    rows = []
+    poles = [memory_to_pole(memory) for memory in _TABLE_MEMORIES]
     if args.table == 1:
-        for lag in _TABLE_LAGS:
-            row = [_fmt(lag)]
-            for memory in _TABLE_MEMORIES:
-                row.append(_fmt(_second_order_wng(memory_to_pole(memory), lag)))
-            rows.append(row)
+        rows = [[lag, *(_second_order_wng(pole, lag) for pole in poles)] for lag in _TABLE_LAGS]
     else:
-        lag_row, wng_row = ["optimal_lag"], ["wng"]
-        for memory in _TABLE_MEMORIES:
-            pole = memory_to_pole(memory)
-            lag = analyze.optimal_lag_k2(pole)
-            lag_row.append(_fmt(lag))
-            wng_row.append(_fmt(_second_order_wng(pole, lag)))
-        rows = [lag_row, wng_row]
+        lags = [analyze.optimal_lag_k2(pole) for pole in poles]
+        rows = [["optimal_lag", *lags], ["wng", *map(_second_order_wng, poles, lags)]]
     _write_csv(header, rows)
     return 0
 

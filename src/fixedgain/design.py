@@ -27,15 +27,13 @@ from .errors import (
     NonFiniteValue,
     NonPositiveSamplingPeriod,
     NotMonic,
-    SingularMatrix,
-    Unobservable,
     UnstablePoles,
     UnsupportedOrder,
 )
 from .linalg import Matrix
 from .poly import Polynomial, from_roots
 from .process import ProcessModel
-from .realize import Form, StateSpaceModel, companion_matrix, observability_matrix
+from .realize import Form, StateSpaceModel, _observable_form
 
 
 @dataclass(frozen=True)
@@ -155,21 +153,13 @@ def pcf_transform(model: ProcessModel) -> TransformPair:
 
     Both directions are built from observability matrices of the *predictor*
     measurement (measurement row advanced one step) against the process
-    transition, in kinematic and companion coordinates respectively.
+    transition, in kinematic and companion coordinates respectively, by the
+    same builder that gives the observable canonical form.
     """
-    order = model.order
-    obs_kin = observability_matrix(model.predictor_row(), model.transition_matrix)
-    can_row = Matrix.row_vector([0.0] * (order - 1) + [1.0])
-    can_transition = companion_matrix(companion_column(model.char_poly))
-    obs_can = observability_matrix(can_row, can_transition)
-    try:
-        kin_from_pcf = obs_kin.inv() @ obs_can
-        pcf_from_kin = obs_can.inv() @ obs_kin
-    except SingularMatrix as exc:
-        raise Unobservable(
-            "process/predictor pair is not observable at this order"
-        ) from exc
-    return TransformPair(kin_from_pcf, pcf_from_kin)
+    return TransformPair(*_observable_form(
+        model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
+        "process/predictor pair is not observable at this order",
+    ))
 
 
 def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:

@@ -89,5 +89,5 @@ class PoleOnUnitCircle(FixedGainError):
 
 
 class PoleAtOne(FixedGainError):
-    """Steady-state (dc) evaluation is singular: the denominator
-    vanishes at z = 1."""
+    """Steady-state (dc) evaluation is singular: the denominator at z = 1
+    vanishes, or is not resolved from zero by its coefficients."""

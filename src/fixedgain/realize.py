@@ -143,6 +143,23 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
     )
 
 
+def _observable_form(
+    row: Matrix, transition: Matrix, column: Sequence[float], message: str
+) -> tuple[Matrix, Matrix]:
+    """Similarity pair ``(kin_from_form, form_from_kin)`` from the pair
+    ``(row, transition)`` to the companion transition with last column
+    ``column`` read by the last unit row, built by equating observability
+    matrices.  A singular stack raises :class:`Unobservable` with ``message``.
+    """
+    obs = observability_matrix(row, transition)
+    last_unit_row = Matrix.row_vector([0.0] * (len(column) - 1) + [1.0])
+    obs_can = observability_matrix(last_unit_row, companion_matrix(column))
+    try:
+        return obs.inv() @ obs_can, obs_can.inv() @ obs
+    except SingularMatrix as exc:
+        raise Unobservable(message) from exc
+
+
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into the process-companion coordinates it was solved in."""
     if result.ss_pcf is None:
@@ -163,33 +180,25 @@ def pcf_realization(result: "DesignResult") -> StateSpaceModel:
 def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     """Observable canonical form of a design.
 
-    The transform is built by equating observability matrices: the canonical
-    pair's observability stack is formed analytically, the kinematic one from
-    the design's closed-loop matrices, and the similarity is the product of
-    the second's inverse with the first.  The finished pair is certified
-    against the transform identities; designs whose read-out row leaves the
-    state unobservable (exactly or within roundoff of it) raise
-    :class:`Unobservable` rather than returning a corrupt transform.
+    The transform is built by :func:`_observable_form` from the read-out row
+    and the closed-loop transition, as :func:`fixedgain.design.pcf_transform`
+    builds the PCF one from the predictor row and the process transition.
+    The finished pair is certified against the transform identities; designs
+    whose read-out row leaves the state unobservable (exactly or within
+    roundoff of it) raise :class:`Unobservable` rather than returning a
+    corrupt transform.
     """
     if result.ss_ocf is None:
         kin = result.ss_kin
-        k = kin.order
-        transition = companion_matrix(result.companion_col_obs)
-        output_row = Matrix.row_vector([0.0] * (k - 1) + [1.0])
-        obs_kin = observability_matrix(kin.output_row, kin.transition)
-        obs_can = observability_matrix(output_row, transition)
-        try:
-            kin_from_ocf = obs_kin.inv() @ obs_can
-            ocf_from_kin = obs_can.inv() @ obs_kin
-        except SingularMatrix as exc:
-            raise Unobservable(
-                "closed-loop pair is not observable; cannot reach OCF"
-            ) from exc
+        kin_from_ocf, ocf_from_kin = _observable_form(
+            kin.output_row, kin.transition, result.companion_col_obs,
+            "closed-loop pair is not observable; cannot reach OCF",
+        )
         model = StateSpaceModel(
             form=Form.OCF,
-            transition=transition,
+            transition=companion_matrix(result.companion_col_obs),
             input_gain=ocf_from_kin @ kin.input_gain,
-            output_row=output_row,
+            output_row=Matrix.row_vector([0.0] * (kin.order - 1) + [1.0]),
             kin_from_form=kin_from_ocf,
             form_from_kin=ocf_from_kin,
         )
@@ -213,16 +222,10 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
         k = kin.order
         col = result.companion_col_obs
         first_row = [col[k - 1 - j] for j in range(k)]
-        if k == 1:
-            transition = Matrix([first_row])
-        else:
-            transition = Matrix(
-                [first_row]
-                + [
-                    [1.0 if j == i else 0.0 for j in range(k)]
-                    for i in range(k - 1)
-                ]
-            )
+        transition = Matrix(
+            [first_row]
+            + [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k - 1)]
+        )
         input_gain = Matrix.column([1.0] + [0.0] * (k - 1))
         ctrb_kin = controllability_matrix(kin.transition, kin.input_gain)
         ctrb_can = controllability_matrix(transition, input_gain)

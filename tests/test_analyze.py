@@ -10,6 +10,7 @@ division vs impulse-response moments for flatness.
 import cmath
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -54,6 +55,8 @@ from fixedgain.errors import (
     NotNormalized,
     PoleAtOne,
     PoleOnUnitCircle,
+    Uncontrollable,
+    Unobservable,
     UnstablePoles,
 )
 
@@ -111,6 +114,72 @@ def test_lde_prehistory_resumes_a_split_run():
 def test_lde_prehistory_length_checked():
     with pytest.raises(DimensionMismatch):
         lde_filter([1.0, 0.0], [1.0, -0.5], [1.0], prehistory=((), (1.0, 2.0)))
+
+
+def test_lde_gain_only_refuses_prehistory():
+    with pytest.raises(DimensionMismatch):
+        lde_filter([3.0], [1.0], [1.0], prehistory=((1.0,), ()))
+
+
+@pytest.mark.parametrize("num, den, prehistory, want", [
+    # FIR: y[n] = x[n] + 2 x[n-1] + 3 x[n-2]
+    ([1.0, 2.0, 3.0], [1.0], None, [1.0, 2.0, 3.0, 0.0]),
+    ([1.0, 2.0, 3.0], [1.0], ((4.0, 5.0), ()), [24.0, 14.0, 3.0, 0.0]),
+    # gain only, recursive: y[n] = 2.5 x[n] + 0.5 y[n-1]
+    ([2.5], [1.0, -0.5], None, [2.5, 1.25, 0.625, 0.3125]),
+    ([2.5], [1.0, -0.5], ((), (4.0,)), [4.5, 2.25, 1.125, 0.5625]),
+    # gain only, no memory at all
+    ([3.0], [1.0], None, [3.0, 0.0, 0.0, 0.0]),
+    ([3.0], [1.0], ((), ()), [3.0, 0.0, 0.0, 0.0]),
+])
+def test_lde_fir_and_gain_only(num, den, prehistory, want):
+    assert lde_filter(num, den, [1.0, 0.0, 0.0, 0.0], prehistory=prehistory) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.floats(0.0, 0.95), st.floats(-1.0, 3.0), st.integers(0, k - 1),
+    st.sampled_from([1e-12, 1e-20]))))
+def test_impulse_response_is_lde_filter_over_a_unit_pulse(draw):
+    order, pole, lag, deriv, tol = draw
+    try:
+        num, den = _transfer(order, 1.0, pole, lag, deriv)
+    except (Unobservable, Uncontrollable):
+        assume(False)
+    h = impulse_response(num, den, tol=tol)
+    assert lde_filter(num, den, [1.0] + [0.0] * (len(h) - 1)) == h
+
+
+def _loop_recursion(b, a, xs):
+    # The recursion as a plain loop: b[0] x first, then the input terms and
+    # the output terms, most recent first, each added in turn.
+    px, py, out = [0.0] * (len(b) - 1), [0.0] * (len(a) - 1), []
+    for x in xs:
+        acc = b[0] * x
+        for k in range(1, len(b)):
+            acc += b[k] * px[k - 1]
+        for k in range(1, len(a)):
+            acc -= a[k] * py[k - 1]
+        out.append(acc)
+        px, py = ([x] + px)[:len(px)], ([acc] + py)[:len(py)]
+    return out
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 sum() compensates float rounding")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.floats(0.0, 0.95), st.floats(-1.0, 3.0), st.integers(0, k - 1),
+    st.integers(0, 2**32))))
+def test_lde_is_bit_identical_to_the_plain_loop(draw):
+    order, pole, lag, deriv, seed = draw
+    try:
+        num, den = _transfer(order, 0.5, pole, lag, deriv)
+    except (Unobservable, Uncontrollable):
+        assume(False)
+    rng = random.Random(seed)
+    xs = [rng.gauss(0.0, 1.0) for _ in range(64)]
+    assert lde_filter(num, den, xs) == _loop_recursion(num.coeffs, den.coeffs, xs)
 
 
 def test_lde_cold_step_converges():

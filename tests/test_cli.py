@@ -361,6 +361,17 @@ def test_filter_missing_file_is_input_error(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("data", [b"\xff\n1.0\n", b"n,value\n0,1.0\n1,2\xfe\n"])
+def test_filter_non_utf8_file_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(data)
+    code = main(["filter", "--order", "1", "--pole", "0.5", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec")
+
+
 # --- tables ------------------------------------------------------------------------
 
 def test_table_one_grid(capsys):

@@ -191,6 +191,23 @@ def test_uncontrollable_zero_gain_raises():
         ccf_realization(result)
 
 
+@pytest.mark.parametrize("ts", [0.04, 0.5, 1.0])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_ocf_is_pcf_when_the_read_out_is_the_predictor_row(order, ts):
+    # At lag -1 the position read-out is the predictor row, and output
+    # injection keeps the companion shape, so the observable form of the
+    # closed loop and the companion form of the process are one coordinate
+    # system: every matrix agrees to roundoff.
+    model = ProcessModel(order, ts)
+    result = design(ObserverSpec.repeated(model, 0.8, lag=-1.0))
+    assert result.ss_kin.output_row == model.predictor_row()
+    ocf, pcf = ocf_realization(result), pcf_realization(result)
+    for name in ("transition", "input_gain", "output_row", "kin_from_form", "form_from_kin"):
+        want = getattr(pcf, name).flat()
+        tol = 1e-8 * max(map(abs, want))
+        assert max_abs_diff(getattr(ocf, name).flat(), want) <= tol, name
+
+
 @pytest.mark.parametrize("order, ts", [(3, 0.04), (4, 10.0)])
 def test_certification_rejects_graded_degenerate_readout(order, ts):
     # Deadbeat designs with a one-sample lag make the read-out row exactly
