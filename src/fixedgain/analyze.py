@@ -13,8 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
+from functools import lru_cache
 from itertools import chain, repeat
-from operator import mul
+from operator import add, mul, truediv
 from typing import Sequence
 
 from .errors import (
@@ -36,6 +37,14 @@ _SAMPLE_CAP = 1_000_000
 
 def _as_poly(coeffs) -> Polynomial:
     return coeffs if isinstance(coeffs, Polynomial) else Polynomial(coeffs)
+
+
+def _finite_pair(num, den) -> tuple[Polynomial, Polynomial]:
+    """``(num, den)`` as polynomials, refusing a nan or infinite coefficient."""
+    b, a = _as_poly(num), _as_poly(den)
+    if not all(map(math.isfinite, b.coeffs + a.coeffs)):
+        raise NonFiniteValue("transfer coefficients must be finite")
+    return b, a
 
 
 def _check_normalized(den: Polynomial) -> None:
@@ -122,10 +131,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     infinite coefficient, and :class:`NonConvergent` unless r is inside the
     unit circle (and far enough inside to stay under a million samples).
     """
-    b = _as_poly(num)
-    a = _as_poly(den)
-    if not all(map(math.isfinite, b.coeffs + a.coeffs)):
-        raise NonFiniteValue("transfer coefficients must be finite")
+    b, a = _finite_pair(num, den)
     _check_normalized(a)
     k = a.degree
     if k == 0:
@@ -135,7 +141,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
         raise NonConvergent(f"pole magnitude bound {r:.12g} is not inside the unit circle")
     # The pad keeps r_env above the pole radius where the bound is tight.
     r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
-    env_deg = k - 1
+    env_deg, env_deg2, r_env2 = k - 1, 2 * (k - 1), r_env * r_env
     h: list[float] = []
     c_fit = 0.0
     power = 1.0  # r_env ** (n - 1)
@@ -144,14 +150,14 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     for n, val in enumerate(_recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k), 1):
         h.append(val)
         env = n ** env_deg * power
-        if env > 1e-300:
-            c_fit = max(c_fit, abs(val) / env)
+        if env > 1e-300 and (fit := abs(val) / env) > c_fit:
+            c_fit = fit
         power *= r_env
         if n >= min_run:
-            ratio = (r_env * r_env) * ((n + 2) / (n + 1)) ** (2 * env_deg)
+            ratio = r_env2 * ((n + 2) / (n + 1)) ** env_deg2
             if ratio < 1.0:
                 try:
-                    head = (c_fit * power) ** 2 * (n + 1) ** (2 * env_deg)
+                    head = (c_fit * power) ** 2 * (n + 1) ** env_deg2
                 except OverflowError:
                     raise NonFiniteValue("impulse response energy overflows") from None
                 if head / (1.0 - ratio) < tol:
@@ -163,22 +169,39 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     return h
 
 
+def _responses(num, den, omegas, zs, ones) -> list[complex]:
+    """N(z) / D(z) at each z of ``zs`` by Polynomial.__call__'s Horner steps, run
+    across all points from ``ones`` (z * 0 + 1); D's first zero in order raises."""
+    vals = []
+    for p in reversed(_finite_pair(num, den)):
+        acc = map(mul, repeat(p[0]), ones)
+        for c in p.coeffs[1:]:
+            acc = map(add, map(mul, acc, zs), repeat(c))
+        vals.append(list(acc))
+    dvs, nvs = vals
+    for omega, dv in zip(omegas, dvs):
+        if abs(dv) < 1e-12:
+            raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
+    hs = list(map(truediv, nvs, dvs))
+    if not all(map(cmath.isfinite, hs)):
+        raise NonFiniteValue("frequency response overflows")
+    return hs
+
+
 def frequency_response(num, den, omega) -> complex:
     """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
-    complex values are accepted."""
-    b = _as_poly(num)
-    a = _as_poly(den)
+    complex values are accepted.  A non-finite response raises NonFiniteValue."""
     z = cmath.exp(1j * omega)
-    dv = a(z)
-    if abs(dv) < 1e-12:
-        raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
-    return b(z) / dv
+    return _responses(num, den, (omega,), (z,), (z * 0 + 1,))[0]
 
 
 def white_noise_gain(num, den) -> float:
     """Output variance per unit white measurement-noise variance: the sum of
-    squared impulse-response samples, truncated below 1e-12."""
-    return sum(v * v for v in impulse_response(num, den, tol=1e-12))
+    squared impulse-response samples, truncated below 1e-12, if finite."""
+    h = impulse_response(num, den, tol=1e-12)
+    if not math.isfinite(total := sum(map(mul, h, h))):
+        raise NonFiniteValue("white-noise gain overflows")
+    return total
 
 
 def white_noise_gain_k2(pole: float, lag: float) -> float:
@@ -316,12 +339,18 @@ def step_response(result, n_max: int) -> list[float]:
     return ys
 
 
+@lru_cache(maxsize=4, typed=True)
+def _grid(points: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """(f, omega, z, z * 0 + 1) columns of frequency_grid's ``points``."""
+    fs = tuple(0.5 * j / (points - 1) for j in range(points))
+    omegas = tuple(2.0 * math.pi * f for f in fs)
+    zs = tuple(cmath.exp(1j * omega) for omega in omegas)
+    return fs, omegas, zs, tuple(z * 0 + 1 for z in zs)
+
+
 def frequency_grid(num, den, points: int = 1024) -> list[tuple[float, complex]]:
-    """(cycles-per-sample, response) pairs on a uniform grid over [0, 0.5]."""
-    b = _as_poly(num)
-    a = _as_poly(den)
-    out = []
-    for j in range(points):
-        f = 0.5 * j / (points - 1)
-        out.append((f, frequency_response(b, a, 2.0 * math.pi * f)))
-    return out
+    """(cycles-per-sample, response) pairs on a uniform grid of points >= 2 over [0, 0.5]."""
+    if points < 2:
+        raise DimensionMismatch(f"frequency grid needs at least 2 points, got {points!r}")
+    fs, omegas, zs, ones = _grid(points)
+    return list(zip(fs, _responses(num, den, omegas, zs, ones)))

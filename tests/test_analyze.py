@@ -12,6 +12,8 @@ import math
 import random
 import sys
 import time
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -46,9 +48,10 @@ from fixedgain import (
     white_noise_gain,
     white_noise_gain_k2,
 )
-from fixedgain.analyze import _pole_radius
+from fixedgain.analyze import _SAMPLE_CAP, _pole_radius, _recursion
 from fixedgain.errors import (
     DimensionMismatch,
+    FixedGainError,
     NonConvergent,
     NonFiniteValue,
     NonRealCoefficients,
@@ -273,6 +276,78 @@ def test_non_finite_coefficients_fail_at_once(num, den):
         assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("analysis, num, den", [
+    (frequency_grid, [1.0], [1.0, math.nan]),
+    (frequency_grid, [math.inf], [1.0, -0.5]),
+    (frequency_grid, [1e308, 1e308], [1.0, -0.5]),
+    (partial(frequency_response, omega=0.0), [1e308, 1e308], [1.0, -0.5]),
+    (white_noise_gain, [1e200], [1.0]),
+])
+def test_non_finite_responses_and_noise_gains_are_refused(analysis, num, den):
+    with pytest.raises(NonFiniteValue):
+        analysis(num, den)
+
+
+def _envelope_loop(num, den, tol):
+    # impulse_response's truncation loop as first written, with max() for the
+    # envelope fit and the products recomputed on every sample: the reference
+    # that the loop as it stands must match bit for bit.
+    b, a = Polynomial(num), Polynomial(den)
+    k = a.degree
+    r = _pole_radius(a)
+    if not r < 1.0 - 1e-9:
+        raise NonConvergent(f"pole magnitude bound {r:.12g} is not inside the unit circle")
+    r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
+    env_deg = k - 1
+    h, c_fit, power = [], 0.0, 1.0
+    min_run = max(len(b), 2 * k, 8)
+    pulse = chain((1.0,), repeat(0.0))
+    for n, val in enumerate(_recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k), 1):
+        h.append(val)
+        env = n ** env_deg * power
+        if env > 1e-300:
+            c_fit = max(c_fit, abs(val) / env)
+        power *= r_env
+        if n >= min_run:
+            ratio = (r_env * r_env) * ((n + 2) / (n + 1)) ** (2 * env_deg)
+            if ratio < 1.0:
+                head = (c_fit * power) ** 2 * (n + 1) ** (2 * env_deg)
+                if head / (1.0 - ratio) < tol:
+                    return h
+        if n >= _SAMPLE_CAP:
+            raise NonConvergent(
+                f"impulse response still above tolerance after {_SAMPLE_CAP} samples"
+            )
+
+
+def _outcome(analysis, *args):
+    try:
+        return analysis(*args)
+    except FixedGainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.floats(0.0, 0.99), st.floats(-1.0, 3.0), st.integers(0, k - 1),
+    st.sampled_from([1e-12, 1e-20]))))
+def test_impulse_response_is_the_envelope_loop(draw):
+    order, pole, lag, deriv, tol = draw
+    try:
+        num, den = _transfer(order, 1.0, pole, lag, deriv)
+    except (Unobservable, Uncontrollable):
+        assume(False)
+    assert (_outcome(impulse_response, num, den, tol)
+            == _outcome(_envelope_loop, num.coeffs, den.coeffs, tol))
+
+
+def test_noise_gain_is_the_impulse_sum_of_squares():
+    designs = [(1, 1.0, 0.85, 0.0, 0), (2, 1.0, 0.9394, 1.0, 0), (3, 0.04, 0.8, 2.0, 1),
+               (5, 1.0, 0.95, -1.0, 2), (8, 1.0, 0.6, 0.5, 7)]
+    for num, den in [_transfer(*args) for args in designs] + [(DELAY_NUM, DELAY_DEN)]:
+        assert white_noise_gain(num, den) == sum(v * v for v in impulse_response(num, den))
+
+
 # --- pole-magnitude bound --------------------------------------------------------
 
 @st.composite
@@ -370,6 +445,60 @@ def test_frequency_grid_shape_and_endpoints():
     assert grid[0][1] == pytest.approx(1.0 + 0.0j, abs=1e-12)
     nyquist = frequency_response(num, den, math.pi)
     assert abs(grid[-1][1] - nyquist) < 1e-12
+
+
+@pytest.mark.parametrize("points", [1, 0, -4])
+def test_frequency_grid_needs_two_points(points):
+    with pytest.raises(DimensionMismatch):
+        frequency_grid([1.0], [1.0, -0.5], points)
+
+
+@st.composite
+def _stable_transfers(draw):
+    """K = 0-8 denominators with real roots and conjugate pairs of magnitude
+    at most 0.95, and numerators of 1 to K + 2 coefficients."""
+    order = draw(st.integers(0, 8))
+    roots: list[complex] = []
+    while len(roots) < order:
+        size = draw(st.floats(0.0, 0.95))
+        if order - len(roots) >= 2 and draw(st.booleans()):
+            z = cmath.rect(size, draw(st.floats(0.0, math.pi)))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(draw(st.sampled_from([size, -size])))
+    num = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=order + 2))
+    return Polynomial(num), from_roots(roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stable_transfers(), st.sampled_from([2, 3, 17, 1024]))
+def test_frequency_grid_is_the_per_point_evaluation(transfer, points):
+    num, den = transfer
+    want = []
+    for j in range(points):
+        f = 0.5 * j / (points - 1)
+        z = cmath.exp(1j * (2.0 * math.pi * f))
+        want.append((f, num(z) / den(z)))
+    assert frequency_grid(num, den, points) == want
+
+
+def test_frequency_response_at_complex_omega():
+    num, den = _transfer(3, 0.04, 0.8, 2.0)
+    for omega in (0.3 + 0.1j, -1.2 - 0.05j, 2.5j, complex(math.pi, -0.7)):
+        z = cmath.exp(1j * omega)
+        assert frequency_response(num, den, omega) == num(z) / den(z)
+
+
+def test_pole_on_unit_circle_names_the_first_frequency():
+    with pytest.raises(PoleOnUnitCircle) as info:
+        frequency_response([1.0], [1.0, 1.0], math.pi)
+    assert str(info.value) == "denominator vanishes at omega = 3.141592653589793"
+    with pytest.raises(PoleOnUnitCircle) as info:
+        frequency_grid([1.0], [1.0, 1.0], 3)
+    assert str(info.value) == "denominator vanishes at omega = 3.141592653589793"
+    with pytest.raises(PoleOnUnitCircle) as info:  # zeros at omega = 0 and pi
+        frequency_grid([1.0], [1.0, 0.0, -1.0], 5)
+    assert str(info.value) == "denominator vanishes at omega = 0.0"
 
 
 # --- white-noise gain -------------------------------------------------------------
