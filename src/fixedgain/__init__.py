@@ -28,17 +28,14 @@ from .analyze import (
     steady_state_step,
     step_response,
     white_noise_gain,
-    white_noise_gain_k2,
 )
 from .design import (
     DesignResult,
     GainVectors,
     ObserverSpec,
-    closed_form_gains,
     companion_column,
     design,
     memory_to_pole,
-    pcf_gain,
     pcf_transform,
     placement_residual,
     pole_to_memory,
@@ -53,15 +50,12 @@ from .realize import (
     StateSpaceModel,
     ccf_realization,
     companion_matrix,
-    controllability_matrix,
     extract_kinematic,
     initialize_state,
-    observability_matrix,
     ocf_realization,
     pcf_realization,
     read_output,
     run,
-    second_order_transfer,
     step,
     transfer_coefficients,
 )
@@ -79,10 +73,8 @@ __all__ = [
     "ProcessModel",
     "StateSpaceModel",
     "ccf_realization",
-    "closed_form_gains",
     "companion_column",
     "companion_matrix",
-    "controllability_matrix",
     "design",
     "errors",
     "extract_kinematic",
@@ -92,14 +84,12 @@ __all__ = [
     "frequency_grid",
     "frequency_response",
     "from_roots",
-    "observability_matrix",
     "impulse_response",
     "initialize_state",
     "lde_filter",
     "memory_to_pole",
     "ocf_realization",
     "optimal_lag_k2",
-    "pcf_gain",
     "pcf_realization",
     "pcf_transform",
     "placement_residual",
@@ -108,11 +98,9 @@ __all__ = [
     "read_output",
     "realized_char_poly",
     "run",
-    "second_order_transfer",
     "steady_state_step",
     "step",
     "step_response",
     "transfer_coefficients",
     "white_noise_gain",
-    "white_noise_gain_k2",
 ]

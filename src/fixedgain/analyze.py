@@ -179,9 +179,12 @@ def _responses(num, den, omegas, zs, ones) -> list[complex]:
             acc = map(add, map(mul, acc, zs), repeat(c))
         vals.append(list(acc))
     dvs, nvs = vals
-    for omega, dv in zip(omegas, dvs):
-        if abs(dv) < 1e-12:
-            raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
+    try:
+        for omega, dv in zip(omegas, dvs):
+            if abs(dv) < 1e-12:
+                raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
+    except OverflowError:  # abs() of a complex D whose finite parts overflow
+        raise NonFiniteValue("frequency response denominator overflows") from None
     hs = list(map(truediv, nvs, dvs))
     if not all(map(cmath.isfinite, hs)):
         raise NonFiniteValue("frequency response overflows")
@@ -202,18 +205,6 @@ def white_noise_gain(num, den) -> float:
     if not math.isfinite(total := sum(map(mul, h, h))):
         raise NonFiniteValue("white-noise gain overflows")
     return total
-
-
-def white_noise_gain_k2(pole: float, lag: float) -> float:
-    """Closed-form white-noise gain of the order-2 smoother with both poles
-    at ``pole`` and read-out lag ``lag``."""
-    p = float(pole)
-    q = float(lag)
-    if not 0.0 <= p < 1.0:
-        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
-    d = p + p * q - q
-    u = 1.0 + p
-    return (1.0 - p) * (1.0 / u + 2.0 * d / u**2 + 2.0 * d * d / u**3)
 
 
 def optimal_lag_k2(pole: float) -> float:

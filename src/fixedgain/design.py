@@ -18,17 +18,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
     DerivativeIndexOutOfRange,
     FixedGainError,
     NonFiniteValue,
-    NonPositiveSamplingPeriod,
     NotMonic,
+    Unobservable,
     UnstablePoles,
-    UnsupportedOrder,
 )
 from .linalg import Matrix
 from .poly import Polynomial, from_roots
@@ -94,11 +93,6 @@ class GainVectors:
     pcf: Matrix
 
 
-class TransformPair(NamedTuple):
-    kin_from_pcf: Matrix
-    pcf_from_kin: Matrix
-
-
 @dataclass
 class DesignResult:
     """Everything the placement produced.
@@ -138,28 +132,19 @@ def companion_column(char: Polynomial) -> tuple[float, ...]:
     return tuple(-char[k - i] for i in range(k))
 
 
-def pcf_gain(col_prc: Sequence[float], col_obs: Sequence[float]) -> Matrix:
-    """Correction gain in companion coordinates: the elementwise gap between
-    the process and observer companion columns."""
-    if len(col_prc) != len(col_obs):
-        raise DimensionMismatch(
-            f"column lengths differ: {len(col_prc)} vs {len(col_obs)}"
-        )
-    return Matrix.column([gp - go for gp, go in zip(col_prc, col_obs)])
-
-
-def pcf_transform(model: ProcessModel) -> TransformPair:
-    """Similarity pair between kinematic and process-companion coordinates.
+def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
+    """Similarity pair ``(kin_from_pcf, pcf_from_kin)`` between kinematic and
+    process-companion coordinates.
 
     Both directions are built from observability matrices of the *predictor*
     measurement (measurement row advanced one step) against the process
     transition, in kinematic and companion coordinates respectively, by the
     same builder that gives the observable canonical form.
     """
-    return TransformPair(*_observable_form(
+    return _observable_form(
         model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
-        "process/predictor pair is not observable at this order",
-    ))
+        Unobservable("process/predictor pair is not observable at this order"),
+    )
 
 
 def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
@@ -187,9 +172,9 @@ def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
     char = from_roots(spec.poles)
     col_obs = companion_column(char)
     col_prc = companion_column(model.char_poly)
-    gain_pcf_vec = pcf_gain(col_prc, col_obs)
-    transforms = pcf_transform(model)
-    gain_kin_vec = transforms.kin_from_pcf @ gain_pcf_vec
+    gain_pcf_vec = Matrix.column([gp - go for gp, go in zip(col_prc, col_obs)])
+    kin_from_pcf, pcf_from_kin = pcf_transform(model)
+    gain_kin_vec = kin_from_pcf @ gain_pcf_vec
 
     closed_loop = model.transition_matrix - gain_kin_vec @ model.predictor_row()
     ss_kin = StateSpaceModel(
@@ -207,8 +192,8 @@ def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
         char_poly=char,
         companion_col_obs=col_obs,
         companion_col_prc=col_prc,
-        kin_from_pcf=transforms.kin_from_pcf,
-        pcf_from_kin=transforms.pcf_from_kin,
+        kin_from_pcf=kin_from_pcf,
+        pcf_from_kin=pcf_from_kin,
         ss_kin=ss_kin,
         placement_residual=0.0,
     )
@@ -246,31 +231,6 @@ def placement_residual(char: Polynomial, poles: Sequence[complex]) -> float:
             worst = max(worst, abs(d(pole)) / scale)
             d = d.derivative()
     return worst
-
-
-def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
-    """Kinematic gain column for a repeated real pole, orders 1-3, in closed
-    form.  Matches the pipeline result to roundoff; mainly useful as a fast
-    path and a cross-check."""
-    p = float(pole)
-    ts = float(ts)
-    if not 0.0 <= p < 1.0:
-        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
-    if not ts > 0.0:
-        raise NonPositiveSamplingPeriod(f"sampling period must be > 0, got {ts!r}")
-    if order == 1:
-        return Matrix.column([1.0 - p])
-    if order == 2:
-        return Matrix.column([1.0 - p * p, (1.0 - p) ** 2 / ts])
-    if order == 3:
-        return Matrix.column(
-            [
-                1.0 - p ** 3,
-                1.5 * (1.0 - p) ** 2 * (1.0 + p) / ts,
-                (1.0 - p) ** 3 / (ts * ts),
-            ]
-        )
-    raise UnsupportedOrder(f"closed-form gains cover orders 1-3, got {order}")
 
 
 def memory_to_pole(memory: float) -> float:

@@ -64,10 +64,6 @@ class Uncontrollable(FixedGainError):
     transform to the controllable canonical coordinates exists."""
 
 
-class UnsupportedOrder(FixedGainError):
-    """A closed-form shortcut was asked for an order it does not cover."""
-
-
 class FormMismatch(FixedGainError):
     """A filter state was advanced through a realization in different
     coordinates than the state was initialized in."""

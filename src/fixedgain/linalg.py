@@ -1,9 +1,9 @@
 """Small dense real matrices for low-order filter work.
 
 Everything here is sized for state dimensions of at most :data:`ORDER_CAP`
-(default 8): beyond that the observability/controllability products built on
-top of these routines are too ill-conditioned to mean anything, so the cap is
-enforced at construction.  Storage is an immutable tuple of row tuples.
+(8): beyond that the observability products built on top of these routines
+are too ill-conditioned to mean anything, so the cap is enforced at
+construction.  Storage is an immutable tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# Largest state dimension the package will build.  Module-level so a caller
-# who really wants bigger matrices can raise it before constructing anything.
+# Largest state dimension the package will build: a fixed cap, not a setting.
+# process.py copies it at import, so rebinding it here does not lift the limit.
 ORDER_CAP = 8
 
 # A pivot below this fraction of its row's pre-elimination magnitude is

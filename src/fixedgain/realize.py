@@ -9,6 +9,7 @@ coordinates, where the state is physically meaningful (position, velocity,
 * OCF - observable canonical form; the input gain column reads off the
   transfer-function numerator directly.
 * CCF - controllable canonical form; the output row reads off the numerator.
+  Built as the dual observable form, by the builder PCF and OCF share.
 
 All four realizations produce identical input/output behavior; only the
 internal state coordinates differ.  Each carries the similarity transform to
@@ -23,11 +24,11 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
+    FixedGainError,
     FormMismatch,
     SingularMatrix,
     Uncontrollable,
     Unobservable,
-    UnstablePoles,
 )
 from .linalg import Matrix
 from .poly import Polynomial
@@ -104,7 +105,7 @@ class FilterState:
     vector: list[float]
 
 
-def observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
+def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
     """Stack output_row @ transition**k for k = 0 .. K-1 into a K x K matrix."""
     row = output_row
     rows = [row.row(0)]
@@ -112,16 +113,6 @@ def observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
         row = row @ transition
         rows.append(row.row(0))
     return Matrix(rows)
-
-
-def controllability_matrix(transition: Matrix, input_gain: Matrix) -> Matrix:
-    """Set transition**k @ input_gain as column k, for k = 0 .. K-1."""
-    col = input_gain
-    cols = [col.col(0)]
-    for _ in range(transition.rows - 1):
-        col = transition @ col
-        cols.append(col.col(0))
-    return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(len(cols))])
 
 
 def companion_matrix(column: Sequence[float]) -> Matrix:
@@ -144,20 +135,20 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
 
 
 def _observable_form(
-    row: Matrix, transition: Matrix, column: Sequence[float], message: str
+    row: Matrix, transition: Matrix, column: Sequence[float], error: FixedGainError
 ) -> tuple[Matrix, Matrix]:
     """Similarity pair ``(kin_from_form, form_from_kin)`` from the pair
     ``(row, transition)`` to the companion transition with last column
     ``column`` read by the last unit row, built by equating observability
-    matrices.  A singular stack raises :class:`Unobservable` with ``message``.
+    matrices.  A singular stack raises ``error``.
     """
-    obs = observability_matrix(row, transition)
+    obs = _observability_matrix(row, transition)
     last_unit_row = Matrix.row_vector([0.0] * (len(column) - 1) + [1.0])
-    obs_can = observability_matrix(last_unit_row, companion_matrix(column))
+    obs_can = _observability_matrix(last_unit_row, companion_matrix(column))
     try:
         return obs.inv() @ obs_can, obs_can.inv() @ obs
     except SingularMatrix as exc:
-        raise Unobservable(message) from exc
+        raise error from exc
 
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -192,7 +183,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
         kin = result.ss_kin
         kin_from_ocf, ocf_from_kin = _observable_form(
             kin.output_row, kin.transition, result.companion_col_obs,
-            "closed-loop pair is not observable; cannot reach OCF",
+            Unobservable("closed-loop pair is not observable; cannot reach OCF"),
         )
         model = StateSpaceModel(
             form=Form.OCF,
@@ -210,12 +201,16 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
 def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     """Controllable canonical form of a design.
 
-    Built by equating controllability matrices.  The canonical transition
-    carries the negated characteristic coefficients across its first row and
-    the input gain is the first unit vector; the output row then equals the
-    transfer-function numerator coefficients.  As with the observable form,
-    the finished pair is certified against the transform identities and
-    :class:`Uncontrollable` is raised when certification fails.
+    The canonical transition carries the negated characteristic coefficients
+    across its first row and the input gain is the first unit vector; the
+    output row then equals the transfer-function numerator coefficients.
+    The form is the dual of the observable one: :func:`_observable_form` of
+    the input column read as a row against the transposed closed-loop
+    transition gives a pair ``(P^-1, P)``, and with J the order reversal the
+    CCF transforms are ``ccf_from_kin = J P^-T`` and ``kin_from_ccf = P^T J``.
+    As with the observable form, the finished pair is certified against the
+    transform identities and :class:`Uncontrollable` is raised when the
+    construction or certification fails.
     """
     if result.ss_ccf is None:
         kin = result.ss_kin
@@ -226,23 +221,18 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
             [first_row]
             + [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k - 1)]
         )
-        input_gain = Matrix.column([1.0] + [0.0] * (k - 1))
-        ctrb_kin = controllability_matrix(kin.transition, kin.input_gain)
-        ctrb_can = controllability_matrix(transition, input_gain)
-        try:
-            kin_from_ccf = ctrb_kin @ ctrb_can.inv()
-            ccf_from_kin = ctrb_can @ ctrb_kin.inv()
-        except SingularMatrix as exc:
-            raise Uncontrollable(
-                "closed-loop pair is not controllable; cannot reach CCF"
-            ) from exc
+        p_inv, p = _observable_form(
+            Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col,
+            Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
+        )
+        kin_from_ccf = Matrix(zip(*p.data[::-1]))
         model = StateSpaceModel(
             form=Form.CCF,
             transition=transition,
-            input_gain=input_gain,
+            input_gain=Matrix.column([1.0] + [0.0] * (k - 1)),
             output_row=kin.output_row @ kin_from_ccf,
             kin_from_form=kin_from_ccf,
-            form_from_kin=ccf_from_kin,
+            form_from_kin=Matrix(list(zip(*p_inv.data))[::-1]),
         )
         _certify_similarity(kin, model, Uncontrollable)
         result.ss_ccf = model
@@ -272,27 +262,6 @@ def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomia
             coeffs = list(ccf.output_row.row(0))
         result.numerator = Polynomial(coeffs + [0.0])
     return result.numerator, result.char_poly
-
-
-def second_order_transfer(pole: float, lag: float) -> tuple[Polynomial, Polynomial]:
-    """Closed-form numerator/denominator for the order-2 smoother.
-
-    Matches ``transfer_coefficients`` of the pipeline design with both poles
-    at ``pole`` and read-out lag ``lag`` (which may be fractional).
-    """
-    p = float(pole)
-    q = float(lag)
-    if not 0.0 <= p < 1.0:
-        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
-    num = Polynomial(
-        [
-            (q * p + p - q + 1.0) * (1.0 - p),
-            -(q * p + 2.0 * p - q) * (1.0 - p),
-            0.0,
-        ]
-    )
-    den = Polynomial([1.0, -2.0 * p, p * p])
-    return num, den
 
 
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:

@@ -1,17 +1,20 @@
-"""Shared constants and helpers for the fixedgain test suite.
+"""Shared constants, closed-form oracles and helpers for the test suite.
 
 The frozen numbers here are the standing reference points the suite checks
 against: a third-order design whose every intermediate is known in closed
 form, the second-order noise-gain benchmark grid, and the matching
-optimal-lag row.  Unit tests check them piecewise; the acceptance module
-re-checks them end to end at its own tolerances.
+optimal-lag row.  Beside them sit the closed forms they follow from (gains
+for orders 1-3, the order-2 transfer function and noise gain), which the
+pipeline must reproduce.  Unit tests check them piecewise; the acceptance
+module re-checks them end to end at its own tolerances.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from fixedgain import ObserverSpec, ProcessModel, design
+from fixedgain import Matrix, ObserverSpec, Polynomial, ProcessModel, design
+from fixedgain.errors import NonPositiveSamplingPeriod, UnstablePoles
 
 # --- the reference third-order design: K=3, Ts=0.04, repeated pole 0.8,
 #     read-out lagged two samples ---------------------------------------
@@ -67,6 +70,61 @@ REF_OCF_FROM_KIN_COL0 = (0.7120, -1.6880, 1.0000)
 def reference_design():
     model = ProcessModel(REF_ORDER, REF_TS)
     return design(ObserverSpec.repeated(model, REF_POLE, lag=REF_LAG))
+
+
+def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
+    """Kinematic gain column for a repeated real pole, orders 1-3, in closed
+    form.  The pipeline's gains must match it to roundoff."""
+    p = float(pole)
+    ts = float(ts)
+    if not 0.0 <= p < 1.0:
+        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
+    if not ts > 0.0:
+        raise NonPositiveSamplingPeriod(f"sampling period must be > 0, got {ts!r}")
+    if order == 1:
+        return Matrix.column([1.0 - p])
+    if order == 2:
+        return Matrix.column([1.0 - p * p, (1.0 - p) ** 2 / ts])
+    if order == 3:
+        return Matrix.column(
+            [
+                1.0 - p ** 3,
+                1.5 * (1.0 - p) ** 2 * (1.0 + p) / ts,
+                (1.0 - p) ** 3 / (ts * ts),
+            ]
+        )
+    raise ValueError(f"closed-form gains cover orders 1-3, got {order}")
+
+
+def second_order_transfer(pole: float, lag: float) -> tuple[Polynomial, Polynomial]:
+    """Closed-form numerator/denominator of the order-2 smoother with both
+    poles at ``pole`` and read-out lag ``lag`` (which may be fractional), as
+    ``transfer_coefficients`` of the pipeline design must give them."""
+    p = float(pole)
+    q = float(lag)
+    if not 0.0 <= p < 1.0:
+        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
+    num = Polynomial(
+        [
+            (q * p + p - q + 1.0) * (1.0 - p),
+            -(q * p + 2.0 * p - q) * (1.0 - p),
+            0.0,
+        ]
+    )
+    den = Polynomial([1.0, -2.0 * p, p * p])
+    return num, den
+
+
+def white_noise_gain_k2(pole: float, lag: float) -> float:
+    """Closed-form white-noise gain of the order-2 smoother with both poles
+    at ``pole`` and read-out lag ``lag``."""
+    p = float(pole)
+    q = float(lag)
+    if not 0.0 <= p < 1.0:
+        raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
+    d = p + p * q - q
+    u = 1.0 + p
+    return (1.0 - p) * (1.0 / u + 2.0 * d / u**2 + 2.0 * d * d / u**3)
 
 
 # --- second-order noise-gain benchmark: memory lengths l = 2,4,8,12,16

@@ -27,13 +27,15 @@ from conftest import (
     REF_NUMERATOR,
     REF_POLE,
     REF_TS,
+    closed_form_gains,
     max_abs_diff,
+    second_order_transfer,
+    white_noise_gain_k2,
 )
 from fixedgain import (
     ObserverSpec,
     ProcessModel,
     ccf_realization,
-    closed_form_gains,
     design,
     errors,
     flatness_profile,
@@ -47,10 +49,8 @@ from fixedgain import (
     read_output,
     realized_char_poly,
     run,
-    second_order_transfer,
     transfer_coefficients,
     white_noise_gain,
-    white_noise_gain_k2,
 )
 
 

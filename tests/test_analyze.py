@@ -25,6 +25,7 @@ from conftest import (
     BENCH_POLES_4DP,
     BENCH_WNG,
     max_abs_diff,
+    white_noise_gain_k2,
 )
 from fixedgain import (
     ObserverSpec,
@@ -46,7 +47,6 @@ from fixedgain import (
     step_response,
     transfer_coefficients,
     white_noise_gain,
-    white_noise_gain_k2,
 )
 from fixedgain.analyze import _SAMPLE_CAP, _pole_radius, _recursion
 from fixedgain.errors import (
@@ -282,6 +282,7 @@ def test_non_finite_coefficients_fail_at_once(num, den):
     (frequency_grid, [1e308, 1e308], [1.0, -0.5]),
     (partial(frequency_response, omega=0.0), [1e308, 1e308], [1.0, -0.5]),
     (white_noise_gain, [1e200], [1.0]),
+    (frequency_grid, [1.0], [1.0, 1e308, 1e308]),
 ])
 def test_non_finite_responses_and_noise_gains_are_refused(analysis, num, den):
     with pytest.raises(NonFiniteValue):

@@ -18,6 +18,7 @@ from conftest import (
     REF_GAIN_PCF,
     REF_KIN_FROM_PCF,
     REF_PCF_FROM_KIN,
+    closed_form_gains,
     max_abs_diff,
 )
 from fixedgain import (
@@ -25,12 +26,10 @@ from fixedgain import (
     ObserverSpec,
     Polynomial,
     ProcessModel,
-    closed_form_gains,
     companion_column,
     companion_matrix,
     design,
     memory_to_pole,
-    pcf_gain,
     pcf_transform,
     placement_residual,
     pole_to_memory,
@@ -45,7 +44,6 @@ from fixedgain.errors import (
     NonPositiveSamplingPeriod,
     NotMonic,
     UnstablePoles,
-    UnsupportedOrder,
 )
 
 
@@ -63,31 +61,33 @@ def test_companion_column_requires_monic():
         companion_column(Polynomial([1.0]))
 
 
-def test_pcf_gain_is_columnwise_gap():
-    g = pcf_gain((1.0, -3.0, 3.0), (0.512, -1.92, 2.4))
-    assert g.col(0) == pytest.approx((0.488, -1.08, 0.6), abs=1e-15)
-    with pytest.raises(DimensionMismatch):
-        pcf_gain((1.0,), (1.0, 2.0))
+def test_pcf_gain_is_columnwise_gap(reference_design):
+    r = reference_design
+    assert r.companion_col_prc == (1.0, -3.0, 3.0)
+    assert r.companion_col_obs == pytest.approx((0.512, -1.92, 2.4), abs=1e-15)
+    gap = tuple(gp - go for gp, go in zip(r.companion_col_prc, r.companion_col_obs))
+    assert r.gains.pcf.col(0) == gap
+    assert gap == pytest.approx((0.488, -1.08, 0.6), abs=1e-15)
 
 
 # --- companion similarity ----------------------------------------------------
 
 def test_pcf_transform_reference_values():
-    pair = pcf_transform(ProcessModel(3, 0.04))
-    assert max(max_abs_diff(r, w) for r, w in zip(pair.kin_from_pcf.data, REF_KIN_FROM_PCF)) < 1e-9
-    assert max(max_abs_diff(r, w) for r, w in zip(pair.pcf_from_kin.data, REF_PCF_FROM_KIN)) < 1e-12
+    kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(3, 0.04))
+    assert max(max_abs_diff(r, w) for r, w in zip(kin_from_pcf.data, REF_KIN_FROM_PCF)) < 1e-9
+    assert max(max_abs_diff(r, w) for r, w in zip(pcf_from_kin.data, REF_PCF_FROM_KIN)) < 1e-12
 
 
 def test_pcf_transform_directions_invert_each_other():
-    pair = pcf_transform(ProcessModel(4, 0.3))
-    prod = np.array((pair.kin_from_pcf @ pair.pcf_from_kin).data)
+    kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(4, 0.3))
+    prod = np.array((kin_from_pcf @ pcf_from_kin).data)
     assert float(np.max(np.abs(prod - np.eye(4)))) < 1e-9
 
 
 def test_pcf_transform_first_order_is_identity():
-    pair = pcf_transform(ProcessModel(1, 0.7))
-    assert pair.kin_from_pcf.data == ((1.0,),)
-    assert pair.pcf_from_kin.data == ((1.0,),)
+    kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(1, 0.7))
+    assert kin_from_pcf.data == ((1.0,),)
+    assert pcf_from_kin.data == ((1.0,),)
 
 
 def test_pcf_transform_carries_the_similarity():
@@ -95,11 +95,11 @@ def test_pcf_transform_carries_the_similarity():
     # companion matrix of its characteristic polynomial, and the predictor row
     # must become the last unit row.
     model = ProcessModel(3, 0.04)
-    pair = pcf_transform(model)
-    rotated = pair.pcf_from_kin @ model.transition_matrix @ pair.kin_from_pcf
+    kin_from_pcf, pcf_from_kin = pcf_transform(model)
+    rotated = pcf_from_kin @ model.transition_matrix @ kin_from_pcf
     want = companion_matrix(companion_column(model.char_poly))
     assert float(np.max(np.abs(np.array(rotated.data) - np.array(want.data)))) < 1e-8
-    row = (model.predictor_row() @ pair.kin_from_pcf).row(0)
+    row = (model.predictor_row() @ kin_from_pcf).row(0)
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 
@@ -230,7 +230,7 @@ def test_closed_form_gains_match_pipeline():
 
 
 def test_closed_form_gains_validation():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError):
         closed_form_gains(4, 0.5, 1.0)
     with pytest.raises(UnstablePoles):
         closed_form_gains(2, 1.0, 1.0)

@@ -1,4 +1,5 @@
-"""Package surface: the docstring example and the stdlib-only import rule."""
+"""Package surface: the exported names, the docstring example and the
+stdlib-only import rule."""
 
 import ast
 import doctest
@@ -7,6 +8,35 @@ import subprocess
 import sys
 
 import fixedgain
+
+PUBLIC_NAMES = (
+    "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
+    "Polynomial", "ProcessModel", "StateSpaceModel", "ccf_realization",
+    "companion_column", "companion_matrix", "design", "errors", "extract_kinematic",
+    "flatness_check", "flatness_profile", "flatness_targets", "frequency_grid",
+    "frequency_response", "from_roots", "impulse_response", "initialize_state",
+    "lde_filter", "memory_to_pole", "ocf_realization", "optimal_lag_k2",
+    "pcf_realization", "pcf_transform", "placement_residual", "pole_to_memory",
+    "ramp_error", "read_output", "realized_char_poly", "run", "steady_state_step",
+    "step", "step_response", "transfer_coefficients", "white_noise_gain",
+)
+
+# Closed forms that are test oracles in conftest, a deleted stack builder and
+# names used only inside the package: none of them is package surface.
+REMOVED_NAMES = (
+    "closed_form_gains", "controllability_matrix", "observability_matrix",
+    "pcf_gain", "second_order_transfer", "white_noise_gain_k2",
+)
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 40
+    assert sorted(fixedgain.__all__) == sorted(PUBLIC_NAMES)
+    assert len(set(fixedgain.__all__)) == len(fixedgain.__all__)
+    for name in fixedgain.__all__:
+        assert getattr(fixedgain, name) is not None, name
+    for name in REMOVED_NAMES:
+        assert not hasattr(fixedgain, name), name
 
 
 def test_package_docstring_example_runs():

@@ -11,6 +11,7 @@ from conftest import (
     REF_NUMERATOR,
     REF_OCF_FROM_KIN_COL0,
     max_abs_diff,
+    second_order_transfer,
 )
 from fixedgain import (
     FilterState,
@@ -20,16 +21,13 @@ from fixedgain import (
     ProcessModel,
     ccf_realization,
     companion_matrix,
-    controllability_matrix,
     design,
     extract_kinematic,
     initialize_state,
-    observability_matrix,
     ocf_realization,
     pcf_realization,
     read_output,
     run,
-    second_order_transfer,
     step,
     transfer_coefficients,
 )
@@ -40,6 +38,7 @@ from fixedgain.errors import (
     Unobservable,
     UnstablePoles,
 )
+from fixedgain.realize import _observability_matrix
 
 
 def _reference_design():
@@ -61,25 +60,10 @@ def test_observability_matrix_matches_numpy_stack():
     rng = random.Random(5)
     g = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
     c = [[rng.uniform(-1, 1) for _ in range(4)]]
-    got = np.array(observability_matrix(Matrix(c), Matrix(g)).data)
+    got = np.array(_observability_matrix(Matrix(c), Matrix(g)).data)
     cn, gn = np.array(c), np.array(g)
     want = np.vstack([cn @ np.linalg.matrix_power(gn, k) for k in range(4)])
     assert float(np.max(np.abs(got - want))) < 1e-12
-
-
-def test_controllability_matrix_matches_numpy_stack():
-    rng = random.Random(6)
-    g = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
-    h = [[rng.uniform(-1, 1)] for _ in range(3)]
-    got = np.array(controllability_matrix(Matrix(g), Matrix(h)).data)
-    gn, hn = np.array(g), np.array(h)
-    want = np.hstack([np.linalg.matrix_power(gn, k) @ hn for k in range(3)])
-    assert float(np.max(np.abs(got - want))) < 1e-12
-
-
-def test_controllability_of_identity_pair_is_singular():
-    ctrb = controllability_matrix(Matrix.identity(2), Matrix.column([1.0, 0.0]))
-    assert ctrb.data == ((1.0, 1.0), (0.0, 0.0))
 
 
 # --- canonical realizations --------------------------------------------------
@@ -189,6 +173,34 @@ def test_uncontrollable_zero_gain_raises():
     )
     with pytest.raises(Uncontrollable):
         ccf_realization(result)
+
+
+@pytest.mark.parametrize("lag", [-1.0, 0.5, 2.0])
+@pytest.mark.parametrize("ts", [0.04, 1.0])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_dual_ccf_matches_numpy_controllability_reference(order, ts, lag):
+    # The CCF transforms come from the dual observable form; the reference
+    # equates controllability matrices in numpy: kin_from_ccf is
+    # ctrb_kin @ inv(ctrb_can) and ccf_from_kin its inverse.
+    result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.8, lag=lag))
+    try:
+        ccf = ccf_realization(result)
+    except Uncontrollable:
+        assert order >= 6  # every lower order certifies at pole 0.8
+        return
+    a = np.array(result.ss_kin.transition.data)
+    b = np.array(result.ss_kin.input_gain.data)
+    t = np.eye(order, k=-1)
+    t[0] = [-c for c in result.char_poly.coeffs[1:]]
+    e1 = np.eye(order)[:, :1]
+    ctrb_kin = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(order)])
+    ctrb_can = np.hstack([np.linalg.matrix_power(t, k) @ e1 for k in range(order)])
+    for got, want in (
+        (ccf.kin_from_form, ctrb_kin @ np.linalg.inv(ctrb_can)),
+        (ccf.form_from_kin, ctrb_can @ np.linalg.inv(ctrb_kin)),
+    ):
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(np.array(got.data) - want))) <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("ts", [0.04, 0.5, 1.0])
