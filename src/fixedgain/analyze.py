@@ -6,6 +6,12 @@ questions one actually asks of a smoother: how much measurement noise gets
 through (white-noise gain), what the frequency response looks like, how fast
 the step response settles, whether ramps are tracked without bias, and how
 flat the passband is at dc (moment-matching derivatives).
+
+The white-noise gain of a coefficient pair is exact, from an integer
+step-down, and rounded once.  The command line takes its noise gains from the
+kinematic realization instead, by a Lyapunov doubling: rounding a K-fold pole
+into direct-form coefficients moves the exact value away from the filter that
+actually runs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
 )
+from .linalg import Matrix
 from .poly import Polynomial
 from . import realize
 
@@ -199,12 +206,68 @@ def frequency_response(num, den, omega) -> complex:
 
 
 def white_noise_gain(num, den) -> float:
-    """Output variance per unit white measurement-noise variance: the sum of
-    squared impulse-response samples, truncated below 1e-12, if finite."""
-    h = impulse_response(num, den, tol=1e-12)
-    if not math.isfinite(total := sum(map(mul, h, h))):
-        raise NonFiniteValue("white-noise gain overflows")
-    return total
+    """Output variance per unit white measurement-noise variance, sum h[n]**2,
+    exact for the coefficients given and rounded once.
+
+    The Astrom-Jury-Agniel step-down (IEEE TAC 15(4), 1970), fraction-free in
+    integers: every coefficient is a dyadic rational, so all of them scaled by
+    2**E are integers.  The shorter polynomial is padded on the right (in
+    powers of z^-1), which only adds poles at the origin.  Step k = K..1 adds
+    B_k**2 / (A_0 S) to the sum, then maps A_i <- A_0 A_i - A_k A_(k-i),
+    B_i <- A_0 B_i - B_k A_(k-i) and S <- A_0 S, S carrying the common scale;
+    the sum's denominators nest, so it is one integer over S.  |A_k| < A_0 at
+    every step is Schur's test: a pole on or outside the unit circle raises
+    NonConvergent exactly.  A sum beyond the double range raises NonFiniteValue.
+    """
+    b, a = _finite_pair(num, den)
+    _check_normalized(a)
+    ratios = list(map(float.as_integer_ratio, b.coeffs + a.coeffs))
+    shift = max(d for _, d in ratios).bit_length()
+    ints = [n << shift - d.bit_length() for n, d in ratios]
+    width = max(len(b), len(a))
+    nums = ints[:len(b)] + [0] * (width - len(b))
+    dens = ints[len(b):] + [0] * (width - len(a))
+    top, scale = 0, dens[0]
+    for k in range(width - 1, 0, -1):
+        a0, ak, bk = dens[0], dens[k], nums[k]
+        if not abs(ak) < a0:
+            raise NonConvergent(f"denominator has a pole on or outside the unit circle (step {k})")
+        top = top * a0 + bk * bk
+        scale *= a0
+        nums = [a0 * nums[i] - bk * dens[k - i] for i in range(k)]
+        dens = [a0 * dens[i] - ak * dens[k - i] for i in range(k)]
+    try:
+        return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0])
+    except OverflowError:
+        raise NonFiniteValue("white-noise gain overflows") from None
+
+
+def _realization_noise_gain(ss) -> float:
+    """Noise gain c P c' of a realization, P = sum_n A^n b b' A'^n the Lyapunov
+    series summed by doubling (Smith, SIAM J. Appl. Math. 16(1), 1968):
+    P <- P + A^m P A'^m, A^m <- A^2m, until the added term no longer moves
+    c P c' and A^m has decayed by 1e-12.  Works on the matrices the filter
+    runs, not on rounded transfer coefficients.  Raises NonConvergent when
+    A^m has not decayed after 64 doublings or stops being finite."""
+    am = ss.transition
+    col = ss.input_gain
+    out = ss.output_row.data[0]
+    p = col @ Matrix([col.col(0)])
+    top = max(map(abs, am.flat()))
+
+    def quad(m: Matrix) -> float:  # c m c'
+        return sum(map(mul, out, [sum(map(mul, r, out)) for r in m.data]))
+
+    for _ in range(64):
+        step = am @ p @ Matrix(zip(*am.data))
+        p = Matrix([map(add, x, y) for x, y in zip(p.data, step.data)])
+        am = am @ am
+        total = quad(p)
+        if not math.isfinite(total):
+            break
+        if abs(quad(step)) <= 1e-17 * abs(total) and max(map(abs, am.flat())) <= 1e-12 * top:
+            return total
+    raise NonConvergent("transition does not contract: the noise-gain series does not converge")
 
 
 def optimal_lag_k2(pole: float) -> float:
@@ -321,7 +384,9 @@ def flatness_check(num, den, deriv: int, lag: float, ts: float, orders: int) -> 
 
 def step_response(result, n_max: int) -> list[float]:
     """Unit-step response y[0..n_max] of a design, run through the kinematic
-    realization with the state initialized from the first sample."""
+    realization with the state initialized from the first sample; n_max >= 0."""
+    if n_max < 0:
+        raise DimensionMismatch(f"step response needs n_max >= 0, got {n_max!r}")
     ss = result.ss_kin
     state = realize.initialize_state(ss, 1.0)
     ys = [realize.read_output(ss, state)]

@@ -229,7 +229,7 @@ def design_document(
         "denominator": list(den.coeffs),
     }
 
-    analysis = {"white_noise_gain": analyze.white_noise_gain(num, den)}
+    analysis = {"white_noise_gain": analyze._realization_noise_gain(result.ss_kin)}
     if order == 2 and "pole" in doc["design"]:
         analysis["optimal_lag"] = analyze.optimal_lag_k2(doc["design"]["pole"])
     doc["analysis"] = analysis
@@ -288,7 +288,7 @@ def cmd_analyze(args) -> int:
 
     if args.wng:
         _write_csv(["quantity", "value"],
-                   [["wng", analyze.white_noise_gain(num, den)]])
+                   [["wng", analyze._realization_noise_gain(result.ss_kin)]])
     elif args.freq:
         rows = []
         for f, h in analyze.frequency_grid(num, den):
@@ -379,12 +379,10 @@ _TABLE_LAGS = (1.0, 0.0, -1.0)
 
 def _second_order_wng(pole: float, lag: float) -> float:
     """White-noise gain of the order-2 design at the given pole and lag,
-    computed through the full pipeline (design, realize, sum the impulse
-    response) rather than the closed form."""
-    model = ProcessModel(2, 1.0)
-    result = design(ObserverSpec.repeated(model, pole, lag=lag))
-    num, den = transfer_coefficients(result)
-    return analyze.white_noise_gain(num, den)
+    computed through the full pipeline (design, then the Lyapunov series of
+    the kinematic realization) rather than the closed form."""
+    result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), pole, lag=lag))
+    return analyze._realization_noise_gain(result.ss_kin)
 
 
 def cmd_tables(args) -> int:

@@ -76,8 +76,10 @@ class NotNormalized(FixedGainError):
 
 
 class NonConvergent(FixedGainError):
-    """Impulse response does not decay (pole on or outside the unit
-    circle), so the requested sum cannot converge."""
+    """A response does not decay, so its sum cannot converge: the
+    denominator has a pole on or outside the unit circle (exactly so for the
+    white-noise gain, by a pole-magnitude bound for the impulse response),
+    or a realization's transition does not contract."""
 
 
 class PoleOnUnitCircle(FixedGainError):

@@ -5,11 +5,15 @@ against: a third-order design whose every intermediate is known in closed
 form, the second-order noise-gain benchmark grid, and the matching
 optimal-lag row.  Beside them sit the closed forms they follow from (gains
 for orders 1-3, the order-2 transfer function and noise gain), which the
-pipeline must reproduce.  Unit tests check them piecewise; the acceptance
-module re-checks them end to end at its own tolerances.
+pipeline must reproduce, and exact Fraction solves of the noise gain of a
+coefficient pair and of a realization's matrices.
+Unit tests check them piecewise; the acceptance module re-checks them end to
+end at its own tolerances.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +129,56 @@ def white_noise_gain_k2(pole: float, lag: float) -> float:
     d = p + p * q - q
     u = 1.0 + p
     return (1.0 - p) * (1.0 / u + 2.0 * d / u**2 + 2.0 * d * d / u**3)
+
+
+def _fraction_solve(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Solution of the square system whose augmented rows are ``rows``, by
+    Gauss-Jordan elimination in Fractions (the rows are overwritten)."""
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def noise_gain_fraction(num, den) -> float:
+    """Exact white-noise gain sum h[n]**2 of the coefficients given, rounded
+    once: r_0 of the autocorrelation equations sum_j a_j r_|k-j| = c_k,
+    k = 0..K, with c_k = sum_i b_i h_(i-k), solved in Fractions.  The shorter
+    polynomial is padded with zeros in powers of z^-1, as the direct
+    recursion reads it.  The denominator must be stable."""
+    b = [Fraction(c) for c in Polynomial(num).coeffs]
+    a = [Fraction(c) for c in Polynomial(den).coeffs]
+    n = max(len(a), len(b))
+    b += [Fraction(0)] * (n - len(b))
+    a += [Fraction(0)] * (n - len(a))
+    h: list[Fraction] = []
+    for m in range(n):
+        h.append((b[m] - sum(a[j] * h[m - j] for j in range(1, m + 1))) / a[0])
+    rows = []
+    for k in range(n):
+        row = [Fraction(0)] * n
+        for j in range(n):
+            row[abs(k - j)] += a[j]
+        rows.append(row + [sum(b[i] * h[i - k] for i in range(k, n))])
+    return float(_fraction_solve(rows)[0])
+
+
+def lyapunov_noise_gain_fraction(ss) -> float:
+    """Exact noise gain c P c' of a realization's float matrices, rounded
+    once: P from (I - A kron A) vec P = vec(b b') solved in Fractions."""
+    a = [[Fraction(v) for v in row] for row in ss.transition.data]
+    b = [Fraction(v) for v in ss.input_gain.col(0)]
+    c = [Fraction(v) for v in ss.output_row.row(0)]
+    k = len(b)
+    rows = [[int(i == j) - a[i // k][j // k] * a[i % k][j % k] for j in range(k * k)]
+            + [b[i // k] * b[i % k]] for i in range(k * k)]
+    p = _fraction_solve(rows)
+    return float(sum(c[i] * c[j] * p[i * k + j] for i in range(k) for j in range(k)))
 
 
 # --- second-order noise-gain benchmark: memory lengths l = 2,4,8,12,16

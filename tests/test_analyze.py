@@ -2,12 +2,14 @@
 gain, lag optimization, dc flatness.
 
 Two independent measurement routes are exercised against each other wherever
-possible: recursion vs convolution for filtering, impulse-sum vs closed form
-vs spectral integration for the noise gain, and dc derivatives by Taylor-series
+possible: recursion vs convolution for filtering, the exact step-down vs a
+Fraction solve of the autocorrelation equations vs closed form vs spectral
+integration for the noise gain, and dc derivatives by Taylor-series
 division vs impulse-response moments for flatness.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 import sys
@@ -24,10 +26,13 @@ from conftest import (
     BENCH_OPTIMAL_WNG,
     BENCH_POLES_4DP,
     BENCH_WNG,
+    lyapunov_noise_gain_fraction,
     max_abs_diff,
+    noise_gain_fraction,
     white_noise_gain_k2,
 )
 from fixedgain import (
+    Matrix,
     ObserverSpec,
     Polynomial,
     ProcessModel,
@@ -48,7 +53,12 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.analyze import _SAMPLE_CAP, _pole_radius, _recursion
+from fixedgain.analyze import (
+    _SAMPLE_CAP,
+    _pole_radius,
+    _realization_noise_gain,
+    _recursion,
+)
 from fixedgain.errors import (
     DimensionMismatch,
     FixedGainError,
@@ -252,14 +262,16 @@ def test_impulse_second_order_closed_form_tail():
 
 
 def test_impulse_rejects_marginal_and_unstable_poles():
-    with pytest.raises(NonConvergent):
-        impulse_response([1.0, 0.0], [1.0, -1.0])
-    with pytest.raises(NonConvergent):
-        impulse_response([1.0, 0.0], [1.0, -1.2])
-    with pytest.raises(NonConvergent):
-        impulse_response([1.0, 0.0, 0.0, 0.0], from_roots([1.0] * 3))
-    with pytest.raises(NonConvergent):  # Fujiwara's bound overflows to inf
-        impulse_response([1.0, 0.0, 0.0], [1.0, 1e308, 1e308])
+    # The noise gain's step-down refuses the same inputs, exactly.
+    for analysis in (impulse_response, white_noise_gain):
+        with pytest.raises(NonConvergent):
+            analysis([1.0, 0.0], [1.0, -1.0])
+        with pytest.raises(NonConvergent):
+            analysis([1.0, 0.0], [1.0, -1.2])
+        with pytest.raises(NonConvergent):
+            analysis([1.0, 0.0, 0.0, 0.0], from_roots([1.0] * 3))
+        with pytest.raises(NonConvergent):  # Fujiwara's bound overflows to inf
+            analysis([1.0, 0.0, 0.0], [1.0, 1e308, 1e308])
 
 
 @pytest.mark.parametrize("num, den", [
@@ -342,11 +354,44 @@ def test_impulse_response_is_the_envelope_loop(draw):
             == _outcome(_envelope_loop, num.coeffs, den.coeffs, tol))
 
 
-def test_noise_gain_is_the_impulse_sum_of_squares():
-    designs = [(1, 1.0, 0.85, 0.0, 0), (2, 1.0, 0.9394, 1.0, 0), (3, 0.04, 0.8, 2.0, 1),
-               (5, 1.0, 0.95, -1.0, 2), (8, 1.0, 0.6, 0.5, 7)]
-    for num, den in [_transfer(*args) for args in designs] + [(DELAY_NUM, DELAY_DEN)]:
-        assert white_noise_gain(num, den) == sum(v * v for v in impulse_response(num, den))
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.sampled_from([0.04, 1.0]), st.floats(0.0, 0.99), st.floats(-1.0, 3.0),
+    st.integers(0, k - 1))))
+def test_noise_gain_is_the_exact_value_rounded_once(draw):
+    order, ts, pole, lag, deriv = draw
+    try:
+        num, den = _transfer(order, ts, pole, lag, deriv)
+    except (Unobservable, Uncontrollable):
+        assume(False)
+    try:
+        got = white_noise_gain(num, den)
+    except NonConvergent:
+        # Rounding the coefficients of a K-fold pole near 1 can push a root
+        # out of the unit circle; that, and only that, is refused.
+        assert max(abs(np.roots(den.coeffs))) > 0.99
+        return
+    assert got == noise_gain_fraction(num.coeffs, den.coeffs)
+    if order == 1 and deriv == 0:
+        assert got == pytest.approx((1.0 - pole) / (1.0 + pole), rel=1e-13)
+
+
+def test_noise_gain_of_a_numerator_longer_than_its_denominator():
+    # The shorter polynomial is padded in powers of z^-1: the value stays the
+    # impulse sum, exactly so for a finite response.
+    assert white_noise_gain([1.0, 2.0, 3.0], [1.0]) == 14.0
+    num, den = [1.0, 0.5, 0.25, 0.0, 2.0], [1.0, -0.5]
+    assert white_noise_gain(num, den) == pytest.approx(
+        sum(v * v for v in impulse_response(num, den, tol=1e-20)), rel=1e-15)
+    assert white_noise_gain(num, den) == noise_gain_fraction(num, den)
+
+
+def test_noise_gain_of_subnormal_coefficients_is_quick():
+    # Integer widths grow with the exponent range, here the full 2**1074.
+    start = time.perf_counter()
+    assert white_noise_gain([1.0] + [5e-324] * 8, [1.0, -0.5] + [5e-324] * 7) == 4.0 / 3.0
+    assert white_noise_gain([5e-324] * 9, [1.0] + [5e-324] * 8) == 0.0
+    assert time.perf_counter() - start < 0.5
 
 
 # --- pole-magnitude bound --------------------------------------------------------
@@ -505,7 +550,47 @@ def test_pole_on_unit_circle_names_the_first_frequency():
 # --- white-noise gain -------------------------------------------------------------
 
 def test_noise_gain_of_pure_delay_is_one():
-    assert white_noise_gain(DELAY_NUM, DELAY_DEN) == pytest.approx(1.0, abs=1e-12)
+    assert white_noise_gain(DELAY_NUM, DELAY_DEN) == 1.0
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_realization_noise_gain_is_the_kronecker_lyapunov_solve(order):
+    # numpy's solve of (I - A kron A) vec P = vec(b b') loses digits with the
+    # conditioning of I - A kron A, so the designs stay where it holds 1e-10.
+    for pole, lag, deriv in [(0.3, 0.0, 0), (0.6, 1.5, 0), (0.8, -1.0, order - 1)]:
+        ss = design(ObserverSpec.repeated(ProcessModel(order, 1.0), pole,
+                                          lag=lag, deriv=deriv)).ss_kin
+        a = np.array(ss.transition.data)
+        b = np.array(ss.input_gain.col(0))
+        c = np.array(ss.output_row.row(0))
+        p = np.linalg.solve(np.eye(order * order) - np.kron(a, a), np.outer(b, b).ravel())
+        want = c @ p.reshape(order, order) @ c
+        assert _realization_noise_gain(ss) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", range(1, 5))
+def test_realization_noise_gain_of_long_memories_is_exact_to_roundoff(order):
+    # Pole 0.999 needs about 2**14 samples of A^n: the doubling must not stop
+    # before its tail is below roundoff.
+    for pole in (0.5, 0.99, 0.999):
+        ss = design(ObserverSpec.repeated(ProcessModel(order, 1.0), pole, lag=1.0)).ss_kin
+        assert _realization_noise_gain(ss) == pytest.approx(
+            lyapunov_noise_gain_fraction(ss), rel=1e-13)
+
+
+@pytest.mark.parametrize("transition", [
+    [[1.0, 0.0], [0.0, 0.5]],      # a pole at one
+    [[0.0, -1.0], [1.0, 0.0]],     # a rotation: poles at +-i
+    [[1.0, 1.0], [0.0, 1.0]],      # a double pole at one: grows linearly
+    [[1.5, 0.0], [0.0, 0.2]],      # unstable: overflows before 64 doublings
+])
+def test_realization_noise_gain_refuses_a_non_contracting_transition(transition):
+    ss = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5)).ss_kin
+    ss = dataclasses.replace(ss, transition=Matrix(transition))
+    start = time.perf_counter()
+    with pytest.raises(NonConvergent):
+        _realization_noise_gain(ss)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_closed_form_noise_gain_reference_cells():
@@ -710,6 +795,14 @@ def test_step_response_is_flat_with_matched_initialization():
     ys = step_response(result, 50)
     assert len(ys) == 51
     assert max(abs(y - 1.0) for y in ys) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [-1, -3])
+def test_step_response_refuses_a_negative_horizon(n_max):
+    result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
+    with pytest.raises(DimensionMismatch):
+        step_response(result, n_max)
+    assert step_response(result, 0) == [1.0]
 
 
 def test_step_response_identity_filter():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,8 +29,8 @@ from fixedgain import (
     impulse_response,
     step_response,
     transfer_coefficients,
-    white_noise_gain,
 )
+from fixedgain.analyze import _realization_noise_gain
 from fixedgain.cli import design_document, main, verify_document
 
 REF_ARGS = ["--order", "3", "--pole", "0.8", "--lag", "2", "--ts", "0.04"]
@@ -150,7 +151,19 @@ def test_analyze_wng_value_reparses_exactly(capsys):
     _, out = run_cli(capsys, ["analyze", *REF_ARGS, "--wng"])
     _, rows = read_csv(out)
     result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0))
-    assert float(rows[0][1]) == white_noise_gain(*transfer_coefficients(result))
+    assert float(rows[0][1]) == _realization_noise_gain(result.ss_kin)
+
+
+@pytest.mark.parametrize("args", [
+    REF_ARGS,
+    ["--order", "5", "--memory", "84.29", "--ts", "0.160", "--lag", "1.40", "--deriv", "4"],
+    ["--order", "8", "--pole", "0.6", "--lag", "0.5", "--deriv", "7"],
+])
+def test_design_document_and_analyze_print_the_same_noise_gain(capsys, args):
+    _, doc_text = run_cli(capsys, ["design", *args])
+    _, rows = read_csv(run_cli(capsys, ["analyze", *args, "--wng"])[1])
+    match = re.search(r'"white_noise_gain": ([^,\n]+)', doc_text)
+    assert match.group(1) == rows[0][1]
 
 
 def test_analyze_freq_pure_delay_is_allpass(capsys):
@@ -173,6 +186,12 @@ def test_analyze_step_matches_library(capsys):
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.7788, lag=1.0))
     want = step_response(result, 25)
     assert max_abs_diff([float(r[1]) for r in rows], want) == 0.0
+
+
+def test_analyze_negative_step_horizon_exits_2(capsys):
+    code, out = run_cli(capsys, ["analyze", "--order", "2", "--pole", "0.5", "--step", "-3"])
+    assert code == 2
+    assert out == ""
 
 
 def test_analyze_impulse_matches_library(capsys):
