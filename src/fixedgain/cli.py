@@ -283,26 +283,29 @@ def cmd_design(args) -> int:
 
 def cmd_analyze(args) -> int:
     result = _design_from_args(args)
-    num, den = transfer_coefficients(result)
-    spec = result.spec
-
+    # The noise gain and the step response run on the kinematic realization;
+    # only the other analyses need the transfer coefficients.
     if args.wng:
         _write_csv(["quantity", "value"],
                    [["wng", analyze._realization_noise_gain(result.ss_kin)]])
-    elif args.freq:
+        return 0
+    if args.step is not None:
+        _write_csv(["n", "y"], enumerate(analyze.step_response(result, args.step)))
+        return 0
+
+    num, den = transfer_coefficients(result)
+    if args.freq:
         rows = []
         for f, h in analyze.frequency_grid(num, den):
             mag = abs(h)
             db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
             rows.append([f, h.real, h.imag, db, math.degrees(math.atan2(h.imag, h.real))])
         _write_csv(["f", "re", "im", "magnitude_db", "phase_deg"], rows)
-    elif args.step is not None:
-        ys = analyze.step_response(result, args.step)
-        _write_csv(["n", "y"], enumerate(ys))
     elif args.impulse:
         hs = analyze.impulse_response(num, den)
         _write_csv(["n", "h"], enumerate(hs))
     elif args.flatness:
+        spec = result.spec
         profile = analyze.flatness_profile(
             num, den, spec.deriv, spec.lag, spec.process.ts, spec.process.order
         )

@@ -14,13 +14,18 @@ coordinates, where the state is physically meaningful (position, velocity,
 All four realizations produce identical input/output behavior; only the
 internal state coordinates differ.  Each carries the similarity transform to
 and from kinematic coordinates so state estimates remain interpretable.
+
+A realization's per-sample arithmetic (:func:`step`, :func:`read_output`,
+:func:`extract_kinematic`) runs as straight-line Python compiled once per
+realization, on first use, with every dot product unrolled.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import mul
+from functools import cached_property, lru_cache
+from types import CodeType, FunctionType, SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -95,6 +100,65 @@ class StateSpaceModel:
     @property
     def order(self) -> int:
         return self.transition.rows
+
+    @cached_property
+    def _kernel(self) -> SimpleNamespace:
+        """This realization's compiled per-sample functions, built on first
+        use, with its coefficients bound in."""
+        advance, output, kinematic = _kernel_code(self.order)
+        row = self.output_row.flat()
+        return SimpleNamespace(
+            advance=FunctionType(advance, {}, None,
+                                 self.transition.flat() + self.input_gain.flat() + row),
+            output=FunctionType(output, {}, None, row),
+            kinematic=FunctionType(kinematic, {}, None, self.kin_from_form.flat()),
+        )
+
+    def __getstate__(self) -> dict:
+        # The compiled kernel cannot be pickled; an unpickled copy rebuilds it.
+        state = self.__dict__.copy()
+        state.pop("_kernel", None)
+        return state
+
+
+def _dot(coefficients: Sequence[str], names: Sequence[str]) -> str:
+    """Source of ``0.0 + c0 * w0 + c1 * w1 + ...``: the left-to-right sum that
+    ``sum(map(mul, ...))`` and ``Matrix @`` compute up to Python 3.11."""
+    return " + ".join(["0.0", *(f"{c} * {w}" for c, w in zip(coefficients, names))])
+
+
+@lru_cache(maxsize=None)
+def _kernel_code(k: int) -> tuple[CodeType, CodeType, CodeType]:
+    """Code objects of the order-``k`` kernel: ``advance(w, x, *coefficients)``,
+    ``output(w, *row)`` and ``kinematic(w, *kin_from_form)``.
+
+    The source holds only names; the coefficients are the parameters, bound
+    as defaults by :attr:`StateSpaceModel._kernel`, so any float (nan, inf,
+    -0.0) enters as a value.  ``advance`` updates ``w`` in place and returns
+    the output read from the updated state.
+    """
+    w = [f"w{j}" for j in range(k)]
+    a = [[f"a{i}_{j}" for j in range(k)] for i in range(k)]
+    h = [f"h{i}" for i in range(k)]
+    c = [f"c{j}" for j in range(k)]
+    t = [[f"t{i}_{j}" for j in range(k)] for i in range(k)]
+    state = ", ".join(w) + ","
+    updates = ", ".join(f"{_dot(row, w)} + {g} * x" for row, g in zip(a, h))
+    source = (
+        f"def advance(w, x, {', '.join([*sum(a, []), *h, *c])}):\n"
+        f"    {state} = w\n"
+        f"    w[:] = {state} = ({updates},)\n"
+        f"    return {_dot(c, w)}\n"
+        f"def output(w, {', '.join(c)}):\n"
+        f"    {state} = w\n"
+        f"    return {_dot(c, w)}\n"
+        f"def kinematic(w, {', '.join(sum(t, []))}):\n"
+        f"    {state} = w\n"
+        f"    return ({', '.join(_dot(row, w) for row in t)},)\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return tuple(namespace[name].__code__ for name in ("advance", "output", "kinematic"))
 
 
 @dataclass
@@ -276,23 +340,21 @@ def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return sum(map(mul, ss.output_row.data[0], state.vector))
+    return ss._kernel.output(state.vector)
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
     the output read from the updated state.  Mutates ``state`` in place.
 
-    Each dot product, here and in read_output/extract_kinematic, sums the
-    same products in the same order as ``Matrix @``: bit-identical results."""
+    Runs the realization's compiled kernel, built on its first call.  Each
+    dot product, here and in read_output/extract_kinematic, is
+    ``0.0 + p0 + p1 + ...`` added left to right, then ``+ h * x`` for a state
+    entry: bit-identical to ``Matrix @`` up to Python 3.11 (from 3.12
+    ``sum`` compensates rounding, so ``Matrix @`` may differ in the last bit)."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    w = state.vector
-    w[:] = [
-        sum(map(mul, row, w)) + h * x
-        for row, (h,) in zip(ss.transition.data, ss.input_gain.data)
-    ]
-    return sum(map(mul, ss.output_row.data[0], w))
+    return ss._kernel.advance(state.vector, x)
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:
@@ -302,7 +364,9 @@ def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[fl
 
 def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, ...]:
     """Current state mapped back to kinematic coordinates
-    (position, velocity, ... regardless of the realization's form)."""
+    (position, velocity, ... regardless of the realization's form), by the
+    realization's compiled kernel: the rows of ``kin_from_form`` unrolled,
+    each summed left to right as in :func:`step`."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return tuple([sum(map(mul, row, state.vector)) for row in ss.kin_from_form.data])
+    return ss._kernel.kinematic(state.vector)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -32,6 +33,8 @@ from fixedgain import (
 )
 from fixedgain.analyze import _realization_noise_gain
 from fixedgain.cli import design_document, main, verify_document
+from fixedgain.design import memory_to_pole
+from fixedgain.errors import Uncontrollable
 
 REF_ARGS = ["--order", "3", "--pole", "0.8", "--lag", "2", "--ts", "0.04"]
 
@@ -194,6 +197,58 @@ def test_analyze_negative_step_horizon_exits_2(capsys):
     assert out == ""
 
 
+# Designs of the benchmark's cli deck whose CCF fails certification, so their
+# transfer coefficients are out of reach; the noise gain and the step response
+# need only the kinematic realization, and must not ask for them.
+NO_TRANSFER_ARGS = {
+    "K7": ["--order", "7", "--ts", "0.9815290483172961", "--memory", "17.162851075460505",
+           "--lag", "2.235025464956479", "--deriv", "1"],
+    "K6": ["--order", "6", "--ts", "0.0067699185514661425", "--memory", "219.10500061845127",
+           "--lag", "-0.8680826017682026", "--deriv", "3"],
+    "K7-deriv4": ["--order", "7", "--ts", "0.16880186170713576", "--memory",
+                  "364.31062962023304", "--lag", "1.6997105776220955", "--deriv", "4"],
+}
+
+
+def _no_transfer_design(args):
+    order, ts, memory, lag, deriv = (float(v) for v in args[1::2])
+    result = design(ObserverSpec.repeated(ProcessModel(int(order), ts), memory_to_pole(memory),
+                                          lag=lag, deriv=int(deriv)))
+    with pytest.raises(Uncontrollable):
+        transfer_coefficients(result)
+    ss = result.ss_kin
+    return (result, np.array(ss.transition.data), np.array(ss.input_gain.col(0)),
+            np.array(ss.output_row.row(0)))
+
+
+@pytest.mark.parametrize("name,option", [("K7", ["--wng"]), ("K6", ["--wng"]),
+                                         ("K7-deriv4", ["--step", "332"])],
+                         ids=["wng-K7", "wng-K6", "step-K7"])
+def test_analyze_wng_and_step_need_no_transfer_coefficients(capsys, name, option):
+    args = NO_TRANSFER_ARGS[name]
+    code, out = run_cli(capsys, ["analyze", *args, *option])
+    assert code == 0
+    _, rows = read_csv(out)
+    result, a, b, c = _no_transfer_design(args)
+    if option == ["--wng"]:
+        got = float(rows[0][1])
+        assert got == _realization_noise_gain(result.ss_kin)
+        # The Lyapunov series by doubling in numpy, to the benchmark's 1e-8.
+        p, am = np.outer(b, b), a
+        for _ in range(64):
+            p, am = p + am @ p @ am.T, am @ am
+        assert got == pytest.approx(float(c @ p @ c), rel=1e-8)
+    else:
+        got = [float(r[1]) for r in rows]
+        assert got == step_response(result, 332)
+        w, want = np.eye(len(b))[0], []
+        for n in range(333):
+            if n:
+                w = a @ w + b
+            want.append(float(c @ w))
+        assert max_abs_diff(got, want) <= 1e-9 * max(1.0, max(map(abs, want)))
+
+
 def test_analyze_impulse_matches_library(capsys):
     _, out = run_cli(capsys, ["analyze", *REF_ARGS, "--impulse"])
     header, rows = read_csv(out)
@@ -351,6 +406,8 @@ def test_filter_validates_whole_input_before_output(tmp_path, capsys, last):
     assert captured.err.startswith("error: row 5001:")
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 sum() compensates float rounding")
 @pytest.mark.parametrize("order", range(1, 9))
 def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
     # Every printed number is the repr of the recursion written with Matrix

@@ -1,6 +1,10 @@
 """Canonical realizations, similarity bookkeeping, stepping semantics."""
 
+import dataclasses
+import math
+import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from fixedgain import (
     FilterState,
     Form,
     Matrix,
+    StateSpaceModel,
     ObserverSpec,
     ProcessModel,
     ccf_realization,
@@ -466,6 +471,8 @@ def run_reference(ss, xs):
     return ys
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 sum() compensates float rounding")
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
@@ -502,3 +509,119 @@ def test_kernel_is_bit_identical_to_matrix_products(order_deriv, pole, lag, ts, 
         assert run(ss, again, xs[1:]) == run_reference(ss, xs)
         assert again.vector == state.vector
 
+
+
+# --- compiled kernel against a plain loop ----------------------------------------
+
+def loop_dot(coefficients, w):
+    """0.0 + c0 * w0 + c1 * w1 + ..., added left to right."""
+    acc = 0.0
+    for c, v in zip(coefficients, w):
+        acc = acc + c * v
+    return acc
+
+
+def loop_step(ss, w, x):
+    """One step written as a plain loop: the updated state and its output."""
+    new = [loop_dot(row, w) + h * x for row, (h,) in zip(ss.transition.data, ss.input_gain.data)]
+    return new, loop_dot(ss.output_row.row(0), new)
+
+
+def assert_steps_as_the_loop(ss, x0, xs):
+    """step, read_output, extract_kinematic and run agree with the plain loop
+    by repr, so signed zeros and nan count."""
+    state = initialize_state(ss, x0)
+    w = list(state.vector)
+    ys = []
+    for x in xs:
+        w, want = loop_step(ss, w, x)
+        y = step(ss, state, x)
+        assert repr(y) == repr(want)
+        assert repr(state.vector) == repr(w)
+        assert repr(read_output(ss, state)) == repr(y)
+        assert repr(extract_kinematic(ss, state)) == repr(
+            tuple(loop_dot(row, w) for row in ss.kin_from_form.data))
+        ys.append(y)
+    assert repr(run(ss, initialize_state(ss, x0), xs)) == repr(ys)
+
+
+# Signed zeros, subnormals and magnitudes that overflow to inf and nan.
+EDGE_SAMPLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1e300, -1e308, 1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+    st.floats(0.0, 0.95),
+    st.floats(-1.0, 3.0),
+    st.sampled_from([0.04, 1.0]),
+    st.lists(st.one_of(st.sampled_from(EDGE_SAMPLES),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=2, max_size=12),
+)
+def test_compiled_kernel_matches_the_plain_loop(order_deriv, pole, lag, ts, xs):
+    order, deriv = order_deriv
+    try:
+        result = design(ObserverSpec.repeated(ProcessModel(order, ts), pole, lag=lag, deriv=deriv))
+    except FixedGainError:
+        return
+    for build in (lambda: result.ss_kin, lambda: pcf_realization(result),
+                  lambda: ocf_realization(result), lambda: ccf_realization(result)):
+        try:
+            ss = build()
+        except (Unobservable, Uncontrollable):
+            continue
+        assert_steps_as_the_loop(ss, xs[0], xs[1:])
+
+
+def _model(transition, input_gain, output_row, kin_from_form):
+    k = len(transition)
+    return StateSpaceModel(
+        form=Form.KIN, transition=Matrix(transition), input_gain=Matrix.column(input_gain),
+        output_row=Matrix.row_vector(output_row), kin_from_form=Matrix(kin_from_form),
+        form_from_kin=Matrix.identity(k),
+    )
+
+
+@pytest.mark.parametrize("ss", [
+    _model([[0.5]], [0.5], [1.0], [[1.0]]),
+    _model([[-0.0]], [-0.0], [-0.0], [[-0.0]]),
+    _model([[math.inf, -0.0], [math.nan, 1.0]], [-math.inf, 0.0],
+           [-0.0, math.nan], [[1.0, -0.0], [math.inf, 0.0]]),
+    _model([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [5e-324, -0.0, 0.5]], [1e308, -5e-324, 0.0],
+           [1e-300, 0.0, -1.0], [[-0.0, 0.0, 1.0]] * 3),
+], ids=["K1", "K1-negative-zeros", "K2-inf-nan", "K3-subnormal"])
+def test_hand_built_models_step_as_the_plain_loop(ss):
+    assert_steps_as_the_loop(ss, 1.0, [-0.0, 0.0, 2.5, -1e300, 5e-324, 3.0])
+
+
+def test_stepped_realization_pickles_and_steps_to_the_same_bits():
+    result = _reference_design()
+    xs = [math.sin(0.2 * n) for n in range(40)]
+    states = {}
+    for ss in _all_forms(result):
+        states[ss.form] = initialize_state(ss, xs[0])
+        run(ss, states[ss.form], xs[1:20])
+    copy = pickle.loads(pickle.dumps(result))
+    for ss, twin in zip(_all_forms(result), _all_forms(copy)):
+        assert twin == ss
+        twin = pickle.loads(pickle.dumps(twin))
+        state = states[ss.form]
+        twin_state = FilterState(state.form, list(state.vector))
+        assert repr(run(twin, twin_state, xs[20:])) == repr(run(ss, state, xs[20:]))
+        assert repr(twin_state.vector) == repr(state.vector)
+
+
+def test_replaced_realization_gets_a_fresh_kernel():
+    ss = _reference_design().ss_kin
+    step(ss, initialize_state(ss, 1.0), 2.0)
+    other = dataclasses.replace(ss, output_row=Matrix.row_vector([0.0, 1.0, 0.0]),
+                                transition=Matrix.identity(3))
+    assert_steps_as_the_loop(other, 1.0, [2.0, 3.0])
+    # Identity transition: the state moves by the gain column alone, and the
+    # output is the velocity entry.
+    h = ss.input_gain.col(0)
+    state = initialize_state(other, 1.0)
+    assert step(other, state, 2.0) == 2.0 * h[1]
+    assert state.vector == [1.0 + 2.0 * h[0], 2.0 * h[1], 2.0 * h[2]]
