@@ -15,7 +15,7 @@ All four realizations produce identical input/output behavior; only the
 internal state coordinates differ.  Each carries the similarity transform to
 and from kinematic coordinates so state estimates remain interpretable.
 
-A realization's per-sample arithmetic (:func:`step`, :func:`read_output`,
+A realization's per-sample arithmetic (:func:`step`,
 :func:`extract_kinematic`) runs as straight-line Python compiled once per
 realization, on first use, with every dot product unrolled.
 """
@@ -23,8 +23,10 @@ realization, on first use, with every dot product unrolled.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from types import CodeType, FunctionType, SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -105,13 +107,11 @@ class StateSpaceModel:
     def _kernel(self) -> SimpleNamespace:
         """This realization's compiled per-sample functions, built on first
         use, with its coefficients bound in."""
-        advance, output, kinematic = _kernel_code(self.order)
-        row = self.output_row.flat()
+        advance, kinematic = _kernel_code(self.order)
+        coefficients = self.transition.flat() + self.input_gain.flat() + self.output_row.flat()
         return SimpleNamespace(
-            advance=FunctionType(advance, {}, None,
-                                 self.transition.flat() + self.input_gain.flat() + row),
-            output=FunctionType(output, {}, None, row),
-            kinematic=FunctionType(kinematic, {}, None, self.kin_from_form.flat()),
+            advance=FunctionType(advance, _KERNEL_GLOBALS, None, coefficients),
+            kinematic=FunctionType(kinematic, _KERNEL_GLOBALS, None, self.kin_from_form.flat()),
         )
 
     def __getstate__(self) -> dict:
@@ -121,16 +121,26 @@ class StateSpaceModel:
         return state
 
 
+# Globals of the compiled kernels: from Python 3.12 their source calls sum.
+_KERNEL_GLOBALS = {"sum": sum}
+
+
 def _dot(coefficients: Sequence[str], names: Sequence[str]) -> str:
-    """Source of ``0.0 + c0 * w0 + c1 * w1 + ...``: the left-to-right sum that
-    ``sum(map(mul, ...))`` and ``Matrix @`` compute up to Python 3.11."""
-    return " + ".join(["0.0", *(f"{c} * {w}" for c, w in zip(coefficients, names))])
+    """Source of the dot product ``c0 * w0 + c1 * w1 + ...``, summed exactly
+    as ``sum(map(mul, ...))`` and ``Matrix @`` sum it on this interpreter.
+    Up to Python 3.11 that sum is ``0.0 + p0 + p1 + ...`` left to right,
+    written out here; from 3.12 ``sum`` compensates rounding, so the products
+    are handed to ``sum`` as a tuple."""
+    products = [f"{c} * {w}" for c, w in zip(coefficients, names)]
+    if sys.version_info >= (3, 12):
+        return f"sum(({', '.join(products)},))"
+    return " + ".join(["0.0", *products])
 
 
 @lru_cache(maxsize=None)
-def _kernel_code(k: int) -> tuple[CodeType, CodeType, CodeType]:
-    """Code objects of the order-``k`` kernel: ``advance(w, x, *coefficients)``,
-    ``output(w, *row)`` and ``kinematic(w, *kin_from_form)``.
+def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
+    """Code objects of the order-``k`` kernel: ``advance(w, x, *coefficients)``
+    and ``kinematic(w, *kin_from_form)``.
 
     The source holds only names; the coefficients are the parameters, bound
     as defaults by :attr:`StateSpaceModel._kernel`, so any float (nan, inf,
@@ -149,16 +159,13 @@ def _kernel_code(k: int) -> tuple[CodeType, CodeType, CodeType]:
         f"    {state} = w\n"
         f"    w[:] = {state} = ({updates},)\n"
         f"    return {_dot(c, w)}\n"
-        f"def output(w, {', '.join(c)}):\n"
-        f"    {state} = w\n"
-        f"    return {_dot(c, w)}\n"
         f"def kinematic(w, {', '.join(sum(t, []))}):\n"
         f"    {state} = w\n"
         f"    return ({', '.join(_dot(row, w) for row in t)},)\n"
     )
     namespace: dict = {}
     exec(source, namespace)
-    return tuple(namespace[name].__code__ for name in ("advance", "output", "kinematic"))
+    return tuple(namespace[name].__code__ for name in ("advance", "kinematic"))
 
 
 @dataclass
@@ -340,7 +347,7 @@ def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return ss._kernel.output(state.vector)
+    return sum(map(mul, ss.output_row.data[0], state.vector))
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
@@ -348,10 +355,10 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     the output read from the updated state.  Mutates ``state`` in place.
 
     Runs the realization's compiled kernel, built on its first call.  Each
-    dot product, here and in read_output/extract_kinematic, is
-    ``0.0 + p0 + p1 + ...`` added left to right, then ``+ h * x`` for a state
-    entry: bit-identical to ``Matrix @`` up to Python 3.11 (from 3.12
-    ``sum`` compensates rounding, so ``Matrix @`` may differ in the last bit)."""
+    dot product, here and in extract_kinematic, sums its products as
+    ``Matrix @`` does (``0.0 + p0 + p1 + ...`` left to right up to Python
+    3.11, ``sum`` of the products from 3.12), then adds ``h * x`` for a state
+    entry: bit-identical to ``Matrix @`` on every version."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     return ss._kernel.advance(state.vector, x)
@@ -366,7 +373,7 @@ def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, .
     """Current state mapped back to kinematic coordinates
     (position, velocity, ... regardless of the realization's form), by the
     realization's compiled kernel: the rows of ``kin_from_form`` unrolled,
-    each summed left to right as in :func:`step`."""
+    each summed as in :func:`step`."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     return ss._kernel.kinematic(state.vector)

@@ -406,8 +406,6 @@ def test_filter_validates_whole_input_before_output(tmp_path, capsys, last):
     assert captured.err.startswith("error: row 5001:")
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="from 3.12 sum() compensates float rounding")
 @pytest.mark.parametrize("order", range(1, 9))
 def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
     # Every printed number is the repr of the recursion written with Matrix
