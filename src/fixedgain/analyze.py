@@ -19,10 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mul, truediv
-from typing import Sequence
 
 from .errors import (
     DimensionMismatch,

@@ -23,11 +23,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
+from itertools import chain
 
 from . import analyze
 from .design import (
@@ -270,6 +270,8 @@ def _write_csv(header: Sequence[str], rows) -> None:
 # subcommands
 
 def cmd_design(args) -> int:
+    import json  # only this command prints JSON; the others start without it
+
     result = _design_from_args(args)
     forms = ("kin", "pcf", "ocf", "ccf") if args.form == "all" else (args.form,)
     doc = design_document(result, forms=forms, omit_uncertifiable=args.form == "all")
@@ -323,13 +325,14 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
     the first non-blank row is treated as a header if its value is
     non-numeric.  Anything else is an InputDataError naming the file line.
     Lines end only at a line feed or carriage return, as the csv module reads
-    them from the file.
+    them from the file.  A UTF-8 byte-order mark opening the input is dropped.
     """
     samples: list[tuple[str, float]] = []
     try:
         with (contextlib.nullcontext(sys.stdin) if path == "-"
               else open(path, "r", encoding="utf-8", newline="")) as fh:
-            reader = csv.reader(fh)
+            lines = iter(fh)
+            reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
             for i, row in enumerate(filter(None, reader)):
                 if len(row) not in (1, 2):
                     raise InputDataError(

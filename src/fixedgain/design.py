@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -32,14 +32,13 @@ from .errors import (
 from .linalg import Matrix
 from .poly import Polynomial, from_roots
 from .process import ProcessModel
-from .realize import Form, StateSpaceModel, _observable_form
+from .realize import Form, StateSpaceModel, _field_repr, _observable_form
 
 
-@dataclass(frozen=True)
-class ObserverSpec:
+class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
     """What to design: a process, the desired poles, and the read-out.
 
-    Attributes:
+    Attributes (coerced and validated by every construction, ``_replace`` too):
         process: the integrator-chain model being tracked.
         poles: desired closed-loop poles, one per state, closed under
             conjugation.  Stability is enforced at design time.
@@ -49,34 +48,28 @@ class ObserverSpec:
             (0 = position, 1 = velocity, ...).
     """
 
-    process: ProcessModel
-    poles: tuple[complex, ...]
-    lag: float = 0.0
-    deriv: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
-        object.__setattr__(self, "lag", float(self.lag))
-        if not all(map(cmath.isfinite, self.poles + (self.lag,))):
-            raise NonFiniteValue(f"poles and lag must be finite, got {self.poles}, {self.lag!r}")
-        if len(self.poles) != self.process.order:
-            raise DimensionMismatch(
-                f"need {self.process.order} poles, got {len(self.poles)}"
-            )
-        if not 0 <= self.deriv < self.process.order:
+    def __new__(cls, process: ProcessModel, poles: Sequence[complex], lag: float = 0.0,
+                deriv: int = 0):
+        poles = tuple(complex(p) for p in poles)
+        lag = float(lag)
+        if not all(map(cmath.isfinite, poles + (lag,))):
+            raise NonFiniteValue(f"poles and lag must be finite, got {poles}, {lag!r}")
+        if len(poles) != process.order:
+            raise DimensionMismatch(f"need {process.order} poles, got {len(poles)}")
+        if not 0 <= deriv < process.order:
             raise DerivativeIndexOutOfRange(
-                f"derivative index must be in 0..{self.process.order - 1},"
-                f" got {self.deriv}"
-            )
+                f"derivative index must be in 0..{process.order - 1}, got {deriv}")
+        return super().__new__(cls, process, poles, lag, deriv)
 
     @classmethod
-    def repeated(
-        cls,
-        process: ProcessModel,
-        pole: float,
-        lag: float = 0.0,
-        deriv: int = 0,
-    ) -> "ObserverSpec":
+    def _make(cls, fields) -> ObserverSpec:  # _replace builds its copy here
+        return cls(*fields)
+
+    @classmethod
+    def repeated(cls, process: ProcessModel, pole: float, lag: float = 0.0,
+                 deriv: int = 0) -> ObserverSpec:
         """Spec with one real pole repeated across all states -- the common
         single-knob design.  Requires 0 <= pole < 1."""
         pole = float(pole)
@@ -85,36 +78,39 @@ class ObserverSpec:
         return cls(process=process, poles=(pole,) * process.order, lag=lag, deriv=deriv)
 
 
-@dataclass(frozen=True)
-class GainVectors:
+class GainVectors(namedtuple("GainVectors", "kin pcf")):
     """Correction gain in both coordinate systems (K x 1 columns)."""
 
-    kin: Matrix
-    pcf: Matrix
+    __slots__ = ()
 
 
-@dataclass
 class DesignResult:
     """Everything the placement produced.
 
-    The canonical realizations and the transfer coefficients are filled in
-    lazily by :mod:`fixedgain.realize`; all other fields are set at design
-    time and should be treated as read-only.
+    ``char_poly`` is the observer characteristic polynomial; the companion
+    columns are it and the process polynomial as :func:`companion_column`
+    gives them.  The canonical realizations and the transfer numerator are
+    filled in lazily by :mod:`fixedgain.realize`; all other fields are set at
+    design time and should be treated as read-only.
     """
 
-    spec: ObserverSpec
-    gains: GainVectors
-    char_poly: Polynomial                 # observer characteristic polynomial
-    companion_col_obs: tuple[float, ...]  # its negated coefficients, reversed
-    companion_col_prc: tuple[float, ...]  # same for the process polynomial
-    kin_from_pcf: Matrix
-    pcf_from_kin: Matrix
-    ss_kin: StateSpaceModel
-    placement_residual: float
-    ss_pcf: StateSpaceModel | None = None
-    ss_ocf: StateSpaceModel | None = None
-    ss_ccf: StateSpaceModel | None = None
-    numerator: Polynomial | None = None
+    __slots__ = ("spec", "gains", "char_poly", "companion_col_obs", "companion_col_prc",
+                 "kin_from_pcf", "pcf_from_kin", "ss_kin", "placement_residual",
+                 "ss_pcf", "ss_ocf", "ss_ccf", "numerator")
+    __repr__ = _field_repr
+
+    def __init__(self, spec: ObserverSpec, gains: GainVectors, char_poly: Polynomial,
+                 companion_col_obs: tuple[float, ...], companion_col_prc: tuple[float, ...],
+                 kin_from_pcf: Matrix, pcf_from_kin: Matrix, ss_kin: StateSpaceModel,
+                 placement_residual: float, ss_pcf: StateSpaceModel | None = None,
+                 ss_ocf: StateSpaceModel | None = None, ss_ccf: StateSpaceModel | None = None,
+                 numerator: Polynomial | None = None):
+        self.spec, self.gains, self.char_poly = spec, gains, char_poly
+        self.companion_col_obs, self.companion_col_prc = companion_col_obs, companion_col_prc
+        self.kin_from_pcf, self.pcf_from_kin = kin_from_pcf, pcf_from_kin
+        self.ss_kin, self.placement_residual = ss_kin, placement_residual
+        self.ss_pcf, self.ss_ocf, self.ss_ccf = ss_pcf, ss_ocf, ss_ccf
+        self.numerator = numerator
 
     @property
     def order(self) -> int:

@@ -8,8 +8,8 @@ construction.  Storage is an immutable tuple of row tuples.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 

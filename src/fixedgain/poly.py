@@ -10,7 +10,7 @@ polynomials are monic with ``c[0] == 1``, and index k multiplies ``z**(n-k)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NonRealCoefficients
 

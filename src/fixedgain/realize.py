@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from operator import mul
 from types import CodeType, FunctionType, SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     FixedGainError,
@@ -39,9 +39,6 @@ from .errors import (
 )
 from .linalg import Matrix
 from .poly import Polynomial
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .design import DesignResult
 
 
 class Form(str, enum.Enum):
@@ -87,18 +84,14 @@ def _certify_similarity(kin: "StateSpaceModel", candidate: "StateSpaceModel", er
         )
 
 
-@dataclass(frozen=True)
-class StateSpaceModel:
+class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain output_row"
+                                 " kin_from_form form_from_kin")):
     """One realization: w[n] = transition @ w[n-1] + input_gain * x[n],
-    y[n] = output_row @ w[n] (the output uses the *updated* state)."""
+    y[n] = output_row @ w[n] (the output uses the *updated* state).  The K x K
+    transition, K x 1 input gain and 1 x K output row are in ``form``
+    coordinates; ``kin_from_form`` maps its state into kinematic ones."""
 
-    form: Form
-    transition: Matrix      # K x K
-    input_gain: Matrix      # K x 1
-    output_row: Matrix      # 1 x K
-    kin_from_form: Matrix   # maps this form's state into kinematic coordinates
-    form_from_kin: Matrix
-
+    # No __slots__ = (): the instance dict holds the cached kernel.
     @property
     def order(self) -> int:
         return self.transition.rows
@@ -168,12 +161,20 @@ def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
     return tuple(namespace[name].__code__ for name in ("advance", "kinematic"))
 
 
-@dataclass
-class FilterState:
-    """Mutable running state of one filter instance."""
+def _field_repr(record) -> str:
+    """``Name(field=value, ...)`` over a mutable record's slots."""
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
+    return f"{type(record).__name__}({fields})"
 
-    form: Form
-    vector: list[float]
+
+class FilterState:
+    """Mutable running state of one filter instance: its form and vector."""
+
+    __slots__ = ("form", "vector")
+    __repr__ = _field_repr
+
+    def __init__(self, form: Form, vector: list[float]):
+        self.form, self.vector = form, vector
 
 
 def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:

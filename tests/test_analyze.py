@@ -9,7 +9,6 @@ division vs impulse-response moments for flatness.
 """
 
 import cmath
-import dataclasses
 import math
 import random
 import sys
@@ -586,7 +585,7 @@ def test_realization_noise_gain_of_long_memories_is_exact_to_roundoff(order):
 ])
 def test_realization_noise_gain_refuses_a_non_contracting_transition(transition):
     ss = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5)).ss_kin
-    ss = dataclasses.replace(ss, transition=Matrix(transition))
+    ss = ss._replace(transition=Matrix(transition))
     start = time.perf_counter()
     with pytest.raises(NonConvergent):
         _realization_noise_gain(ss)

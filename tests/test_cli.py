@@ -558,3 +558,24 @@ def test_filter_stdin_lines_end_only_at_line_feed_or_return():
     assert proc.returncode == 4
     assert proc.stdout == b""
     assert proc.stderr == b"error: row 2: expected 1 or 2 columns, got 3\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text", [b"1.0\n2.0\n3.0\n", b"n,value\n0,1.0\n1,2.0\n2,3.0\n"],
+                         ids=["headerless", "header-first"])
+def test_filter_drops_a_leading_byte_order_mark(tmp_path, source, text):
+    def run(data):
+        argv = ["filter", "--order", "1", "--pole", "0.5", "--input"]
+        if source == "stdin":
+            return _run_module([*argv, "-"], stdin=data)
+        path = tmp_path / "samples.csv"
+        path.write_bytes(data)
+        return _run_module([*argv, str(path)])
+
+    plain, marked = run(text), run(b"\xef\xbb\xbf" + text)
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert len(plain.stdout.splitlines()) == 4  # the header and all three samples
+    assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, b"")
+    # Only a mark that opens the input is dropped; one further on is data.
+    inner = run(text + b"\xef\xbb\xbf4.0\n")
+    assert inner.returncode == 4 and inner.stdout == b""

@@ -6,6 +6,7 @@ have exactly the requested eigenvalues.
 """
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -22,6 +23,8 @@ from conftest import (
     max_abs_diff,
 )
 from fixedgain import (
+    DesignResult,
+    GainVectors,
     Matrix,
     ObserverSpec,
     Polynomial,
@@ -301,3 +304,57 @@ def test_repeated_spec_rejects_out_of_range_pole():
         ObserverSpec.repeated(ProcessModel(2, 1.0), 1.0)
     with pytest.raises(UnstablePoles):
         ObserverSpec.repeated(ProcessModel(2, 1.0), -0.1)
+
+
+def test_replaced_spec_is_validated_again():
+    spec = ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5))
+    assert spec._replace(lag=2) == ObserverSpec(spec.process, (0.5, 0.5), 2.0)
+    assert type(spec._replace(lag=2).lag) is float
+    assert spec._replace(poles=[0.25, 0.5]).poles == (0.25 + 0j, 0.5 + 0j)
+    with pytest.raises(NonFiniteValue):
+        spec._replace(lag=math.nan)
+    with pytest.raises(DimensionMismatch):
+        spec._replace(poles=(0.5,))
+    with pytest.raises(DerivativeIndexOutOfRange):
+        spec._replace(deriv=2)
+
+
+# --- records -----------------------------------------------------------------
+
+def test_spec_record_contract():
+    model = ProcessModel(2, 1.0)
+    spec = ObserverSpec(model, (0.5, 0.5), lag=1)
+    assert repr(spec) == ("ObserverSpec(process=ProcessModel(order=2, ts=1.0), "
+                          "poles=((0.5+0j), (0.5+0j)), lag=1.0, deriv=0)")
+    assert spec == ObserverSpec(process=model, poles=[0.5, 0.5], lag=1.0, deriv=0)
+    assert spec == ObserverSpec.repeated(model, 0.5, lag=1.0)
+    assert spec != ObserverSpec(model, (0.5, 0.5))
+    assert spec != ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), lag=1.0)  # process by identity
+    assert hash(spec) == hash(ObserverSpec(model, (0.5, 0.5), 1.0))
+    assert {spec: 1}[ObserverSpec(model, (0.5, 0.5), 1.0)] == 1
+    for field in ("process", "poles", "lag", "deriv"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, getattr(spec, field))
+    copy = pickle.loads(pickle.dumps(spec))
+    assert type(copy) is ObserverSpec and repr(copy) == repr(spec)
+
+
+def test_gain_vectors_and_design_result_records():
+    result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
+    gains = result.gains
+    assert repr(gains) == f"GainVectors(kin={gains.kin!r}, pcf={gains.pcf!r})"
+    assert gains == GainVectors(Matrix(gains.kin.data), pcf=Matrix(gains.pcf.data))
+    assert hash(gains) == hash(GainVectors(gains.kin, gains.pcf))
+    for field in ("kin", "pcf"):
+        with pytest.raises(AttributeError):
+            setattr(gains, field, gains.kin)
+    assert pickle.loads(pickle.dumps(gains)) == gains
+    # DesignResult stays mutable: the realize module fills in its caches.
+    assert type(result) is DesignResult
+    assert repr(result).startswith(f"DesignResult(spec={result.spec!r}, gains={gains!r}, ")
+    assert repr(result).endswith(", ss_pcf=None, ss_ocf=None, ss_ccf=None, numerator=None)")
+    transfer_coefficients(result)
+    assert result.numerator is not None
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy.gains == gains and copy.numerator == result.numerator
+    assert copy.placement_residual == result.placement_residual

@@ -1,13 +1,17 @@
-"""Package surface: the exported names, the docstring example and the
-stdlib-only import rule."""
+"""Package surface: the exported names, the docstring example, the
+stdlib-only import rule and the modules the CLI leaves out at start-up."""
 
 import ast
+import contextlib
 import doctest
+import io
+import json
 import os
 import subprocess
 import sys
 
 import fixedgain
+import fixedgain.cli
 
 PUBLIC_NAMES = (
     "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
@@ -45,16 +49,32 @@ def test_package_docstring_example_runs():
     assert result.failed == 0
 
 
-def test_cli_imports_only_the_standard_library():
+def _modules_loaded_by(statement):
     # A fresh interpreter, so modules pytest already loaded do not hide any.
     package_root = os.path.dirname(os.path.dirname(fixedgain.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    code = ("import sys; before = set(sys.modules); import fixedgain.cli; "
+    code = (f"import sys; before = set(sys.modules); {statement}; "
             "print(sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path}, check=True)
-    loaded = ast.literal_eval(proc.stdout)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = _modules_loaded_by("import fixedgain.cli")
     assert "fixedgain.cli" in loaded
     outside = [name for name in loaded if name.partition(".")[0] != "fixedgain"
                and name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_start_up_leaves_out_the_heavy_modules():
+    # Modules the bare interpreter already had (some site hooks load typing,
+    # for one) are not counted: only what importing the CLI adds.
+    heavy = {"dataclasses", "inspect", "typing", "json"}
+    assert heavy.isdisjoint(_modules_loaded_by("import fixedgain.cli"))
+    # The design command imports json itself and still prints a valid document.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert fixedgain.cli.main(["design", "--order", "2", "--pole", "0.5"]) == 0
+    assert json.loads(out.getvalue())["design"]["pole"] == 0.5

@@ -1,6 +1,5 @@
 """Canonical realizations, similarity bookkeeping, stepping semantics."""
 
-import dataclasses
 import math
 import pickle
 import random
@@ -555,8 +554,8 @@ def test_stepped_realization_pickles_and_steps_to_the_same_bits():
 def test_replaced_realization_gets_a_fresh_kernel():
     ss = _reference_design().ss_kin
     step(ss, initialize_state(ss, 1.0), 2.0)
-    other = dataclasses.replace(ss, output_row=Matrix.row_vector([0.0, 1.0, 0.0]),
-                                transition=Matrix.identity(3))
+    other = ss._replace(output_row=Matrix.row_vector([0.0, 1.0, 0.0]),
+                        transition=Matrix.identity(3))
     assert_steps_as_matrix_products(other, 1.0, [2.0, 3.0])
     # Identity transition: the state moves by the gain column alone, and the
     # output is the velocity entry.
@@ -564,3 +563,31 @@ def test_replaced_realization_gets_a_fresh_kernel():
     state = initialize_state(other, 1.0)
     assert step(other, state, 2.0) == 2.0 * h[1]
     assert state.vector == [1.0 + 2.0 * h[0], 2.0 * h[1], 2.0 * h[2]]
+
+
+def test_state_space_model_record_contract():
+    ss = _model([[0.5]], [0.25], [1.0], [[1.0]])
+    assert repr(ss) == (
+        "StateSpaceModel(form=<Form.KIN: 'kin'>, transition=Matrix([[0.5]]), "
+        "input_gain=Matrix([[0.25]]), output_row=Matrix([[1.0]]), "
+        "kin_from_form=Matrix([[1.0]]), form_from_kin=Matrix([[1.0]]))")
+    same = StateSpaceModel(Form.KIN, Matrix([[0.5]]), Matrix([[0.25]]), Matrix([[1.0]]),
+                           Matrix([[1.0]]), Matrix([[1.0]]))
+    assert ss == same and hash(ss) == hash(same)
+    assert ss != ss._replace(form=Form.PCF)
+    step(ss, initialize_state(ss, 1.0), 2.0)  # the cached kernel is not a field
+    assert ss == same and hash(ss) == hash(same) and repr(ss).endswith("Matrix([[1.0]]))")
+    for field in ("form", "transition", "input_gain", "output_row", "kin_from_form",
+                  "form_from_kin"):
+        with pytest.raises(AttributeError):
+            setattr(ss, field, getattr(ss, field))
+    copy = pickle.loads(pickle.dumps(ss))
+    assert copy == ss and "_kernel" not in vars(copy)
+
+
+def test_filter_state_record():
+    state = FilterState(Form.OCF, [1.0, -0.0])
+    assert repr(state) == "FilterState(form=<Form.OCF: 'ocf'>, vector=[1.0, -0.0])"
+    state.vector = [2.0, 3.0]
+    copy = pickle.loads(pickle.dumps(state))
+    assert (copy.form, copy.vector) == (Form.OCF, [2.0, 3.0])
