@@ -23,11 +23,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import math
 import os
 import sys
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, islice
 
 from . import analyze
 from .design import (
@@ -259,11 +260,23 @@ def verify_document(doc: dict) -> float:
 # ---------------------------------------------------------------------------
 # output helpers
 
+_BLOCK = 1024  # CSV rows formatted per write to stdout
+
+
 def _write_csv(header: Sequence[str], rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    """Print the header and the rows as CSV, ``_BLOCK`` rows per write.
+
+    Rows are formatted into a buffer and written a block at a time, so an
+    unbuffered stdout (``PYTHONUNBUFFERED``) sees one write call per block,
+    not one per row; ``rows`` is consumed lazily, a block at a time.
+    """
+    rows = chain((header,), rows)
+    while True:
+        block = io.StringIO()
+        csv.writer(block, lineterminator="\n").writerows(islice(rows, _BLOCK))
+        if not block.tell():
+            return
+        sys.stdout.write(block.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +331,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _stdin_text():
+    """Standard input decoded as an input file is: strict UTF-8, lines split
+    by the csv module.  The locale's decoding of ``sys.stdin`` is bypassed,
+    and its byte buffer is left open."""
+    if sys.stdin is None:  # started with file descriptor 0 closed
+        raise OSError("standard input is closed")
+    fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+    try:
+        yield fh
+    finally:
+        fh.detach()
+
+
 def _read_samples(path: str) -> list[tuple[str, float]]:
     """Parse the filter input CSV into (label, value) pairs.
 
@@ -325,11 +352,12 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
     the first non-blank row is treated as a header if its value is
     non-numeric.  Anything else is an InputDataError naming the file line.
     Lines end only at a line feed or carriage return, as the csv module reads
-    them from the file.  A UTF-8 byte-order mark opening the input is dropped.
+    them from the file.  A file and stdin are both read as UTF-8, and a UTF-8
+    byte-order mark opening the input is dropped.
     """
     samples: list[tuple[str, float]] = []
     try:
-        with (contextlib.nullcontext(sys.stdin) if path == "-"
+        with (_stdin_text() if path == "-"
               else open(path, "r", encoding="utf-8", newline="")) as fh:
             lines = iter(fh)
             reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
@@ -362,9 +390,13 @@ def cmd_filter(args) -> int:
     header = ["n", "y"]
     if emit_state:
         header += [f"state{i}" for i in range(result.order)]
-    writerow = csv.writer(sys.stdout, lineterminator="\n").writerow
-    writerow(header)
-    ss = result.ss_kin
+    _write_csv(header, _filtered_rows(result.ss_kin, samples, emit_state))
+    return 0
+
+
+def _filtered_rows(ss, samples, emit_state: bool):
+    """One output row per sample, computed as it is asked for: the label, the
+    filter output and, with ``emit_state``, the kinematic state estimate."""
     state = None
     for label, value in samples:
         if state is None:
@@ -373,10 +405,9 @@ def cmd_filter(args) -> int:
         else:
             y = realize.step(ss, state, value)
         if emit_state:
-            writerow([label, y, *realize.extract_kinematic(ss, state)])
+            yield [label, y, *realize.extract_kinematic(ss, state)]
         else:
-            writerow((label, y))
-    return 0
+            yield label, y
 
 
 _TABLE_MEMORIES = (2.0, 4.0, 8.0, 12.0, 16.0)

@@ -28,11 +28,12 @@ from fixedgain import (
     ProcessModel,
     design,
     impulse_response,
+    realize,
     step_response,
     transfer_coefficients,
 )
 from fixedgain.analyze import _realization_noise_gain
-from fixedgain.cli import design_document, main, verify_document
+from fixedgain.cli import _BLOCK, design_document, main, verify_document
 from fixedgain.design import memory_to_pole
 from fixedgain.errors import Uncontrollable
 
@@ -310,12 +311,22 @@ def test_filter_emit_state_columns(tmp_path, capsys):
 
 
 def test_filter_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1.0\n1.0\n1.0\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1.0\n1.0\n1.0\n")))
     code, out = run_cli(capsys, ["filter", "--order", "1", "--pole", "0.5",
                                  "--lag", "0", "--input", "-"])
     assert code == 0
     _, rows = read_csv(out)
     assert len(rows) == 3
+    assert not sys.stdin.buffer.closed
+
+
+def test_filter_closed_stdin_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when fd 0 is closed
+    code = main(["filter", "--order", "1", "--pole", "0.5", "--input", "-"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: cannot read '-': standard input is closed\n"
 
 
 def test_filter_empty_input(tmp_path, capsys):
@@ -393,7 +404,7 @@ def test_filter_header_after_blank_lines(tmp_path, capsys):
 
 @pytest.mark.parametrize("last", ["4999,1.0,2.0", "4999,abc", "4999,nan"])
 def test_filter_validates_whole_input_before_output(tmp_path, capsys, last):
-    # Output streams row by row, but a bad last row must still leave stdout
+    # Output streams block by block, but a bad last row must still leave stdout
     # empty: the whole file is validated before the first row is written.
     path = tmp_path / "long.csv"
     path.write_text("n,value\n" + "".join(f"{n},{0.001 * n}\n" for n in range(4999))
@@ -427,6 +438,55 @@ def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
         y = (ss.output_row @ w)[0, 0]
         lines.append(",".join([str(n), repr(y)] + [repr(v) for v in (ss.kin_from_form @ w).col(0)]))
     assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("emit", ["position", "state"])
+def test_filter_output_is_byte_identical_across_block_boundaries(tmp_path, capsys, emit):
+    # The header is the first row of the first block, so sample i is output
+    # row i + 1; quoted labels sit on both sides of each block boundary.
+    quoted = 'a,"b"'
+    labels = [str(n) for n in range(2 * _BLOCK + 1)]
+    for n in (_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK - 1, 2 * _BLOCK):
+        labels[n] = f"{quoted}{n}"
+    xs = [math.cos(0.05 * n) + 0.002 * n for n in range(len(labels))]
+    source = io.StringIO()
+    csv.writer(source, lineterminator="\n").writerows(zip(labels, xs))
+    path = tmp_path / "samples.csv"
+    path.write_text("n,value\n" + source.getvalue())
+    code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7", "--lag", "1",
+                                 "--input", str(path), "--emit", emit])
+    assert code == 0
+
+    ss = design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)).ss_kin
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["n", "y"] + (["state0", "state1", "state2"] if emit == "state" else []))
+    state = realize.initialize_state(ss, xs[0])
+    for n, (label, x) in enumerate(zip(labels, xs)):
+        y = realize.step(ss, state, x) if n else realize.read_output(ss, state)
+        extra = realize.extract_kinematic(ss, state) if emit == "state" else []
+        writer.writerow([label, y, *extra])
+    assert out == reference.getvalue()
+    assert out.count(f'"a,""b""{_BLOCK - 1}"') == 1
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_filter_writes_stdout_a_block_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{0.25 * n}\n" for n in range(3 * _BLOCK)))
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path)])
+    assert code == 0
+    assert len(stdout.getvalue().splitlines()) == 3 * _BLOCK + 1
+    assert stdout.writes <= 4  # the header and 3 * _BLOCK rows, in 1,024-row blocks
 
 
 def test_filter_missing_file_is_input_error(tmp_path, capsys):
@@ -534,14 +594,20 @@ def test_missing_subcommand_exits_2(capsys):
 
 # --- module entry point ---------------------------------------------------------------
 
-def _run_module(argv, stdin=b""):
+def _module_env(env=None):
     # The child imports the same package as this process, also when pytest
     # put it on the path through pyproject's `pythonpath` setting.
     package_root = os.path.dirname(os.path.dirname(fixedgain.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **(env or {})}
+
+
+def _run_module(argv, stdin=b"", env=None):
+    """Run ``python -m fixedgain``, with ``env`` overriding entries of this
+    process's environment."""
     return subprocess.run(
         [sys.executable, "-m", "fixedgain", *argv], input=stdin,
-        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, timeout=60, env=_module_env(env),
     )
 
 
@@ -579,3 +645,37 @@ def test_filter_drops_a_leading_byte_order_mark(tmp_path, source, text):
     # Only a mark that opens the input is dropped; one further on is data.
     inner = run(text + b"\xef\xbb\xbf4.0\n")
     assert inner.returncode == 4 and inner.stdout == b""
+
+
+def test_filter_stdin_is_strict_utf8_whatever_the_locale():
+    argv = ["filter", "--order", "1", "--pole", "0.5", "--input", "-"]
+    proc = _run_module(argv, stdin=b"\xff\n1.0\n2.0\n", env={"LC_ALL": "C"})
+    assert proc.returncode == 4
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: cannot read '-': 'utf-8' codec can't decode byte 0xff")
+    # A stdin decoding named by the environment does not apply to the input.
+    plain = _run_module(argv, stdin=b"1.0\n2.0\n3.0\n")
+    marked = _run_module(argv, stdin=b"\xef\xbb\xbf1.0\n2.0\n3.0\n",
+                         env={"PYTHONIOENCODING": "latin-1"})
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert plain.stdout.splitlines()[1] == b"0,1.0"
+    assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_filter_into_a_closed_pipe_exits_141_quietly(tmp_path, unbuffered):
+    # Far more output than a pipe holds, so the child is still writing when
+    # the reader goes away after the first line.
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{0.5 * n}\n" for n in range(16 * _BLOCK)))
+    env = _module_env({"PYTHONUNBUFFERED": unbuffered})
+    with subprocess.Popen(
+        [sys.executable, "-m", "fixedgain", "filter", "--order", "3", "--pole", "0.7",
+         "--input", str(path), "--emit", "state"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"n,y,state0,state1,state2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
