@@ -10,9 +10,11 @@ Four subcommands:
 * ``tables``  - regenerate the two benchmark tables (second-order white-noise
   gain over memory length and lag; optimal lag and its gain).
 
-All numeric output is emitted with ``repr``, as ``csv.writer`` writes floats,
-so every value re-parses to the exact in-memory double, and runs are
-byte-for-byte deterministic.
+CSV lines are formatted without ``csv.writer``: every number is printed with
+``repr`` (``str`` of a float is its ``repr``), as ``csv.writer`` prints it, so
+every value re-parses to the exact in-memory double, and runs are
+byte-for-byte deterministic.  The only field that can need quoting, a
+``filter`` input label, is encoded by ``csv.writer`` once, when it is read.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 design infeasibility
 (unstable poles, unobservable or uncontrollable pair), 4 malformed input data.
@@ -27,7 +29,7 @@ import io
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain, islice
 
 from . import analyze
@@ -260,23 +262,21 @@ def verify_document(doc: dict) -> float:
 # ---------------------------------------------------------------------------
 # output helpers
 
-_BLOCK = 1024  # CSV rows formatted per write to stdout
+_BLOCK = 1024  # CSV lines per write to stdout
 
 
-def _write_csv(header: Sequence[str], rows) -> None:
-    """Print the header and the rows as CSV, ``_BLOCK`` rows per write.
+def _csv_line(fields) -> str:
+    """One CSV line of fields that never need quoting: words, ints and floats."""
+    return ",".join(map(str, fields)) + "\n"
 
-    Rows are formatted into a buffer and written a block at a time, so an
-    unbuffered stdout (``PYTHONUNBUFFERED``) sees one write call per block,
-    not one per row; ``rows`` is consumed lazily, a block at a time.
-    """
-    rows = chain((header,), rows)
-    while True:
-        block = io.StringIO()
-        csv.writer(block, lineterminator="\n").writerows(islice(rows, _BLOCK))
-        if not block.tell():
-            return
-        sys.stdout.write(block.getvalue())
+
+def _write_lines(header: Sequence[str], lines: Iterable[str]) -> None:
+    """Print the header and the CSV lines, ``_BLOCK`` lines per write, so an
+    unbuffered stdout (``PYTHONUNBUFFERED``) sees one write call per block, not
+    one per line; ``lines`` is consumed lazily, a block at a time."""
+    lines = chain((_csv_line(header),), lines)
+    while block := "".join(islice(lines, _BLOCK)):
+        sys.stdout.write(block)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +301,12 @@ def cmd_analyze(args) -> int:
     # The noise gain and the step response run on the kinematic realization;
     # only the other analyses need the transfer coefficients.
     if args.wng:
-        _write_csv(["quantity", "value"],
-                   [["wng", analyze._realization_noise_gain(result.ss_kin)]])
+        _write_lines(["quantity", "value"],
+                     [_csv_line(["wng", analyze._realization_noise_gain(result.ss_kin)])])
         return 0
     if args.step is not None:
-        _write_csv(["n", "y"], enumerate(analyze.step_response(result, args.step)))
+        ys = analyze.step_response(result, args.step)
+        _write_lines(["n", "y"], map(_csv_line, enumerate(ys)))
         return 0
 
     num, den = transfer_coefficients(result)
@@ -315,10 +316,10 @@ def cmd_analyze(args) -> int:
             mag = abs(h)
             db = 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
             rows.append([f, h.real, h.imag, db, math.degrees(math.atan2(h.imag, h.real))])
-        _write_csv(["f", "re", "im", "magnitude_db", "phase_deg"], rows)
+        _write_lines(["f", "re", "im", "magnitude_db", "phase_deg"], map(_csv_line, rows))
     elif args.impulse:
         hs = analyze.impulse_response(num, den)
-        _write_csv(["n", "h"], enumerate(hs))
+        _write_lines(["n", "h"], map(_csv_line, enumerate(hs)))
     elif args.flatness:
         spec = result.spec
         profile = analyze.flatness_profile(
@@ -326,8 +327,8 @@ def cmd_analyze(args) -> int:
         )
         rows = [[k, t.real, t.imag, m.real, m.imag, abs(m - t)]
                 for k, (t, m) in enumerate(profile)]
-        _write_csv(["order", "target_re", "target_im", "measured_re",
-                    "measured_im", "deviation"], rows)
+        _write_lines(["order", "target_re", "target_im", "measured_re",
+                      "measured_im", "deviation"], map(_csv_line, rows))
     return 0
 
 
@@ -345,8 +346,18 @@ def _stdin_text():
         fh.detach()
 
 
-def _read_samples(path: str) -> list[tuple[str, float]]:
-    """Parse the filter input CSV into (label, value) pairs.
+_QUOTED_CHARS = frozenset(',"\r\n')  # a label holding none prints as read
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _read_samples(path: str) -> tuple[list[str], list[float]]:
+    """Parse the filter input CSV into its labels and values.
 
     Accepts one column (value) or two (n,value); blank lines are skipped and
     the first non-blank row is treated as a header if its value is
@@ -354,8 +365,15 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
     Lines end only at a line feed or carriage return, as the csv module reads
     them from the file.  A file and stdin are both read as UTF-8, and a UTF-8
     byte-order mark opening the input is dropped.
+
+    Each label is returned ready to print as a CSV field, quoted by
+    ``csv.writer`` if it must be; one that ``sys.stdout`` cannot encode is an
+    InputDataError here, before any output.  A one-column file's labels count
+    the samples from 0.
     """
-    samples: list[tuple[str, float]] = []
+    labels: list[str] = []
+    values: list[float] = []
+    encoding, errors = sys.stdout.encoding, sys.stdout.errors
     try:
         with (_stdin_text() if path == "-"
               else open(path, "r", encoding="utf-8", newline="")) as fh:
@@ -374,40 +392,53 @@ def _read_samples(path: str) -> list[tuple[str, float]]:
                         f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
                 if not math.isfinite(value):
                     raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
-                label = row[0] if len(row) == 2 else str(len(samples))
-                samples.append((label, value))
+                if len(row) == 1:
+                    label = str(len(values))
+                else:
+                    label = row[0]
+                    if not label.isascii() and encoding is not None:
+                        try:
+                            label.encode(encoding, errors)
+                        except UnicodeEncodeError:
+                            raise InputDataError(
+                                f"row {reader.line_num}: label {label!r} cannot be written"
+                                f" to standard output ({encoding})") from None
+                    if not _QUOTED_CHARS.isdisjoint(label):
+                        label = _csv_field(label)
+                labels.append(label)
+                values.append(value)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path!r}: {exc}") from exc
-    return samples
+    except csv.Error as exc:  # for example a field over the csv module's size limit
+        raise InputDataError(f"row {reader.line_num}: {exc}") from None
+    return labels, values
 
 
 def cmd_filter(args) -> int:
     result = _design_from_args(args)
-    # The whole input is validated before the first output row is written.
-    samples = _read_samples(args.input)
+    # The whole input is validated before the first output line is written.
+    labels, values = _read_samples(args.input)
     emit_state = args.emit == "state"
-
     header = ["n", "y"]
     if emit_state:
         header += [f"state{i}" for i in range(result.order)]
-    _write_csv(header, _filtered_rows(result.ss_kin, samples, emit_state))
-    return 0
 
-
-def _filtered_rows(ss, samples, emit_state: bool):
-    """One output row per sample, computed as it is asked for: the label, the
-    filter output and, with ``emit_state``, the kinematic state estimate."""
-    state = None
-    for label, value in samples:
-        if state is None:
-            state = realize.initialize_state(ss, value)
-            y = realize.read_output(ss, state)
-        else:
-            y = realize.step(ss, state, value)
+    lines = ()
+    if values:
+        # Every call goes through the realize module, once per sample, so a
+        # wrapper installed on it before the command runs sees each one.
+        ss, step, kinematic = result.ss_kin, realize.step, realize.extract_kinematic
+        state = realize.initialize_state(ss, values[0])
+        ys = chain((realize.read_output(ss, state),),
+                   (step(ss, state, x) for x in islice(values, 1, None)))
         if emit_state:
-            yield [label, y, *realize.extract_kinematic(ss, state)]
+            # zip draws y, which advances the state, before the line reads it.
+            lines = (label + "," + ",".join(map(repr, (y, *kinematic(ss, state)))) + "\n"
+                     for label, y in zip(labels, ys))
         else:
-            yield label, y
+            lines = (f"{label},{y!r}\n" for label, y in zip(labels, ys))
+    _write_lines(header, lines)
+    return 0
 
 
 _TABLE_MEMORIES = (2.0, 4.0, 8.0, 12.0, 16.0)
@@ -432,7 +463,7 @@ def cmd_tables(args) -> int:
     else:
         lags = [analyze.optimal_lag_k2(pole) for pole in poles]
         rows = [["optimal_lag", *lags], ["wng", *map(_second_order_wng, poles, lags)]]
-    _write_csv(header, rows)
+    _write_lines(header, map(_csv_line, rows))
     return 0
 
 

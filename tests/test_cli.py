@@ -1,5 +1,6 @@
 """Command-line surface: documents, CSV schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
     BENCH_OPTIMAL_LAG,
@@ -440,34 +442,91 @@ def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
     assert out == "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("emit", ["position", "state"])
-def test_filter_output_is_byte_identical_across_block_boundaries(tmp_path, capsys, emit):
-    # The header is the first row of the first block, so sample i is output
-    # row i + 1; quoted labels sit on both sides of each block boundary.
-    quoted = 'a,"b"'
-    labels = [str(n) for n in range(2 * _BLOCK + 1)]
-    for n in (_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK - 1, 2 * _BLOCK):
-        labels[n] = f"{quoted}{n}"
-    xs = [math.cos(0.05 * n) + 0.002 * n for n in range(len(labels))]
+def _write_labelled_samples(path, labels, xs):
+    # Every field quoted, so that any label, a bare carriage return included,
+    # reads back as written.
     source = io.StringIO()
-    csv.writer(source, lineterminator="\n").writerows(zip(labels, xs))
-    path = tmp_path / "samples.csv"
-    path.write_text("n,value\n" + source.getvalue())
-    code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7", "--lag", "1",
-                                 "--input", str(path), "--emit", emit])
-    assert code == 0
+    csv.writer(source, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(zip(labels, xs))
+    path.write_text("n,value\n" + source.getvalue(), encoding="utf-8", newline="")
 
-    ss = design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)).ss_kin
+
+def _csv_writer_reference(ss, labels, xs, emit):
+    """The filter's stdout as a row-by-row ``csv.writer`` prints it."""
     reference = io.StringIO()
     writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(["n", "y"] + (["state0", "state1", "state2"] if emit == "state" else []))
+    writer.writerow(["n", "y"] + ([f"state{i}" for i in range(ss.order)] if emit == "state" else []))
     state = realize.initialize_state(ss, xs[0])
     for n, (label, x) in enumerate(zip(labels, xs)):
         y = realize.step(ss, state, x) if n else realize.read_output(ss, state)
         extra = realize.extract_kinematic(ss, state) if emit == "state" else []
         writer.writerow([label, y, *extra])
-    assert out == reference.getvalue()
+    return reference.getvalue()
+
+
+@pytest.mark.parametrize("emit", ["position", "state"])
+def test_filter_output_is_byte_identical_across_block_boundaries(tmp_path, capsys, emit):
+    # The header is the first line of the first block, so sample i is output
+    # line i + 1; quoted labels sit on both sides of each block boundary.
+    quoted = 'a,"b"'
+    labels = [str(n) for n in range(2 * _BLOCK + 1)]
+    for n in (_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK - 1, 2 * _BLOCK):
+        labels[n] = f"{quoted}{n}"
+    xs = [math.cos(0.05 * n) + 0.002 * n for n in range(len(labels))]
+    path = tmp_path / "samples.csv"
+    _write_labelled_samples(path, labels, xs)
+    code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7", "--lag", "1",
+                                 "--input", str(path), "--emit", emit])
+    assert code == 0
+    ss = design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)).ss_kin
+    assert out == _csv_writer_reference(ss, labels, xs, emit)
     assert out.count(f'"a,""b""{_BLOCK - 1}"') == 1
+
+
+# Labels that csv quotes, or that are easy to mangle, drawn often; NUL is left
+# out because the csv reader before Python 3.11 rejects it as input.
+_LABELS = st.text(st.sampled_from(',"\r\n \t\x85é€\u2028') | st.characters(
+    exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.lists(_LABELS, min_size=1, max_size=8), start=st.integers(_BLOCK - 8, _BLOCK),
+       order=st.sampled_from([1, 3, 8]), emit=st.sampled_from(["position", "state"]))
+def test_filter_prints_any_label_as_csv_writer_does(tmp_path, drawn, start, order, emit):
+    # The drawn labels straddle the end of the first block (the header and
+    # _BLOCK - 1 samples) or sit just before or after it.
+    labels = [str(n) for n in range(_BLOCK + 8)]
+    labels[start:start + len(drawn)] = drawn
+    xs = [math.sin(0.1 * n) + 0.001 * n for n in range(len(labels))]
+    path = tmp_path / "samples.csv"
+    _write_labelled_samples(path, labels, xs)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["filter", "--order", str(order), "--pole", "0.6", "--lag", "0.5",
+                     "--input", str(path), "--emit", emit])
+    assert code == 0
+    ss = design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.6, lag=0.5)).ss_kin
+    assert out.getvalue() == _csv_writer_reference(ss, labels, xs, emit)
+
+
+@pytest.mark.parametrize("emit", ["position", "state"])
+def test_filter_calls_the_realize_module_once_per_sample(tmp_path, capsys, monkeypatch, emit):
+    # A wrapper installed on the realize module before the command runs, as a
+    # per-layer tracer installs one, must see every per-sample call.
+    calls = dict.fromkeys(["initialize_state", "read_output", "step", "extract_kinematic"], 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(realize, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(realize, name, counted)
+    n = _BLOCK + 5
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{0.5 * k}\n" for k in range(n)))
+    code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7",
+                                 "--input", str(path), "--emit", emit])
+    assert code == 0
+    assert len(out.splitlines()) == n + 1
+    assert calls == {"initialize_state": 1, "read_output": 1, "step": n - 1,
+                     "extract_kinematic": n if emit == "state" else 0}
 
 
 class _CountingStdout(io.StringIO):
@@ -487,6 +546,19 @@ def test_filter_writes_stdout_a_block_at_a_time(tmp_path, monkeypatch):
     assert code == 0
     assert len(stdout.getvalue().splitlines()) == 3 * _BLOCK + 1
     assert stdout.writes <= 4  # the header and 3 * _BLOCK rows, in 1,024-row blocks
+
+
+@pytest.mark.parametrize("row", ["1," + "1" * 140_000, "x" * 140_000 + ",1.0"],
+                         ids=["value", "label"])
+def test_filter_oversized_field_is_input_error(tmp_path, capsys, row):
+    # The csv module refuses a field over 131,072 characters.
+    path = tmp_path / "big.csv"
+    path.write_text(f"n,value\n0,1.0\n{row}\n")
+    code = main(["filter", "--order", "1", "--pole", "0.5", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: row 3: field larger than field limit (131072)\n"
 
 
 def test_filter_missing_file_is_input_error(tmp_path, capsys):
@@ -660,6 +732,19 @@ def test_filter_stdin_is_strict_utf8_whatever_the_locale():
     assert (plain.returncode, plain.stderr) == (0, b"")
     assert plain.stdout.splitlines()[1] == b"0,1.0"
     assert (marked.returncode, marked.stdout, marked.stderr) == (0, plain.stdout, b"")
+
+
+def test_filter_label_stdout_cannot_encode_is_input_error(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_bytes("n,value\n0,1.0\né,2.0\n".encode())
+    argv = ["filter", "--order", "1", "--pole", "0.5", "--input", str(path)]
+    proc = _run_module(argv, env={"PYTHONIOENCODING": "ascii"})
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == b"error: row 3: label '\\xe9' cannot be written to standard output (ascii)\n"
+    # The same label is printed as read where stdout can encode it.
+    proc = _run_module(argv, env={"PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == "n,y\n0,1.0\né,1.5\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
