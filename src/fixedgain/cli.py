@@ -16,8 +16,9 @@ every value re-parses to the exact in-memory double, and runs are
 byte-for-byte deterministic.  The only field that can need quoting, a
 ``filter`` input label, is encoded by ``csv.writer`` once, when it is read.
 
-Exit codes: 0 success, 2 usage or parameter error, 3 design infeasibility
-(unstable poles, unobservable or uncontrollable pair), 4 malformed input data.
+Exit codes: 0 success, 2 usage or parameter error (a standard output closed
+at start included), 3 design infeasibility (unstable poles, unobservable or
+uncontrollable pair), 4 malformed input data.
 """
 
 from __future__ import annotations
@@ -475,6 +476,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (UnstablePoles, Unobservable, Uncontrollable) as exc:
@@ -491,7 +495,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 def console_main() -> None:
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (e.g. piped into `head`); behave like any
         # well-mannered filter instead of dumping a traceback.

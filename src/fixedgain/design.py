@@ -32,7 +32,7 @@ from .errors import (
 from .linalg import Matrix
 from .poly import Polynomial, from_roots
 from .process import ProcessModel
-from .realize import Form, StateSpaceModel, _field_repr, _observable_form
+from .realize import Form, StateSpaceModel, _observable_form
 
 
 class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
@@ -84,33 +84,18 @@ class GainVectors(namedtuple("GainVectors", "kin pcf")):
     __slots__ = ()
 
 
-class DesignResult:
+class DesignResult(namedtuple("DesignResult", "spec gains char_poly companion_col_obs"
+                               " companion_col_prc kin_from_pcf pcf_from_kin ss_kin"
+                               " placement_residual")):
     """Everything the placement produced.
 
     ``char_poly`` is the observer characteristic polynomial; the companion
     columns are it and the process polynomial as :func:`companion_column`
-    gives them.  The canonical realizations and the transfer numerator are
-    filled in lazily by :mod:`fixedgain.realize`; all other fields are set at
-    design time and should be treated as read-only.
+    gives them.  The canonical realizations and the transfer function are
+    built from it on request by :mod:`fixedgain.realize`.
     """
 
-    __slots__ = ("spec", "gains", "char_poly", "companion_col_obs", "companion_col_prc",
-                 "kin_from_pcf", "pcf_from_kin", "ss_kin", "placement_residual",
-                 "ss_pcf", "ss_ocf", "ss_ccf", "numerator")
-    __repr__ = _field_repr
-
-    def __init__(self, spec: ObserverSpec, gains: GainVectors, char_poly: Polynomial,
-                 companion_col_obs: tuple[float, ...], companion_col_prc: tuple[float, ...],
-                 kin_from_pcf: Matrix, pcf_from_kin: Matrix, ss_kin: StateSpaceModel,
-                 placement_residual: float, ss_pcf: StateSpaceModel | None = None,
-                 ss_ocf: StateSpaceModel | None = None, ss_ccf: StateSpaceModel | None = None,
-                 numerator: Polynomial | None = None):
-        self.spec, self.gains, self.char_poly = spec, gains, char_poly
-        self.companion_col_obs, self.companion_col_prc = companion_col_obs, companion_col_prc
-        self.kin_from_pcf, self.pcf_from_kin = kin_from_pcf, pcf_from_kin
-        self.ss_kin, self.placement_residual = ss_kin, placement_residual
-        self.ss_pcf, self.ss_ocf, self.ss_ccf = ss_pcf, ss_ocf, ss_ccf
-        self.numerator = numerator
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -181,8 +166,10 @@ def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
         kin_from_form=Matrix.identity(model.order),
         form_from_kin=Matrix.identity(model.order),
     )
-
-    result = DesignResult(
+    residual = placement_residual(
+        _rotated_char_poly(closed_loop, kin_from_pcf, pcf_from_kin), spec.poles
+    )
+    return DesignResult(
         spec=spec,
         gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
         char_poly=char,
@@ -191,12 +178,8 @@ def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
         kin_from_pcf=kin_from_pcf,
         pcf_from_kin=pcf_from_kin,
         ss_kin=ss_kin,
-        placement_residual=0.0,
+        placement_residual=residual,
     )
-    result.placement_residual = placement_residual(
-        realized_char_poly(result), spec.poles
-    )
-    return result
 
 
 def realized_char_poly(result: DesignResult) -> Polynomial:

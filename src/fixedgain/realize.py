@@ -6,14 +6,19 @@ coordinates, where the state is physically meaningful (position, velocity,
 
 * PCF - the process is in companion form; the coordinates the gain vector is
   first solved in.
-* OCF - observable canonical form; the input gain column reads off the
-  transfer-function numerator directly.
-* CCF - controllable canonical form; the output row reads off the numerator.
+* OCF - observable canonical form; the input gain column holds the
+  transfer-function numerator.
+* CCF - controllable canonical form; the output row holds the numerator.
   Built as the dual observable form, by the builder PCF and OCF share.
 
 All four realizations produce identical input/output behavior; only the
 internal state coordinates differ.  Each carries the similarity transform to
-and from kinematic coordinates so state estimates remain interpretable.
+and from kinematic coordinates so state estimates remain interpretable.  Each
+builder rebases the design afresh on every call and certifies the transform,
+raising :class:`Unobservable` or :class:`Uncontrollable` when it cannot.
+
+The transfer function needs no canonical form: :func:`transfer_coefficients`
+reads it off the kinematic realization by the Cayley-Hamilton recursion.
 
 A realization's per-sample arithmetic (:func:`step`,
 :func:`extract_kinematic`) runs as straight-line Python compiled once per
@@ -161,20 +166,16 @@ def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
     return tuple(namespace[name].__code__ for name in ("advance", "kinematic"))
 
 
-def _field_repr(record) -> str:
-    """``Name(field=value, ...)`` over a mutable record's slots."""
-    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
-    return f"{type(record).__name__}({fields})"
-
-
 class FilterState:
     """Mutable running state of one filter instance: its form and vector."""
 
     __slots__ = ("form", "vector")
-    __repr__ = _field_repr
 
     def __init__(self, form: Form, vector: list[float]):
         self.form, self.vector = form, vector
+
+    def __repr__(self) -> str:
+        return f"FilterState(form={self.form!r}, vector={self.vector!r})"
 
 
 def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
@@ -225,19 +226,17 @@ def _observable_form(
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into the process-companion coordinates it was solved in."""
-    if result.ss_pcf is None:
-        kin = result.ss_kin
-        model = StateSpaceModel(
-            form=Form.PCF,
-            transition=companion_matrix(result.companion_col_obs),
-            input_gain=result.gains.pcf,
-            output_row=kin.output_row @ result.kin_from_pcf,
-            kin_from_form=result.kin_from_pcf,
-            form_from_kin=result.pcf_from_kin,
-        )
-        _certify_similarity(kin, model, Unobservable)
-        result.ss_pcf = model
-    return result.ss_pcf
+    kin = result.ss_kin
+    model = StateSpaceModel(
+        form=Form.PCF,
+        transition=companion_matrix(result.companion_col_obs),
+        input_gain=result.gains.pcf,
+        output_row=kin.output_row @ result.kin_from_pcf,
+        kin_from_form=result.kin_from_pcf,
+        form_from_kin=result.pcf_from_kin,
+    )
+    _certify_similarity(kin, model, Unobservable)
+    return model
 
 
 def ocf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -251,23 +250,21 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     roundoff of it) raise :class:`Unobservable` rather than returning a
     corrupt transform.
     """
-    if result.ss_ocf is None:
-        kin = result.ss_kin
-        kin_from_ocf, ocf_from_kin = _observable_form(
-            kin.output_row, kin.transition, result.companion_col_obs,
-            Unobservable("closed-loop pair is not observable; cannot reach OCF"),
-        )
-        model = StateSpaceModel(
-            form=Form.OCF,
-            transition=companion_matrix(result.companion_col_obs),
-            input_gain=ocf_from_kin @ kin.input_gain,
-            output_row=Matrix.row_vector([0.0] * (kin.order - 1) + [1.0]),
-            kin_from_form=kin_from_ocf,
-            form_from_kin=ocf_from_kin,
-        )
-        _certify_similarity(kin, model, Unobservable)
-        result.ss_ocf = model
-    return result.ss_ocf
+    kin = result.ss_kin
+    kin_from_ocf, ocf_from_kin = _observable_form(
+        kin.output_row, kin.transition, result.companion_col_obs,
+        Unobservable("closed-loop pair is not observable; cannot reach OCF"),
+    )
+    model = StateSpaceModel(
+        form=Form.OCF,
+        transition=companion_matrix(result.companion_col_obs),
+        input_gain=ocf_from_kin @ kin.input_gain,
+        output_row=Matrix.row_vector([0.0] * (kin.order - 1) + [1.0]),
+        kin_from_form=kin_from_ocf,
+        form_from_kin=ocf_from_kin,
+    )
+    _certify_similarity(kin, model, Unobservable)
+    return model
 
 
 def ccf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -284,56 +281,53 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     transform identities and :class:`Uncontrollable` is raised when the
     construction or certification fails.
     """
-    if result.ss_ccf is None:
-        kin = result.ss_kin
-        k = kin.order
-        col = result.companion_col_obs
-        first_row = [col[k - 1 - j] for j in range(k)]
-        transition = Matrix(
-            [first_row]
-            + [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k - 1)]
-        )
-        p_inv, p = _observable_form(
-            Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col,
-            Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
-        )
-        kin_from_ccf = Matrix(zip(*p.data[::-1]))
-        model = StateSpaceModel(
-            form=Form.CCF,
-            transition=transition,
-            input_gain=Matrix.column([1.0] + [0.0] * (k - 1)),
-            output_row=kin.output_row @ kin_from_ccf,
-            kin_from_form=kin_from_ccf,
-            form_from_kin=Matrix(list(zip(*p_inv.data))[::-1]),
-        )
-        _certify_similarity(kin, model, Uncontrollable)
-        result.ss_ccf = model
-    return result.ss_ccf
+    kin = result.ss_kin
+    k = kin.order
+    col = result.companion_col_obs
+    first_row = [col[k - 1 - j] for j in range(k)]
+    transition = Matrix(
+        [first_row]
+        + [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k - 1)]
+    )
+    p_inv, p = _observable_form(
+        Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col,
+        Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
+    )
+    kin_from_ccf = Matrix(zip(*p.data[::-1]))
+    model = StateSpaceModel(
+        form=Form.CCF,
+        transition=transition,
+        input_gain=Matrix.column([1.0] + [0.0] * (k - 1)),
+        output_row=kin.output_row @ kin_from_ccf,
+        kin_from_form=kin_from_ccf,
+        form_from_kin=Matrix(list(zip(*p_inv.data))[::-1]),
+    )
+    _certify_similarity(kin, model, Uncontrollable)
+    return model
 
 
 def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomial]:
-    """Numerator/denominator of the filter's transfer function.
+    """Numerator/denominator of the filter's transfer function, read off the
+    kinematic realization the filter runs.
 
-    The denominator is the observer characteristic polynomial.  The numerator
-    coefficients come from the OCF input-gain column read in reverse, padded
-    with a structurally-zero constant term, so it has K+1 entries like the
-    denominator but no instantaneous-feedthrough ambiguity.  When the
-    read-out row leaves the state unobservable — exactly or near enough that
-    the OCF transform fails certification — the same coefficients are read
-    from the CCF output row instead; controllability rarely degenerates for
-    these designs because the input column is the gain vector itself.
+    For the loop w[n] = A w[n-1] + b x[n], y[n] = c w[n] the transfer
+    function is H(z) = z c adj(zI - A) b / D(z), with D(z) = z^K + a_1 z^(K-1)
+    + ... + a_K the placed characteristic polynomial, the denominator.  By
+    Cayley-Hamilton the numerator's z^(K-j) coefficient is n_j = c r_j, with
+    r_0 = b and r_j = A r_(j-1) + a_j b: K - 1 matrix-vector products and K
+    read-outs, each dot product summed as ``Matrix @`` sums it.  The constant term is
+    structurally zero, so the numerator has K+1 entries like the denominator.
+    Nothing is inverted and no coordinates change, so no design is refused.
     """
-    if result.numerator is None:
-        try:
-            ocf = ocf_realization(result)
-            gain_col = ocf.input_gain.col(0)
-            k = len(gain_col)
-            coeffs = [gain_col[k - 1 - j] for j in range(k)]
-        except Unobservable:
-            ccf = ccf_realization(result)
-            coeffs = list(ccf.output_row.row(0))
-        result.numerator = Polynomial(coeffs + [0.0])
-    return result.numerator, result.char_poly
+    kin = result.ss_kin
+    rows, b, c = kin.transition.data, kin.input_gain.col(0), kin.output_row.row(0)
+    den = result.char_poly
+    r = b
+    num = [sum(map(mul, c, r))]
+    for a_j in den.coeffs[1:-1]:
+        r = [sum(map(mul, row, r)) + a_j * b_i for row, b_i in zip(rows, b)]
+        num.append(sum(map(mul, c, r)))
+    return Polynomial(num + [0.0]), den
 
 
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:

@@ -6,7 +6,8 @@ form, the second-order noise-gain benchmark grid, and the matching
 optimal-lag row.  Beside them sit the closed forms they follow from (gains
 for orders 1-3, the order-2 transfer function and noise gain), which the
 pipeline must reproduce, and exact Fraction solves of the noise gain of a
-coefficient pair and of a realization's matrices.
+coefficient pair and of a realization's matrices, and the exact
+Cayley-Hamilton numerator of a realization.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -179,6 +180,23 @@ def lyapunov_noise_gain_fraction(ss) -> float:
             + [b[i // k] * b[i % k]] for i in range(k * k)]
     p = _fraction_solve(rows)
     return float(sum(c[i] * c[j] * p[i * k + j] for i in range(k) for j in range(k)))
+
+
+def transfer_numerator_fraction(ss, char_poly) -> tuple[float, ...]:
+    """Transfer numerator of a realization's float matrices, rounded once:
+    n_j = c r_j with r_0 = b and r_j = A r_(j-1) + a_j b, where a_j are the
+    float coefficients of ``char_poly``, run exactly in Fractions.  The
+    constant term is structurally zero."""
+    a = [[Fraction(v) for v in row] for row in ss.transition.data]
+    b = [Fraction(v) for v in ss.input_gain.col(0)]
+    c = [Fraction(v) for v in ss.output_row.row(0)]
+    r = b
+    num = [sum(x * y for x, y in zip(c, r))]
+    for a_j in char_poly.coeffs[1:-1]:
+        r = [sum(x * y for x, y in zip(row, r)) + Fraction(a_j) * b_i
+             for row, b_i in zip(a, b)]
+        num.append(sum(x * y for x, y in zip(c, r)))
+    return (*map(float, num), 0.0)
 
 
 # --- second-order noise-gain benchmark: memory lengths l = 2,4,8,12,16

@@ -37,7 +37,6 @@ from fixedgain import (
 from fixedgain.analyze import _realization_noise_gain
 from fixedgain.cli import _BLOCK, design_document, main, verify_document
 from fixedgain.design import memory_to_pole
-from fixedgain.errors import Uncontrollable
 
 REF_ARGS = ["--order", "3", "--pole", "0.8", "--lag", "2", "--ts", "0.04"]
 
@@ -134,6 +133,26 @@ def test_design_omits_uncertifiable_form(capsys):
     assert code == 3
 
 
+def test_design_keeps_its_transfer_where_the_companion_forms_fail(capsys):
+    # Neither companion form certifies here, but the transfer function is read
+    # off the kinematic realization, so the document and --freq still come out.
+    argv = ["--order", "6", "--pole", "0.8", "--lag", "1"]
+    code, out = run_cli(capsys, ["design", *argv])
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["realizations"]) == {"kin", "pcf"}
+    assert set(doc["realizations_omitted"]) == {"ocf", "ccf"}
+    num, den = transfer_coefficients(
+        design(ObserverSpec.repeated(ProcessModel(6, 1.0), 0.8, lag=1.0)))
+    assert doc["transfer"] == {"numerator": list(num.coeffs), "denominator": list(den.coeffs)}
+    assert all(map(math.isfinite, num.coeffs))
+
+    code, out = run_cli(capsys, ["analyze", *argv, "--freq"])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1024
+
+
 def test_design_document_matches_library_call(capsys):
     _, out = run_cli(capsys, ["design", *REF_ARGS])
     result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0))
@@ -200,9 +219,9 @@ def test_analyze_negative_step_horizon_exits_2(capsys):
     assert out == ""
 
 
-# Designs of the benchmark's cli deck whose CCF fails certification, so their
-# transfer coefficients are out of reach; the noise gain and the step response
-# need only the kinematic realization, and must not ask for them.
+# Designs of the benchmark's cli deck at high order and long memory.  The noise
+# gain and the step response need only the kinematic realization, and must not
+# ask for the transfer coefficients.
 NO_TRANSFER_ARGS = {
     "K7": ["--order", "7", "--ts", "0.9815290483172961", "--memory", "17.162851075460505",
            "--lag", "2.235025464956479", "--deriv", "1"],
@@ -217,8 +236,6 @@ def _no_transfer_design(args):
     order, ts, memory, lag, deriv = (float(v) for v in args[1::2])
     result = design(ObserverSpec.repeated(ProcessModel(int(order), ts), memory_to_pole(memory),
                                           lag=lag, deriv=int(deriv)))
-    with pytest.raises(Uncontrollable):
-        transfer_coefficients(result)
     ss = result.ss_kin
     return (result, np.array(ss.transition.data), np.array(ss.input_gain.col(0)),
             np.array(ss.output_row.row(0)))
@@ -227,7 +244,13 @@ def _no_transfer_design(args):
 @pytest.mark.parametrize("name,option", [("K7", ["--wng"]), ("K6", ["--wng"]),
                                          ("K7-deriv4", ["--step", "332"])],
                          ids=["wng-K7", "wng-K6", "step-K7"])
-def test_analyze_wng_and_step_need_no_transfer_coefficients(capsys, name, option):
+def test_analyze_wng_and_step_need_no_transfer_coefficients(capsys, monkeypatch, name, option):
+    def refuse(result):
+        raise AssertionError("the transfer coefficients were asked for")
+
+    # The CLI imports the name, so it is replaced in both modules.
+    monkeypatch.setattr(realize, "transfer_coefficients", refuse)
+    monkeypatch.setattr(fixedgain.cli, "transfer_coefficients", refuse)
     args = NO_TRANSFER_ARGS[name]
     code, out = run_cli(capsys, ["analyze", *args, *option])
     assert code == 0
@@ -688,6 +711,20 @@ def test_module_invocation_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert max_abs_diff(doc["gains"]["kin"], REF_GAIN_KIN) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--order", "2", "--pole", "0.5"],
+    ["filter", "--order", "1", "--pole", "0.5", "--input", "-"],
+], ids=["design", "filter"])
+def test_closed_stdout_is_a_usage_error(argv):
+    # Started with file descriptor 1 closed, Python sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixedgain", *argv], input=b"1.0\n2.0\n",
+        stderr=subprocess.PIPE, timeout=60, env=_module_env(None),
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (2, b"error: standard output is closed\n")
 
 
 def test_filter_stdin_lines_end_only_at_line_feed_or_return():

@@ -1,12 +1,13 @@
 """Canonical realizations, similarity bookkeeping, stepping semantics."""
 
+import cmath
 import math
 import pickle
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     REF_GAIN_OCF,
@@ -14,6 +15,7 @@ from conftest import (
     REF_OCF_FROM_KIN_COL0,
     max_abs_diff,
     second_order_transfer,
+    transfer_numerator_fraction,
 )
 from fixedgain import (
     FilterState,
@@ -292,6 +294,59 @@ def test_ocf_and_ccf_routes_agree():
         via_ocf = ocf_realization(result).input_gain.col(0)[::-1]
         via_ccf = ccf_realization(result).output_row.row(0)
         assert max_abs_diff(via_ocf, via_ccf) < 1e-9
+
+
+@st.composite
+def _placed_designs(draw):
+    """Specs over every order, sampling period, lag and derivative, with
+    repeated, distinct, negative or complex-pair poles."""
+    order = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["repeated", "distinct", "negative", "complex"]))
+    if kind == "repeated":
+        poles = [draw(st.floats(0.0, 0.999))] * order
+    elif kind == "negative":
+        poles = draw(st.lists(st.floats(-0.999, -0.001), min_size=order, max_size=order))
+    else:
+        poles = draw(st.lists(st.floats(-0.999, 0.999), min_size=order, max_size=order,
+                              unique=True))
+        if kind == "complex" and order >= 2:
+            z = cmath.rect(draw(st.floats(0.0, 0.999)), draw(st.floats(0.01, 3.13)))
+            poles[:2] = [z, z.conjugate()]
+    ts = draw(st.floats(1e-3, 10.0))
+    return ObserverSpec(ProcessModel(order, ts), poles, lag=draw(st.floats(-1.0, 3.0)),
+                        deriv=draw(st.integers(0, order - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placed_designs())
+def test_transfer_numerator_is_the_exact_recursion_rounded(spec):
+    try:
+        result = design(spec)
+    except Unobservable:  # the kin<->pcf transform itself can fail at small ts
+        assume(False)
+    num, den = transfer_coefficients(result)
+    assert den is result.char_poly
+    want = transfer_numerator_fraction(result.ss_kin, result.char_poly)
+    assert num[-1] == 0.0 and len(num) == spec.process.order + 1
+    assert max_abs_diff(num.coeffs, want) <= 1e-12 * max(map(abs, want))
+
+
+@pytest.mark.parametrize("lag", [-1.0, 0.0, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("order", range(5, 9))
+def test_transfer_at_high_order_and_lag(order, lag):
+    # Here the companion forms often fail to certify; the transfer function,
+    # read off the kinematic realization, does not depend on them.
+    result = design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.8, lag=lag))
+    num, _ = transfer_coefficients(result)
+    assert all(map(math.isfinite, num.coeffs))
+    scale = max(map(abs, num.coeffs))
+    want = transfer_numerator_fraction(result.ss_kin, result.char_poly)
+    assert max_abs_diff(num.coeffs, want) <= 1e-12 * scale
+    try:
+        via_ocf = ocf_realization(result).input_gain.col(0)[::-1]
+    except Unobservable:
+        return
+    assert max_abs_diff(num.coeffs[:-1], via_ocf) <= 1e-12 * scale
 
 
 def test_second_order_transfer_examples():
