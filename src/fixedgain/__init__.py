@@ -33,13 +33,9 @@ from .design import (
     DesignResult,
     GainVectors,
     ObserverSpec,
-    companion_column,
     design,
     memory_to_pole,
-    pcf_transform,
-    placement_residual,
     pole_to_memory,
-    realized_char_poly,
 )
 from .linalg import Matrix
 from .poly import Polynomial, from_roots
@@ -73,7 +69,6 @@ __all__ = [
     "ProcessModel",
     "StateSpaceModel",
     "ccf_realization",
-    "companion_column",
     "companion_matrix",
     "design",
     "errors",
@@ -91,12 +86,9 @@ __all__ = [
     "ocf_realization",
     "optimal_lag_k2",
     "pcf_realization",
-    "pcf_transform",
-    "placement_residual",
     "pole_to_memory",
     "ramp_error",
     "read_output",
-    "realized_char_poly",
     "run",
     "steady_state_step",
     "step",

@@ -8,10 +8,11 @@ the step response settles, whether ramps are tracked without bias, and how
 flat the passband is at dc (moment-matching derivatives).
 
 The white-noise gain of a coefficient pair is exact, from an integer
-step-down, and rounded once.  The command line takes its noise gains from the
-kinematic realization instead, by a Lyapunov doubling: rounding a K-fold pole
-into direct-form coefficients moves the exact value away from the filter that
-actually runs.
+step-down, and rounded once; the impulse response is cut where the same
+step-down puts the energy still to come below a tolerance.  The command line
+takes its noise gains from the kinematic realization instead, by a Lyapunov
+doubling: rounding a K-fold pole into direct-form coefficients moves the exact
+value away from the filter that actually runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, truediv
 
 from .errors import (
@@ -37,8 +38,8 @@ from .linalg import Matrix
 from .poly import Polynomial
 from . import realize
 
-# Iteration cap for impulse-response truncation; hitting it means the
-# response is decaying too slowly to sum in reasonable time.
+# Longest impulse response: a stable denominator whose tail energy is still
+# above the tolerance here decays too slowly to sum in reasonable time.
 _SAMPLE_CAP = 1_000_000
 
 
@@ -57,36 +58,6 @@ def _finite_pair(num, den) -> tuple[Polynomial, Polynomial]:
 def _check_normalized(den: Polynomial) -> None:
     if den[0] != 1.0:
         raise NotNormalized(f"denominator must be monic, leading {den[0]!r}")
-
-
-def _pole_radius(a: Polynomial) -> float:
-    """Upper bound on the largest root magnitude r of the monic ``a``.
-
-    Fujiwara's bound B = 2 max(|a_1|, |a_2|**(1/2), ..., |a_K/2|**(1/K)) lies
-    in [r, 2K r].  Dividing the roots by 2**e > B and squaring them (a Graeffe
-    step, read off x(z) x(-z)) leaves radius (r / 2**e)**2, so 32 rounds bound
-    r by prod 2**(e_j / 2**j) * B_32**(2**-32), within (2K)**(2**-32).  Every
-    partial product bounds r too; the rounds stop once one is below the 0.05
-    floor of impulse_response.  Squaring folds equal-sized roots into clusters
-    that rounding would scatter by its K-th root, so the iterates are exact
-    integers in units of 2**-512, the coefficients rounded down to that unit.
-    """
-    k, bits, exponent = a.degree, 512, 0.0
-    x = [(n << bits) // d for n, d in map(float.as_integer_ratio, a.coeffs)]
-    for j in range(33):
-        size = [abs(v) / (1 << bits) for v in x[1:]]
-        size[-1] /= 2
-        b = 2.0 * max(s ** (1.0 / i) for i, s in enumerate(size, 1))
-        bound = 2.0**exponent * b ** 0.5**j
-        if j == 32 or not 0.05 <= bound < math.inf:
-            break
-        e = math.frexp(b)[1]
-        exponent += e / 2**j
-        x = [v << -e * i if e < 0 else v >> e * i for i, v in enumerate(x)]
-        y = [-v if i % 2 else v for i, v in enumerate(x)]
-        x = [(x[i] * y[i] + 2 * sum(map(mul, x[:i][::-1], y[i + 1:]))) >> bits
-             for i in range(k + 1)]
-    return bound
 
 
 def _recursion(b: Polynomial, a: Polynomial, xs, px: Sequence[float], py: Sequence[float]):
@@ -131,49 +102,40 @@ def lde_filter(
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
-    """Unit-pulse response, truncated once the remaining tail contributes
-    less than ``tol`` to the sum of squares, by the decay envelope
-    c * (n+1)**(K-1) * r**n with r a root-free bound on the pole magnitudes
-    and c fitted on the fly.  Raises :class:`NonFiniteValue` for a nan or
-    infinite coefficient, and :class:`NonConvergent` unless r is inside the
-    unit circle (and far enough inside to stay under a million samples).
-    """
+    """Unit-pulse response h[:n], cut where the energy still to come,
+    tail(n) = sum of h[m]**2 over m >= n, is below ``tol``.  From n >= len(num)
+    on, the rest is the free response from h[n-K:n], R(z)/A(z) with
+    r_i = -sum_{j=i+1..K} a_j h[n+i-j]: tail(n) is its white-noise gain, exact
+    and rounded once.  n is n0 = max(len(num), 2K, 8), or else the n > n0 with
+    tail(n) < tol <= tail(n-1) found by doubling from n0 and bisecting.  Raises
+    what white_noise_gain raises, and NonConvergent for a tail still above
+    ``tol`` after a million samples."""
     b, a = _finite_pair(num, den)
     _check_normalized(a)
     k = a.degree
     if k == 0:
         return list(b.coeffs)
-    r = _pole_radius(a)
-    if not r < 1.0 - 1e-9:
-        raise NonConvergent(f"pole magnitude bound {r:.12g} is not inside the unit circle")
-    # The pad keeps r_env above the pole radius where the bound is tight.
-    r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
-    env_deg, env_deg2, r_env2 = k - 1, 2 * (k - 1), r_env * r_env
-    h: list[float] = []
-    c_fit = 0.0
-    power = 1.0  # r_env ** (n - 1)
-    min_run = max(len(b), 2 * k, 8)
+    white_noise_gain(b, a)
+    dens, _ = _ints(a.coeffs)
     pulse = chain((1.0,), repeat(0.0))
-    for n, val in enumerate(_recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k), 1):
-        h.append(val)
-        env = n ** env_deg * power
-        if env > 1e-300 and (fit := abs(val) / env) > c_fit:
-            c_fit = fit
-        power *= r_env
-        if n >= min_run:
-            ratio = r_env2 * ((n + 2) / (n + 1)) ** env_deg2
-            if ratio < 1.0:
-                try:
-                    head = (c_fit * power) ** 2 * (n + 1) ** env_deg2
-                except OverflowError:
-                    raise NonFiniteValue("impulse response energy overflows") from None
-                if head / (1.0 - ratio) < tol:
-                    break
-        if n >= _SAMPLE_CAP:
-            raise NonConvergent(
-                f"impulse response still above tolerance after {_SAMPLE_CAP} samples"
-            )
-    return h
+    samples = _recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k)
+    h: list[float] = []
+
+    def below(n: int) -> bool:  # tail(n) < tol
+        h.extend(islice(samples, max(n - len(h), 0)))
+        window, e = _ints(h[n - 1:n - k - 1:-1])
+        r = [-sum(map(mul, dens[i + 1:], window)) for i in range(k)]
+        return _step_down(r, dens, 2 * e) < tol
+
+    lo = hi = max(len(b), 2 * k, 8)
+    while not below(hi):
+        if hi >= _SAMPLE_CAP:
+            raise NonConvergent(f"impulse tail still above tolerance after {_SAMPLE_CAP} samples")
+        lo, hi = hi, min(2 * hi, _SAMPLE_CAP)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return h[:hi]
 
 
 def _responses(num, den, omegas, zs, ones) -> list[complex]:
@@ -221,12 +183,23 @@ def white_noise_gain(num, den) -> float:
     """
     b, a = _finite_pair(num, den)
     _check_normalized(a)
-    ratios = list(map(float.as_integer_ratio, b.coeffs + a.coeffs))
-    shift = max(d for _, d in ratios).bit_length()
-    ints = [n << shift - d.bit_length() for n, d in ratios]
-    width = max(len(b), len(a))
-    nums = ints[:len(b)] + [0] * (width - len(b))
-    dens = ints[len(b):] + [0] * (width - len(a))
+    ints, _ = _ints(b.coeffs + a.coeffs)
+    return _step_down(ints[:len(b)], ints[len(b):])
+
+
+def _ints(values) -> tuple[list[int], int]:
+    """The floats ``values`` times 2**e, as integers, and the smallest such e."""
+    ratios = list(map(float.as_integer_ratio, values))
+    e = max(d for _, d in ratios).bit_length() - 1
+    return [n << e - d.bit_length() + 1 for n, d in ratios], e
+
+
+def _step_down(nums: list[int], dens: list[int], shift: int = 0) -> float:
+    """white_noise_gain's step-down on the integers ``nums`` over ``dens``,
+    the shorter padded with zeros, divided by 2**shift."""
+    width = max(len(nums), len(dens))
+    nums = nums + [0] * (width - len(nums))
+    dens = dens + [0] * (width - len(dens))
     top, scale = 0, dens[0]
     for k in range(width - 1, 0, -1):
         a0, ak, bk = dens[0], dens[k], nums[k]
@@ -237,7 +210,7 @@ def white_noise_gain(num, den) -> float:
         nums = [a0 * nums[i] - bk * dens[k - i] for i in range(k)]
         dens = [a0 * dens[i] - ak * dens[k - i] for i in range(k)]
     try:
-        return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0])
+        return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0] << shift)
     except OverflowError:
         raise NonFiniteValue("white-noise gain overflows") from None
 
@@ -309,7 +282,7 @@ def ramp_error(num, den, lag: float, ts: float, horizon: int) -> float:
     roundoff once the start-up transient dies.
     """
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise DimensionMismatch(f"ramp error needs horizon >= 0, got {horizon!r}")
     ts = float(ts)
     xs = [n * ts for n in range(horizon + 1)]
     ys = lde_filter(num, den, xs)

@@ -158,14 +158,12 @@ def _realization_entry(ss) -> dict:
 def design_document(
     result: DesignResult,
     forms: Sequence[str] = ("kin", "pcf", "ocf", "ccf"),
-    omit_uncertifiable: bool = False,
 ) -> dict:
     """Serializable dictionary describing one design end to end.
 
-    With ``omit_uncertifiable`` set, a realization whose transform fails
+    When more than one form is asked for, a realization whose transform fails
     certification is dropped from the document (its error message recorded
-    under ``realizations_omitted``) instead of aborting the whole document;
-    used when the caller asked for every form rather than a specific one.
+    under ``realizations_omitted``) instead of aborting the whole document.
     """
     spec = result.spec
     model = spec.process
@@ -220,7 +218,7 @@ def design_document(
         try:
             realizations[form] = _realization_entry(builders[form]())
         except (Unobservable, Uncontrollable) as exc:
-            if not omit_uncertifiable:
+            if len(forms) == 1:
                 raise
             omitted[form] = str(exc)
     doc["realizations"] = realizations
@@ -288,7 +286,7 @@ def cmd_design(args) -> int:
 
     result = _design_from_args(args)
     forms = ("kin", "pcf", "ocf", "ccf") if args.form == "all" else (args.form,)
-    doc = design_document(result, forms=forms, omit_uncertifiable=args.form == "all")
+    doc = design_document(result, forms=forms)
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:

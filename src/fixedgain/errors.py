@@ -77,9 +77,10 @@ class NotNormalized(FixedGainError):
 
 class NonConvergent(FixedGainError):
     """A response does not decay, so its sum cannot converge: the
-    denominator has a pole on or outside the unit circle (exactly so for the
-    white-noise gain, by a pole-magnitude bound for the impulse response),
-    or a realization's transition does not contract."""
+    denominator has a pole on or outside the unit circle (decided exactly,
+    for the white-noise gain and the impulse response alike), an impulse
+    response is still above its tolerance after a million samples, or a
+    realization's transition does not contract."""
 
 
 class PoleOnUnitCircle(FixedGainError):

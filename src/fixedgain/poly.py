@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import NonRealCoefficients
+from .errors import DimensionMismatch, NonRealCoefficients
 
 # Imaginary residue allowed when collapsing a conjugate-closed product
 # back to real coefficients.
@@ -27,7 +27,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[float]):
         cs = tuple(float(c) for c in coeffs)
         if not cs:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise DimensionMismatch("polynomial needs at least one coefficient")
         self.coeffs = cs
 
     @property

@@ -151,9 +151,10 @@ def noise_gain_fraction(num, den) -> float:
     once: r_0 of the autocorrelation equations sum_j a_j r_|k-j| = c_k,
     k = 0..K, with c_k = sum_i b_i h_(i-k), solved in Fractions.  The shorter
     polynomial is padded with zeros in powers of z^-1, as the direct
-    recursion reads it.  The denominator must be stable."""
-    b = [Fraction(c) for c in Polynomial(num).coeffs]
-    a = [Fraction(c) for c in Polynomial(den).coeffs]
+    recursion reads it.  Coefficients may be Fractions; the denominator must
+    be stable."""
+    b = [Fraction(c) for c in num]
+    a = [Fraction(c) for c in den]
     n = max(len(a), len(b))
     b += [Fraction(0)] * (n - len(b))
     a += [Fraction(0)] * (n - len(a))

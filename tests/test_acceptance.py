@@ -47,11 +47,11 @@ from fixedgain import (
     pcf_realization,
     ramp_error,
     read_output,
-    realized_char_poly,
     run,
     transfer_coefficients,
     white_noise_gain,
 )
+from fixedgain.design import realized_char_poly
 
 
 def _report(capsys, index, label, ok, detail):

@@ -13,12 +13,12 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BENCH_MEMORIES,
@@ -52,18 +52,11 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.analyze import (
-    _SAMPLE_CAP,
-    _pole_radius,
-    _realization_noise_gain,
-    _recursion,
-)
+from fixedgain.analyze import _realization_noise_gain
 from fixedgain.errors import (
     DimensionMismatch,
-    FixedGainError,
     NonConvergent,
     NonFiniteValue,
-    NonRealCoefficients,
     NotNormalized,
     PoleAtOne,
     PoleOnUnitCircle,
@@ -292,54 +285,34 @@ def test_non_finite_responses_and_noise_gains_are_refused(analysis, num, den):
         analysis(num, den)
 
 
-def _envelope_loop(num, den, tol):
-    # impulse_response's truncation loop as first written, with max() for the
-    # envelope fit and the products recomputed on every sample: the reference
-    # that the loop as it stands must match bit for bit.
-    b, a = Polynomial(num), Polynomial(den)
-    k = a.degree
-    r = _pole_radius(a)
-    if not r < 1.0 - 1e-9:
-        raise NonConvergent(f"pole magnitude bound {r:.12g} is not inside the unit circle")
-    r_env = min(max(r, 0.05) * (1.0 + 1e-6) + 1e-9, 1.0 - 1e-12)
-    env_deg = k - 1
-    h, c_fit, power = [], 0.0, 1.0
-    min_run = max(len(b), 2 * k, 8)
-    pulse = chain((1.0,), repeat(0.0))
-    for n, val in enumerate(_recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k), 1):
-        h.append(val)
-        env = n ** env_deg * power
-        if env > 1e-300:
-            c_fit = max(c_fit, abs(val) / env)
-        power *= r_env
-        if n >= min_run:
-            ratio = (r_env * r_env) * ((n + 2) / (n + 1)) ** (2 * env_deg)
-            if ratio < 1.0:
-                head = (c_fit * power) ** 2 * (n + 1) ** (2 * env_deg)
-                if head / (1.0 - ratio) < tol:
-                    return h
-        if n >= _SAMPLE_CAP:
-            raise NonConvergent(
-                f"impulse response still above tolerance after {_SAMPLE_CAP} samples"
-            )
-
-
-def _outcome(analysis, *args):
-    try:
-        return analysis(*args)
-    except FixedGainError as exc:
-        return type(exc), str(exc)
+def _tail(den, h, n):
+    # Energy of the exact free response from h[n-K:n], sum h[m]**2 over m >= n,
+    # rounded once: r_i = -sum_{j>i} a_j h[n+i-j] over A(z), solved in Fractions.
+    a = [Fraction(c) for c in den]
+    k = len(a) - 1
+    r = [-sum(a[j] * Fraction(h[n + i - j]) for j in range(i + 1, k + 1)) for i in range(k)]
+    return noise_gain_fraction(r, a)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
-    st.just(k), st.floats(0.0, 0.99), st.floats(-1.0, 3.0), st.integers(0, k - 1),
-    st.sampled_from([1e-12, 1e-20]))))
-def test_impulse_response_is_the_envelope_loop(draw):
-    order, pole, lag, deriv, tol = draw
-    num, den = _transfer(order, 1.0, pole, lag, deriv)
-    assert (_outcome(impulse_response, num, den, tol)
-            == _outcome(_envelope_loop, num.coeffs, den.coeffs, tol))
+    st.just(k), st.sampled_from([0.04, 1.0]), st.floats(0.0, 0.99), st.floats(-1.0, 3.0),
+    st.integers(0, k - 1), st.sampled_from([1e-12, 1e-20]))))
+def test_impulse_response_stops_at_its_exact_tail_energy(draw):
+    order, ts, pole, lag, deriv, tol = draw
+    num, den = _transfer(order, ts, pole, lag, deriv)
+    try:
+        h = impulse_response(num, den, tol=tol)
+    except NonConvergent:
+        # Only where rounding a K-fold pole near 1 pushed a root onto or out of
+        # the unit circle, as for the noise gain.
+        assert max(abs(np.roots(den.coeffs))) > 0.99
+        return
+    n0 = max(len(num), 2 * order, 8)
+    assert len(h) >= n0
+    assert _tail(den, h, len(h)) < tol
+    if len(h) > n0:
+        assert _tail(den, h, len(h) - 1) >= tol
 
 
 @settings(max_examples=150, deadline=None)
@@ -377,61 +350,6 @@ def test_noise_gain_of_subnormal_coefficients_is_quick():
     assert white_noise_gain([1.0] + [5e-324] * 8, [1.0, -0.5] + [5e-324] * 7) == 4.0 / 3.0
     assert white_noise_gain([5e-324] * 9, [1.0] + [5e-324] * 8) == 0.0
     assert time.perf_counter() - start < 0.5
-
-
-# --- pole-magnitude bound --------------------------------------------------------
-
-@st.composite
-def _root_sets(draw):
-    """K = 1-8 conjugate-closed roots: real roots and complex pairs, clusters
-    of repeated roots, magnitudes 1e-323 to 1e100 within two decades of each
-    other, so that squaring folds roots of near-equal size.  Centres at one
-    angle (a multiple of pi/8) are equal or a quarter decade apart: nearer
-    ones are ill-conditioned in the coefficients, and rounding in from_roots
-    could move the largest root of the product past the tolerance."""
-    order = draw(st.integers(1, 8))
-    base = draw(st.floats(-322.0, 99.0))
-    roots: list[complex] = []
-    decades: dict[int, list[float]] = {}
-    while len(roots) < order:
-        turn = draw(st.integers(0, 8))
-        decade = base + draw(st.floats(-1.0, 1.0))
-        decade = next((d for d in decades.get(turn, ()) if abs(d - decade) < 0.25), decade)
-        decades.setdefault(turn, []).append(decade)
-        size = 10.0**decade
-        free = order - len(roots)
-        if turn in (0, 8):
-            roots += [-size if turn else size] * draw(st.integers(1, free))
-        elif free >= 2:
-            z = cmath.rect(size, turn * math.pi / 8)
-            roots += [z, z.conjugate()] * draw(st.integers(1, free // 2))
-    return roots
-
-
-@settings(max_examples=200, deadline=None)
-@given(_root_sets())
-def test_pole_radius_bounds_the_largest_root(roots):
-    try:
-        den = from_roots(roots)
-    except NonRealCoefficients:
-        assume(False)
-    assume(all(map(math.isfinite, den.coeffs)))
-    # Below the 0.05 floor that impulse_response applies, underflow in
-    # from_roots may drop small roots from the product.
-    radius = max(_pole_radius(den), 0.05)
-    assert radius >= max(max(map(abs, roots)), 0.05) * (1.0 - 1e-9)
-
-
-def test_pole_radius_fixed_cases():
-    assert _pole_radius(DELAY_DEN) == 0.0
-    assert _pole_radius(from_roots([0.0, 1.1125369292536007e-308])) < 0.05
-    assert _pole_radius(from_roots([1e50, 1e50j, -1e50j])) >= 1e50
-    # The first squaring folds a 7-fold root onto the largest one; iterates
-    # rounded to double precision put the bound 1e-5 below it.
-    roots = [-0.8751597419986115] * 7 + [0.900186701148647]
-    assert _pole_radius(from_roots(roots)) >= roots[-1]
-    # Exact for a simple root, up to the (2K)**(2**-32) slack.
-    assert _pole_radius(Polynomial([1.0, -0.5])) == pytest.approx(0.5, rel=1e-9)
 
 
 def test_impulse_truncation_reaches_requested_tolerance():
@@ -701,6 +619,18 @@ def test_ramp_error_fractional_lag():
     assert abs(ramp_error(num, den, 0.75, 0.5, 400)) < 1e-6
 
 
+def test_ramp_error_refuses_negative_horizon():
+    # The same mistake as a negative n_max in step_response, the same error.
+    with pytest.raises(DimensionMismatch):
+        ramp_error(DELAY_NUM, DELAY_DEN, 2.0, 0.04, -1)
+
+
+@pytest.mark.parametrize("analysis", [white_noise_gain, impulse_response, steady_state_step])
+def test_empty_coefficient_list_is_a_dimension_mismatch(analysis):
+    with pytest.raises(DimensionMismatch):
+        analysis([], [1.0])
+
+
 # --- dc flatness --------------------------------------------------------------------
 
 def test_flatness_targets_position_readout():
@@ -738,7 +668,7 @@ def test_pure_delay_is_flat_to_high_order():
 def test_dc_derivatives_match_impulse_moments():
     # Independent route: the k-th dc derivative equals sum h[n] * (-i n)**k.
     num, den = _transfer(3, 0.04, 0.8, 2.0)
-    h = impulse_response(num, den, tol=1e-20)
+    h = impulse_response(num, den, tol=1e-30)
     profile = flatness_profile(num, den, 0, 2.0, 0.04, 4)
     for k, (_, measured) in enumerate(profile):
         moment = sum(v * (-1j * n) ** k for n, v in enumerate(h))

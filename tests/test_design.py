@@ -29,15 +29,17 @@ from fixedgain import (
     ObserverSpec,
     Polynomial,
     ProcessModel,
-    companion_column,
     companion_matrix,
     design,
     memory_to_pole,
+    pole_to_memory,
+    transfer_coefficients,
+)
+from fixedgain.design import (
+    companion_column,
     pcf_transform,
     placement_residual,
-    pole_to_memory,
     realized_char_poly,
-    transfer_coefficients,
 )
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,

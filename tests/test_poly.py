@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fixedgain import Polynomial, from_roots
-from fixedgain.errors import NonRealCoefficients
+from fixedgain.errors import DimensionMismatch, NonRealCoefficients
 
 
 def test_degree_len_and_indexing():
@@ -28,6 +28,11 @@ def test_constant_polynomial():
 def test_empty_coefficients_rejected():
     with pytest.raises(ValueError):
         Polynomial([])
+
+
+def test_empty_coefficients_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        Polynomial(())
 
 
 def test_equality_and_hash():
