@@ -11,7 +11,7 @@ Typical use:
     >>> model = ProcessModel(order=2, ts=0.1)
     >>> result = design(ObserverSpec.repeated(model, pole=0.8, lag=1.0))
     >>> result.gains.kin.col(0)
-    (0.3599999999999999, 0.40000000000000036)
+    (0.35999999999999993, 0.3999999999999998)
 """
 
 from . import errors

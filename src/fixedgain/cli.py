@@ -42,6 +42,7 @@ from .design import (
     memory_to_pole,
     placement_residual,
     pole_to_memory,
+    realized_char_poly,
 )
 from .errors import (
     FixedGainError,
@@ -236,7 +237,8 @@ def design_document(
         analysis["optimal_lag"] = analyze.optimal_lag_k2(doc["design"]["pole"])
     doc["analysis"] = analysis
 
-    doc["verification"] = {"placement_residual": result.placement_residual}
+    residual = placement_residual(realized_char_poly(result), spec.poles)
+    doc["verification"] = {"placement_residual": residual}
     return doc
 
 
@@ -245,8 +247,9 @@ def verify_document(doc: dict) -> float:
 
     Rebuilds the closed-loop transition and the companion similarity from the
     document's own matrices and evaluates the recovered characteristic
-    polynomial at the document's poles.  A healthy document verifies to
-    roundoff (comparable to its recorded placement_residual).
+    polynomial at the document's poles.  :func:`design_document` records
+    its ``placement_residual`` by this same rotation, so a document printed
+    at full precision verifies to exactly the value it states.
     """
     try:
         transition = Matrix(doc["realizations"]["kin"]["transition"])

@@ -1,12 +1,11 @@
 """Fixed-gain observer design by pole placement.
 
 Given an integrator-chain process and a set of desired closed-loop poles,
-this module solves for the correction-gain vector that places the observer's
+this module computes the correction-gain vector that places the observer's
 poles exactly there, then assembles the closed-loop filter in kinematic
-coordinates.  The solve happens in process-companion coordinates (PCF), where
-the gain is simply the coefficient gap between the process and observer
-characteristic polynomials; a similarity transform built from the two
-observability matrices carries it back.
+coordinates.  The gains come in closed form, from the observer polynomial in
+powers of u = z - 1 and a per-order table of Stirling numbers; nothing is
+inverted, so every stable pole set designs at every sampling period.
 
 The poles are the whole design surface: a single repeated pole ``p`` trades
 bandwidth against noise through one number, with ``p = 0`` giving a deadbeat
@@ -19,6 +18,8 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import lru_cache
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -85,8 +86,7 @@ class GainVectors(namedtuple("GainVectors", "kin pcf")):
 
 
 class DesignResult(namedtuple("DesignResult", "spec gains char_poly companion_col_obs"
-                               " companion_col_prc kin_from_pcf pcf_from_kin ss_kin"
-                               " placement_residual")):
+                               " companion_col_prc kin_from_pcf pcf_from_kin ss_kin")):
     """Everything the placement produced.
 
     ``char_poly`` is the observer characteristic polynomial; the companion
@@ -117,57 +117,88 @@ def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
     """Similarity pair ``(kin_from_pcf, pcf_from_kin)`` between kinematic and
     process-companion coordinates.
 
-    Both directions are built from observability matrices of the *predictor*
-    measurement (measurement row advanced one step) against the process
-    transition, in kinematic and companion coordinates respectively, by the
-    same builder that gives the observable canonical form.
+    F(ts) = S^-1 F(1) S with S = diag(ts^j), and the predictor row scales
+    alike, so the pair (T1^-1, T1) of ts = 1 is built once per order, by the
+    builder of the observable canonical form, and scaled: ``kin_from_pcf`` =
+    S^-1 T1^-1 and ``pcf_from_kin`` = T1 S.
     """
+    unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
+    try:
+        down = [model.ts ** -j for j in range(model.order)]
+    except OverflowError:
+        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
+    up = [model.ts ** j for j in range(model.order)]  # finite: the transition holds them
+    return (Matrix([[v * d for v in row] for row, d in zip(unit_kin_from_pcf.data, down)]),
+            Matrix([map(mul, row, up) for row in unit_pcf_from_kin.data]))
+
+
+@lru_cache(maxsize=None)
+def _unit_pcf_transform(order: int) -> tuple[Matrix, Matrix]:
+    model = ProcessModel(order, 1.0)
     return _observable_form(
         model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
         Unobservable("process/predictor pair is not observable at this order"),
     )
 
 
-def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
+@lru_cache(maxsize=None)
+def _stirling(order: int) -> tuple[tuple[int, ...], ...]:
+    """Signed Stirling numbers of the first kind, s(n, m) for n, m = 0..order."""
+    table = [(1,) + (0,) * order]
+    for n in range(1, order + 1):
+        prev = table[-1]
+        table.append(tuple((prev[m - 1] if m else 0) - (n - 1) * prev[m]
+                           for m in range(order + 1)))
+    return tuple(table)
+
+
+def _kinematic_gains(poles: Sequence[complex], ts: float) -> list[float]:
+    """Kinematic gain column placing ``poles``: Ackermann's formula with the
+    observer polynomial in powers of u = z - 1.  With a_m the u^m coefficient
+    of D(1+u),
+
+        k_j = (j! / ts^j) * sum_{n=j+1..K} s(n, j+1) a_{K-n} / (n-1)!
+
+    For stable poles every factor of D(1+u) has positive coefficients, so
+    the a_m carry no cancellation."""
+    order = len(poles)
+    a = from_roots([p - 1.0 for p in poles]).coeffs  # a[n] is the u^(K-n) coefficient
+    s = _stirling(order)
+    return [math.factorial(j) * ts ** -j
+            * sum(s[n][j + 1] * a[n] / math.factorial(n - 1) for n in range(j + 1, order + 1))
+            for j in range(order)]
+
+
+def design(spec: ObserverSpec) -> DesignResult:
     """Place the observer poles and assemble the kinematic-form filter.
 
-    Pipeline: expand the requested poles into the observer characteristic
-    polynomial, take the coefficient gap to the process polynomial as the
-    companion-coordinate gain, map it to kinematic coordinates through the
-    observability-based similarity, close the loop against the predictor row,
-    and attach the requested read-out row.
-
-    The result carries a placement residual: the characteristic polynomial of
-    the assembled closed loop is recovered through the companion similarity
-    and evaluated at every requested pole (and, for repeated poles, its
-    derivatives up to the multiplicity), scaled by the coefficient magnitude.
-    Anything much above 1e-12 means the transforms are losing precision.
+    The kinematic gains come in closed form (:func:`_kinematic_gains`), the
+    companion gain is the coefficient gap between the process and observer
+    polynomials, and the PCF pair is :func:`pcf_transform`'s per-order table.
+    The loop is closed against the predictor row and read out by the
+    requested row.  A pole on or outside the unit circle raises
+    :class:`UnstablePoles`.
     """
     model = spec.process
-    if not allow_unstable:
-        for p in spec.poles:
-            if abs(p) >= 1.0:
-                raise UnstablePoles(
-                    f"pole {p} is not strictly inside the unit circle"
-                )
+    for p in spec.poles:
+        if abs(p) >= 1.0:
+            raise UnstablePoles(f"pole {p} is not strictly inside the unit circle")
     char = from_roots(spec.poles)
     col_obs = companion_column(char)
     col_prc = companion_column(model.char_poly)
     gain_pcf_vec = Matrix.column([gp - go for gp, go in zip(col_prc, col_obs)])
-    kin_from_pcf, pcf_from_kin = pcf_transform(model)
-    gain_kin_vec = kin_from_pcf @ gain_pcf_vec
-
-    closed_loop = model.transition_matrix - gain_kin_vec @ model.predictor_row()
+    kin_from_pcf, pcf_from_kin = pcf_transform(model)  # raises if ts^-j overflows
+    gains = _kinematic_gains(spec.poles, model.ts)
+    if not all(map(math.isfinite, gains)):
+        raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
+    gain_kin_vec = Matrix.column(gains)
     ss_kin = StateSpaceModel(
         form=Form.KIN,
-        transition=closed_loop,
+        transition=model.transition_matrix - gain_kin_vec @ model.predictor_row(),
         input_gain=gain_kin_vec,
         output_row=model.output_row(spec.lag, spec.deriv),
         kin_from_form=Matrix.identity(model.order),
         form_from_kin=Matrix.identity(model.order),
-    )
-    residual = placement_residual(
-        _rotated_char_poly(closed_loop, kin_from_pcf, pcf_from_kin), spec.poles
     )
     return DesignResult(
         spec=spec,
@@ -178,7 +209,6 @@ def design(spec: ObserverSpec, *, allow_unstable: bool = False) -> DesignResult:
         kin_from_pcf=kin_from_pcf,
         pcf_from_kin=pcf_from_kin,
         ss_kin=ss_kin,
-        placement_residual=residual,
     )
 
 

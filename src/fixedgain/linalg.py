@@ -28,11 +28,11 @@ class Matrix:
     __slots__ = ("data",)
 
     def __init__(self, rows: Iterable[Iterable[float]]):
-        data = tuple(tuple(float(v) for v in row) for row in rows)
+        data = tuple([tuple(map(float, row)) for row in rows])
         if not data or not data[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(data[0])
-        if any(len(row) != width for row in data):
+        if any(map(width.__ne__, map(len, data))):
             raise DimensionMismatch("ragged rows")
         if len(data) > ORDER_CAP or width > ORDER_CAP:
             raise DimensionMismatch(
@@ -112,41 +112,38 @@ class Matrix:
             ]
         )
 
-    def inv(self) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination with partial pivoting.
+    def solve(self, rhs: "Matrix") -> "Matrix":
+        """The X with ``self @ X == rhs``, by Gauss-Jordan elimination with
+        partial pivoting on the rows of ``self`` extended by those of ``rhs``.
 
         Raises :class:`SingularMatrix` when the best available pivot is
         smaller than ``1e-12`` times the largest entry the pivot's row had
         before elimination started.
         """
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        a = [list(row) for row in self.data]
-        b = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        if self.cols != n or rhs.rows != n:
+            raise DimensionMismatch("solve needs a square matrix and a right side of its height")
+        a = [list(row + extra) for row, extra in zip(self.data, rhs.data)]
         # Row magnitudes before any elimination, for the relative pivot test.
-        row_scale = [max(abs(v) for v in row) for row in self.data]
+        row_scale = [max(map(abs, row)) for row in self.data]
 
         for col in range(n):
             pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
             pivot = a[pivot_row][col]
             if abs(pivot) <= _PIVOT_RTOL * row_scale[pivot_row]:
                 raise SingularMatrix(f"no usable pivot in column {col}")
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                b[col], b[pivot_row] = b[pivot_row], b[col]
-                row_scale[col], row_scale[pivot_row] = (
-                    row_scale[pivot_row],
-                    row_scale[col],
-                )
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
             inv_p = 1.0 / pivot
-            a[col] = [v * inv_p for v in a[col]]
-            b[col] = [v * inv_p for v in b[col]]
+            a[col] = pivot_vals = [v * inv_p for v in a[col]]
             for r in range(n):
-                if r == col:
-                    continue
                 f = a[r][col]
-                if f != 0.0:
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                    b[r] = [v - f * w for v, w in zip(b[r], b[col])]
-        return Matrix(b)
+                if r != col and f != 0.0:
+                    a[r] = [v - f * w for v, w in zip(a[r], pivot_vals)]
+        return Matrix(row[n:] for row in a)
+
+    def inv(self) -> "Matrix":
+        """Inverse, by :meth:`solve` against the identity."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("only square matrices can be inverted")
+        return self.solve(Matrix.identity(self.rows))

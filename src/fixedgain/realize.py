@@ -4,8 +4,8 @@ A design comes out of :func:`fixedgain.design.design` in kinematic (KIN)
 coordinates, where the state is physically meaningful (position, velocity,
 ...).  This module rebases it into three canonical coordinate systems:
 
-* PCF - the process is in companion form; the coordinates the gain vector is
-  first solved in.
+* PCF - the process is in companion form; the gain there is the coefficient
+  gap between the process and observer characteristic polynomials.
 * OCF - observable canonical form; the input gain column holds the
   transfer-function numerator.
 * CCF - controllable canonical form; the output row holds the numerator.
@@ -14,8 +14,9 @@ coordinates, where the state is physically meaningful (position, velocity,
 All four realizations produce identical input/output behavior; only the
 internal state coordinates differ.  Each carries the similarity transform to
 and from kinematic coordinates so state estimates remain interpretable.  Each
-builder rebases the design afresh on every call and certifies the transform,
-raising :class:`Unobservable` or :class:`Uncontrollable` when it cannot.
+builder rebases the design afresh on every call (OCF and CCF by one solve
+each, PCF from a per-order table) and certifies the transform, raising
+:class:`Unobservable` or :class:`Uncontrollable` when it cannot.
 
 The transfer function needs no canonical form: :func:`transfer_coefficients`
 reads it off the kinematic realization by the Cayley-Hamilton recursion.
@@ -179,12 +180,12 @@ class FilterState:
 
 
 def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
-    """Stack output_row @ transition**k for k = 0 .. K-1 into a K x K matrix."""
-    row = output_row
-    rows = [row.row(0)]
+    """Stack output_row @ transition**k for k = 0 .. K-1 into a K x K matrix,
+    each product summed as ``Matrix @`` sums it."""
+    columns = tuple(zip(*transition.data))
+    rows = [output_row.row(0)]
     for _ in range(transition.rows - 1):
-        row = row @ transition
-        rows.append(row.row(0))
+        rows.append([sum(map(mul, rows[-1], col)) for col in columns])
     return Matrix(rows)
 
 
@@ -211,21 +212,32 @@ def _observable_form(
     row: Matrix, transition: Matrix, column: Sequence[float], error: FixedGainError
 ) -> tuple[Matrix, Matrix]:
     """Similarity pair ``(kin_from_form, form_from_kin)`` from the pair
-    ``(row, transition)`` to the companion transition with last column
-    ``column`` read by the last unit row, built by equating observability
-    matrices.  A singular stack raises ``error``.
+    ``(row, transition)`` = (c, A) to the companion transition with last
+    column ``column`` = (g_0, .., g_{K-1}) read by the last unit row.
+
+    ``form_from_kin`` has Horner's rows: t_{K-1} = c, t_{i-1} = t_i A - g_i c.
+    ``kin_from_form`` is the Krylov matrix [x, Ax, .., A^{K-1} x] of the x
+    that the observability stack maps to the last unit vector (the one
+    solve).  A singular stack raises ``error``.
     """
-    obs = _observability_matrix(row, transition)
-    last_unit_row = Matrix.row_vector([0.0] * (len(column) - 1) + [1.0])
-    obs_can = _observability_matrix(last_unit_row, companion_matrix(column))
+    k = len(column)
+    rows_a, c = transition.data, row.row(0)
     try:
-        return obs.inv() @ obs_can, obs_can.inv() @ obs
+        x = _observability_matrix(row, transition).solve(Matrix.column([0.0] * (k - 1) + [1.0]))
     except SingularMatrix as exc:
         raise error from exc
+    krylov = [x.col(0)]
+    for _ in range(k - 1):
+        krylov.append([sum(map(mul, a, krylov[-1])) for a in rows_a])
+    columns = tuple(zip(*rows_a))
+    horner = [c]
+    for g in column[:0:-1]:
+        horner.append([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)])
+    return Matrix(zip(*krylov)), Matrix(horner[::-1])
 
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
-    """Rebase a design into the process-companion coordinates it was solved in."""
+    """Rebase a design into process-companion coordinates."""
     kin = result.ss_kin
     model = StateSpaceModel(
         form=Form.PCF,

@@ -14,9 +14,12 @@ end at its own tolerances.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from fixedgain import Matrix, ObserverSpec, Polynomial, ProcessModel, design
 from fixedgain.errors import NonPositiveSamplingPeriod, UnstablePoles
@@ -173,14 +176,111 @@ def noise_gain_fraction(num, den) -> float:
 def lyapunov_noise_gain_fraction(ss) -> float:
     """Exact noise gain c P c' of a realization's float matrices, rounded
     once: P from (I - A kron A) vec P = vec(b b') solved in Fractions."""
-    a = [[Fraction(v) for v in row] for row in ss.transition.data]
-    b = [Fraction(v) for v in ss.input_gain.col(0)]
-    c = [Fraction(v) for v in ss.output_row.row(0)]
+    return _lyapunov_fraction([[Fraction(v) for v in row] for row in ss.transition.data],
+                              [Fraction(v) for v in ss.input_gain.col(0)],
+                              [Fraction(v) for v in ss.output_row.row(0)])
+
+
+def _lyapunov_fraction(a, b, c) -> float:
     k = len(b)
     rows = [[int(i == j) - a[i // k][j // k] * a[i % k][j % k] for j in range(k * k)]
             + [b[i // k] * b[i % k]] for i in range(k * k)]
     p = _fraction_solve(rows)
     return float(sum(c[i] * c[j] * p[i * k + j] for i in range(k) for j in range(k)))
+
+
+def _row_times(row, matrix) -> list:
+    return [sum(x * m[j] for x, m in zip(row, matrix)) for j in range(len(matrix[0]))]
+
+
+def _chain_fraction(order: int, t: Fraction) -> list[list[Fraction]]:
+    """Integrator-chain transition over the exact time ``t``."""
+    return [[t ** (j - i) / math.factorial(j - i) if j >= i else Fraction(0)
+             for j in range(order)] for i in range(order)]
+
+
+def ackermann_gains_fraction(poles, ts) -> list[Fraction]:
+    """Exact kinematic gain column placing the float ``poles`` for the
+    integrator chain sampled every float ``ts``: Ackermann's formula
+    k = D(F) O^-1 e_K, with D = prod (z - p) expanded in Gaussian rationals,
+    F the exact transition and O the observability stack of the predictor
+    row h = e_1' F.  The pole set must be exactly conjugate-closed."""
+    k = len(poles)
+    acc = [(Fraction(1), Fraction(0))]
+    for p in map(complex, poles):
+        re, im = Fraction(p.real), Fraction(p.imag)
+        nxt = acc + [(Fraction(0), Fraction(0))]
+        for i, (x, y) in enumerate(acc):
+            nxt[i + 1] = (nxt[i + 1][0] - (x * re - y * im), nxt[i + 1][1] - (x * im + y * re))
+        acc = nxt
+    assert all(y == 0 for _, y in acc)
+    f = _chain_fraction(k, Fraction(ts))
+    phi = [[acc[0][0] * (i == j) for j in range(k)] for i in range(k)]
+    for coeff, _ in acc[1:]:
+        phi = [_row_times(row, f) for row in phi]
+        for i in range(k):
+            phi[i][i] += coeff
+    stack, h = [], f[0]
+    for i in range(k):
+        stack.append(h + [Fraction(int(i == k - 1))])
+        h = _row_times(h, f)
+    x = _fraction_solve(stack)
+    return [sum(v * w for v, w in zip(row, x)) for row in phi]
+
+
+def companion_pair_fraction(row, transition, column) -> tuple[list, list]:
+    """``(kin_from_form, form_from_kin)`` of the companion builder run
+    exactly on its float inputs: Horner's rows t_(K-1) = c,
+    t_(i-1) = t_i A - g_i c, and the Krylov matrix [x, Ax, ..] of the x
+    that solves c A^i x = [i == K-1], all in Fractions."""
+    a = [[Fraction(v) for v in r] for r in transition.data]
+    c = [Fraction(v) for v in row.row(0)]
+    k = len(c)
+    stack, h = [], c
+    for i in range(k):
+        stack.append(h + [Fraction(int(i == k - 1))])
+        h = _row_times(h, a)
+    krylov = [_fraction_solve(stack)]
+    for _ in range(k - 1):
+        krylov.append([sum(v * w for v, w in zip(r, krylov[-1])) for r in a])
+    horner = [c]
+    for g in column[:0:-1]:
+        horner.append([v - Fraction(g) * w for v, w in zip(_row_times(horner[-1], a), c)])
+    return [list(r) for r in zip(*krylov)], horner[::-1]
+
+
+def exact_design_noise_gain(spec) -> float:
+    """Noise gain of the filter that places ``spec``'s poles exactly, rounded
+    once: the exact Ackermann gains closed against the exact predictor row,
+    read out by the exact row of F(-lag ts)."""
+    model = spec.process
+    k, t = model.order, Fraction(model.ts)
+    gains = ackermann_gains_fraction(spec.poles, model.ts)
+    f = _chain_fraction(k, t)
+    a = [[f[i][j] - gains[i] * f[0][j] for j in range(k)] for i in range(k)]
+    c = _chain_fraction(k, -Fraction(spec.lag) * t)[spec.deriv]
+    return _lyapunov_fraction(a, gains, c)
+
+
+@st.composite
+def placed_specs(draw):
+    """Specs over every order, sampling period, lag and derivative, with
+    repeated, distinct, negative or complex-pair poles."""
+    order = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["repeated", "distinct", "negative", "complex"]))
+    if kind == "repeated":
+        poles = [draw(st.floats(0.0, 0.999))] * order
+    elif kind == "negative":
+        poles = draw(st.lists(st.floats(-0.999, -0.001), min_size=order, max_size=order))
+    else:
+        poles = draw(st.lists(st.floats(-0.999, 0.999), min_size=order, max_size=order,
+                              unique=True))
+        if kind == "complex" and order >= 2:
+            z = cmath.rect(draw(st.floats(0.0, 0.999)), draw(st.floats(0.01, 3.13)))
+            poles[:2] = [z, z.conjugate()]
+    ts = draw(st.floats(1e-3, 10.0))
+    return ObserverSpec(ProcessModel(order, ts), poles, lag=draw(st.floats(-1.0, 3.0)),
+                        deriv=draw(st.integers(0, order - 1)))
 
 
 def transfer_numerator_fraction(ss, char_poly) -> tuple[float, ...]:

@@ -21,6 +21,7 @@ from conftest import (
     BENCH_WNG,
     REF_GAIN_KIN,
     REF_NUMERATOR,
+    exact_design_noise_gain,
     max_abs_diff,
 )
 import fixedgain
@@ -119,15 +120,17 @@ def test_design_single_form_selection(capsys):
 def test_design_omits_uncertifiable_form(capsys):
     # With the default --form all, a form whose transform fails certification
     # is dropped from the document (with a note) instead of failing the run;
-    # asking for that form explicitly is still an error.
-    argv = ["design", "--order", "3", "--pole", "0", "--lag", "1", "--ts", "0.04"]
+    # asking for that form explicitly is still an error.  A deadbeat design
+    # with a one-sample lag leaves part of the state unseen by the read-out;
+    # at ts = 10 the pivot test misses it and the identity check refuses it.
+    argv = ["design", "--order", "7", "--pole", "0", "--lag", "1", "--ts", "10"]
     code, out = run_cli(capsys, argv)
     assert code == 0
     doc = json.loads(out)
     assert set(doc["realizations"]) == {"kin", "pcf", "ccf"}
     assert set(doc["realizations_omitted"]) == {"ocf"}
     assert "certify" in doc["realizations_omitted"]["ocf"]
-    assert max_abs_diff(doc["transfer"]["numerator"], (0, 1, 0, 0)) < 1e-12
+    assert max_abs_diff(doc["transfer"]["numerator"], (0, 1, 0, 0, 0, 0, 0, 0)) < 1e-12
 
     code, _ = run_cli(capsys, [*argv, "--form", "ocf"])
     assert code == 3
@@ -136,14 +139,14 @@ def test_design_omits_uncertifiable_form(capsys):
 def test_design_keeps_its_transfer_where_the_companion_forms_fail(capsys):
     # Neither companion form certifies here, but the transfer function is read
     # off the kinematic realization, so the document and --freq still come out.
-    argv = ["--order", "6", "--pole", "0.8", "--lag", "1"]
+    argv = ["--order", "6", "--pole", "0.9", "--lag", "2"]
     code, out = run_cli(capsys, ["design", *argv])
     assert code == 0
     doc = json.loads(out)
     assert set(doc["realizations"]) == {"kin", "pcf"}
     assert set(doc["realizations_omitted"]) == {"ocf", "ccf"}
     num, den = transfer_coefficients(
-        design(ObserverSpec.repeated(ProcessModel(6, 1.0), 0.8, lag=1.0)))
+        design(ObserverSpec.repeated(ProcessModel(6, 1.0), 0.9, lag=2.0)))
     assert doc["transfer"] == {"numerator": list(num.coeffs), "denominator": list(den.coeffs)}
     assert all(map(math.isfinite, num.coeffs))
 
@@ -151,6 +154,20 @@ def test_design_keeps_its_transfer_where_the_companion_forms_fail(capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert len(rows) == 1024
+
+
+def test_design_document_noise_gain_is_exact_for_the_requested_poles(capsys):
+    # K = 5, memory 84.3, deriv 4: the long-memory high-derivative corner
+    # where the earlier similarity-built gains were 1.1e-5 off.
+    flags = ["--order", "5", "--ts", "0.15982675678270414", "--memory", "84.29224780673994",
+             "--lag", "1.3980735618868758", "--deriv", "4"]
+    code, out = run_cli(capsys, ["design", *flags])
+    assert code == 0
+    spec = ObserverSpec.repeated(ProcessModel(5, 0.15982675678270414),
+                                 memory_to_pole(84.29224780673994),
+                                 lag=1.3980735618868758, deriv=4)
+    want = exact_design_noise_gain(spec)
+    assert abs(json.loads(out)["analysis"]["white_noise_gain"] - want) <= 1e-14 * want
 
 
 def test_design_document_matches_library_call(capsys):

@@ -8,9 +8,11 @@ have exactly the requested eigenvalues.
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     REF_CHAR,
@@ -19,8 +21,10 @@ from conftest import (
     REF_GAIN_PCF,
     REF_KIN_FROM_PCF,
     REF_PCF_FROM_KIN,
+    ackermann_gains_fraction,
     closed_form_gains,
     max_abs_diff,
+    placed_specs,
 )
 from fixedgain import (
     DesignResult,
@@ -31,11 +35,18 @@ from fixedgain import (
     ProcessModel,
     companion_matrix,
     design,
+    from_roots,
+    initialize_state,
     memory_to_pole,
+    pcf_realization,
     pole_to_memory,
+    run,
     transfer_coefficients,
 )
+from fixedgain.analyze import _realization_noise_gain
 from fixedgain.design import (
+    _kinematic_gains,
+    _stirling,
     companion_column,
     pcf_transform,
     placement_residual,
@@ -108,6 +119,21 @@ def test_pcf_transform_carries_the_similarity():
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 
+def test_pcf_transform_is_the_unit_pair_scaled():
+    # F(ts) = S^-1 F(1) S with S = diag(ts^j), so kin_from_pcf = S^-1 T1^-1
+    # and pcf_from_kin = T1 S, where (T1^-1, T1) is the ts = 1 pair.
+    for order in range(1, 9):
+        unit_kin_from_pcf, unit_pcf_from_kin = pcf_transform(ProcessModel(order, 1.0))
+        for ts in (1e-4, 0.04, 3.0, 1e3):
+            kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(order, ts))
+            assert kin_from_pcf.data == tuple(
+                tuple(v * ts ** -i for v in row)
+                for i, row in enumerate(unit_kin_from_pcf.data))
+            assert pcf_from_kin.data == tuple(
+                tuple(v * ts ** j for j, v in enumerate(row))
+                for row in unit_pcf_from_kin.data)
+
+
 # --- the design pipeline -----------------------------------------------------
 
 def test_reference_design_gains(reference_design):
@@ -152,23 +178,20 @@ def test_complex_pole_design_places_eigenvalues():
     eig = np.sort_complex(np.linalg.eigvals(np.array(result.ss_kin.transition.data)))
     want = np.sort_complex(np.array(poles, dtype=complex))
     assert float(np.max(np.abs(eig - want))) < 1e-9
-    assert result.placement_residual < 1e-10
+    assert placement_residual(realized_char_poly(result), poles) < 1e-10
 
 
 def test_placing_poles_on_process_poles_needs_no_correction():
-    # With the observer poles equal to the process poles the coefficient gap
-    # vanishes, so the gain must be exactly zero (requires the override since
-    # the poles are marginal).
-    spec = ObserverSpec(ProcessModel(3, 0.1), (1.0, 1.0, 1.0))
-    result = design(spec, allow_unstable=True)
-    assert max(abs(v) for v in result.gains.kin.col(0)) < 1e-12
+    # With the observer poles equal to the process poles D(1+u) = u^K, so
+    # every a_m below the leading one vanishes and the closed form gives an
+    # exactly zero gain.  design() itself refuses these marginal poles.
+    assert _kinematic_gains((1.0, 1.0, 1.0), 0.1) == [0.0, 0.0, 0.0]
 
 
-def test_unstable_poles_rejected_without_override():
-    spec = ObserverSpec(ProcessModel(2, 1.0), (1.0, 0.5))
-    with pytest.raises(UnstablePoles):
-        design(spec)
-    assert design(spec, allow_unstable=True).placement_residual < 1e-9
+def test_unstable_poles_rejected():
+    for poles in ((1.0, 0.5), (0.6 + 0.8j, 0.6 - 0.8j), (-1.5, 0.5)):
+        with pytest.raises(UnstablePoles):
+            design(ObserverSpec(ProcessModel(2, 1.0), poles))
 
 
 def test_placement_residual_small_over_random_designs():
@@ -178,7 +201,7 @@ def test_placement_residual_small_over_random_designs():
         order = rng.randint(1, 5)
         p = rng.uniform(0.0, 0.95)
         result = design(ObserverSpec.repeated(ProcessModel(order, 0.5), p))
-        worst = max(worst, result.placement_residual)
+        worst = max(worst, placement_residual(realized_char_poly(result), result.spec.poles))
     assert worst < 1e-8
 
 
@@ -194,6 +217,65 @@ def test_placement_residual_counts_multiplicity():
     assert placement_residual(exact, [0.5, 0.5]) < 1e-15
     shifted = Polynomial([1.0, -1.001, 0.2505])
     assert placement_residual(shifted, [0.5, 0.5]) > 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_specs())
+def test_gains_are_the_exact_ackermann_gains_rounded(spec):
+    # Against Ackermann's formula run exactly on the same float poles and ts.
+    # Each component may err by a few ulps times K of the magnitudes summed
+    # into it: (j!/ts^j) sum |s(n, j+1) a_(K-n)| / (n-1)!.
+    model = spec.process
+    order = model.order
+    got = design(spec).gains.kin.col(0)
+    want = ackermann_gains_fraction(spec.poles, model.ts)
+    a = from_roots([p - 1.0 for p in spec.poles]).coeffs
+    s = _stirling(order)
+    for j, (g, w) in enumerate(zip(got, want)):
+        scale = math.factorial(j) / Fraction(model.ts) ** j * sum(
+            abs(s[n][j + 1] * Fraction(a[n])) / math.factorial(n - 1)
+            for n in range(j + 1, order + 1))
+        assert abs(Fraction(g) - w) <= 2 * order * 2.0 ** -52 * scale
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_repeated_pole_gains_are_exact_to_a_few_ulps(order):
+    eps = 2.0 ** -52
+    for p in (0.0, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+        for ts in (1e-4, 1.0, 100.0):
+            got = design(ObserverSpec.repeated(ProcessModel(order, ts), p)).gains.kin.col(0)
+            want = ackermann_gains_fraction((p,) * order, ts)
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= 4 * order * eps * abs(w)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_design_and_pcf_cover_every_sampling_period(order):
+    # The 64-point probe K = 1..8 x ts = 1e-4..1e3 at p = 0.8: nothing is
+    # inverted per design, so every point designs and its PCF certifies.
+    for ts in (1e-4, 1e-3, 3e-3, 0.01, 0.04, 1.0, 100.0, 1e3):
+        result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.8))
+        pcf_realization(result)
+
+
+def test_long_memory_eighth_order_design_contracts():
+    # K = 8, pole 0.9726 (memory 36), ts 0.04: the gains of the earlier
+    # similarity route were wrong enough for this loop to diverge.
+    spec = ObserverSpec.repeated(ProcessModel(8, 0.04), 0.9725635108332211,
+                                 lag=2.2621128731781504)
+    ss = design(spec).ss_kin
+    assert max(abs(np.linalg.eigvals(np.array(ss.transition.data)))) < 1.0
+    ys = run(ss, initialize_state(ss, 0.0), [1.0] + [0.0] * 19_999)
+    assert abs(ys[-1]) < 1e-200
+    assert _realization_noise_gain(ss) == pytest.approx(0.1122, abs=1e-4)
+
+
+@pytest.mark.parametrize("order, ts", [(8, 1e-44), (8, 1e-300), (2, 5e-324)])
+def test_design_overflowing_its_ts_scaling_is_typed(order, ts):
+    # ts^-j or a gain k_j ~ ts^-j past the double range: a typed error, not
+    # an untyped OverflowError or an inf/nan loop.
+    with pytest.raises(NonFiniteValue):
+        design(ObserverSpec.repeated(ProcessModel(order, ts), 0.8))
 
 
 def test_first_order_design_is_exponential_smoother():
@@ -358,7 +440,8 @@ def test_gain_vectors_and_design_result_records():
     assert result == design(result.spec)
     assert result != design(result.spec._replace(lag=1.0))
     assert repr(result).startswith(f"DesignResult(spec={result.spec!r}, gains={gains!r}, ")
-    assert repr(result).endswith(f", placement_residual={result.placement_residual!r})")
+    assert len(DesignResult._fields) == 8
+    assert repr(result).endswith(f", ss_kin={result.ss_kin!r})")
     copy = pickle.loads(pickle.dumps(result))
     # A ProcessModel compares by identity, so the copy's spec is a new value.
     assert type(copy) is DesignResult and repr(copy) == repr(result)

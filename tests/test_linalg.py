@@ -111,3 +111,28 @@ def test_near_singular_relative_pivot():
 def test_inverse_of_non_square_rejected():
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2]]).inv()
+
+
+def test_solve_is_the_inverse_column_for_column():
+    # Each right-hand column is eliminated with the same pivots and factors,
+    # so solving against a unit column gives that column of the inverse bit
+    # for bit.
+    rng = random.Random(34)
+    for n in range(1, 9):
+        a = Matrix(_random_matrix(rng, n))
+        inverse = a.inv()
+        for j in range(n):
+            unit = Matrix.column([1.0 if i == j else 0.0 for i in range(n)])
+            assert a.solve(unit).col(0) == inverse.col(j)
+    b = Matrix(_random_matrix(rng, 3, 2))
+    x = Matrix(_random_matrix(rng, 3)).solve(b)
+    assert (x.rows, x.cols) == (3, 2)
+
+
+def test_solve_shapes_checked():
+    with pytest.raises(DimensionMismatch):
+        Matrix([[1, 2]]).solve(Matrix.column([1.0]))
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(2).solve(Matrix.column([1.0, 2.0, 3.0]))
+    with pytest.raises(SingularMatrix):
+        Matrix([[1.0, 2.0], [2.0, 4.0]]).solve(Matrix.column([1.0, 0.0]))
