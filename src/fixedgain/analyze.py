@@ -7,8 +7,8 @@ through (white-noise gain), what the frequency response looks like, how fast
 the step response settles, whether ramps are tracked without bias, and how
 flat the passband is at dc (moment-matching derivatives).
 
-The white-noise gain of a coefficient pair is exact, from an integer
-step-down, and rounded once; the impulse response is cut where the same
+The white-noise gain of a coefficient pair is exact, from an integer step-down
+with exact divisions, rounded once; the impulse response is cut where the same
 step-down puts the energy still to come below a tolerance.  The command line
 takes its noise gains from the kinematic realization instead, by a Lyapunov
 doubling: rounding a K-fold pole into direct-form coefficients moves the exact
@@ -177,9 +177,12 @@ def white_noise_gain(num, den) -> float:
     powers of z^-1), which only adds poles at the origin.  Step k = K..1 adds
     B_k**2 / (A_0 S) to the sum, then maps A_i <- A_0 A_i - A_k A_(k-i),
     B_i <- A_0 B_i - B_k A_(k-i) and S <- A_0 S, S carrying the common scale;
-    the sum's denominators nest, so it is one integer over S.  |A_k| < A_0 at
-    every step is Schur's test: a pole on or outside the unit circle raises
-    NonConvergent exactly.  A sum beyond the double range raises NonFiniteValue.
+    the sum's denominators nest, so it is one integer T <- A_0 T + B_k**2 over S.
+    From step 3 on, each new A_i, B_i, T and S is exactly divisible by the lead
+    A_0 of the step before and is divided by it (Bareiss, Math. Comp. 22(103),
+    1968): the integers grow linearly, not doubling in width each step.  |A_k| <
+    A_0 at every step is Schur's test: a pole on or outside the unit circle
+    raises NonConvergent exactly; a sum beyond the double range, NonFiniteValue.
     """
     b, a = _finite_pair(num, den)
     _check_normalized(a)
@@ -195,20 +198,20 @@ def _ints(values) -> tuple[list[int], int]:
 
 
 def _step_down(nums: list[int], dens: list[int], shift: int = 0) -> float:
-    """white_noise_gain's step-down on the integers ``nums`` over ``dens``,
-    the shorter padded with zeros, divided by 2**shift."""
+    """white_noise_gain's step-down on integers ``nums`` over ``dens`` (the shorter
+    zero-padded), over 2**shift; g divides each step exactly, so the scale is lead**2 g."""
     width = max(len(nums), len(dens))
-    nums = nums + [0] * (width - len(nums))
-    dens = dens + [0] * (width - len(dens))
-    top, scale = 0, dens[0]
+    nums, dens = nums + [0] * (width - len(nums)), dens + [0] * (width - len(dens))
+    top, lead, g = 0, dens[0], 1
     for k in range(width - 1, 0, -1):
         a0, ak, bk = dens[0], dens[k], nums[k]
         if not abs(ak) < a0:
             raise NonConvergent(f"denominator has a pole on or outside the unit circle (step {k})")
-        top = top * a0 + bk * bk
-        scale *= a0
-        nums = [a0 * nums[i] - bk * dens[k - i] for i in range(k)]
-        dens = [a0 * dens[i] - ak * dens[k - i] for i in range(k)]
+        top = (top * a0 + bk * bk) // g
+        nums = [(a0 * nums[i] - bk * dens[k - i]) // g for i in range(k)]
+        dens = [(a0 * dens[i] - ak * dens[k - i]) // g for i in range(k)]
+        g = 1 if k == width - 1 else a0
+    scale = lead * lead * g if width > 1 else lead
     try:
         return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0] << shift)
     except OverflowError:

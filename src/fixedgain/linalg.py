@@ -9,7 +9,7 @@ construction.  Storage is an immutable tuple of row tuples.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import mul
+from operator import mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, SingularMatrix
 ORDER_CAP = 8
 
 # A pivot below this fraction of its row's pre-elimination magnitude is
-# treated as zero during inversion.
+# treated as zero during elimination.
 _PIVOT_RTOL = 1e-12
 
 
@@ -35,10 +35,16 @@ class Matrix:
         if any(map(width.__ne__, map(len, data))):
             raise DimensionMismatch("ragged rows")
         if len(data) > ORDER_CAP or width > ORDER_CAP:
-            raise DimensionMismatch(
-                f"matrix {len(data)}x{width} exceeds the {ORDER_CAP}x{ORDER_CAP} cap"
-            )
+            raise DimensionMismatch(f"matrix {len(data)}x{width} exceeds the"
+                                    f" {ORDER_CAP}x{ORDER_CAP} cap")
         self.data = data
+
+    @classmethod
+    def _of(cls, data: tuple) -> "Matrix":
+        """``data``, float row tuples of a legal shape, as is: no __init__ checks."""
+        m = cls.__new__(cls)
+        m.data = data
+        return m
 
     # --- construction helpers ---
 
@@ -98,19 +104,16 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         columns = tuple(zip(*other.data))
-        return Matrix([[sum(map(mul, row, col)) for col in columns] for row in self.data])
+        return Matrix._of(tuple([tuple([sum(map(mul, row, col)) for col in columns])
+                                 for row in self.data]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return Matrix._of(tuple([tuple(map(sub, ra, rb))
+                                 for ra, rb in zip(self.data, other.data)]))
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """The X with ``self @ X == rhs``, by Gauss-Jordan elimination with
@@ -140,10 +143,4 @@ class Matrix:
                 f = a[r][col]
                 if r != col and f != 0.0:
                     a[r] = [v - f * w for v, w in zip(a[r], pivot_vals)]
-        return Matrix(row[n:] for row in a)
-
-    def inv(self) -> "Matrix":
-        """Inverse, by :meth:`solve` against the identity."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices can be inverted")
-        return self.solve(Matrix.identity(self.rows))
+        return Matrix._of(tuple([tuple(row[n:]) for row in a]))

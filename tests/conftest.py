@@ -6,8 +6,9 @@ form, the second-order noise-gain benchmark grid, and the matching
 optimal-lag row.  Beside them sit the closed forms they follow from (gains
 for orders 1-3, the order-2 transfer function and noise gain), which the
 pipeline must reproduce, and exact Fraction solves of the noise gain of a
-coefficient pair and of a realization's matrices, and the exact
-Cayley-Hamilton numerator of a realization.
+coefficient pair and of a realization's matrices, the integer step-down
+without its exact divisions, and the exact Cayley-Hamilton numerator of a
+realization.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -22,7 +23,12 @@ import pytest
 from hypothesis import strategies as st
 
 from fixedgain import Matrix, ObserverSpec, Polynomial, ProcessModel, design
-from fixedgain.errors import NonPositiveSamplingPeriod, UnstablePoles
+from fixedgain.errors import (
+    NonConvergent,
+    NonFiniteValue,
+    NonPositiveSamplingPeriod,
+    UnstablePoles,
+)
 
 # --- the reference third-order design: K=3, Ts=0.04, repeated pole 0.8,
 #     read-out lagged two samples ---------------------------------------
@@ -171,6 +177,28 @@ def noise_gain_fraction(num, den) -> float:
             row[abs(k - j)] += a[j]
         rows.append(row + [sum(b[i] * h[i - k] for i in range(k, n))])
     return float(_fraction_solve(rows)[0])
+
+
+def step_down_unreduced(nums: list[int], dens: list[int], shift: int = 0) -> float:
+    """The integer step-down of ``analyze._step_down`` with no exact division:
+    every step multiplies entries of equal width, so the integers double in
+    width each step.  Same rational, same rounding, same errors."""
+    width = max(len(nums), len(dens))
+    nums = nums + [0] * (width - len(nums))
+    dens = dens + [0] * (width - len(dens))
+    top, scale = 0, dens[0]
+    for k in range(width - 1, 0, -1):
+        a0, ak, bk = dens[0], dens[k], nums[k]
+        if not abs(ak) < a0:
+            raise NonConvergent(f"denominator has a pole on or outside the unit circle (step {k})")
+        top = top * a0 + bk * bk
+        scale *= a0
+        nums = [a0 * nums[i] - bk * dens[k - i] for i in range(k)]
+        dens = [a0 * dens[i] - ak * dens[k - i] for i in range(k)]
+    try:
+        return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0] << shift)
+    except OverflowError:
+        raise NonFiniteValue("white-noise gain overflows") from None
 
 
 def lyapunov_noise_gain_fraction(ss) -> float:
@@ -323,3 +351,9 @@ def max_abs_diff(got, expected) -> float:
     expected = list(expected)
     assert len(got) == len(expected)
     return max(abs(complex(g) - complex(e)) for g, e in zip(got, expected))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """``m`` inverted by ``Matrix.solve`` against the identity; a non-square
+    ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
+    return m.solve(Matrix.identity(m.rows))

@@ -15,6 +15,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     lyapunov_noise_gain_fraction,
     max_abs_diff,
     noise_gain_fraction,
+    step_down_unreduced,
     white_noise_gain_k2,
 )
 from fixedgain import (
@@ -52,7 +54,7 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.analyze import _realization_noise_gain
+from fixedgain.analyze import _ints, _realization_noise_gain, _step_down
 from fixedgain.errors import (
     DimensionMismatch,
     NonConvergent,
@@ -350,6 +352,70 @@ def test_noise_gain_of_subnormal_coefficients_is_quick():
     assert white_noise_gain([1.0] + [5e-324] * 8, [1.0, -0.5] + [5e-324] * 7) == 4.0 / 3.0
     assert white_noise_gain([5e-324] * 9, [1.0] + [5e-324] * 8) == 0.0
     assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def _step_down_pairs(draw):
+    """Integer step-down input: a numerator 1..K+2 long over a denominator of
+    order K = 0..8 whose roots, real or complex pairs, have magnitude up to
+    1.05 (so some are unstable).  Either each polynomial is scaled by
+    2**-500..2**500 and the pair made integer by _ints (up to ~1,100 bits),
+    or the pair is rounded to a few bits, where a division that was not
+    exact would move the rounded gain."""
+    order = draw(st.integers(0, 8))
+    roots = []
+    while len(roots) < order:
+        radius = draw(st.floats(0.0, 1.05))
+        if len(roots) < order - 1 and draw(st.booleans()):
+            angle = draw(st.floats(0.0, math.pi))
+            roots += [cmath.rect(radius, angle), cmath.rect(radius, -angle)]
+        else:
+            roots.append(draw(st.sampled_from([radius, -radius])))
+    den = list(from_roots(roots).coeffs)
+    num = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=order + 2))
+    if draw(st.booleans()):
+        bits = draw(st.integers(2, 12))
+        ints = [round(c * 2 ** bits) for c in num + den]
+    else:
+        scales = [2.0 ** draw(st.integers(-500, 500)) for _ in range(2)]
+        ints, _ = _ints([c * scales[0] for c in num] + [c * scales[1] for c in den])
+    return ints[:len(num)], ints[len(num):]
+
+
+def _step_down_outcome(step_down, nums, dens, shift):
+    try:
+        return step_down(nums, dens, shift).hex()
+    except (NonConvergent, NonFiniteValue) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_down_pairs(), st.integers(0, 3))
+def test_step_down_is_the_unreduced_recursion_bit_for_bit(pair, shift):
+    # Every exact division leaves the rational unchanged, and every divisor is
+    # a lead that passed Schur's test, so the float and the refusing step agree.
+    nums, dens = pair
+    assert (_step_down_outcome(_step_down, nums, dens, shift)
+            == _step_down_outcome(step_down_unreduced, nums, dens, shift))
+
+
+def test_noise_gain_of_coefficients_spanning_a_thousand_bits_is_quick():
+    # Both pairs are order 8 with integers of about 1,050 bits; the
+    # unreduced recursion doubles that width at each of the eight steps.
+    ramp = [2.0 ** (-62 * k) for k in range(9)]
+    mixed = from_roots([0.95, 0.9, 0.8 + 0.3j, 0.8 - 0.3j, -0.5, 0.7j, -0.7j, 0.2]).coeffs
+    pairs = [
+        ([2.0 ** 500 * math.pi, -2.0 ** 499 / 3, 0.1 / 7],
+         list(map(mul, from_roots([0.9] * 8).coeffs, ramp))),
+        ([2.0 ** 500 / 3] + [(-1) ** k * math.e * r for k, r in enumerate(ramp[1:])],
+         list(map(mul, mixed, ramp))),
+    ]
+    start = time.perf_counter()
+    gains = [white_noise_gain(num, den) for num, den in pairs]
+    assert time.perf_counter() - start < 0.1
+    for (num, den), gain in zip(pairs, gains):
+        ints, _ = _ints(num + den)
+        assert gain == step_down_unreduced(ints[:len(num)], ints[len(num):])
 
 
 def test_impulse_truncation_reaches_requested_tolerance():
