@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from operator import add, mul, truediv
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -138,23 +139,55 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     return h[:hi]
 
 
-def _responses(num, den, omegas, zs, ones) -> list[complex]:
-    """N(z) / D(z) at each z of ``zs`` by Polynomial.__call__'s Horner steps, run
-    across all points from ``ones`` (z * 0 + 1); D's first zero in order raises."""
-    vals = []
-    for p in reversed(_finite_pair(num, den)):
-        acc = map(mul, repeat(p[0]), ones)
-        for c in p.coeffs[1:]:
-            acc = map(add, map(mul, acc, zs), repeat(c))
-        vals.append(list(acc))
-    dvs, nvs = vals
+@lru_cache(maxsize=None)
+def _horner_block(steps: int, first: bool, divide: bool):
+    """``block(zs, dvs, acc, c0, ..)``: ``steps`` steps ``acc * z + c`` at each z of
+    ``zs`` from the previous pass's values ``acc``, or if ``first`` the leading
+    coefficient ``acc``; with ``divide``, each over its ``dvs``.  Up to Python 3.13
+    a float times a complex is promoted, so c0 * z + c1 is c0 * (z * 0 + 1) * z + c1."""
+    value = "acc * (z * 0 + 1)" if first else "a"
+    if first and steps and sys.version_info < (3, 14):
+        value = "acc"
+    for j in range(steps):
+        value = f"({value}) * z + c{j}"
+    names = (["z"] if first else ["a", "z"]) + ["d"] * divide
+    columns = ", ".join({"a": "acc", "z": "zs", "d": "dvs"}[name] for name in names)
+    namespace: dict = {}
+    exec(f"def block(zs, dvs, acc, {''.join(f'c{j}, ' for j in range(steps))}):\n"
+         f"    return [{f'({value}) / d' if divide else value}"
+         f" for {', '.join(names)} in {f'zip({columns})' if len(names) > 1 else 'zs'}]\n",
+         namespace)
+    return namespace["block"]
+
+
+def _horner(p: Polynomial, zs, dvs=None) -> list[complex]:
+    """p at each z of ``zs``, over the matching ``dvs`` when given, 8 steps a pass."""
+    acc, tail = p.coeffs[0], p.coeffs[1:]
+    for i in range(0, len(tail), 8) or (0,):
+        block = tail[i:i + 8]
+        acc = _horner_block(len(block), i == 0, dvs is not None and i + 8 >= len(tail))(
+            zs, dvs, acc, *block)
+    return acc
+
+
+def _responses(num, den, omegas, zs) -> list[complex]:
+    """N(z) / D(z) at each z of ``zs``, bit-identical to Polynomial.__call__ (signed
+    zeros included) for any number of coefficients: each runs over all points in
+    passes of up to 8 Horner steps, N's last dividing by D.  Only a |D| under 1e-12,
+    or one abs() overflows on, has D searched in order: its first zero names omega."""
+    b, a = _finite_pair(num, den)
+    dvs = _horner(a, zs)
     try:
-        for omega, dv in zip(omegas, dvs):
+        clear = min(map(abs, dvs)) >= 1e-12
+    except OverflowError:
+        clear = False
+    try:
+        for omega, dv in zip(omegas, () if clear else dvs):
             if abs(dv) < 1e-12:
                 raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
     except OverflowError:  # abs() of a complex D whose finite parts overflow
         raise NonFiniteValue("frequency response denominator overflows") from None
-    hs = list(map(truediv, nvs, dvs))
+    hs = _horner(b, zs, dvs)
     if not all(map(cmath.isfinite, hs)):
         raise NonFiniteValue("frequency response overflows")
     return hs
@@ -164,7 +197,7 @@ def frequency_response(num, den, omega) -> complex:
     """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
     complex values are accepted.  A non-finite response raises NonFiniteValue."""
     z = cmath.exp(1j * omega)
-    return _responses(num, den, (omega,), (z,), (z * 0 + 1,))[0]
+    return _responses(num, den, (omega,), (z,))[0]
 
 
 def white_noise_gain(num, den) -> float:
@@ -372,17 +405,16 @@ def step_response(result, n_max: int) -> list[float]:
 
 
 @lru_cache(maxsize=4, typed=True)
-def _grid(points: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """(f, omega, z, z * 0 + 1) columns of frequency_grid's ``points``."""
+def _grid(points: int) -> tuple[tuple, tuple, tuple]:
+    """(f, omega, z) columns of frequency_grid's ``points``."""
     fs = tuple(0.5 * j / (points - 1) for j in range(points))
     omegas = tuple(2.0 * math.pi * f for f in fs)
-    zs = tuple(cmath.exp(1j * omega) for omega in omegas)
-    return fs, omegas, zs, tuple(z * 0 + 1 for z in zs)
+    return fs, omegas, tuple(cmath.exp(1j * omega) for omega in omegas)
 
 
 def frequency_grid(num, den, points: int = 1024) -> list[tuple[float, complex]]:
     """(cycles-per-sample, response) pairs on a uniform grid of points >= 2 over [0, 0.5]."""
     if points < 2:
         raise DimensionMismatch(f"frequency grid needs at least 2 points, got {points!r}")
-    fs, omegas, zs, ones = _grid(points)
-    return list(zip(fs, _responses(num, den, omegas, zs, ones)))
+    fs, omegas, zs = _grid(points)
+    return list(zip(fs, _responses(num, den, omegas, zs)))

@@ -470,12 +470,15 @@ def test_frequency_grid_needs_two_points(points):
 
 @st.composite
 def _stable_transfers(draw):
-    """K = 0-8 denominators with real roots and conjugate pairs of magnitude
-    at most 0.95, and numerators of 1 to K + 2 coefficients."""
-    order = draw(st.integers(0, 8))
+    """K = 0-20 denominators with real roots and conjugate pairs of magnitude
+    at most 1 - 0.05**(8 / max(K, 8)), so that |D| stays above 0.05**8 on the
+    unit circle, and numerators of 1 to K + 2 coefficients: the evaluator's
+    passes of 8 Horner steps end at 9 and 17 coefficients."""
+    order = draw(st.integers(0, 20))
+    top = 1.0 - 0.05 ** (8 / max(order, 8))
     roots: list[complex] = []
     while len(roots) < order:
-        size = draw(st.floats(0.0, 0.95))
+        size = draw(st.floats(0.0, top))
         if order - len(roots) >= 2 and draw(st.booleans()):
             z = cmath.rect(size, draw(st.floats(0.0, math.pi)))
             roots += [z, z.conjugate()]
@@ -494,14 +497,31 @@ def test_frequency_grid_is_the_per_point_evaluation(transfer, points):
         f = 0.5 * j / (points - 1)
         z = cmath.exp(1j * (2.0 * math.pi * f))
         want.append((f, num(z) / den(z)))
-    assert frequency_grid(num, den, points) == want
+    assert repr(frequency_grid(num, den, points)) == repr(want)  # == cannot tell 0.0 from -0.0
 
 
 def test_frequency_response_at_complex_omega():
     num, den = _transfer(3, 0.04, 0.8, 2.0)
-    for omega in (0.3 + 0.1j, -1.2 - 0.05j, 2.5j, complex(math.pi, -0.7)):
+    for omega in (0.3 + 0.1j, -1.2 - 0.05j, 2.5j, complex(math.pi, -0.7), -2.5 + 0j):
         z = cmath.exp(1j * omega)
-        assert frequency_response(num, den, omega) == num(z) / den(z)
+        for b in (num, Polynomial([-0.0]), Polynomial([-0.0, 0.0]), Polynomial([-0.0, -0.0])):
+            assert repr(frequency_response(b, den, omega)) == repr(b(z) / den(z))
+
+
+_LONG = 200_000
+
+
+@pytest.mark.parametrize("num, den", [
+    ([1 / _LONG] * _LONG, [1.0]),
+    ([1.0], [1.0] + [0.5 / _LONG] * _LONG),  # |D| >= 1/2 on the unit circle
+], ids=["numerator", "denominator"])
+def test_frequency_response_of_long_coefficient_lists(num, den):
+    # An evaluator nested one call deep per coefficient overflows the C stack here.
+    start = time.perf_counter()
+    h = frequency_response(num, den, 0.3)
+    assert time.perf_counter() - start < 1.0
+    z = cmath.exp(0.3j)
+    assert h == Polynomial(num)(z) / Polynomial(den)(z)
 
 
 def test_pole_on_unit_circle_names_the_first_frequency():
