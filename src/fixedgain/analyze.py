@@ -9,10 +9,10 @@ flat the passband is at dc (moment-matching derivatives).
 
 The white-noise gain of a coefficient pair is exact, from an integer step-down
 with exact divisions, rounded once; the impulse response is cut where the same
-step-down puts the energy still to come below a tolerance.  The command line
-takes its noise gains from the kinematic realization instead, by a Lyapunov
-doubling: rounding a K-fold pole into direct-form coefficients moves the exact
-value away from the filter that actually runs.
+step-down puts the energy still to come below a fraction of the total.  The
+command line runs the step-down on the exact integer pair of the loop the
+design runs, not on its rounded coefficients: rounding a K-fold pole into
+direct-form coefficients moves the exact value away from that filter's.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -35,9 +35,9 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
 )
-from .linalg import Matrix
 from .poly import Polynomial
 from . import realize
+from .realize import _ints
 
 # Longest impulse response: a stable denominator whose tail energy is still
 # above the tolerance here decays too slowly to sum in reasonable time.
@@ -104,29 +104,29 @@ def lde_filter(
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     """Unit-pulse response h[:n], cut where the energy still to come,
-    tail(n) = sum of h[m]**2 over m >= n, is below ``tol``.  From n >= len(num)
-    on, the rest is the free response from h[n-K:n], R(z)/A(z) with
-    r_i = -sum_{j=i+1..K} a_j h[n+i-j]: tail(n) is its white-noise gain, exact
-    and rounded once.  n is n0 = max(len(num), 2K, 8), or else the n > n0 with
-    tail(n) < tol <= tail(n-1) found by doubling from n0 and bisecting.  Raises
-    what white_noise_gain raises, and NonConvergent for a tail still above
-    ``tol`` after a million samples."""
+    tail(n) = sum of h[m]**2 over m >= n, is at most ``tol`` times the total,
+    white_noise_gain(num, den).  From n >= len(num) on, the rest is the free
+    response from h[n-K:n], R(z)/A(z) with r_i = -sum_{j=i+1..K} a_j h[n+i-j]:
+    tail(n) is its white-noise gain, exact and rounded once.  n is n0 =
+    max(len(num), 2K, 8), or else the n > n0 with tail(n) <= tol * total <
+    tail(n-1) found by doubling from n0 and bisecting.  Raises what
+    white_noise_gain raises, and NonConvergent after a million samples."""
     b, a = _finite_pair(num, den)
     _check_normalized(a)
     k = a.degree
     if k == 0:
         return list(b.coeffs)
-    white_noise_gain(b, a)
+    bound = tol * white_noise_gain(b, a)
     dens, _ = _ints(a.coeffs)
     pulse = chain((1.0,), repeat(0.0))
     samples = _recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k)
     h: list[float] = []
 
-    def below(n: int) -> bool:  # tail(n) < tol
+    def below(n: int) -> bool:  # tail(n) <= tol * total
         h.extend(islice(samples, max(n - len(h), 0)))
         window, e = _ints(h[n - 1:n - k - 1:-1])
         r = [-sum(map(mul, dens[i + 1:], window)) for i in range(k)]
-        return _step_down(r, dens, 2 * e) < tol
+        return _step_down(r, dens, 2 * e) <= bound
 
     lo = hi = max(len(b), 2 * k, 8)
     while not below(hi):
@@ -223,13 +223,6 @@ def white_noise_gain(num, den) -> float:
     return _step_down(ints[:len(b)], ints[len(b):])
 
 
-def _ints(values) -> tuple[list[int], int]:
-    """The floats ``values`` times 2**e, as integers, and the smallest such e."""
-    ratios = list(map(float.as_integer_ratio, values))
-    e = max(d for _, d in ratios).bit_length() - 1
-    return [n << e - d.bit_length() + 1 for n, d in ratios], e
-
-
 def _step_down(nums: list[int], dens: list[int], shift: int = 0) -> float:
     """white_noise_gain's step-down on integers ``nums`` over ``dens`` (the shorter
     zero-padded), over 2**shift; g divides each step exactly, so the scale is lead**2 g."""
@@ -249,34 +242,6 @@ def _step_down(nums: list[int], dens: list[int], shift: int = 0) -> float:
         return (top * dens[0] + nums[0] * nums[0]) / (scale * dens[0] << shift)
     except OverflowError:
         raise NonFiniteValue("white-noise gain overflows") from None
-
-
-def _realization_noise_gain(ss) -> float:
-    """Noise gain c P c' of a realization, P = sum_n A^n b b' A'^n the Lyapunov
-    series summed by doubling (Smith, SIAM J. Appl. Math. 16(1), 1968):
-    P <- P + A^m P A'^m, A^m <- A^2m, until the added term no longer moves
-    c P c' and A^m has decayed by 1e-12.  Works on the matrices the filter
-    runs, not on rounded transfer coefficients.  Raises NonConvergent when
-    A^m has not decayed after 64 doublings or stops being finite."""
-    am = ss.transition
-    col = ss.input_gain
-    out = ss.output_row.data[0]
-    p = col @ Matrix([col.col(0)])
-    top = max(map(abs, am.flat()))
-
-    def quad(m: Matrix) -> float:  # c m c'
-        return sum(map(mul, out, [sum(map(mul, r, out)) for r in m.data]))
-
-    for _ in range(64):
-        step = am @ p @ Matrix(zip(*am.data))
-        p = Matrix([map(add, x, y) for x, y in zip(p.data, step.data)])
-        am = am @ am
-        total = quad(p)
-        if not math.isfinite(total):
-            break
-        if abs(quad(step)) <= 1e-17 * abs(total) and max(map(abs, am.flat())) <= 1e-12 * top:
-            return total
-    raise NonConvergent("transition does not contract: the noise-gain series does not converge")
 
 
 def optimal_lag_k2(pole: float) -> float:

@@ -34,16 +34,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain, islice
 
 from . import analyze
-from .design import (
-    DesignResult,
-    ObserverSpec,
-    _rotated_char_poly,
-    design,
-    memory_to_pole,
-    placement_residual,
-    pole_to_memory,
-    realized_char_poly,
-)
+from .design import DesignResult, ObserverSpec, design, memory_to_pole, pole_to_memory
 from .errors import (
     FixedGainError,
     NonFiniteValue,
@@ -52,6 +43,7 @@ from .errors import (
     UnstablePoles,
 )
 from .linalg import Matrix
+from .poly import from_roots
 from .process import ProcessModel
 from .realize import ccf_realization, ocf_realization, pcf_realization, transfer_coefficients
 from . import realize
@@ -227,38 +219,43 @@ def design_document(
         doc["realizations_omitted"] = omitted
 
     num, den = transfer_coefficients(result)
-    doc["transfer"] = {
-        "numerator": list(num.coeffs),
-        "denominator": list(den.coeffs),
-    }
+    doc["transfer"] = {"numerator": list(num.coeffs), "denominator": list(den.coeffs)}
 
-    analysis = {"white_noise_gain": analyze._realization_noise_gain(result.ss_kin)}
-    if order == 2 and "pole" in doc["design"]:
+    analysis = {"white_noise_gain": _noise_gain(result)}
+    if order == 2 and doc["design"].get("pole", -1.0) >= 0.0:
         analysis["optimal_lag"] = analyze.optimal_lag_k2(doc["design"]["pole"])
     doc["analysis"] = analysis
 
-    residual = placement_residual(realized_char_poly(result), spec.poles)
-    doc["verification"] = {"placement_residual": residual}
+    doc["verification"] = {"placement_residual": verify_document(doc)}
     return doc
 
 
 def verify_document(doc: dict) -> float:
-    """Re-run the pole-placement residual check from a parsed document.
-
-    Rebuilds the closed-loop transition and the companion similarity from the
-    document's own matrices and evaluates the recovered characteristic
-    polynomial at the document's poles.  :func:`design_document` records
-    its ``placement_residual`` by this same rotation, so a document printed
-    at full precision verifies to exactly the value it states.
-    """
+    """The placement gap of a parsed document, max |D_m - a_m| / a_m over the
+    u^(K-m) coefficients, u = z - 1, of the exact denominator D(u) of the loop
+    its ``design`` and ``gains.kin`` blocks describe and of ``from_roots([p - 1
+    for p in poles])`` (positive for stable poles), exact and rounded once.
+    :func:`design_document` states it by this function, so a document printed
+    at full precision verifies to exactly the value it states."""
     try:
-        transition = Matrix(doc["realizations"]["kin"]["transition"])
-        kin_from_pcf = Matrix(doc["transforms"]["kin_from_pcf"])
-        pcf_from_kin = Matrix(doc["transforms"]["pcf_from_kin"])
-        poles = [complex(re, im) for re, im in doc["design"]["poles"]]
+        spec = doc["design"]
+        model = ProcessModel(spec["order"], spec["sampling_period"])
+        output = model.output_row(spec["lag"], spec["derivative"]).row(0)
+        poles = [complex(re, im) for re, im in spec["poles"]]
+        gains = [float(g) for g in doc["gains"]["kin"]]
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"document is missing required fields: {exc}") from exc
-    return placement_residual(_rotated_char_poly(transition, kin_from_pcf, pcf_from_kin), poles)
+    want = from_roots([p - 1.0 for p in poles]).coeffs
+    if not len(gains) == len(poles) == model.order or not all(a > 0.0 for a in want[1:]):
+        raise InputDataError("document gains or poles do not fit its order and a stable design")
+    (lead, *den), _ = realize._loop_pair(model, gains, output)
+    return max(abs(d * m - n * lead) / (n * lead)
+               for d, (n, m) in zip(den, map(float.as_integer_ratio, want[1:])))
+
+
+def _noise_gain(result: DesignResult) -> float:
+    """Exact noise gain of the loop the design runs (its pair's step-down), rounded once."""
+    return analyze._step_down(*realize._transfer_ints(result))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +297,10 @@ def cmd_design(args) -> int:
 
 def cmd_analyze(args) -> int:
     result = _design_from_args(args)
-    # The noise gain and the step response run on the kinematic realization;
-    # only the other analyses need the transfer coefficients.
+    # The noise gain runs on the exact pair and the step response on the
+    # kinematic realization; only the other analyses need the rounded pair.
     if args.wng:
-        _write_lines(["quantity", "value"],
-                     [_csv_line(["wng", analyze._realization_noise_gain(result.ss_kin)])])
+        _write_lines(["quantity", "value"], [_csv_line(["wng", _noise_gain(result)])])
         return 0
     if args.step is not None:
         ys = analyze.step_response(result, args.step)
@@ -449,10 +445,9 @@ _TABLE_LAGS = (1.0, 0.0, -1.0)
 
 def _second_order_wng(pole: float, lag: float) -> float:
     """White-noise gain of the order-2 design at the given pole and lag,
-    computed through the full pipeline (design, then the Lyapunov series of
-    the kinematic realization) rather than the closed form."""
-    result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), pole, lag=lag))
-    return analyze._realization_noise_gain(result.ss_kin)
+    computed through the full pipeline (design, then the exact noise gain of
+    its loop) rather than the closed form."""
+    return _noise_gain(design(ObserverSpec.repeated(ProcessModel(2, 1.0), pole, lag=lag)))
 
 
 def cmd_tables(args) -> int:

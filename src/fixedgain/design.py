@@ -212,36 +212,6 @@ def design(spec: ObserverSpec) -> DesignResult:
     )
 
 
-def realized_char_poly(result: DesignResult) -> Polynomial:
-    """Characteristic polynomial of the assembled closed loop, recovered by
-    rotating the kinematic transition into companion coordinates and reading
-    its last column.  Agrees with ``result.char_poly`` up to roundoff."""
-    return _rotated_char_poly(result.ss_kin.transition, result.kin_from_pcf, result.pcf_from_kin)
-
-
-def _rotated_char_poly(transition, kin_from_pcf, pcf_from_kin) -> Polynomial:
-    rotated = pcf_from_kin @ transition @ kin_from_pcf
-    return Polynomial([1.0] + [-c for c in reversed(rotated.col(rotated.cols - 1))])
-
-
-def placement_residual(char: Polynomial, poles: Sequence[complex]) -> float:
-    """Largest scaled magnitude of ``char`` (and its derivatives, up to each
-    pole's multiplicity) over the requested pole set.  Zero means the
-    polynomial vanishes exactly where it should."""
-    counts: dict[complex, int] = {}
-    for p in poles:
-        p = complex(p)
-        counts[p] = counts.get(p, 0) + 1
-    worst = 0.0
-    for pole, mult in counts.items():
-        d = char
-        for _ in range(mult):
-            scale = max(1.0, max(abs(c) for c in d.coeffs))
-            worst = max(worst, abs(d(pole)) / scale)
-            d = d.derivative()
-    return worst
-
-
 def memory_to_pole(memory: float) -> float:
     """Pole with the given memory length in samples: p = exp(-1/memory)."""
     memory = float(memory)

@@ -78,9 +78,8 @@ class NotNormalized(FixedGainError):
 class NonConvergent(FixedGainError):
     """A response does not decay, so its sum cannot converge: the
     denominator has a pole on or outside the unit circle (decided exactly,
-    for the white-noise gain and the impulse response alike), an impulse
-    response is still above its tolerance after a million samples, or a
-    realization's transition does not contract."""
+    for the white-noise gain and the impulse response alike), or an impulse
+    response is still above its tolerance after a million samples."""
 
 
 class PoleOnUnitCircle(FixedGainError):

@@ -19,7 +19,7 @@ each, PCF from a per-order table) and certifies the transform, raising
 :class:`Unobservable` or :class:`Uncontrollable` when it cannot.
 
 The transfer function needs no canonical form: :func:`transfer_coefficients`
-reads it off the kinematic realization by the Cayley-Hamilton recursion.
+rounds the exact pair of the loop the design runs, computed in integers.
 
 A realization's per-sample arithmetic (:func:`step`,
 :func:`extract_kinematic`) runs as straight-line Python compiled once per
@@ -29,16 +29,19 @@ realization, on first use, with every dot product unrolled.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import mul
 from types import CodeType, FunctionType, SimpleNamespace
 
 from .errors import (
     FixedGainError,
     FormMismatch,
+    NonFiniteValue,
     SingularMatrix,
     Uncontrollable,
     Unobservable,
@@ -63,7 +66,8 @@ _CERTIFY_TOL = 1e-8
 
 
 def _max_abs(m: Matrix) -> float:
-    return max(abs(v) for row in m.data for v in row)
+    """Largest |entry|, inf if an entry is nan."""
+    return max(abs(v) if v == v else math.inf for row in m.data for v in row)
 
 
 def _certify_similarity(kin: "StateSpaceModel", candidate: "StateSpaceModel", error) -> None:
@@ -318,28 +322,64 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     return model
 
 
-def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomial]:
-    """Numerator/denominator of the filter's transfer function, read off the
-    kinematic realization the filter runs.
+def _ints(values, shifts=repeat(0)) -> tuple[list[int], int]:
+    """The floats ``values`` times 2**shift each, as integers over 2**e, the least e >= 0."""
+    parts = []
+    for (n, d), s in zip(map(float.as_integer_ratio, values), shifts):
+        zeros = (n & -n).bit_length() - 1 if n else 0
+        parts.append((n >> zeros, d.bit_length() - 1 - zeros - s))
+    e = max([0] + [x for n, x in parts if n])
+    return [n << e - x if n else 0 for n, x in parts], e
 
-    For the loop w[n] = A w[n-1] + b x[n], y[n] = c w[n] the transfer
-    function is H(z) = z c adj(zI - A) b / D(z), with D(z) = z^K + a_1 z^(K-1)
-    + ... + a_K the placed characteristic polynomial, the denominator.  By
-    Cayley-Hamilton the numerator's z^(K-j) coefficient is n_j = c r_j, with
-    r_0 = b and r_j = A r_(j-1) + a_j b: K - 1 matrix-vector products and K
-    read-outs, each dot product summed as ``Matrix @`` sums it.  The constant term is
-    structurally zero, so the numerator has K+1 entries like the denominator.
-    Nothing is inverted and no coordinates change, so no design is refused.
-    """
-    kin = result.ss_kin
-    rows, b, c = kin.transition.data, kin.input_gain.col(0), kin.output_row.row(0)
-    den = result.char_poly
-    r = b
-    num = [sum(map(mul, c, r))]
-    for a_j in den.coeffs[1:-1]:
-        r = [sum(map(mul, row, r)) + a_j * b_i for row, b_i in zip(rows, b)]
-        num.append(sum(map(mul, c, r)))
-    return Polynomial(num + [0.0]), den
+
+def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[list, list]:
+    """D(u) and P(u), u = z - 1, of the loop F - k p read by c, exactly, for
+    ``model``'s F = I + N (Toeplitz) and p (F's first row), ``gains`` k and
+    ``output`` c.  By Sherman-Morrison, H(z) = (1 + u) P(u) / D(u) with
+    D(u) = u^K + sum_j (p N^j k) u^(K-1-j), P(u) = sum_j (c N^j k) u^(K-1-j)
+    and p N^j k = (N^j k)_0 + (N^(j+1) k)_0.  The entries are floats, so the
+    coefficients (descending powers) are integers over one power of two, D's
+    lead.  State i is scaled by 2**(i e), e the binary exponent of ts, in the
+    integers' exponents: an exact similarity that keeps them short at any ts."""
+    k, e = model.order, math.frexp(model.ts)[1]
+    g, eg = _ints(model.transition_matrix.row(0)[1:], [-m * e for m in range(1, k)])
+    v, ek = _ints(gains, [i * e for i in range(k)])
+    c, ec = _ints(output, [-i * e for i in range(k)])
+    heads, nums = [], []  # (N^j k)_0 and c N^j k, each over 2**(ek + j eg)
+    for _ in range(k):
+        heads.append(v[0])
+        nums.append(sum(map(mul, c, v)))
+        v = [sum(map(mul, g, v[i + 1:])) for i in range(len(v) - 1)]  # N^j k ends in j zeros
+    d_exps = [ek + j * eg for j in range(1, k + 1)]
+    n_exps = [ec + ek + j * eg for j in range(k)]
+    top = max(d_exps[-1], n_exps[-1])  # e >= 0 from _ints: the exponents grow with j
+    return ([1 << top] + [(a << eg) + b << top - x
+                          for a, b, x in zip(heads, heads[1:] + [0], d_exps)],
+            [n << top - x for n, x in zip(nums, n_exps)])
+
+
+def _transfer_ints(result: "DesignResult") -> tuple[list[int], list[int]]:
+    """z P(z - 1) and D(z - 1) of the design's loop (:func:`_loop_pair`) over
+    descending powers of z, as integers over D's lead, a power of two."""
+    den, num = _loop_pair(result.spec.process, result.gains.kin.col(0),
+                          result.ss_kin.output_row.row(0))
+    for poly in (den, num):  # Taylor shift by -1: u = z - 1
+        for i in range(len(poly) - 1):
+            for j in range(1, len(poly) - i):
+                poly[j] -= poly[j - 1]
+    return num + [0], den
+
+
+def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomial]:
+    """Numerator/denominator of the filter's transfer function over descending
+    powers of z, K+1 entries each: z P(z - 1) and D(z - 1) of the loop the
+    design runs (:func:`_loop_pair`), exact and rounded once; a coefficient
+    beyond the double range raises NonFiniteValue."""
+    num, den = _transfer_ints(result)
+    try:
+        return Polynomial([v / den[0] for v in num]), Polynomial([v / den[0] for v in den])
+    except OverflowError:
+        raise NonFiniteValue("transfer coefficients overflow") from None
 
 
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:

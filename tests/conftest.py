@@ -7,8 +7,12 @@ optimal-lag row.  Beside them sit the closed forms they follow from (gains
 for orders 1-3, the order-2 transfer function and noise gain), which the
 pipeline must reproduce, and exact Fraction solves of the noise gain of a
 coefficient pair and of a realization's matrices, the integer step-down
-without its exact divisions, and the exact Cayley-Hamilton numerator of a
-realization.
+without its exact divisions, the exact Cayley-Hamilton numerator of a
+realization and the exact transfer pair of a design's loop.  Three float
+routes the package no longer takes are oracles here too: the Lyapunov
+doubling of a realization's noise gain, the characteristic polynomial read
+off the PCF rotation of the loop, and the multiplicity residual of a
+polynomial at the requested poles.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import strategies as st
@@ -357,3 +362,92 @@ def inverse(m: Matrix) -> Matrix:
     """``m`` inverted by ``Matrix.solve`` against the identity; a non-square
     ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
     return m.solve(Matrix.identity(m.rows))
+
+
+def transfer_pair_fraction(result) -> tuple[list[Fraction], list[Fraction]]:
+    """z P(z - 1) and D(z - 1) of the design's loop F - k p read by c, in
+    Fractions from the float F, k, p and c: D(u) = u^K + sum_j (p N^j k)
+    u^(K-1-j) and P(u) = sum_j (c N^j k) u^(K-1-j), N = F - I, each then
+    expanded in z by binomials."""
+    model = result.spec.process
+    f = [[Fraction(v) for v in row] for row in model.transition_matrix.data]
+    k = [Fraction(v) for v in result.gains.kin.col(0)]
+    p = [Fraction(v) for v in model.predictor_row().row(0)]
+    c = [Fraction(v) for v in result.ss_kin.output_row.row(0)]
+    n = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(f)]
+    order, v, d_u, p_u = len(k), k, [Fraction(1)], []
+    for _ in range(order):
+        d_u.append(sum(x * y for x, y in zip(p, v)))
+        p_u.append(sum(x * y for x, y in zip(c, v)))
+        v = [sum(x * y for x, y in zip(row, v)) for row in n]
+
+    def in_z(u_coeffs):  # sum_m c_m (z - 1)^(deg - m)
+        deg = len(u_coeffs) - 1
+        return [sum(a * math.comb(deg - m, deg - i) * (-1) ** (i - m)
+                    for m, a in enumerate(u_coeffs[:i + 1])) for i in range(deg + 1)]
+
+    return in_z(p_u) + [Fraction(0)], in_z(d_u)
+
+
+def loop_noise_gain_fraction(result) -> float:
+    """Exact noise gain of the design's loop F - k p, read by c, from the
+    float F, k, p and c, rounded once (the Lyapunov solve in Fractions)."""
+    model = result.spec.process
+    f = [[Fraction(v) for v in row] for row in model.transition_matrix.data]
+    k = [Fraction(v) for v in result.gains.kin.col(0)]
+    p = [Fraction(v) for v in model.predictor_row().row(0)]
+    a = [[v - g * w for v, w in zip(row, p)] for row, g in zip(f, k)]
+    return _lyapunov_fraction(a, k, [Fraction(v) for v in result.ss_kin.output_row.row(0)])
+
+
+def _realization_noise_gain(ss) -> float:
+    """Noise gain c P c' of a realization, P = sum_n A^n b b' A'^n the Lyapunov
+    series summed by doubling (Smith, SIAM J. Appl. Math. 16(1), 1968):
+    P <- P + A^m P A'^m, A^m <- A^2m, until the added term no longer moves
+    c P c' and A^m has decayed by 1e-12.  Raises NonConvergent when A^m has
+    not decayed after 64 doublings or stops being finite."""
+    am = ss.transition
+    col = ss.input_gain
+    out = ss.output_row.data[0]
+    p = col @ Matrix([col.col(0)])
+    top = max(map(abs, am.flat()))
+
+    def quad(m: Matrix) -> float:  # c m c'
+        return sum(map(mul, out, [sum(map(mul, r, out)) for r in m.data]))
+
+    for _ in range(64):
+        step = am @ p @ Matrix(zip(*am.data))
+        p = Matrix([map(add, x, y) for x, y in zip(p.data, step.data)])
+        am = am @ am
+        total = quad(p)
+        if not math.isfinite(total):
+            break
+        if abs(quad(step)) <= 1e-17 * abs(total) and max(map(abs, am.flat())) <= 1e-12 * top:
+            return total
+    raise NonConvergent("transition does not contract: the noise-gain series does not converge")
+
+
+def realized_char_poly(result) -> Polynomial:
+    """Characteristic polynomial of the assembled closed loop, recovered by
+    rotating the kinematic transition into companion coordinates and reading
+    its last column.  Agrees with ``result.char_poly`` up to roundoff."""
+    rotated = result.pcf_from_kin @ result.ss_kin.transition @ result.kin_from_pcf
+    return Polynomial([1.0] + [-c for c in reversed(rotated.col(rotated.cols - 1))])
+
+
+def placement_residual(char: Polynomial, poles) -> float:
+    """Largest scaled magnitude of ``char`` (and its derivatives, up to each
+    pole's multiplicity) over the requested pole set.  Zero means the
+    polynomial vanishes exactly where it should."""
+    counts: dict[complex, int] = {}
+    for p in poles:
+        p = complex(p)
+        counts[p] = counts.get(p, 0) + 1
+    worst = 0.0
+    for pole, mult in counts.items():
+        d = char
+        for _ in range(mult):
+            scale = max(1.0, max(abs(c) for c in d.coeffs))
+            worst = max(worst, abs(d(pole)) / scale)
+            d = d.derivative()
+    return worst

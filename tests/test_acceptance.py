@@ -29,6 +29,7 @@ from conftest import (
     REF_TS,
     closed_form_gains,
     max_abs_diff,
+    realized_char_poly,
     second_order_transfer,
     white_noise_gain_k2,
 )
@@ -51,7 +52,6 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.design import realized_char_poly
 
 
 def _report(capsys, index, label, ok, detail):

@@ -26,6 +26,7 @@ from conftest import (
     BENCH_OPTIMAL_WNG,
     BENCH_POLES_4DP,
     BENCH_WNG,
+    _realization_noise_gain,
     lyapunov_noise_gain_fraction,
     max_abs_diff,
     noise_gain_fraction,
@@ -54,7 +55,7 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.analyze import _ints, _realization_noise_gain, _step_down
+from fixedgain.analyze import _ints, _step_down
 from fixedgain.errors import (
     DimensionMismatch,
     NonConvergent,
@@ -311,10 +312,32 @@ def test_impulse_response_stops_at_its_exact_tail_energy(draw):
         assert max(abs(np.roots(den.coeffs))) > 0.99
         return
     n0 = max(len(num), 2 * order, 8)
+    bound = tol * white_noise_gain(num, den)
     assert len(h) >= n0
-    assert _tail(den, h, len(h)) < tol
+    assert _tail(den, h, len(h)) <= bound
     if len(h) > n0:
-        assert _tail(den, h, len(h) - 1) >= tol
+        assert _tail(den, h, len(h) - 1) > bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.floats(0.0, 0.95), st.floats(-1.0, 3.0), st.integers(0, k - 1),
+    st.integers(-200, 200))))
+def test_impulse_response_scales_with_its_numerator(draw):
+    # tol is relative to the total energy, so a power-of-two numerator scales
+    # every sample exactly and leaves the cut where it was.
+    order, pole, lag, deriv, s = draw
+    num, den = _transfer(order, 1.0, pole, lag, deriv)
+    h = impulse_response(num, den)
+    scaled = impulse_response([math.ldexp(c, s) for c in num], den)
+    assert scaled == [math.ldexp(v, s) for v in h]
+
+
+def test_impulse_response_of_no_energy_is_its_first_samples():
+    # The zero response has no tail to wait for: n0 samples, not the sample cap.
+    start = time.perf_counter()
+    assert impulse_response([0.0, 0.0, 0.0], [1.0, -1.6, 0.64]) == [0.0] * 8
+    assert time.perf_counter() - start < 0.1
 
 
 @settings(max_examples=150, deadline=None)

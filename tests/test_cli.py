@@ -10,10 +10,11 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import (
     BENCH_OPTIMAL_LAG,
@@ -21,8 +22,11 @@ from conftest import (
     BENCH_WNG,
     REF_GAIN_KIN,
     REF_NUMERATOR,
+    _realization_noise_gain,
     exact_design_noise_gain,
+    loop_noise_gain_fraction,
     max_abs_diff,
+    placed_specs,
 )
 import fixedgain
 from fixedgain import (
@@ -35,8 +39,7 @@ from fixedgain import (
     step_response,
     transfer_coefficients,
 )
-from fixedgain.analyze import _realization_noise_gain
-from fixedgain.cli import _BLOCK, design_document, main, verify_document
+from fixedgain.cli import _BLOCK, _noise_gain, design_document, main, verify_document
 from fixedgain.design import memory_to_pole
 
 REF_ARGS = ["--order", "3", "--pole", "0.8", "--lag", "2", "--ts", "0.04"]
@@ -102,6 +105,14 @@ def test_design_memory_flag_echoes_pole(capsys):
     assert doc["analysis"]["optimal_lag"] == pytest.approx(7.54, abs=0.01)
 
 
+def test_design_document_of_a_repeated_negative_pole(capsys):
+    # A repeated pole outside [0, 1) has no optimal lag; the document still prints.
+    code, out = run_cli(capsys, ["design", "--order", "2", "--poles=-0.5,-0.5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["design"]["pole"] == -0.5 and "optimal_lag" not in doc["analysis"]
+
+
 def test_design_explicit_pole_list(capsys):
     _, out = run_cli(capsys, ["design", "--order", "2",
                               "--poles", "0.4+0.2j,0.4-0.2j", "--lag", "1"])
@@ -115,6 +126,47 @@ def test_design_single_form_selection(capsys):
     _, out = run_cli(capsys, ["design", *REF_ARGS, "--form", "ocf"])
     doc = json.loads(out)
     assert set(doc["realizations"]) == {"ocf"}
+
+
+@pytest.mark.parametrize("form", ["kin", "pcf", "ocf", "ccf", "all"])
+def test_every_document_form_verifies_to_its_stated_gap(capsys, form):
+    # The gap is rebuilt from the design and gains blocks alone, so a
+    # document holding any one realization verifies.
+    code, out = run_cli(capsys, ["design", *REF_ARGS, "--form", form])
+    assert code == 0
+    doc = json.loads(out)
+    assert verify_document(doc) == doc["verification"]["placement_residual"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(placed_specs())
+def test_document_gap_catches_a_gain_error(spec):
+    # The exact D(u) of the loop against the requested poles' a_m.  Pole sets
+    # that are all negative read higher: the closed-form gains' alternating
+    # Stirling sums cancel there, and the gap reports that rounding (up to
+    # 4.7e-14 measured).  The last gain alone sets D(0) = a_K, so a 1e-9
+    # error in it moves that coefficient by 1e-9 relative.  Only the blocks
+    # the gap reads are built: a clustered negative pole set can design an
+    # unstable loop, whose document stops at its noise gain.
+    model = spec.process
+    doc = {"design": {"order": model.order, "sampling_period": model.ts, "lag": spec.lag,
+                      "poles": [[p.real, p.imag] for p in spec.poles], "derivative": spec.deriv},
+           "gains": {"kin": list(design(spec).gains.kin.col(0))}}
+    bound = 1e-13 if all(p.real < 0.0 for p in spec.poles) else 1e-14
+    assert verify_document(doc) <= bound
+    doc["gains"]["kin"][-1] *= 1.0 + 1e-9
+    assert verify_document(doc) > 1e-10
+
+
+def test_verify_document_refuses_unfit_gains_and_poles():
+    doc = design_document(design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)))
+    for edit in (lambda d: d["gains"]["kin"].pop(), lambda d: d["design"]["poles"].pop(),
+                 lambda d: d["design"].update(poles=[[1.5, 0.0]] * 3),
+                 lambda d: d["gains"].pop("kin")):
+        broken = json.loads(json.dumps(doc))
+        edit(broken)
+        with pytest.raises(fixedgain.cli.InputDataError):
+            verify_document(broken)
 
 
 def test_design_omits_uncertifiable_form(capsys):
@@ -189,11 +241,35 @@ def test_analyze_wng(capsys):
     assert float(rows[0][1]) == pytest.approx(BENCH_WNG[0.0][0], abs=5e-4)
 
 
+@settings(max_examples=40, deadline=None)
+@given(placed_specs())
+def test_cli_noise_gain_is_the_exact_loop_gain_rounded_once(spec):
+    assume(spec.process.order <= 4)
+    result = design(spec)
+    assert _noise_gain(result) == loop_noise_gain_fraction(result)
+
+
+@pytest.mark.parametrize("ts", [1e-26, 1e-40, 1e25, 1e30])
+def test_noise_gain_and_document_hold_at_extreme_sampling_periods(capsys, ts):
+    # The gain scales as ts^(-2 deriv): the ts = 1 value, exact, times that.
+    args = ["--order", "8", "--pole", "0.8", "--ts", repr(ts), "--lag", "2", "--deriv", "3"]
+    code, out = run_cli(capsys, ["analyze", *args, "--wng"])
+    assert code == 0
+    got = float(read_csv(out)[1][0][1])
+    unit = design(ObserverSpec.repeated(ProcessModel(8, 1.0), 0.8, lag=2.0, deriv=3))
+    want = Fraction(_noise_gain(unit)) / Fraction(ts) ** 6
+    assert abs(Fraction(got) - want) <= 1e-12 * want
+    code, out = run_cli(capsys, ["design", "--order", "8", "--pole", "0.8", "--ts", repr(ts)])
+    assert code == 0
+    doc = json.loads(out)
+    assert verify_document(doc) == doc["verification"]["placement_residual"] <= 1e-14
+
+
 def test_analyze_wng_value_reparses_exactly(capsys):
     _, out = run_cli(capsys, ["analyze", *REF_ARGS, "--wng"])
     _, rows = read_csv(out)
     result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0))
-    assert float(rows[0][1]) == _realization_noise_gain(result.ss_kin)
+    assert float(rows[0][1]) == loop_noise_gain_fraction(result)
 
 
 @pytest.mark.parametrize("args", [
@@ -275,7 +351,9 @@ def test_analyze_wng_and_step_need_no_transfer_coefficients(capsys, monkeypatch,
     result, a, b, c = _no_transfer_design(args)
     if option == ["--wng"]:
         got = float(rows[0][1])
-        assert got == _realization_noise_gain(result.ss_kin)
+        # The exact gain of the loop F - k p against the doubling on the
+        # rounded transition the filter steps.
+        assert got == pytest.approx(_realization_noise_gain(result.ss_kin), rel=1e-12)
         # The Lyapunov series by doubling in numpy, to the benchmark's 1e-8.
         p, am = np.outer(b, b), a
         for _ in range(64):

@@ -21,10 +21,13 @@ from conftest import (
     REF_GAIN_PCF,
     REF_KIN_FROM_PCF,
     REF_PCF_FROM_KIN,
+    _realization_noise_gain,
     ackermann_gains_fraction,
     closed_form_gains,
     max_abs_diff,
     placed_specs,
+    placement_residual,
+    realized_char_poly,
 )
 from fixedgain import (
     DesignResult,
@@ -43,14 +46,11 @@ from fixedgain import (
     run,
     transfer_coefficients,
 )
-from fixedgain.analyze import _realization_noise_gain
 from fixedgain.design import (
     _kinematic_gains,
     _stirling,
     companion_column,
     pcf_transform,
-    placement_residual,
-    realized_char_poly,
 )
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,

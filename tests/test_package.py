@@ -24,9 +24,11 @@ PUBLIC_NAMES = (
     "step", "step_response", "transfer_coefficients", "white_noise_gain",
 )
 
-# Closed forms that are test oracles in conftest, a deleted stack builder and
-# names used only inside the package (the last four stay in fixedgain.design,
-# where design() and the CLI use them): none of them is package surface.
+# Closed forms and float routes that are test oracles in conftest (the last
+# two, which the design document's placement gap replaced), a deleted stack
+# builder and names used only inside the package (companion_column and
+# pcf_transform stay in fixedgain.design, where design() uses them): none of
+# them is package surface.
 REMOVED_NAMES = (
     "closed_form_gains", "controllability_matrix", "observability_matrix",
     "pcf_gain", "second_order_transfer", "white_noise_gain_k2",

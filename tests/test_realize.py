@@ -18,6 +18,7 @@ from conftest import (
     placed_specs,
     second_order_transfer,
     transfer_numerator_fraction,
+    transfer_pair_fraction,
 )
 from fixedgain import (
     FilterState,
@@ -339,10 +340,16 @@ def test_ocf_and_ccf_routes_agree():
 def test_transfer_numerator_is_the_exact_recursion_rounded(spec):
     result = design(spec)
     num, den = transfer_coefficients(result)
-    assert den is result.char_poly
-    want = transfer_numerator_fraction(result.ss_kin, result.char_poly)
+    # Bit for bit the exact pair of the loop F - k p, rounded once.
+    exact_num, exact_den = transfer_pair_fraction(result)
+    assert num.coeffs == tuple(map(float, exact_num))
+    assert den.coeffs == tuple(map(float, exact_den))
+    # The recursion on the rounded transition, with the loop's own rounded
+    # characteristic polynomial: each rounding, eps of its input, reaches the
+    # numerator multiplied by up to max |a_j|.
+    want = transfer_numerator_fraction(result.ss_kin, den)
     assert num[-1] == 0.0 and len(num) == spec.process.order + 1
-    assert max_abs_diff(num.coeffs, want) <= 1e-12 * max(map(abs, want))
+    assert max_abs_diff(num.coeffs, want) <= 1e-12 * max(map(abs, want)) * max(map(abs, den))
 
 
 @pytest.mark.parametrize("lag", [-1.0, 0.0, 1.0, 2.0, 3.0])
