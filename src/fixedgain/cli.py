@@ -243,11 +243,12 @@ def verify_document(doc: dict) -> float:
         output = model.output_row(spec["lag"], spec["derivative"]).row(0)
         poles = [complex(re, im) for re, im in spec["poles"]]
         gains = [float(g) for g in doc["gains"]["kin"]]
-    except (KeyError, TypeError) as exc:
-        raise InputDataError(f"document is missing required fields: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a FixedGainError is a ValueError
+        raise InputDataError(f"document design or gains are missing or unusable: {exc}") from exc
     want = from_roots([p - 1.0 for p in poles]).coeffs
-    if not len(gains) == len(poles) == model.order or not all(a > 0.0 for a in want[1:]):
-        raise InputDataError("document gains or poles do not fit its order and a stable design")
+    fits = len(gains) == len(poles) == model.order and all(a > 0.0 for a in want[1:])
+    if not fits or not all(map(math.isfinite, [*gains, *output, *model.transition_matrix.row(0)])):
+        raise InputDataError("document gains or poles are not finite, or unfit for a stable design")
     (lead, *den), _ = realize._loop_pair(model, gains, output)
     return max(abs(d * m - n * lead) / (n * lead)
                for d, (n, m) in zip(den, map(float.as_integer_ratio, want[1:])))

@@ -323,13 +323,11 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
 
 
 def _ints(values, shifts=repeat(0)) -> tuple[list[int], int]:
-    """The floats ``values`` times 2**shift each, as integers over 2**e, the least e >= 0."""
-    parts = []
-    for (n, d), s in zip(map(float.as_integer_ratio, values), shifts):
-        zeros = (n & -n).bit_length() - 1 if n else 0
-        parts.append((n >> zeros, d.bit_length() - 1 - zeros - s))
-    e = max([0] + [x for n, x in parts if n])
-    return [n << e - x if n else 0 for n, x in parts], e
+    """The floats ``values`` times 2**shift each, as integers over one 2**e, e >= 0."""
+    ratios = list(map(float.as_integer_ratio, values))
+    exps = [d.bit_length() - 1 - s if n else 0 for (n, d), s in zip(ratios, shifts)]
+    e = max(0, *exps)
+    return [n << e - x for (n, _), x in zip(ratios, exps)], e
 
 
 def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[list, list]:
@@ -342,20 +340,19 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
     lead.  State i is scaled by 2**(i e), e the binary exponent of ts, in the
     integers' exponents: an exact similarity that keeps them short at any ts."""
     k, e = model.order, math.frexp(model.ts)[1]
-    g, eg = _ints(model.transition_matrix.row(0)[1:], [-m * e for m in range(1, k)])
-    v, ek = _ints(gains, [i * e for i in range(k)])
-    c, ec = _ints(output, [-i * e for i in range(k)])
-    heads, nums = [], []  # (N^j k)_0 and c N^j k, each over 2**(ek + j eg)
+    up = [i * e for i in range(k)]
+    ints, x = _ints([*model.transition_matrix.row(0)[1:], *gains, *output],
+                    [-s for s in up[1:]] + up + [-s for s in up])
+    g, v, c = ints[:k - 1], ints[k - 1:2 * k - 1], ints[2 * k - 1:]
+    heads, nums = [], []  # (N^j k)_0 over 2**((j + 1) x), c N^j k over 2**((j + 2) x)
     for _ in range(k):
         heads.append(v[0])
         nums.append(sum(map(mul, c, v)))
-        v = [sum(map(mul, g, v[i + 1:])) for i in range(len(v) - 1)]  # N^j k ends in j zeros
-    d_exps = [ek + j * eg for j in range(1, k + 1)]
-    n_exps = [ec + ek + j * eg for j in range(k)]
-    top = max(d_exps[-1], n_exps[-1])  # e >= 0 from _ints: the exponents grow with j
-    return ([1 << top] + [(a << eg) + b << top - x
-                          for a, b, x in zip(heads, heads[1:] + [0], d_exps)],
-            [n << top - x for n, x in zip(nums, n_exps)])
+        v = [sum(map(mul, g, v[i:])) for i in range(1, len(v))]  # N^j k ends in j zeros
+    heads.append(0)
+    return ([1 << (k + 1) * x] + [(heads[j] << x) + heads[j + 1] << (k - 1 - j) * x
+                                  for j in range(k)],
+            [n << (k - 1 - j) * x for j, n in enumerate(nums)])
 
 
 def _transfer_ints(result: "DesignResult") -> tuple[list[int], list[int]]:

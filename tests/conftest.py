@@ -316,21 +316,46 @@ def placed_specs(draw):
                         deriv=draw(st.integers(0, order - 1)))
 
 
-def transfer_numerator_fraction(ss, char_poly) -> tuple[float, ...]:
-    """Transfer numerator of a realization's float matrices, rounded once:
-    n_j = c r_j with r_0 = b and r_j = A r_(j-1) + a_j b, where a_j are the
-    float coefficients of ``char_poly``, run exactly in Fractions.  The
-    constant term is structurally zero."""
-    a = [[Fraction(v) for v in row] for row in ss.transition.data]
-    b = [Fraction(v) for v in ss.input_gain.col(0)]
-    c = [Fraction(v) for v in ss.output_row.row(0)]
+def _numerator_recursion(a, b, c, char_coeffs) -> tuple[float, ...]:
+    """n_j = c r_j with r_0 = b and r_j = A r_(j-1) + a_j b, a_j the
+    characteristic coefficients, run exactly in Fractions and rounded once,
+    with the structurally zero constant term."""
     r = b
     num = [sum(x * y for x, y in zip(c, r))]
-    for a_j in char_poly.coeffs[1:-1]:
+    for a_j in char_coeffs[1:-1]:
         r = [sum(x * y for x, y in zip(row, r)) + Fraction(a_j) * b_i
              for row, b_i in zip(a, b)]
         num.append(sum(x * y for x, y in zip(c, r)))
     return (*map(float, num), 0.0)
+
+
+def transfer_numerator_fraction(ss, char_poly) -> tuple[float, ...]:
+    """Transfer numerator of a realization's float matrices by the
+    Cayley-Hamilton recursion on the float coefficients of ``char_poly``."""
+    return _numerator_recursion([[Fraction(v) for v in row] for row in ss.transition.data],
+                                [Fraction(v) for v in ss.input_gain.col(0)],
+                                [Fraction(v) for v in ss.output_row.row(0)], char_poly.coeffs)
+
+
+def loop_transfer_fraction(result) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Numerator and denominator of the loop A = F - k p the design runs, in
+    Fractions from the float F, k, p and c, rounded once: the characteristic
+    polynomial by Faddeev-LeVerrier (c_m = -tr(A M_m) / m, M_(m+1) = A M_m +
+    c_m I) and the numerator by the Cayley-Hamilton recursion on it, so no
+    step is shared with the pair's Sherman-Morrison form."""
+    model = result.spec.process
+    k = [Fraction(v) for v in result.gains.kin.col(0)]
+    p = [Fraction(v) for v in model.predictor_row().row(0)]
+    a = [[Fraction(v) - g * w for v, w in zip(row, p)]
+         for row, g in zip(model.transition_matrix.data, k)]
+    order, coeffs = len(k), [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(order)] for i in range(order)]
+    for step in range(1, order + 1):
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        coeffs.append(-sum(am[i][i] for i in range(order)) / step)
+        m = [[v + coeffs[-1] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(am)]
+    c = [Fraction(v) for v in result.ss_kin.output_row.row(0)]
+    return _numerator_recursion(a, k, c, coeffs), tuple(map(float, coeffs))
 
 
 # --- second-order noise-gain benchmark: memory lengths l = 2,4,8,12,16

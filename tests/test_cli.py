@@ -159,10 +159,18 @@ def test_document_gap_catches_a_gain_error(spec):
 
 
 def test_verify_document_refuses_unfit_gains_and_poles():
+    # json.loads reads Infinity and NaN, so a parsed document can hold them.
     doc = design_document(design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)))
     for edit in (lambda d: d["gains"]["kin"].pop(), lambda d: d["design"]["poles"].pop(),
                  lambda d: d["design"].update(poles=[[1.5, 0.0]] * 3),
-                 lambda d: d["gains"].pop("kin")):
+                 lambda d: d["gains"].pop("kin"),
+                 lambda d: d["gains"]["kin"].__setitem__(1, math.inf),
+                 lambda d: d["gains"]["kin"].__setitem__(2, math.nan),
+                 lambda d: d["gains"]["kin"].__setitem__(0, "a"),
+                 lambda d: d["design"].update(lag=math.inf),
+                 lambda d: d["design"].update(lag=math.nan),
+                 lambda d: d["design"].update(sampling_period=1e200),
+                 lambda d: d["design"].update(order=9)):
         broken = json.loads(json.dumps(doc))
         edit(broken)
         with pytest.raises(fixedgain.cli.InputDataError):
@@ -351,8 +359,10 @@ def test_analyze_wng_and_step_need_no_transfer_coefficients(capsys, monkeypatch,
     result, a, b, c = _no_transfer_design(args)
     if option == ["--wng"]:
         got = float(rows[0][1])
-        # The exact gain of the loop F - k p against the doubling on the
-        # rounded transition the filter steps.
+        # Bit for bit the exact gain of the loop F - k p (a Lyapunov solve in
+        # Fractions), and near the doubling on the rounded transition the
+        # filter steps.
+        assert got == loop_noise_gain_fraction(result)
         assert got == pytest.approx(_realization_noise_gain(result.ss_kin), rel=1e-12)
         # The Lyapunov series by doubling in numpy, to the benchmark's 1e-8.
         p, am = np.outer(b, b), a

@@ -14,6 +14,7 @@ from conftest import (
     REF_NUMERATOR,
     REF_OCF_FROM_KIN_COL0,
     companion_pair_fraction,
+    loop_transfer_fraction,
     max_abs_diff,
     placed_specs,
     second_order_transfer,
@@ -277,6 +278,17 @@ def test_certification_rejects_graded_degenerate_readout(order, ts):
         ocf_realization(result)
 
 
+def test_certification_refuses_a_transform_holding_nan():
+    # At a lag of 2.2e-308 the observable form's transform holds entries near
+    # the underflow threshold, and its inverse comes out all nan.  A nan
+    # residual compares false against any bound, so the certificate has to
+    # read it as inf, not pass it.
+    result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.0, lag=2.2e-308))
+    with pytest.raises(Unobservable):
+        ocf_realization(result)
+    assert all(map(math.isfinite, ccf_realization(result).kin_from_form.flat()))
+
+
 @pytest.mark.parametrize("order, ts", [(3, 0.04), (4, 10.0)])
 def test_certified_fallback_keeps_transfer_exact(order, ts):
     # At the same refused designs the controllable form certifies fine, and
@@ -344,12 +356,11 @@ def test_transfer_numerator_is_the_exact_recursion_rounded(spec):
     exact_num, exact_den = transfer_pair_fraction(result)
     assert num.coeffs == tuple(map(float, exact_num))
     assert den.coeffs == tuple(map(float, exact_den))
-    # The recursion on the rounded transition, with the loop's own rounded
-    # characteristic polynomial: each rounding, eps of its input, reaches the
-    # numerator multiplied by up to max |a_j|.
-    want = transfer_numerator_fraction(result.ss_kin, den)
+    # And bit for bit the Cayley-Hamilton recursion on that exact loop, with
+    # its characteristic polynomial from traces: no Sherman-Morrison step.
+    want, want_den = loop_transfer_fraction(result)
     assert num[-1] == 0.0 and len(num) == spec.process.order + 1
-    assert max_abs_diff(num.coeffs, want) <= 1e-12 * max(map(abs, want)) * max(map(abs, den))
+    assert num.coeffs == want and den.coeffs == want_den
 
 
 @pytest.mark.parametrize("lag", [-1.0, 0.0, 1.0, 2.0, 3.0])
