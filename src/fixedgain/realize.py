@@ -33,9 +33,9 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import mul
+from operator import mul, or_
 from types import CodeType, FunctionType, SimpleNamespace
 
 from .errors import (
@@ -340,9 +340,9 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
     lead.  State i is scaled by 2**(i e), e the binary exponent of ts, in the
     integers' exponents: an exact similarity that keeps them short at any ts."""
     k, e = model.order, math.frexp(model.ts)[1]
-    up = [i * e for i in range(k)]
     ints, x = _ints([*model.transition_matrix.row(0)[1:], *gains, *output],
-                    [-s for s in up[1:]] + up + [-s for s in up])
+                    [-i * e for i in range(1, k)] + [i * e for i in range(k)]
+                    + [-i * e for i in range(k)])
     g, v, c = ints[:k - 1], ints[k - 1:2 * k - 1], ints[2 * k - 1:]
     heads, nums = [], []  # (N^j k)_0 over 2**((j + 1) x), c N^j k over 2**((j + 2) x)
     for _ in range(k):
@@ -350,9 +350,12 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
         nums.append(sum(map(mul, c, v)))
         v = [sum(map(mul, g, v[i:])) for i in range(1, len(v))]  # N^j k ends in j zeros
     heads.append(0)
-    return ([1 << (k + 1) * x] + [(heads[j] << x) + heads[j + 1] << (k - 1 - j) * x
-                                  for j in range(k)],
-            [n << (k - 1 - j) * x for j, n in enumerate(nums)])
+    den = [1 << (k + 1) * x] + [(heads[j] << x) + heads[j + 1] << (k - 1 - j) * x
+                                for j in range(k)]
+    num = [n << (k - 1 - j) * x for j, n in enumerate(nums)]
+    low = reduce(or_, den + num)  # lowest set bit: the common power of two, up to D's lead
+    z = (low & -low).bit_length() - 1
+    return [d >> z for d in den], [n >> z for n in num]
 
 
 def _transfer_ints(result: "DesignResult") -> tuple[list[int], list[int]]:
