@@ -28,6 +28,7 @@ from operator import mul
 
 from .errors import (
     DimensionMismatch,
+    FixedGainError,
     NonConvergent,
     NonFiniteValue,
     NotNormalized,
@@ -109,8 +110,11 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     response from h[n-K:n], R(z)/A(z) with r_i = -sum_{j=i+1..K} a_j h[n+i-j]:
     tail(n) is its white-noise gain, exact and rounded once.  n is n0 =
     max(len(num), 2K, 8), or else the n > n0 with tail(n) <= tol * total <
-    tail(n-1) found by doubling from n0 and bisecting.  Raises what
-    white_noise_gain raises, and NonConvergent after a million samples."""
+    tail(n-1) found by doubling from n0 and bisecting.  Raises FixedGainError
+    for a nan or negative tol, what white_noise_gain raises, and
+    NonConvergent after a million samples."""
+    if not tol >= 0.0:
+        raise FixedGainError(f"impulse tolerance must be >= 0, got {tol!r}")
     b, a = _finite_pair(num, den)
     _check_normalized(a)
     k = a.degree

@@ -74,7 +74,8 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
     where.add_argument("--memory", type=float, metavar="L",
                        help="memory length in samples; sets the pole to exp(-1/L)")
     where.add_argument("--poles", type=_pole_list, metavar="LIST",
-                       help="comma-separated pole list (complex ok, e.g. '0.5,0.4+0.2j,0.4-0.2j')")
+                       help="comma-separated pole list (complex ok, e.g. '0.5,0.4+0.2j,0.4-0.2j');"
+                       " write a list that starts with '-' as --poles=-0.5,-0.5")
     parser.add_argument("--lag", type=float, default=0.0, metavar="Q",
                         help="read-out lag in samples (fractional/negative ok, default 0)")
     parser.add_argument("--deriv", type=int, default=0, metavar="D",
@@ -191,12 +192,13 @@ def design_document(
     doc["char_poly"] = list(result.char_poly.coeffs)
     doc["process_char_poly"] = list(model.char_poly.coeffs)
     doc["companion_columns"] = {
-        "observer": list(result.companion_col_obs),
-        "process": list(result.companion_col_prc),
+        "observer": list(realize.companion_column(result.char_poly)),
+        "process": list(realize.companion_column(model.char_poly)),
     }
+    kin_from_pcf, pcf_from_kin = realize.pcf_transform(model)
     doc["transforms"] = {
-        "kin_from_pcf": _matrix_rows(result.kin_from_pcf),
-        "pcf_from_kin": _matrix_rows(result.pcf_from_kin),
+        "kin_from_pcf": _matrix_rows(kin_from_pcf),
+        "pcf_from_kin": _matrix_rows(pcf_from_kin),
     }
 
     builders = {

@@ -5,7 +5,9 @@ this module computes the correction-gain vector that places the observer's
 poles exactly there, then assembles the closed-loop filter in kinematic
 coordinates.  The gains come in closed form, from the observer polynomial in
 powers of u = z - 1 and a per-order table of Stirling numbers; nothing is
-inverted, so every stable pole set designs at every sampling period.
+inverted, so every stable pole set designs at every sampling period.  The
+canonical forms are other views of the same loop, built on request by
+:mod:`fixedgain.realize`.
 
 The poles are the whole design surface: a single repeated pole ``p`` trades
 bandwidth against noise through one number, with ``p = 0`` giving a deadbeat
@@ -19,21 +21,18 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     DimensionMismatch,
     DerivativeIndexOutOfRange,
     FixedGainError,
     NonFiniteValue,
-    NotMonic,
-    Unobservable,
     UnstablePoles,
 )
 from .linalg import Matrix
-from .poly import Polynomial, from_roots
+from .poly import from_roots
 from .process import ProcessModel
-from .realize import Form, StateSpaceModel, _observable_form
+from .realize import Form, StateSpaceModel
 
 
 class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
@@ -85,60 +84,17 @@ class GainVectors(namedtuple("GainVectors", "kin pcf")):
     __slots__ = ()
 
 
-class DesignResult(namedtuple("DesignResult", "spec gains char_poly companion_col_obs"
-                               " companion_col_prc kin_from_pcf pcf_from_kin ss_kin")):
-    """Everything the placement produced.
-
-    ``char_poly`` is the observer characteristic polynomial; the companion
-    columns are it and the process polynomial as :func:`companion_column`
-    gives them.  The canonical realizations and the transfer function are
-    built from it on request by :mod:`fixedgain.realize`.
-    """
+class DesignResult(namedtuple("DesignResult", "spec gains char_poly ss_kin")):
+    """Everything the placement decides: the gains, the observer polynomial
+    ``char_poly`` and the kinematic loop ``ss_kin``.  Its canonical forms,
+    their transforms and the transfer function are built on request by
+    :mod:`fixedgain.realize`."""
 
     __slots__ = ()
 
     @property
     def order(self) -> int:
         return self.spec.process.order
-
-
-def companion_column(char: Polynomial) -> tuple[float, ...]:
-    """Last column of the companion matrix whose characteristic polynomial
-    is ``char``: entry k is ``-char[K-k]``.  ``char`` must be monic."""
-    if not char.is_monic():
-        raise NotMonic(f"expected leading coefficient 1, got {char[0]!r}")
-    k = char.degree
-    if k < 1:
-        raise NotMonic("characteristic polynomial must have degree >= 1")
-    return tuple(-char[k - i] for i in range(k))
-
-
-def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
-    """Similarity pair ``(kin_from_pcf, pcf_from_kin)`` between kinematic and
-    process-companion coordinates.
-
-    F(ts) = S^-1 F(1) S with S = diag(ts^j), and the predictor row scales
-    alike, so the pair (T1^-1, T1) of ts = 1 is built once per order, by the
-    builder of the observable canonical form, and scaled: ``kin_from_pcf`` =
-    S^-1 T1^-1 and ``pcf_from_kin`` = T1 S.
-    """
-    unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
-    try:
-        down = [model.ts ** -j for j in range(model.order)]
-    except OverflowError:
-        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
-    up = [model.ts ** j for j in range(model.order)]  # finite: the transition holds them
-    return (Matrix([[v * d for v in row] for row, d in zip(unit_kin_from_pcf.data, down)]),
-            Matrix([map(mul, row, up) for row in unit_pcf_from_kin.data]))
-
-
-@lru_cache(maxsize=None)
-def _unit_pcf_transform(order: int) -> tuple[Matrix, Matrix]:
-    model = ProcessModel(order, 1.0)
-    return _observable_form(
-        model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
-        Unobservable("process/predictor pair is not observable at this order"),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -172,26 +128,26 @@ def _kinematic_gains(poles: Sequence[complex], ts: float) -> list[float]:
 def design(spec: ObserverSpec) -> DesignResult:
     """Place the observer poles and assemble the kinematic-form filter.
 
-    The kinematic gains come in closed form (:func:`_kinematic_gains`), the
-    companion gain is the coefficient gap between the process and observer
-    polynomials, and the PCF pair is :func:`pcf_transform`'s per-order table.
-    The loop is closed against the predictor row and read out by the
-    requested row.  A pole on or outside the unit circle raises
-    :class:`UnstablePoles`.
+    The kinematic gains come in closed form (:func:`_kinematic_gains`) and
+    the companion gain is the coefficient gap between the observer and
+    process polynomials.  The loop is closed against the predictor row and
+    read out by the requested row.  A pole on or outside the unit circle
+    raises :class:`UnstablePoles`; a ts whose powers ts^-j leave the double
+    range raises :class:`NonFiniteValue`.
     """
     model = spec.process
     for p in spec.poles:
         if abs(p) >= 1.0:
             raise UnstablePoles(f"pole {p} is not strictly inside the unit circle")
-    char = from_roots(spec.poles)
-    col_obs = companion_column(char)
-    col_prc = companion_column(model.char_poly)
-    gain_pcf_vec = Matrix.column([gp - go for gp, go in zip(col_prc, col_obs)])
-    kin_from_pcf, pcf_from_kin = pcf_transform(model)  # raises if ts^-j overflows
-    gains = _kinematic_gains(spec.poles, model.ts)
+    char, k = from_roots(spec.poles), model.order
+    try:
+        gains = _kinematic_gains(spec.poles, model.ts)
+    except OverflowError:  # ts^-j past the double range
+        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
     if not all(map(math.isfinite, gains)):
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
     gain_kin_vec = Matrix.column(gains)
+    gain_pcf_vec = Matrix.column([char[k - i] - model.char_poly[k - i] for i in range(k)])
     ss_kin = StateSpaceModel(
         form=Form.KIN,
         transition=model.transition_matrix - gain_kin_vec @ model.predictor_row(),
@@ -200,16 +156,8 @@ def design(spec: ObserverSpec) -> DesignResult:
         kin_from_form=Matrix.identity(model.order),
         form_from_kin=Matrix.identity(model.order),
     )
-    return DesignResult(
-        spec=spec,
-        gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
-        char_poly=char,
-        companion_col_obs=col_obs,
-        companion_col_prc=col_prc,
-        kin_from_pcf=kin_from_pcf,
-        pcf_from_kin=pcf_from_kin,
-        ss_kin=ss_kin,
-    )
+    return DesignResult(spec=spec, gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
+                        char_poly=char, ss_kin=ss_kin)
 
 
 def memory_to_pole(memory: float) -> float:

@@ -42,12 +42,14 @@ from .errors import (
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
+    NotMonic,
     SingularMatrix,
     Uncontrollable,
     Unobservable,
 )
 from .linalg import Matrix
 from .poly import Polynomial
+from .process import ProcessModel
 
 
 class Form(str, enum.Enum):
@@ -240,16 +242,56 @@ def _observable_form(
     return Matrix(zip(*krylov)), Matrix(horner[::-1])
 
 
+def companion_column(char: Polynomial) -> tuple[float, ...]:
+    """Last column of the companion matrix whose characteristic polynomial
+    is ``char``: entry k is ``-char[K-k]``.  ``char`` must be monic."""
+    if not char.is_monic():
+        raise NotMonic(f"expected leading coefficient 1, got {char[0]!r}")
+    k = char.degree
+    if k < 1:
+        raise NotMonic("characteristic polynomial must have degree >= 1")
+    return tuple(-char[k - i] for i in range(k))
+
+
+def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
+    """Similarity pair ``(kin_from_pcf, pcf_from_kin)`` between kinematic and
+    process-companion coordinates.
+
+    F(ts) = S^-1 F(1) S with S = diag(ts^j), and the predictor row scales
+    alike, so the pair (T1^-1, T1) of ts = 1 is built once per order, by
+    :func:`_observable_form`, and scaled: ``kin_from_pcf`` = S^-1 T1^-1 and
+    ``pcf_from_kin`` = T1 S.
+    """
+    unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
+    try:
+        down = [model.ts ** -j for j in range(model.order)]
+    except OverflowError:
+        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
+    up = [model.ts ** j for j in range(model.order)]  # finite: the transition holds them
+    return (Matrix([[v * d for v in row] for row, d in zip(unit_kin_from_pcf.data, down)]),
+            Matrix([map(mul, row, up) for row in unit_pcf_from_kin.data]))
+
+
+@lru_cache(maxsize=None)
+def _unit_pcf_transform(order: int) -> tuple[Matrix, Matrix]:
+    model = ProcessModel(order, 1.0)
+    return _observable_form(
+        model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
+        Unobservable("process/predictor pair is not observable at this order"),
+    )
+
+
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
-    """Rebase a design into process-companion coordinates."""
+    """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
     kin = result.ss_kin
+    kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
     model = StateSpaceModel(
         form=Form.PCF,
-        transition=companion_matrix(result.companion_col_obs),
+        transition=companion_matrix(companion_column(result.char_poly)),
         input_gain=result.gains.pcf,
-        output_row=kin.output_row @ result.kin_from_pcf,
-        kin_from_form=result.kin_from_pcf,
-        form_from_kin=result.pcf_from_kin,
+        output_row=kin.output_row @ kin_from_pcf,
+        kin_from_form=kin_from_pcf,
+        form_from_kin=pcf_from_kin,
     )
     _certify_similarity(kin, model, Unobservable)
     return model
@@ -259,21 +301,21 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     """Observable canonical form of a design.
 
     The transform is built by :func:`_observable_form` from the read-out row
-    and the closed-loop transition, as :func:`fixedgain.design.pcf_transform`
-    builds the PCF one from the predictor row and the process transition.
+    and the closed-loop transition, as :func:`pcf_transform` builds the PCF
+    one from the predictor row and the process transition.
     The finished pair is certified against the transform identities; designs
     whose read-out row leaves the state unobservable (exactly or within
     roundoff of it) raise :class:`Unobservable` rather than returning a
     corrupt transform.
     """
-    kin = result.ss_kin
+    kin, col = result.ss_kin, companion_column(result.char_poly)
     kin_from_ocf, ocf_from_kin = _observable_form(
-        kin.output_row, kin.transition, result.companion_col_obs,
+        kin.output_row, kin.transition, col,
         Unobservable("closed-loop pair is not observable; cannot reach OCF"),
     )
     model = StateSpaceModel(
         form=Form.OCF,
-        transition=companion_matrix(result.companion_col_obs),
+        transition=companion_matrix(col),
         input_gain=ocf_from_kin @ kin.input_gain,
         output_row=Matrix.row_vector([0.0] * (kin.order - 1) + [1.0]),
         kin_from_form=kin_from_ocf,
@@ -299,7 +341,7 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     """
     kin = result.ss_kin
     k = kin.order
-    col = result.companion_col_obs
+    col = companion_column(result.char_poly)
     first_row = [col[k - 1 - j] for j in range(k)]
     transition = Matrix(
         [first_row]

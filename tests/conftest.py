@@ -34,6 +34,7 @@ from fixedgain.errors import (
     NonPositiveSamplingPeriod,
     UnstablePoles,
 )
+from fixedgain.realize import pcf_transform
 
 # --- the reference third-order design: K=3, Ts=0.04, repeated pole 0.8,
 #     read-out lagged two samples ---------------------------------------
@@ -456,7 +457,8 @@ def realized_char_poly(result) -> Polynomial:
     """Characteristic polynomial of the assembled closed loop, recovered by
     rotating the kinematic transition into companion coordinates and reading
     its last column.  Agrees with ``result.char_poly`` up to roundoff."""
-    rotated = result.pcf_from_kin @ result.ss_kin.transition @ result.kin_from_pcf
+    kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
+    rotated = pcf_from_kin @ result.ss_kin.transition @ kin_from_pcf
     return Polynomial([1.0] + [-c for c in reversed(rotated.col(rotated.cols - 1))])
 
 

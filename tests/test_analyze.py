@@ -58,6 +58,7 @@ from fixedgain import (
 from fixedgain.analyze import _ints, _step_down
 from fixedgain.errors import (
     DimensionMismatch,
+    FixedGainError,
     NonConvergent,
     NonFiniteValue,
     NotNormalized,
@@ -259,6 +260,22 @@ def test_impulse_rejects_marginal_and_unstable_poles():
             analysis([1.0, 0.0, 0.0, 0.0], from_roots([1.0] * 3))
         with pytest.raises(NonConvergent):  # Fujiwara's bound overflows to inf
             analysis([1.0, 0.0, 0.0], [1.0, 1e308, 1e308])
+
+
+def test_impulse_refuses_a_nan_or_negative_tolerance_at_once():
+    # No tail energy is <= nan or a negative bound: such a tol would run the
+    # whole sample cap before failing as NonConvergent.
+    num, den = _transfer(2, 1.0, 0.75, 0.5)
+    for tol in (math.nan, -1e-12, -math.inf):
+        start = time.perf_counter()
+        with pytest.raises(FixedGainError, match="tolerance") as info:
+            impulse_response(num, den, tol=tol)
+        assert not isinstance(info.value, NonConvergent)
+        assert time.perf_counter() - start < 0.1
+    # The edges of the accepted range still answer: all of the energy is
+    # left at tol = inf, none at tol = 0.
+    assert impulse_response(num, den, tol=math.inf) == impulse_response(num, den, tol=1.0)
+    assert len(impulse_response(num, den, tol=0.0)) > len(impulse_response(num, den))
 
 
 @pytest.mark.parametrize("num, den", [

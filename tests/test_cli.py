@@ -1,5 +1,6 @@
 """Command-line surface: documents, CSV schemas, exit codes, determinism."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -156,6 +157,44 @@ def test_document_gap_catches_a_gain_error(spec):
     assert verify_document(doc) <= bound
     doc["gains"]["kin"][-1] *= 1.0 + 1e-9
     assert verify_document(doc) > 1e-10
+
+
+@st.composite
+def negative_or_complex_specs(draw):
+    """Specs over every order, a log-uniform sampling period, lag and
+    derivative, whose poles are all negative or hold a complex pair."""
+    order = draw(st.integers(1, 8))
+    if order >= 2 and draw(st.booleans()):
+        z = cmath.rect(draw(st.floats(0.0, 0.999)), draw(st.floats(0.01, 3.13)))
+        poles = [z, z.conjugate(), *draw(st.lists(st.floats(-0.999, 0.999),
+                                                  min_size=order - 2, max_size=order - 2))]
+    else:
+        poles = draw(st.lists(st.floats(-0.999, -0.001), min_size=order, max_size=order))
+    return ObserverSpec(ProcessModel(order, 10.0 ** draw(st.floats(-3.0, 3.0))), poles,
+                        lag=draw(st.floats(-1.0, 3.0)), deriv=draw(st.integers(0, order - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_or_complex_specs())
+def test_document_transforms_and_companion_columns_are_the_realize_builders(spec):
+    # The blocks are built on request from the design's process and
+    # polynomials; the PCF entry, when it certifies, carries the same pair,
+    # and gains.pcf is the gap of the two columns.
+    result = design(spec)
+    try:
+        doc = json.loads(json.dumps(design_document(result, ("kin", "pcf"))))
+    except fixedgain.errors.NonConvergent:  # a clustered negative set can design an unstable loop
+        assume(False)
+    kin_from_pcf, pcf_from_kin = (
+        [list(row) for row in m.data] for m in realize.pcf_transform(spec.process))
+    assert doc["transforms"] == {"kin_from_pcf": kin_from_pcf, "pcf_from_kin": pcf_from_kin}
+    if "pcf" in doc["realizations"]:
+        entry = doc["realizations"]["pcf"]
+        assert (entry["kin_from_form"], entry["form_from_kin"]) == (kin_from_pcf, pcf_from_kin)
+    observer = list(realize.companion_column(result.char_poly))
+    process = list(realize.companion_column(spec.process.char_poly))
+    assert doc["companion_columns"] == {"observer": observer, "process": process}
+    assert doc["gains"]["pcf"] == [p - o for p, o in zip(process, observer)]
 
 
 def test_verify_document_refuses_unfit_gains_and_poles():

@@ -46,12 +46,7 @@ from fixedgain import (
     run,
     transfer_coefficients,
 )
-from fixedgain.design import (
-    _kinematic_gains,
-    _stirling,
-    companion_column,
-    pcf_transform,
-)
+from fixedgain.design import _kinematic_gains, _stirling
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
@@ -61,6 +56,7 @@ from fixedgain.errors import (
     NotMonic,
     UnstablePoles,
 )
+from fixedgain.realize import companion_column, pcf_transform
 
 
 # --- companion-column / gain helpers ---------------------------------------
@@ -79,9 +75,10 @@ def test_companion_column_requires_monic():
 
 def test_pcf_gain_is_columnwise_gap(reference_design):
     r = reference_design
-    assert r.companion_col_prc == (1.0, -3.0, 3.0)
-    assert r.companion_col_obs == pytest.approx((0.512, -1.92, 2.4), abs=1e-15)
-    gap = tuple(gp - go for gp, go in zip(r.companion_col_prc, r.companion_col_obs))
+    col_prc, col_obs = companion_column(r.spec.process.char_poly), companion_column(r.char_poly)
+    assert col_prc == (1.0, -3.0, 3.0)
+    assert col_obs == pytest.approx((0.512, -1.92, 2.4), abs=1e-15)
+    gap = tuple(gp - go for gp, go in zip(col_prc, col_obs))
     assert r.gains.pcf.col(0) == gap
     assert gap == pytest.approx((0.488, -1.08, 0.6), abs=1e-15)
 
@@ -440,7 +437,7 @@ def test_gain_vectors_and_design_result_records():
     assert result == design(result.spec)
     assert result != design(result.spec._replace(lag=1.0))
     assert repr(result).startswith(f"DesignResult(spec={result.spec!r}, gains={gains!r}, ")
-    assert len(DesignResult._fields) == 8
+    assert DesignResult._fields == ("spec", "gains", "char_poly", "ss_kin")
     assert repr(result).endswith(f", ss_kin={result.ss_kin!r})")
     copy = pickle.loads(pickle.dumps(result))
     # A ProcessModel compares by identity, so the copy's spec is a new value.

@@ -27,8 +27,8 @@ PUBLIC_NAMES = (
 # Closed forms and float routes that are test oracles in conftest (the last
 # two, which the design document's placement gap replaced), a deleted stack
 # builder and names used only inside the package (companion_column and
-# pcf_transform stay in fixedgain.design, where design() uses them): none of
-# them is package surface.
+# pcf_transform live in fixedgain.realize, where the realizations and the
+# design document build them on request): none of them is package surface.
 REMOVED_NAMES = (
     "closed_form_gains", "controllability_matrix", "observability_matrix",
     "pcf_gain", "second_order_transfer", "white_noise_gain_k2",

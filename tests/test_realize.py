@@ -47,7 +47,7 @@ from fixedgain.errors import (
     Unobservable,
     UnstablePoles,
 )
-from fixedgain.realize import _observability_matrix
+from fixedgain.realize import _observability_matrix, companion_column
 
 
 def _reference_design():
@@ -80,7 +80,7 @@ def test_observability_matrix_matches_numpy_stack():
 def test_pcf_transition_is_companion_of_observer_polynomial():
     result = _reference_design()
     pcf = pcf_realization(result)
-    assert pcf.transition.data == companion_matrix(result.companion_col_obs).data
+    assert pcf.transition.data == companion_matrix(companion_column(result.char_poly)).data
     assert pcf.input_gain.col(0) == result.gains.pcf.col(0)
 
 
@@ -100,7 +100,7 @@ def test_ocf_structure_and_reference_gain():
     result = _reference_design()
     ocf = ocf_realization(result)
     assert ocf.output_row.row(0) == (0.0, 0.0, 1.0)
-    assert ocf.transition.data == companion_matrix(result.companion_col_obs).data
+    assert ocf.transition.data == companion_matrix(companion_column(result.char_poly)).data
     assert max_abs_diff(ocf.input_gain.col(0), REF_GAIN_OCF) < 1e-9
 
 
@@ -144,7 +144,7 @@ def test_ccf_structure():
     result = _reference_design()
     ccf = ccf_realization(result)
     assert ccf.input_gain.col(0) == (1.0, 0.0, 0.0)
-    col = result.companion_col_obs
+    col = companion_column(result.char_poly)
     assert ccf.transition.row(0) == (col[2], col[1], col[0])
     assert ccf.transition.row(1) == (1.0, 0.0, 0.0)
     assert ccf.transition.row(2) == (0.0, 1.0, 0.0)
@@ -231,7 +231,7 @@ def test_companion_transforms_match_the_exact_builder(order, ts, lag):
     # within a few ulps times K of their largest entry; the Krylov side rests
     # on the one inversion and is held to the certification bound.
     result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.8, lag=lag))
-    kin, col = result.ss_kin, result.companion_col_obs
+    kin, col = result.ss_kin, companion_column(result.char_poly)
     horner_tol = 4 * order * 2.0 ** -52
     ocf = ocf_realization(result)
     kin_from_ocf, ocf_from_kin = companion_pair_fraction(kin.output_row, kin.transition, col)
