@@ -1,11 +1,13 @@
 """Response analysis for designed tracking filters.
 
 Works on the transfer-coefficient view of a filter: a numerator/denominator
-pair over descending powers of z, with the denominator monic.  Covers the
-questions one actually asks of a smoother: how much measurement noise gets
-through (white-noise gain), what the frequency response looks like, how fast
-the step response settles, whether ramps are tracked without bias, and how
-flat the passband is at dc (moment-matching derivatives).
+pair over descending powers of z.  Every analysis of a pair refuses a nan or
+infinite coefficient (NonFiniteValue); white_noise_gain, impulse_response,
+lde_filter and ramp_error need a monic denominator.  Covers what one asks of a
+smoother: how much measurement noise gets through (white-noise gain), what the
+frequency response looks like, how fast the step response settles, whether
+ramps are tracked without bias, and how flat the passband is at dc
+(moment-matching derivatives).
 
 The white-noise gain of a coefficient pair is exact, from an integer step-down
 with exact divisions, rounded once; the impulse response is cut where the same
@@ -45,13 +47,9 @@ from .realize import _ints
 _SAMPLE_CAP = 1_000_000
 
 
-def _as_poly(coeffs) -> Polynomial:
-    return coeffs if isinstance(coeffs, Polynomial) else Polynomial(coeffs)
-
-
 def _finite_pair(num, den) -> tuple[Polynomial, Polynomial]:
     """``(num, den)`` as polynomials, refusing a nan or infinite coefficient."""
-    b, a = _as_poly(num), _as_poly(den)
+    b, a = (p if isinstance(p, Polynomial) else Polynomial(p) for p in (num, den))
     if not all(map(math.isfinite, b.coeffs + a.coeffs)):
         raise NonFiniteValue("transfer coefficients must be finite")
     return b, a
@@ -90,8 +88,7 @@ def lde_filter(
     ordered most-recent-first (``past_inputs[0]`` is x[-1]).  Missing history
     is taken as zero, which is the cold-start convention.
     """
-    b = _as_poly(num)
-    a = _as_poly(den)
+    b, a = _finite_pair(num, den)
     _check_normalized(a)
     nb = len(b) - 1
     na = len(a) - 1
@@ -111,8 +108,12 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     tail(n) is its white-noise gain, exact and rounded once.  n is n0 =
     max(len(num), 2K, 8), or else the n > n0 with tail(n) <= tol * total <
     tail(n-1) found by doubling from n0 and bisecting.  Raises FixedGainError
-    for a nan or negative tol, what white_noise_gain raises, and
+    for a tol that is not a number >= 0, what white_noise_gain raises, and
     NonConvergent after a million samples."""
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise FixedGainError(f"impulse tolerance must be a number, got {tol!r}") from None
     if not tol >= 0.0:
         raise FixedGainError(f"impulse tolerance must be >= 0, got {tol!r}")
     b, a = _finite_pair(num, den)
@@ -120,8 +121,9 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     k = a.degree
     if k == 0:
         return list(b.coeffs)
-    bound = tol * white_noise_gain(b, a)
-    dens, _ = _ints(a.coeffs)
+    ints, _ = _ints(b.coeffs + a.coeffs)
+    dens = ints[len(b):]
+    bound = tol * _step_down(ints[:len(b)], dens)
     pulse = chain((1.0,), repeat(0.0))
     samples = _recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k)
     h: list[float] = []
@@ -260,22 +262,9 @@ def optimal_lag_k2(pole: float) -> float:
     return 0.5 * (1.0 + 3.0 * p) / (1.0 - p)
 
 
-def _dc_denominator(a: Polynomial) -> float:
-    """D(1), refusing a denominator that at z = 1 vanishes, or is not
-    resolved from zero by its coefficients: |D(1)| under 1e-12 max(1, |a_k|)
-    is inside their rounding."""
-    a1 = sum(a.coeffs)
-    if abs(a1) < 1e-12 * max(1.0, max(abs(c) for c in a.coeffs)):
-        raise PoleAtOne(
-            "denominator at z = 1 vanishes, or is not resolved from zero by its"
-            " coefficients; no dc steady state"
-        )
-    return a1
-
-
 def steady_state_step(num, den) -> float:
-    """Final value of the unit-step response: H at z = 1."""
-    return sum(_as_poly(num).coeffs) / _dc_denominator(_as_poly(den))
+    """Final value of the unit-step response: H at z = 1, order 0 of the dc series."""
+    return _dc_derivatives(num, den, 1)[0].real
 
 
 def ramp_error(num, den, lag: float, ts: float, horizon: int) -> float:
@@ -324,9 +313,13 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     s = i*omega the m-th derivative in omega is i**m * m! times its
     coefficient m.
     """
-    b = _as_poly(num)
-    a = _as_poly(den)
-    d0 = _dc_denominator(a)
+    b, a = _finite_pair(num, den)
+    d0 = sum(a.coeffs)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
+    if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a.coeffs)):
+        raise PoleAtOne(
+            "denominator at z = 1 vanishes, or is not resolved from zero by its"
+            " coefficients; no dc steady state"
+        )
 
     def series(p: Polynomial) -> list[float]:
         n = p.degree

@@ -59,22 +59,6 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Polynomial product (coefficient convolution)."""
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        if n == 0:
-            return Polynomial([0.0])
-        return Polynomial([(n - k) * c for k, c in enumerate(self.coeffs[:-1])])
-
     def is_monic(self) -> bool:
         return self.coeffs[0] == 1.0
 

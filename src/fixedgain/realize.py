@@ -342,11 +342,6 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     kin = result.ss_kin
     k = kin.order
     col = companion_column(result.char_poly)
-    first_row = [col[k - 1 - j] for j in range(k)]
-    transition = Matrix(
-        [first_row]
-        + [[1.0 if j == i else 0.0 for j in range(k)] for i in range(k - 1)]
-    )
     p_inv, p = _observable_form(
         Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
@@ -354,7 +349,7 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     kin_from_ccf = Matrix(zip(*p.data[::-1]))
     model = StateSpaceModel(
         form=Form.CCF,
-        transition=transition,
+        transition=Matrix([row[::-1] for row in zip(*companion_matrix(col).data)][::-1]),
         input_gain=Matrix.column([1.0] + [0.0] * (k - 1)),
         output_row=kin.output_row @ kin_from_ccf,
         kin_from_form=kin_from_ccf,

@@ -476,5 +476,5 @@ def placement_residual(char: Polynomial, poles) -> float:
         for _ in range(mult):
             scale = max(1.0, max(abs(c) for c in d.coeffs))
             worst = max(worst, abs(d(pole)) / scale)
-            d = d.derivative()
+            d = Polynomial([(d.degree - k) * c for k, c in enumerate(d.coeffs[:-1])] or [0.0])
     return worst

@@ -264,9 +264,10 @@ def test_impulse_rejects_marginal_and_unstable_poles():
 
 def test_impulse_refuses_a_nan_or_negative_tolerance_at_once():
     # No tail energy is <= nan or a negative bound: such a tol would run the
-    # whole sample cap before failing as NonConvergent.
+    # whole sample cap before failing as NonConvergent.  A tol that is not a
+    # number is refused the same way, not with an untyped TypeError.
     num, den = _transfer(2, 1.0, 0.75, 0.5)
-    for tol in (math.nan, -1e-12, -math.inf):
+    for tol in (math.nan, -1e-12, -math.inf, None, "abc"):
         start = time.perf_counter()
         with pytest.raises(FixedGainError, match="tolerance") as info:
             impulse_response(num, den, tol=tol)
@@ -285,7 +286,17 @@ def test_impulse_refuses_a_nan_or_negative_tolerance_at_once():
     ([1.0, math.nan, 0.0], [1.0, -1.0, 0.25]),
 ])
 def test_non_finite_coefficients_fail_at_once(num, den):
-    for analysis in (impulse_response, white_noise_gain):
+    # Every analysis of a pair passes the same gate, so none returns a nan
+    # (or, like a flatness deviation of a pair with an infinite pole, a number).
+    for analysis in (
+        impulse_response,
+        white_noise_gain,
+        steady_state_step,
+        partial(flatness_profile, deriv=0, lag=0.0, ts=1.0, orders=2),
+        partial(flatness_check, deriv=0, lag=0.0, ts=1.0, orders=2),
+        partial(lde_filter, xs=[1.0, 0.0, 0.0]),
+        partial(ramp_error, lag=1.0, ts=1.0, horizon=3),
+    ):
         start = time.perf_counter()
         with pytest.raises(NonFiniteValue):
             analysis(num, den)
