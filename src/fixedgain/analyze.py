@@ -128,11 +128,11 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     samples = _recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k)
     h: list[float] = []
 
-    def below(n: int) -> bool:  # tail(n) <= tol * total
+    def below(n: int) -> bool:  # tail(n) <= tol * total; a nan bound (inf * 0) holds it
         h.extend(islice(samples, max(n - len(h), 0)))
         window, e = _ints(h[n - 1:n - k - 1:-1])
         r = [-sum(map(mul, dens[i + 1:], window)) for i in range(k)]
-        return _step_down(r, dens, 2 * e) <= bound
+        return not _step_down(r, dens, 2 * e) > bound
 
     lo = hi = max(len(b), 2 * k, 8)
     while not below(hi):

@@ -249,7 +249,7 @@ def verify_document(doc: dict) -> float:
         raise InputDataError(f"document design or gains are missing or unusable: {exc}") from exc
     want = from_roots([p - 1.0 for p in poles]).coeffs
     fits = len(gains) == len(poles) == model.order and all(a > 0.0 for a in want[1:])
-    if not fits or not all(map(math.isfinite, [*gains, *output, *model.transition_matrix.row(0)])):
+    if not fits or not all(map(math.isfinite, [*gains, *output])):
         raise InputDataError("document gains or poles are not finite, or unfit for a stable design")
     (lead, *den), _ = realize._loop_pair(model, gains, output)
     return max(abs(d * m - n * lead) / (n * lead)

@@ -132,22 +132,19 @@ def design(spec: ObserverSpec) -> DesignResult:
     the companion gain is the coefficient gap between the observer and
     process polynomials.  The loop is closed against the predictor row and
     read out by the requested row.  A pole on or outside the unit circle
-    raises :class:`UnstablePoles`; a ts whose powers ts^-j leave the double
-    range raises :class:`NonFiniteValue`.
+    raises :class:`UnstablePoles`; gains past the double range raise
+    :class:`NonFiniteValue`.
     """
     model = spec.process
     for p in spec.poles:
         if abs(p) >= 1.0:
             raise UnstablePoles(f"pole {p} is not strictly inside the unit circle")
-    char, k = from_roots(spec.poles), model.order
-    try:
-        gains = _kinematic_gains(spec.poles, model.ts)
-    except OverflowError:  # ts^-j past the double range
-        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
+    char, proc, k = from_roots(spec.poles), model.char_poly, model.order
+    gains = _kinematic_gains(spec.poles, model.ts)
     if not all(map(math.isfinite, gains)):
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
     gain_kin_vec = Matrix.column(gains)
-    gain_pcf_vec = Matrix.column([char[k - i] - model.char_poly[k - i] for i in range(k)])
+    gain_pcf_vec = Matrix.column([char[k - i] - proc[k - i] for i in range(k)])
     ss_kin = StateSpaceModel(
         form=Form.KIN,
         transition=model.transition_matrix - gain_kin_vec @ model.predictor_row(),

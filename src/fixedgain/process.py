@@ -10,6 +10,7 @@ position.  All K process poles sit at z = 1.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import (
     DerivativeIndexOutOfRange,
@@ -18,33 +19,29 @@ from .errors import (
     OrderOutOfRange,
 )
 from .linalg import ORDER_CAP, Matrix
-from .poly import from_roots
+from .poly import Polynomial
 
 
-def _taylor_transition(order: int, t: float) -> Matrix:
-    """Closed-form transition over an arbitrary (possibly negative) time t."""
+def _taylor_row(order: int, t: float, i: int) -> tuple[float, ...]:
+    """Row i of the closed-form transition over any (signed) time t: t**(j-i) / (j-i)!."""
     try:
-        rows = [[t ** (j - i) / math.factorial(j - i) if j >= i else 0.0 for j in range(order)]
-                for i in range(order)]
+        return (0.0,) * i + tuple(t ** m / math.factorial(m) for m in range(order - i))
     except OverflowError:
         raise NonFiniteValue(f"transition over t = {t!r} overflows") from None
-    return Matrix(rows)
 
 
-class ProcessModel:
+class ProcessModel(namedtuple("ProcessModel", "order ts")):
     """Kinematic model of an order-K integrator chain.
 
-    Attributes:
+    Attributes (validated by every construction, ``_replace`` too):
         order: number of states K (1 = position only, 2 = +velocity, ...).
-        ts: sampling period in seconds, strictly positive.
-        transition_matrix: K x K one-step transition (upper-triangular Toeplitz).
-        measurement_row: 1 x K row selecting position.
-        char_poly: characteristic polynomial (z - 1)**K.
+        ts: sampling period in seconds, > 0, with ts**(K-1) and ts**(1-K)
+            inside the double range.  The rest is built from these on request.
     """
 
-    __slots__ = ("order", "ts", "transition_matrix", "measurement_row", "char_poly")
+    __slots__ = ()
 
-    def __init__(self, order: int, ts: float):
+    def __new__(cls, order: int, ts: float):
         if not isinstance(order, int) or order < 1 or order > ORDER_CAP:
             raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {order!r}")
         ts = float(ts)
@@ -52,38 +49,43 @@ class ProcessModel:
             raise NonFiniteValue(f"sampling period must be finite, got {ts!r}")
         if not ts > 0.0:
             raise NonPositiveSamplingPeriod(f"sampling period must be > 0, got {ts!r}")
-        self.order = order
-        self.ts = ts
-        self.transition_matrix = _taylor_transition(order, ts)
-        self.measurement_row = Matrix.row_vector([1.0] + [0.0] * (order - 1))
-        self.char_poly = from_roots([1.0] * order)
+        try:
+            ts ** (order - 1), ts ** (1 - order)
+        except OverflowError:
+            raise NonFiniteValue(f"ts = {ts!r} overflows the design's scaling") from None
+        return super().__new__(cls, order, ts)
 
-    def __repr__(self) -> str:
-        return f"ProcessModel(order={self.order}, ts={self.ts!r})"
+    @classmethod
+    def _make(cls, fields) -> ProcessModel:  # _replace builds its copy here
+        return cls(*fields)
+
+    @property
+    def transition_matrix(self) -> Matrix:
+        """K x K one-step transition (upper-triangular Toeplitz)."""
+        return self.transition(self.ts)
+
+    @property
+    def char_poly(self) -> Polynomial:
+        """Characteristic polynomial (z - 1)**K: binomial coefficients."""
+        return Polynomial([(-1) ** j * math.comb(self.order, j) for j in range(self.order + 1)])
 
     def transition(self, t: float) -> Matrix:
-        """State transition over a signed time interval ``t``.
-
-        ``transition(ts)`` is the one-step matrix; fractional and negative
-        intervals are fine because the closed form ``t**k / k!`` is exact for
-        any real ``t`` (the chain is nilpotent, so the series terminates).
-        """
-        return _taylor_transition(self.order, float(t))
+        """State transition over a signed time ``t`` (``transition(ts)`` is one
+        step): the closed form ``t**k / k!`` is exact, as the chain is nilpotent."""
+        return Matrix([_taylor_row(self.order, float(t), i) for i in range(self.order)])
 
     def predictor_row(self) -> Matrix:
-        """Measurement row composed with one step ahead: picks off the
-        position the current state implies for the *next* sample."""
-        return self.measurement_row @ self.transition_matrix
+        """Row 0 of the one-step transition: the position implied for the next sample."""
+        return Matrix.row_vector(_taylor_row(self.order, self.ts, 0))
 
     def output_row(self, lag: float, deriv: int = 0) -> Matrix:
         """Read-out row for the ``deriv``-th derivative at ``lag`` samples back.
 
         Row ``deriv`` of the transition over ``-lag * ts`` seconds.  ``lag``
-        may be fractional or negative (negative means prediction ahead).
+        may be fractional or negative (negative means prediction ahead);
+        ``output_row(0.0)`` picks off position.
         """
         if not 0 <= deriv < self.order:
             raise DerivativeIndexOutOfRange(
-                f"derivative index must be in 0..{self.order - 1}, got {deriv}"
-            )
-        back = self.transition(-float(lag) * self.ts)
-        return Matrix.row_vector(back.row(deriv))
+                f"derivative index must be in 0..{self.order - 1}, got {deriv}")
+        return Matrix.row_vector(_taylor_row(self.order, -float(lag) * self.ts, deriv))

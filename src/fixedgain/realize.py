@@ -263,11 +263,8 @@ def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
     ``pcf_from_kin`` = T1 S.
     """
     unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
-    try:
-        down = [model.ts ** -j for j in range(model.order)]
-    except OverflowError:
-        raise NonFiniteValue(f"ts = {model.ts!r} overflows the design's scaling") from None
-    up = [model.ts ** j for j in range(model.order)]  # finite: the transition holds them
+    down = [model.ts ** -j for j in range(model.order)]  # finite: ProcessModel checks both
+    up = [model.ts ** j for j in range(model.order)]
     return (Matrix([[v * d for v in row] for row, d in zip(unit_kin_from_pcf.data, down)]),
             Matrix([map(mul, row, up) for row in unit_pcf_from_kin.data]))
 
@@ -377,7 +374,7 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
     lead.  State i is scaled by 2**(i e), e the binary exponent of ts, in the
     integers' exponents: an exact similarity that keeps them short at any ts."""
     k, e = model.order, math.frexp(model.ts)[1]
-    ints, x = _ints([*model.transition_matrix.row(0)[1:], *gains, *output],
+    ints, x = _ints([*model.predictor_row().row(0)[1:], *gains, *output],
                     [-i * e for i in range(1, k)] + [i * e for i in range(k)]
                     + [-i * e for i in range(k)])
     g, v, c = ints[:k - 1], ints[k - 1:2 * k - 1], ints[2 * k - 1:]

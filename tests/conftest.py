@@ -12,7 +12,9 @@ realization and the exact transfer pair of a design's loop.  Three float
 routes the package no longer takes are oracles here too: the Lyapunov
 doubling of a realization's noise gain, the characteristic polynomial read
 off the PCF rotation of the loop, and the multiplicity residual of a
-polynomial at the requested poles.
+polynomial at the requested poles.  So are the routes by which the process
+model once built its rows: the whole transition, the measurement row times
+it, and the complex product for (z - 1)**K.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -34,6 +36,7 @@ from fixedgain.errors import (
     NonPositiveSamplingPeriod,
     UnstablePoles,
 )
+from fixedgain.poly import from_roots
 from fixedgain.realize import pcf_transform
 
 # --- the reference third-order design: K=3, Ts=0.04, repeated pole 0.8,
@@ -478,3 +481,27 @@ def placement_residual(char: Polynomial, poles) -> float:
             worst = max(worst, abs(d(pole)) / scale)
             d = Polynomial([(d.degree - k) * c for k, c in enumerate(d.coeffs[:-1])] or [0.0])
     return worst
+
+
+# --- the process model's rows by the routes it once stored them -------------
+
+def taylor_transition(order: int, t: float) -> Matrix:
+    """The whole K x K transition over ``t``: t**(j-i) / (j-i)! for j >= i."""
+    return Matrix([[t ** (j - i) / math.factorial(j - i) if j >= i else 0.0
+                    for j in range(order)] for i in range(order)])
+
+
+def process_char_poly_product(order: int) -> Polynomial:
+    """(z - 1)**K as the complex product over K roots at 1."""
+    return from_roots([1.0] * order)
+
+
+def predictor_row_product(model) -> Matrix:
+    """The measurement row e0 times the whole one-step transition."""
+    e0 = Matrix.row_vector([1.0] + [0.0] * (model.order - 1))
+    return e0 @ taylor_transition(model.order, model.ts)
+
+
+def output_row_of_transition(model, lag: float, deriv: int) -> Matrix:
+    """Row ``deriv`` of the whole transition over -lag * ts."""
+    return Matrix.row_vector(taylor_transition(model.order, -float(lag) * model.ts).row(deriv))

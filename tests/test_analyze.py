@@ -279,6 +279,14 @@ def test_impulse_refuses_a_nan_or_negative_tolerance_at_once():
     assert len(impulse_response(num, den, tol=0.0)) > len(impulse_response(num, den))
 
 
+def test_impulse_of_a_zero_energy_pair_at_infinite_tolerance_ends_at_once():
+    # tol * total is inf * 0.0 = nan: every tail is "left" at once, so the
+    # cut is n0, not a million-sample spin ending in NonConvergent.
+    start = time.perf_counter()
+    assert impulse_response([0.0] * 3, [1.0, -1.6, 0.64], tol=math.inf) == [0.0] * 8
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("num, den", [
     ([1.0, 0.0], [1.0, math.nan]),
     ([1.0, 0.0], [1.0, -math.inf]),

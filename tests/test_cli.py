@@ -827,6 +827,24 @@ def test_non_finite_parameters_exit_2_at_once(capsys, argv):
     assert elapsed < 1.0
 
 
+def test_ts_whose_powers_overflow_exits_2_with_the_ts_message(capsys):
+    code = main(["design", "--order", "3", "--pole", "0.5", "--ts", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ts = 1e+200 overflows the design's scaling" in captured.err
+
+
+def test_lagged_read_out_of_the_last_derivative_is_finite_at_any_lag(capsys):
+    # Row K-1 of the transition over any t is (0, .., 0, 1): only that row is
+    # built, so the huge lag that overflows the position row does not matter.
+    code, out = run_cli(capsys, ["design", "--order", "3", "--pole", "0.5",
+                                 "--lag", "1e300", "--deriv", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["realizations"]["kin"]["output_row"] == [0.0, 0.0, 1.0]
+    assert verify_document(doc) == doc["verification"]["placement_residual"]
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 

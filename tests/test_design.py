@@ -410,7 +410,7 @@ def test_spec_record_contract():
     assert spec == ObserverSpec(process=model, poles=[0.5, 0.5], lag=1.0, deriv=0)
     assert spec == ObserverSpec.repeated(model, 0.5, lag=1.0)
     assert spec != ObserverSpec(model, (0.5, 0.5))
-    assert spec != ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), lag=1.0)  # process by identity
+    assert spec == ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), lag=1.0)  # process by value
     assert hash(spec) == hash(ObserverSpec(model, (0.5, 0.5), 1.0))
     assert {spec: 1}[ObserverSpec(model, (0.5, 0.5), 1.0)] == 1
     for field in ("process", "poles", "lag", "deriv"):
@@ -440,7 +440,7 @@ def test_gain_vectors_and_design_result_records():
     assert DesignResult._fields == ("spec", "gains", "char_poly", "ss_kin")
     assert repr(result).endswith(f", ss_kin={result.ss_kin!r})")
     copy = pickle.loads(pickle.dumps(result))
-    # A ProcessModel compares by identity, so the copy's spec is a new value.
+    assert copy == result
     assert type(copy) is DesignResult and repr(copy) == repr(result)
     assert copy._replace(spec=result.spec) == result
     assert transfer_coefficients(copy) == transfer_coefficients(result)

@@ -1,11 +1,21 @@
 """Integrator-chain process model."""
 
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixedgain import ProcessModel
+from conftest import (
+    output_row_of_transition,
+    predictor_row_product,
+    process_char_poly_product,
+    taylor_transition,
+)
+from fixedgain import ObserverSpec, ProcessModel, design
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     NonFiniteValue,
@@ -24,7 +34,7 @@ def test_transition_is_scaled_taylor_triangle():
 
 def test_measurement_row_picks_position():
     model = ProcessModel(3, 1.0)
-    assert model.measurement_row.row(0) == (1.0, 0.0, 0.0)
+    assert model.output_row(0.0).row(0) == (1.0, 0.0, 0.0)
 
 
 def test_char_poly_is_binomial_expansion():
@@ -126,3 +136,50 @@ def test_overflowing_transition_is_typed():
 
 def test_repr_mentions_order_and_period():
     assert repr(ProcessModel(2, 0.5)) == "ProcessModel(order=2, ts=0.5)"
+
+
+def test_process_model_record_contract():
+    model = ProcessModel(2, 0.5)
+    assert ProcessModel._fields == ("order", "ts")
+    assert repr(model) == "ProcessModel(order=2, ts=0.5)"
+    assert model == ProcessModel(order=2, ts=0.5) and hash(model) == hash(ProcessModel(2, 0.5))
+    assert model != ProcessModel(2, 0.25)
+    copy = pickle.loads(pickle.dumps(model))
+    assert type(copy) is ProcessModel and copy == model
+    with pytest.raises(NonPositiveSamplingPeriod):
+        model._replace(ts=-1.0)
+    with pytest.raises(OrderOutOfRange):
+        model._replace(order=9)
+    for field in ProcessModel._fields:
+        with pytest.raises(AttributeError):
+            setattr(model, field, getattr(model, field))
+    spec = ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)
+    assert design(spec) == design(pickle.loads(pickle.dumps(spec)))
+
+
+@pytest.mark.parametrize("order, ts", [(8, 1e-300), (3, 1e200), (2, 5e-324), (8, 1e-45)])
+def test_ts_whose_powers_overflow_is_refused_at_construction(order, ts):
+    # ts**(K-1) or ts**(1-K) past the double range: the transition or the
+    # design's scaling ts^-j would overflow, so the model itself is refused.
+    message = re.escape(f"ts = {ts!r} overflows the design's scaling")
+    with pytest.raises(NonFiniteValue, match=message):
+        ProcessModel(order, ts)
+
+
+def test_ts_at_the_edge_of_the_scaling_is_accepted():
+    # 1e-44**-7 = 1e308 is still a double; order 1 takes any positive ts.
+    assert ProcessModel(8, 1e-44).ts == 1e-44
+    assert ProcessModel(1, 5e-324).ts == 5e-324 and ProcessModel(1, 1e308).ts == 1e308
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+       st.floats(-1.0, 3.0))
+def test_rows_on_request_match_the_stored_routes_bit_for_bit(order, ts, lag):
+    # repr tells -0.0 from 0.0, which == does not.
+    model = ProcessModel(order, ts)
+    assert repr(model.char_poly) == repr(process_char_poly_product(order))
+    assert repr(model.transition_matrix) == repr(taylor_transition(order, ts))
+    assert repr(model.predictor_row()) == repr(predictor_row_product(model))
+    for deriv in range(order):
+        assert repr(model.output_row(lag, deriv)) == repr(output_row_of_transition(model, lag, deriv))
