@@ -195,11 +195,6 @@ def design_document(
         "observer": list(realize.companion_column(result.char_poly)),
         "process": list(realize.companion_column(model.char_poly)),
     }
-    kin_from_pcf, pcf_from_kin = realize.pcf_transform(model)
-    doc["transforms"] = {
-        "kin_from_pcf": _matrix_rows(kin_from_pcf),
-        "pcf_from_kin": _matrix_rows(pcf_from_kin),
-    }
 
     builders = {
         "kin": lambda: result.ss_kin,
@@ -211,12 +206,19 @@ def design_document(
     omitted = {}
     for form in forms:
         try:
-            realizations[form] = _realization_entry(builders[form]())
+            realizations[form] = builders[form]()
         except (Unobservable, Uncontrollable) as exc:
             if len(forms) == 1:
                 raise
             omitted[form] = str(exc)
-    doc["realizations"] = realizations
+    pcf = realizations.get("pcf")  # its transform pair is the PCF pair
+    kin_from_pcf, pcf_from_kin = ((pcf.kin_from_form, pcf.form_from_kin) if pcf is not None
+                                  else realize.pcf_transform(model))
+    doc["transforms"] = {
+        "kin_from_pcf": _matrix_rows(kin_from_pcf),
+        "pcf_from_kin": _matrix_rows(pcf_from_kin),
+    }
+    doc["realizations"] = {form: _realization_entry(ss) for form, ss in realizations.items()}
     if omitted:
         doc["realizations_omitted"] = omitted
 
@@ -249,7 +251,7 @@ def verify_document(doc: dict) -> float:
         raise InputDataError(f"document design or gains are missing or unusable: {exc}") from exc
     want = from_roots([p - 1.0 for p in poles]).coeffs
     fits = len(gains) == len(poles) == model.order and all(a > 0.0 for a in want[1:])
-    if not fits or not all(map(math.isfinite, [*gains, *output])):
+    if not fits or not all(map(math.isfinite, gains)):  # output_row refuses a non-finite row
         raise InputDataError("document gains or poles are not finite, or unfit for a stable design")
     (lead, *den), _ = realize._loop_pair(model, gains, output)
     return max(abs(d * m - n * lead) / (n * lead)

@@ -29,7 +29,7 @@ from .errors import (
     NonFiniteValue,
     UnstablePoles,
 )
-from .linalg import Matrix
+from .linalg import Matrix, identity_rows
 from .poly import from_roots
 from .process import ProcessModel
 from .realize import Form, StateSpaceModel
@@ -143,15 +143,15 @@ def design(spec: ObserverSpec) -> DesignResult:
     gains = _kinematic_gains(spec.poles, model.ts)
     if not all(map(math.isfinite, gains)):
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
-    gain_kin_vec = Matrix.column(gains)
-    gain_pcf_vec = Matrix.column([char[k - i] - proc[k - i] for i in range(k)])
+    gain_kin_vec = Matrix._of(tuple([(g,) for g in gains]))
+    gain_pcf_vec = Matrix._of(tuple([(char[k - i] - proc[k - i],) for i in range(k)]))
     ss_kin = StateSpaceModel(
         form=Form.KIN,
         transition=model.transition_matrix - gain_kin_vec @ model.predictor_row(),
         input_gain=gain_kin_vec,
         output_row=model.output_row(spec.lag, spec.deriv),
-        kin_from_form=Matrix.identity(model.order),
-        form_from_kin=Matrix.identity(model.order),
+        kin_from_form=Matrix._of(identity_rows(k)),
+        form_from_kin=Matrix._of(identity_rows(k)),
     )
     return DesignResult(spec=spec, gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
                         char_poly=char, ss_kin=ss_kin)

@@ -9,6 +9,7 @@ construction.  Storage is an immutable tuple of row tuples.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from operator import mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -121,26 +122,35 @@ class Matrix:
 
         Raises :class:`SingularMatrix` when the best available pivot is
         smaller than ``1e-12`` times the largest entry the pivot's row had
-        before elimination started.
+        before elimination started.  Each step updates only the columns right
+        of its pivot, and the right side.
         """
         n = self.rows
         if self.cols != n or rhs.rows != n:
             raise DimensionMismatch("solve needs a square matrix and a right side of its height")
-        a = [list(row + extra) for row, extra in zip(self.data, rhs.data)]
+        a = [row + extra for row, extra in zip(self.data, rhs.data)]
         # Row magnitudes before any elimination, for the relative pivot test.
         row_scale = [max(map(abs, row)) for row in self.data]
 
         for col in range(n):
-            pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-            pivot = a[pivot_row][col]
+            # a[r] holds row r from column col on: no step reads an earlier column.
+            pivot_row = max(range(col, n), key=lambda r: abs(a[r][0]))
+            pivot = a[pivot_row][0]
             if abs(pivot) <= _PIVOT_RTOL * row_scale[pivot_row]:
                 raise SingularMatrix(f"no usable pivot in column {col}")
             a[col], a[pivot_row] = a[pivot_row], a[col]
             row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
             inv_p = 1.0 / pivot
-            a[col] = pivot_vals = [v * inv_p for v in a[col]]
-            for r in range(n):
-                f = a[r][col]
-                if r != col and f != 0.0:
-                    a[r] = [v - f * w for v, w in zip(a[r], pivot_vals)]
-        return Matrix._of(tuple([tuple(row[n:]) for row in a]))
+            pivot_vals = [v * inv_p for v in a[col][1:]]
+            for r, row in enumerate(a):
+                f = row[0]
+                a[r] = (pivot_vals if r == col else row[1:] if f == 0.0
+                        else [v - f * w for v, w in zip(row[1:], pivot_vals)])
+        return Matrix._of(tuple(map(tuple, a)))
+
+
+@lru_cache(maxsize=None)
+def identity_rows(n: int) -> tuple:
+    """The rows of ``Matrix.identity(n)``, built and checked once per n; wrap
+    them with ``Matrix._of`` for a matrix of one's own."""
+    return Matrix.identity(n).data

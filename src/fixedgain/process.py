@@ -23,11 +23,16 @@ from .poly import Polynomial
 
 
 def _taylor_row(order: int, t: float, i: int) -> tuple[float, ...]:
-    """Row i of the closed-form transition over any (signed) time t: t**(j-i) / (j-i)!."""
+    """Row i of the closed-form transition over any (signed) time t: t**(j-i) / (j-i)!.
+    A row with an entry past the double range (t itself may be infinite, and
+    the last row (0, .., 0, 1) is finite at any t) raises NonFiniteValue."""
     try:
-        return (0.0,) * i + tuple(t ** m / math.factorial(m) for m in range(order - i))
+        row = (0.0,) * i + tuple(t ** m / math.factorial(m) for m in range(order - i))
+        if all(map(math.isfinite, row)):
+            return row
     except OverflowError:
-        raise NonFiniteValue(f"transition over t = {t!r} overflows") from None
+        pass
+    raise NonFiniteValue(f"transition over t = {t!r} overflows")
 
 
 class ProcessModel(namedtuple("ProcessModel", "order ts")):
@@ -72,11 +77,11 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
     def transition(self, t: float) -> Matrix:
         """State transition over a signed time ``t`` (``transition(ts)`` is one
         step): the closed form ``t**k / k!`` is exact, as the chain is nilpotent."""
-        return Matrix([_taylor_row(self.order, float(t), i) for i in range(self.order)])
+        return Matrix._of(tuple([_taylor_row(self.order, float(t), i) for i in range(self.order)]))
 
     def predictor_row(self) -> Matrix:
         """Row 0 of the one-step transition: the position implied for the next sample."""
-        return Matrix.row_vector(_taylor_row(self.order, self.ts, 0))
+        return Matrix._of((_taylor_row(self.order, self.ts, 0),))
 
     def output_row(self, lag: float, deriv: int = 0) -> Matrix:
         """Read-out row for the ``deriv``-th derivative at ``lag`` samples back.
@@ -88,4 +93,4 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         if not 0 <= deriv < self.order:
             raise DerivativeIndexOutOfRange(
                 f"derivative index must be in 0..{self.order - 1}, got {deriv}")
-        return Matrix.row_vector(_taylor_row(self.order, -float(lag) * self.ts, deriv))
+        return Matrix._of((_taylor_row(self.order, -float(lag) * self.ts, deriv),))

@@ -47,7 +47,7 @@ from .errors import (
     Uncontrollable,
     Unobservable,
 )
-from .linalg import Matrix
+from .linalg import Matrix, identity_rows
 from .poly import Polynomial
 from .process import ProcessModel
 
@@ -67,26 +67,26 @@ class Form(str, enum.Enum):
 _CERTIFY_TOL = 1e-8
 
 
-def _max_abs(m: Matrix) -> float:
-    """Largest |entry|, inf if an entry is nan."""
-    return max(abs(v) if v == v else math.inf for row in m.data for v in row)
-
-
 def _certify_similarity(kin: "StateSpaceModel", candidate: "StateSpaceModel", error) -> None:
     """Check a freshly built transform pair against the identities it must
     satisfy: conjugating the kinematic transition reproduces the canonical
     transition, mapping the output row across reproduces the canonical row,
     and mapping the gain column across reproduces the canonical column.
     Raises ``error`` when the worst residual exceeds the certification bound
-    (the rank test alone can miss degeneracy hidden by row scaling)."""
-    residual = max(
-        _max_abs(
-            candidate.form_from_kin @ kin.transition @ candidate.kin_from_form
-            - candidate.transition
-        ),
-        _max_abs(kin.output_row @ candidate.kin_from_form - candidate.output_row),
-        _max_abs(candidate.form_from_kin @ kin.input_gain - candidate.input_gain),
-    )
+    (the rank test alone can miss degeneracy hidden by row scaling).  One pass
+    over the rows, each product summed as ``Matrix @`` sums it (the transition
+    as (T A) S); a nan residual counts as inf."""
+    columns_a = tuple(zip(*kin.transition.data))
+    columns_s = tuple(zip(*candidate.kin_from_form.data))
+    gain = kin.input_gain.col(0)
+    gaps = [sum(map(mul, kin.output_row.data[0], s)) - want
+            for s, want in zip(columns_s, candidate.output_row.data[0])]
+    for t, want_a, (want_b,) in zip(candidate.form_from_kin.data, candidate.transition.data,
+                                    candidate.input_gain.data):
+        ta = [sum(map(mul, t, a)) for a in columns_a]
+        gaps += [sum(map(mul, ta, s)) - want for s, want in zip(columns_s, want_a)]
+        gaps.append(sum(map(mul, t, gain)) - want_b)
+    residual = max([abs(v) if v == v else math.inf for v in gaps])
     if residual > _CERTIFY_TOL:
         raise error(
             f"cannot certify the {candidate.form.value} transform: identity "
@@ -191,8 +191,8 @@ def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
     columns = tuple(zip(*transition.data))
     rows = [output_row.row(0)]
     for _ in range(transition.rows - 1):
-        rows.append([sum(map(mul, rows[-1], col)) for col in columns])
-    return Matrix(rows)
+        rows.append(tuple([sum(map(mul, rows[-1], col)) for col in columns]))
+    return Matrix._of(tuple(rows))
 
 
 def companion_matrix(column: Sequence[float]) -> Matrix:
@@ -202,16 +202,15 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
     the given one and whose first K-1 columns are the identity shifted down
     one row -- the transition-matrix shape shared by the PCF and OCF forms.
     """
-    k = len(column)
-    return Matrix(
-        [
-            [
-                column[i] if j == k - 1 else (1.0 if i == j + 1 else 0.0)
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
-    )
+    column = tuple(map(float, column))
+    rows = identity_rows(len(column))  # rotated down one row, last column dropped
+    return Matrix._of(tuple([row[:-1] + (g,) for row, g in zip(rows[-1:] + rows[:-1], column)]))
+
+
+@lru_cache(maxsize=None)
+def _unit_column(k: int, i: int) -> tuple:
+    """The rows of the k x 1 unit column with its 1.0 at index i (e_K at i = -1)."""
+    return tuple(zip(identity_rows(k)[i]))
 
 
 def _observable_form(
@@ -229,7 +228,7 @@ def _observable_form(
     k = len(column)
     rows_a, c = transition.data, row.row(0)
     try:
-        x = _observability_matrix(row, transition).solve(Matrix.column([0.0] * (k - 1) + [1.0]))
+        x = _observability_matrix(row, transition).solve(Matrix._of(_unit_column(k, -1)))
     except SingularMatrix as exc:
         raise error from exc
     krylov = [x.col(0)]
@@ -238,8 +237,8 @@ def _observable_form(
     columns = tuple(zip(*rows_a))
     horner = [c]
     for g in column[:0:-1]:
-        horner.append([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)])
-    return Matrix(zip(*krylov)), Matrix(horner[::-1])
+        horner.append(tuple([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)]))
+    return Matrix._of(tuple(zip(*krylov))), Matrix._of(tuple(horner[::-1]))
 
 
 def companion_column(char: Polynomial) -> tuple[float, ...]:
@@ -265,17 +264,19 @@ def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
     unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
     down = [model.ts ** -j for j in range(model.order)]  # finite: ProcessModel checks both
     up = [model.ts ** j for j in range(model.order)]
-    return (Matrix([[v * d for v in row] for row, d in zip(unit_kin_from_pcf.data, down)]),
-            Matrix([map(mul, row, up) for row in unit_pcf_from_kin.data]))
+    return (Matrix._of(tuple([tuple([v * d for v in row])
+                              for row, d in zip(unit_kin_from_pcf, down)])),
+            Matrix._of(tuple([tuple(map(mul, row, up)) for row in unit_pcf_from_kin])))
 
 
 @lru_cache(maxsize=None)
-def _unit_pcf_transform(order: int) -> tuple[Matrix, Matrix]:
+def _unit_pcf_transform(order: int) -> tuple[tuple, tuple]:
+    """The rows of the ts = 1 pair, built once per order."""
     model = ProcessModel(order, 1.0)
-    return _observable_form(
+    return tuple(m.data for m in _observable_form(
         model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
         Unobservable("process/predictor pair is not observable at this order"),
-    )
+    ))
 
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -314,7 +315,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
         form=Form.OCF,
         transition=companion_matrix(col),
         input_gain=ocf_from_kin @ kin.input_gain,
-        output_row=Matrix.row_vector([0.0] * (kin.order - 1) + [1.0]),
+        output_row=Matrix._of(identity_rows(kin.order)[-1:]),
         kin_from_form=kin_from_ocf,
         form_from_kin=ocf_from_kin,
     )
@@ -339,18 +340,19 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     kin = result.ss_kin
     k = kin.order
     col = companion_column(result.char_poly)
+    companion = companion_matrix(col).data
     p_inv, p = _observable_form(
-        Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col,
+        Matrix._of((kin.input_gain.col(0),)), Matrix._of(tuple(zip(*kin.transition.data))), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
     )
-    kin_from_ccf = Matrix(zip(*p.data[::-1]))
+    kin_from_ccf = Matrix._of(tuple(zip(*p.data[::-1])))
     model = StateSpaceModel(
         form=Form.CCF,
-        transition=Matrix([row[::-1] for row in zip(*companion_matrix(col).data)][::-1]),
-        input_gain=Matrix.column([1.0] + [0.0] * (k - 1)),
+        transition=Matrix._of(tuple([row[::-1] for row in zip(*companion)])[::-1]),
+        input_gain=Matrix._of(_unit_column(k, 0)),
         output_row=kin.output_row @ kin_from_ccf,
         kin_from_form=kin_from_ccf,
-        form_from_kin=Matrix(list(zip(*p_inv.data))[::-1]),
+        form_from_kin=Matrix._of(tuple(zip(*p_inv.data))[::-1]),
     )
     _certify_similarity(kin, model, Uncontrollable)
     return model

@@ -14,7 +14,8 @@ doubling of a realization's noise gain, the characteristic polynomial read
 off the PCF rotation of the loop, and the multiplicity residual of a
 polynomial at the requested poles.  So are the routes by which the process
 model once built its rows: the whole transition, the measurement row times
-it, and the complex product for (z - 1)**K.
+it, and the complex product for (z - 1)**K.  So is the full-width
+Gauss-Jordan elimination that ``Matrix.solve`` once ran.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -34,8 +35,10 @@ from fixedgain.errors import (
     NonConvergent,
     NonFiniteValue,
     NonPositiveSamplingPeriod,
+    SingularMatrix,
     UnstablePoles,
 )
+from fixedgain.linalg import _PIVOT_RTOL
 from fixedgain.poly import from_roots
 from fixedgain.realize import pcf_transform
 
@@ -391,6 +394,30 @@ def inverse(m: Matrix) -> Matrix:
     """``m`` inverted by ``Matrix.solve`` against the identity; a non-square
     ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
     return m.solve(Matrix.identity(m.rows))
+
+
+def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
+    """``a.solve(rhs)`` by full-width Gauss-Jordan elimination: the same
+    pivots, factors and pivot test as ``Matrix.solve``, but every step updates
+    every column of the extended rows, those left of its pivot included.
+    A singular ``a`` raises SingularMatrix naming the pivot column."""
+    n = a.rows
+    ext = [list(row + extra) for row, extra in zip(a.data, rhs.data)]
+    row_scale = [max(map(abs, row)) for row in a.data]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(ext[r][col]))
+        pivot = ext[pivot_row][col]
+        if abs(pivot) <= _PIVOT_RTOL * row_scale[pivot_row]:
+            raise SingularMatrix(f"no usable pivot in column {col}")
+        ext[col], ext[pivot_row] = ext[pivot_row], ext[col]
+        row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
+        inv_p = 1.0 / pivot
+        ext[col] = pivot_vals = [v * inv_p for v in ext[col]]
+        for r in range(n):
+            f = ext[r][col]
+            if r != col and f != 0.0:
+                ext[r] = [v - f * w for v, w in zip(ext[r], pivot_vals)]
+    return Matrix([row[n:] for row in ext])
 
 
 def transfer_pair_fraction(result) -> tuple[list[Fraction], list[Fraction]]:

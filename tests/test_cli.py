@@ -197,6 +197,20 @@ def test_document_transforms_and_companion_columns_are_the_realize_builders(spec
     assert doc["gains"]["pcf"] == [p - o for p, o in zip(process, observer)]
 
 
+@pytest.mark.parametrize("forms", [("kin", "pcf", "ocf", "ccf"), ("pcf",), ("ocf",), ("kin",)])
+def test_document_builds_the_pcf_pair_once(monkeypatch, forms):
+    # A certified PCF realization lends its pair to the transforms block.
+    built = []
+    pcf_transform = realize.pcf_transform
+    monkeypatch.setattr(realize, "pcf_transform", lambda model: built.append(model)
+                        or pcf_transform(model))
+    result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0))
+    doc = design_document(result, forms)
+    assert built == [result.spec.process]
+    assert doc["transforms"]["kin_from_pcf"] == [list(row) for row in
+                                                 pcf_transform(result.spec.process)[0].data]
+
+
 def test_verify_document_refuses_unfit_gains_and_poles():
     # json.loads reads Infinity and NaN, so a parsed document can hold them.
     doc = design_document(design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)))
@@ -815,6 +829,9 @@ def test_malformed_pole_list_exits_2(capsys):
     ["design", "--order", "2", "--pole", "0.5", "--lag", "inf"],
     ["analyze", "--order", "2", "--poles", "nan,nan", "--wng"],
     ["design", "--order", "2", "--pole", "0.5", "--ts", "inf"],
+    # -lag * ts is -inf although lag and ts are each finite
+    ["design", "--order", "3", "--pole", "0.5", "--lag", "1e300", "--ts", "1e10"],
+    ["analyze", "--order", "3", "--pole", "0.5", "--lag", "1e300", "--ts", "1e10", "--freq"],
 ])
 def test_non_finite_parameters_exit_2_at_once(capsys, argv):
     start = time.perf_counter()

@@ -134,6 +134,23 @@ def test_overflowing_transition_is_typed():
         ProcessModel(3, 1e200)
 
 
+def test_read_out_time_past_the_double_range_is_refused():
+    # -lag * ts overflows to -inf, and (-inf) ** m raises no OverflowError:
+    # the row built is checked instead.  Its last row is (0, 0, 1) at any t.
+    model = ProcessModel(3, 1e10)
+    for deriv in (0, 1):
+        with pytest.raises(NonFiniteValue, match=re.escape("transition over t = -inf overflows")):
+            model.output_row(1e300, deriv)
+    assert model.output_row(1e300, 2).row(0) == (0.0, 0.0, 1.0)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteValue):
+            model.transition(t)
+    with pytest.raises(NonFiniteValue):
+        design(ObserverSpec.repeated(model, 0.5, lag=1e300))
+    last = design(ObserverSpec.repeated(model, 0.5, lag=1e300, deriv=2))
+    assert last.ss_kin.output_row.row(0) == (0.0, 0.0, 1.0)
+
+
 def test_repr_mentions_order_and_period():
     assert repr(ProcessModel(2, 0.5)) == "ProcessModel(order=2, ts=0.5)"
 

@@ -65,6 +65,59 @@ def test_companion_matrix_layout():
     assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, -3.0), (0.0, 1.0, 3.0))
 
 
+def test_companion_matrix_converts_its_column_to_float():
+    m = companion_matrix([1, 2, 3])
+    assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0))
+    assert {type(v) for row in m.data for v in row} == {float}
+
+
+def _matrices(ss: StateSpaceModel) -> list[Matrix]:
+    return [ss.transition, ss.input_gain, ss.output_row, ss.kin_from_form, ss.form_from_kin]
+
+
+def _realizations(result) -> list[StateSpaceModel]:
+    """ss_kin and every canonical form of ``result`` that certifies."""
+    built = [result.ss_kin]
+    for build in (pcf_realization, ocf_realization, ccf_realization):
+        try:
+            built.append(build(result))
+        except (Unobservable, Uncontrollable):
+            pass
+    return built
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_realization_matrices_hold_only_float_row_tuples(order):
+    # The realizations wrap rows they built from floats without converting
+    # them again: an int-valued ts and lag must still give float entries.
+    forms = set()
+    for ts, lag, deriv in ((1, 2, 0), (2, 0, order - 1), (3, -1, order // 2)):
+        result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
+        built = _realizations(result)
+        forms.update(ss.form for ss in built)
+        for m in [m for ss in built for m in _matrices(ss)] + list(result.gains):
+            assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+            assert {type(v) for row in m.data for v in row} == {float}, m
+    assert forms == set(Form)
+
+
+def test_designs_of_one_order_share_no_matrix():
+    # Matrix.data can be reassigned, so each design and realization owns its
+    # matrices; only the immutable row tuples are shared.
+    spec = ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)
+    first, second = design(spec), design(spec)
+    owned = [[m for ss in _realizations(result) for m in _matrices(ss)] + list(result.gains)
+             for result in (first, second)]
+    assert len(owned[0]) == len(owned[1]) == 22
+    assert not {id(m) for m in owned[0]} & {id(m) for m in owned[1]}
+    assert first.ss_kin.kin_from_form is not first.ss_kin.form_from_kin
+    want = [m.data for m in owned[1]]
+    for m in owned[0]:
+        m.data = ((math.nan,),)
+    assert [m.data for m in owned[1]] == want
+    assert second.ss_kin.kin_from_form == Matrix.identity(3) == design(spec).ss_kin.form_from_kin
+
+
 def test_observability_matrix_matches_numpy_stack():
     rng = random.Random(5)
     g = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
