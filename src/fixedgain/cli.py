@@ -270,7 +270,7 @@ _BLOCK = 1024  # CSV lines per write to stdout
 
 
 def _csv_line(fields) -> str:
-    """One CSV line of fields that never need quoting: words, ints and floats."""
+    """One CSV line of fields printed as they are: words, ints, floats, read labels."""
     return ",".join(map(str, fields)) + "\n"
 
 
@@ -359,6 +359,11 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+_CHUNK = 512  # input lines parsed at a time
+_READ_ERRORS = (OSError, UnicodeDecodeError)
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
+
+
 def _read_samples(path: str) -> tuple[list[str], list[float]]:
     """Parse the filter input CSV into its labels and values.
 
@@ -372,49 +377,90 @@ def _read_samples(path: str) -> tuple[list[str], list[float]]:
     Each label is returned ready to print as a CSV field, quoted by
     ``csv.writer`` if it must be; one that ``sys.stdout`` cannot encode is an
     InputDataError here, before any output.  A one-column file's labels count
-    the samples from 0.
+    the samples from 0.  The input is parsed ``_CHUNK`` lines at a time, a
+    plain chunk in bulk and any other row by row, with the same result; a
+    line that cannot be read is raised once the lines before it are parsed.
     """
     labels: list[str] = []
     values: list[float] = []
-    encoding, errors = sys.stdout.encoding, sys.stdout.errors
+    line, header = 0, True  # lines before the chunk; the first non-blank row is still to come
     try:
         with (_stdin_text() if path == "-"
-              else open(path, "r", encoding="utf-8", newline="")) as fh:
-            lines = iter(fh)
-            reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
-            for i, row in enumerate(filter(None, reader)):
-                if len(row) not in (1, 2):
-                    raise InputDataError(
-                        f"row {reader.line_num}: expected 1 or 2 columns, got {len(row)}")
+              else open(path, "r", encoding="utf-8", newline="")) as source:
+            while True:
+                lines = []
                 try:
-                    value = float(row[-1])
-                except ValueError:
-                    if i == 0:
-                        continue  # header row
-                    raise InputDataError(
-                        f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
-                if not math.isfinite(value):
-                    raise InputDataError(f"row {reader.line_num}: non-finite value {row[-1]!r}")
-                if len(row) == 1:
-                    label = str(len(values))
-                else:
-                    label = row[0]
-                    if not label.isascii() and encoding is not None:
+                    lines.extend(islice(source, _CHUNK))  # keeps the lines read before a failure
+                except _READ_ERRORS as exc:
+                    source = _raising(exc)  # raised when a line past these is asked for
+                if lines and not line:
+                    lines[0] = lines[0].removeprefix("\ufeff")
+                if lines and not header and _take_plain(lines, labels, values):
+                    line += len(lines)
+                    continue
+                reader = csv.reader(chain(lines, source))  # reads on to end a record if need be
+                for row in filter(None, reader):
+                    if len(row) not in (1, 2):
+                        raise InputDataError(f"expected 1 or 2 columns, got {len(row)}")
+                    try:
+                        value = float(row[-1])
+                    except ValueError:
+                        if header:
+                            header = False
+                            continue  # header row
+                        raise InputDataError(f"non-numeric value {row[-1]!r}") from None
+                    header = False
+                    if not math.isfinite(value):
+                        raise InputDataError(f"non-finite value {row[-1]!r}")
+                    label = row[0] if len(row) == 2 else str(len(values))
+                    if not label.isascii() and (encoding := sys.stdout.encoding) is not None:
                         try:
-                            label.encode(encoding, errors)
+                            label.encode(encoding, sys.stdout.errors)
                         except UnicodeEncodeError:
-                            raise InputDataError(
-                                f"row {reader.line_num}: label {label!r} cannot be written"
-                                f" to standard output ({encoding})") from None
+                            raise InputDataError(f"label {label!r} cannot be written"
+                                                 f" to standard output ({encoding})") from None
                     if not _QUOTED_CHARS.isdisjoint(label):
                         label = _csv_field(label)
-                labels.append(label)
-                values.append(value)
-    except (OSError, UnicodeDecodeError) as exc:
+                    labels.append(label)
+                    values.append(value)
+                    if reader.line_num >= len(lines):
+                        break
+                if not lines:
+                    return labels, values
+                line += reader.line_num
+    except _READ_ERRORS as exc:
         raise InputDataError(f"cannot read {path!r}: {exc}") from exc
-    except csv.Error as exc:  # for example a field over the csv module's size limit
-        raise InputDataError(f"row {reader.line_num}: {exc}") from None
-    return labels, values
+    except (InputDataError, csv.Error) as exc:  # csv refuses, say, a field over its size limit
+        raise InputDataError(f"row {line + reader.line_num}: {exc}") from None
+
+
+def _raising(exc):
+    """A line source that raises ``exc`` at the first line asked of it."""
+    raise exc
+    yield  # unreachable; makes this a generator
+
+
+def _take_plain(lines, labels, values):
+    """Append the rows of ``lines`` in bulk and return True if they are plain:
+    ASCII with no ``"``, carriage return or NUL, within the csv field limit in
+    all, one comma on every line or on none (so no blank line), finite values."""
+    text = "".join(lines).removesuffix("\n")
+    if (len(text) > csv.field_size_limit() or not text.isascii()
+            or '"' in text or "\r" in text or "\0" in text):
+        return False
+    cells, names = text.replace("\n", ",").split(","), None
+    if "," in text:
+        if text.encode().translate(None, _NOT_SEPARATORS) != b",\n" * text.count("\n") + b",":
+            return False
+        names, cells = cells[::2], cells[1::2]
+    try:
+        if not math.isfinite(sum(xs := list(map(float, cells)))):  # or a finite sum overflows
+            return False
+    except ValueError:
+        return False
+    labels += names or map(str, range(len(values), len(values) + len(xs)))
+    values += xs
+    return True
 
 
 def cmd_filter(args) -> int:
@@ -422,25 +468,22 @@ def cmd_filter(args) -> int:
     # The whole input is validated before the first output line is written.
     labels, values = _read_samples(args.input)
     emit_state = args.emit == "state"
-    header = ["n", "y"]
-    if emit_state:
-        header += [f"state{i}" for i in range(result.order)]
-
-    lines = ()
+    text = _csv_line(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)])
     if values:
         # Every call goes through the realize module, once per sample, so a
         # wrapper installed on it before the command runs sees each one.
         ss, step, kinematic = result.ss_kin, realize.step, realize.extract_kinematic
         state = realize.initialize_state(ss, values[0])
-        ys = chain((realize.read_output(ss, state),),
-                   (step(ss, state, x) for x in islice(values, 1, None)))
-        if emit_state:
-            # zip draws y, which advances the state, before the line reads it.
-            lines = (label + "," + ",".join(map(repr, (y, *kinematic(ss, state)))) + "\n"
-                     for label, y in zip(labels, ys))
-        else:
-            lines = (f"{label},{y!r}\n" for label, y in zip(labels, ys))
-    _write_lines(header, lines)
+        y = realize.read_output(ss, state)
+        text += _csv_line((labels[0], y, *(kinematic(ss, state) if emit_state else ())))
+    sys.stdout.write(text)
+    for start in range(1, len(values), _BLOCK):
+        rows = zip(labels[start:start + _BLOCK], values[start:start + _BLOCK])
+        # One block's lines are alive at a time; y is stepped before its state is read.
+        sys.stdout.write("".join(
+            [label + "," + ",".join(map(repr, (step(ss, state, x), *kinematic(ss, state)))) + "\n"
+             for label, x in rows] if emit_state
+            else [f"{label},{step(ss, state, x)!r}\n" for label, x in rows]))
     return 0
 
 
@@ -482,15 +525,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UnstablePoles, Unobservable, Uncontrollable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except FixedGainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (3 if isinstance(exc, (UnstablePoles, Unobservable, Uncontrollable))
+                else 4 if isinstance(exc, InputDataError) else 2)
 
 
 def console_main() -> None:

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from fixedgain import (
     step_response,
     transfer_coefficients,
 )
+from fixedgain import cli
 from fixedgain.cli import _BLOCK, _noise_gain, design_document, main, verify_document
 from fixedgain.design import memory_to_pole
 
@@ -552,11 +554,27 @@ def test_filter_non_finite_sample_is_input_error(tmp_path, capsys, cell):
 
 def test_filter_error_rows_are_file_lines(tmp_path, capsys):
     # Blank lines count: the error names the physical line of the bad row.
+    # ``late`` runs far past the first chunk, so the inputs built on it go
+    # wrong, or leave the bulk path, only in a later chunk.
+    late = "n,value\n" + "".join(f"{n},{n / 8}\n" for n in range(40_000))
+    # A blank line, or a record that spans two lines, at the end of the first
+    # chunk: the row count goes on past it into the next chunk.
+    first = "n,value\n" + "".join(f"{n},1.0\n" for n in range(2, cli._CHUNK))
+    rest = "".join(f"{n},1.0\n" for n in range(cli._CHUNK + 1, 3 * cli._CHUNK))
     for text, line in (("1.0\n\n2.0\nxyz\n", 4),
+                       (first + "\n" + rest + "x,abc\n", 3 * cli._CHUNK),
+                       (first + '"a\nb",1.0\n' + rest + "x,abc\n", 3 * cli._CHUNK + 1),
                        ("n,value\n\n\n1,2.0,3\n", 4),
-                       ("\n\nn,value\n0,1.0\n\n1,inf\n", 6)):
+                       ("\n\nn,value\n0,1.0\n\n1,inf\n", 6),
+                       (late + "40000,1.0,2.0\n", 40_002),
+                       (late + "40000,abc\n", 40_002),
+                       (late + "40000,-inf\n", 40_002),
+                       (late + '"4,0",1.0\nx,abc\n', 40_003),
+                       (late + "40000,1.0\r\nx,abc\n", 40_003),
+                       (late + "\nx,abc\n", 40_003),
+                       (late + "x" * 140_000 + ",1.0\n", 40_002)):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_text(text, newline="")
         code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path)])
         captured = capsys.readouterr()
         assert code == 4
@@ -585,19 +603,179 @@ def test_filter_header_after_blank_lines(tmp_path, capsys):
     assert out == "n,y\n7,1.0\n8,1.5\n"
 
 
-@pytest.mark.parametrize("last", ["4999,1.0,2.0", "4999,abc", "4999,nan"])
-def test_filter_validates_whole_input_before_output(tmp_path, capsys, last):
+@pytest.mark.parametrize("last,line", [
+    pytest.param("4999,1.0,2.0", 5001, id="4999,1.0,2.0"),
+    pytest.param("4999,abc", 5001, id="4999,abc"),
+    pytest.param("4999,nan", 5001, id="4999,nan"),
+    # A row the bulk reader leaves to the csv module, in a late chunk, then a bad one.
+    pytest.param('"49,99",1.0\n5000,abc', 5002, id="quoted-label-then-abc"),
+    pytest.param("4999,1.0\r\n5000,abc", 5002, id="crlf-line-then-abc"),
+    pytest.param("\n5000,abc", 5002, id="blank-line-then-abc"),
+])
+def test_filter_validates_whole_input_before_output(tmp_path, capsys, last, line):
     # Output streams block by block, but a bad last row must still leave stdout
     # empty: the whole file is validated before the first row is written.
     path = tmp_path / "long.csv"
     path.write_text("n,value\n" + "".join(f"{n},{0.001 * n}\n" for n in range(4999))
-                    + last + "\n")
+                    + last + "\n", newline="")
     code = main(["filter", "--order", "3", "--pole", "0.7", "--input", str(path),
                  "--emit", "state"])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""
-    assert captured.err.startswith("error: row 5001:")
+    assert captured.err.startswith(f"error: row {line}:")
+
+
+def _row_loop_samples(path):
+    """``cli._read_samples`` as one row loop over the whole input: every row
+    through ``csv.reader``, nothing read in bulk.  The reference the chunked
+    reader must match, result and error message alike."""
+    labels, values = [], []
+    encoding, errors = sys.stdout.encoding, sys.stdout.errors
+    try:
+        with (cli._stdin_text() if path == "-"
+              else open(path, "r", encoding="utf-8", newline="")) as fh:
+            lines = iter(fh)
+            reader = csv.reader(itertools.chain([next(lines, "").removeprefix("\ufeff")], lines))
+            for i, row in enumerate(filter(None, reader)):
+                if len(row) not in (1, 2):
+                    raise cli.InputDataError(
+                        f"row {reader.line_num}: expected 1 or 2 columns, got {len(row)}")
+                try:
+                    value = float(row[-1])
+                except ValueError:
+                    if i == 0:
+                        continue  # header row
+                    raise cli.InputDataError(
+                        f"row {reader.line_num}: non-numeric value {row[-1]!r}") from None
+                if not math.isfinite(value):
+                    raise cli.InputDataError(
+                        f"row {reader.line_num}: non-finite value {row[-1]!r}")
+                if len(row) == 1:
+                    label = str(len(values))
+                else:
+                    label = row[0]
+                    if not label.isascii() and encoding is not None:
+                        try:
+                            label.encode(encoding, errors)
+                        except UnicodeEncodeError:
+                            raise cli.InputDataError(
+                                f"row {reader.line_num}: label {label!r} cannot be written"
+                                f" to standard output ({encoding})") from None
+                    if not cli._QUOTED_CHARS.isdisjoint(label):
+                        label = cli._csv_field(label)
+                labels.append(label)
+                values.append(value)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.InputDataError(f"cannot read {path!r}: {exc}") from exc
+    except csv.Error as exc:
+        raise cli.InputDataError(f"row {reader.line_num}: {exc}") from None
+    return labels, values
+
+
+def _samples_outcome(read, path, data):
+    """``read(path)``, or its error message, with ``data`` on stdin for ``-``."""
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
+    try:
+        return read(path)
+    except cli.InputDataError as exc:
+        return str(exc)
+    finally:
+        sys.stdin = stdin
+
+
+# Fields that the bulk reader must leave to the csv module, or that parse in
+# surprising ways, and the line ends the csv module reads.
+_ODD_FIELDS = st.sampled_from(['"a,b"', '"q""q"', '"two\nlines"', '"open', "a\rb", "x\x00",
+                               "\f", "1\x85", "é", "1_0", "nan", "inf", "-inf", " 2.5 ",
+                               "\t3", "1e308", "abc", "", "\ufeff1"])
+_NUMBERS = st.floats(allow_nan=False).map(repr)
+_ODD_LINES = (st.lists(_ODD_FIELDS | _NUMBERS, max_size=3).map(",".join)
+              | st.tuples(_ODD_FIELDS, _NUMBERS).map(",".join))
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", ""])
+# Where odd lines go: anywhere, and often at the first line of a chunk or the last.
+_PLACES = st.integers(0, 3 * cli._CHUNK) | st.sampled_from(
+    [k * cli._CHUNK + d for k in (1, 2) for d in (-2, -1, 0, 1)])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(rows=st.sampled_from([0, 3, cli._CHUNK - 1, cli._CHUNK, 2 * cli._CHUNK + 7]),
+       two=st.booleans(), header=st.booleans(), bom=st.booleans(),
+       odd=st.lists(st.tuples(_PLACES, _ODD_LINES, _LINE_ENDS), max_size=4),
+       bad_byte=st.none() | st.integers(0, 60_000), source=st.sampled_from(["file", "stdin"]))
+def test_read_samples_is_the_row_loop(tmp_path, rows, two, header, bom, odd, bad_byte, source):
+    # Plain rows spanning several chunks, with odd rows spliced in anywhere,
+    # chunk boundaries included, and now and then a byte that is not UTF-8.
+    lines = [f"{n},{n / 7!r}\n" if two else f"{n / 7!r}\n" for n in range(rows)]
+    for at, text, end in odd:
+        lines.insert(min(at, len(lines)), text + end)
+    data = ("\ufeff" * bom + ("n,value\n" if two else "value\n") * header
+            + "".join(lines)).encode()
+    if bad_byte is not None:
+        data = data[:bad_byte] + b"\xfe" + data[bad_byte:]
+    path = tmp_path / "samples.csv"
+    path.write_bytes(data)
+    name = str(path) if source == "file" else "-"
+    assert (_samples_outcome(cli._read_samples, name, data)
+            == _samples_outcome(_row_loop_samples, name, data))
+
+
+def test_read_samples_takes_plain_chunks_in_bulk(tmp_path, monkeypatch):
+    # Only the chunk holding the header goes through the csv module.
+    taken = []
+
+    def recorded(*args, bulk=cli._take_plain):
+        taken.append(bulk(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(cli, "_take_plain", recorded)
+    path = tmp_path / "samples.csv"
+    path.write_text("n,value\n" + "".join(f"{n},{n / 3}\n" for n in range(4 * cli._CHUNK)))
+    assert cli._read_samples(str(path)) == _row_loop_samples(str(path))
+    assert taken == [True] * 4
+
+
+@pytest.mark.parametrize("bad_byte,message", [
+    (20_000, "row 701: non-numeric value 'abc'"),
+    (9_000, "cannot read"),
+], ids=["row-error-first", "decode-error-first"])
+def test_filter_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path, capsys,
+                                                                        bad_byte, message):
+    # The row error wins when the bytes that do not decode come after it in the
+    # file, even if they fall in the same chunk of lines: the input is decoded
+    # as a row-by-row read decodes it.
+    text = "".join("x,abc\n" if n == 700 else f"{n},{n / 7!r}\n" for n in range(3000)).encode()
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text[:bad_byte] + b"\xfe" + text[bad_byte:])
+    code = main(["filter", "--order", "1", "--pole", "0.5", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("late", ['"ab",{x!r}\n', "40000,{x!r}\r\n", "\n"],
+                         ids=["quoted", "crlf", "blank"])
+def test_filter_output_is_the_same_when_a_late_chunk_needs_the_csv_module(tmp_path, capsys,
+                                                                          late):
+    # One line far past the first chunk is quoted, ends in CRLF or is blank;
+    # every row is still printed as csv.writer prints it.
+    labels = [str(n) for n in range(40_001)]
+    xs = [math.sin(0.001 * n) + 1e-5 * n for n in range(len(labels))]
+    lines = [f"{label},{x!r}\n" for label, x in zip(labels, xs)]
+    lines[40_000] = late.format(x=xs[40_000])
+    if late == "\n":
+        del labels[40_000], xs[40_000]
+    elif late.startswith('"'):
+        labels[40_000] = "ab"  # one comma on the line: only its quotes keep it from the bulk path
+    path = tmp_path / "samples.csv"
+    path.write_text("n,value\n" + "".join(lines), newline="")
+    code, out = run_cli(capsys, ["filter", "--order", "2", "--pole", "0.6", "--input", str(path),
+                                 "--emit", "state"])
+    assert code == 0
+    ss = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.6)).ss_kin
+    assert out == _csv_writer_reference(ss, labels, xs, "state")
 
 
 @pytest.mark.parametrize("order", range(1, 9))
