@@ -38,7 +38,6 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
 )
-from .poly import Polynomial
 from . import realize
 from .realize import _ints
 
@@ -47,27 +46,30 @@ from .realize import _ints
 _SAMPLE_CAP = 1_000_000
 
 
-def _finite_pair(num, den) -> tuple[Polynomial, Polynomial]:
-    """``(num, den)`` as polynomials, refusing a nan or infinite coefficient."""
-    b, a = (p if isinstance(p, Polynomial) else Polynomial(p) for p in (num, den))
-    if not all(map(math.isfinite, b.coeffs + a.coeffs)):
+def _finite_pair(num, den) -> tuple[tuple, tuple]:
+    """The coefficients of ``(num, den)`` as float tuples, refusing an empty
+    list (as Polynomial does) and a nan or infinite coefficient."""
+    b, a = tuple(map(float, num)), tuple(map(float, den))
+    if not (b and a):
+        raise DimensionMismatch("polynomial needs at least one coefficient")
+    if not all(map(math.isfinite, b + a)):
         raise NonFiniteValue("transfer coefficients must be finite")
     return b, a
 
 
-def _check_normalized(den: Polynomial) -> None:
+def _check_normalized(den: tuple) -> None:
     if den[0] != 1.0:
         raise NotNormalized(f"denominator must be monic, leading {den[0]!r}")
 
 
-def _recursion(b: Polynomial, a: Polynomial, xs, px: Sequence[float], py: Sequence[float]):
+def _recursion(b: tuple, a: tuple, xs, px: Sequence[float], py: Sequence[float]):
     """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``,
     from past inputs ``px`` and outputs ``py`` ordered most-recent-first,
     len(b) - 1 and len(a) - 1 of them.  The terms are added left to right,
     from b[0] x as ``sum``'s start; lde_filter and impulse_response share this
     one loop, so a unit pulse gives the same bits through either."""
-    b0, b_tail = b[0], b.coeffs[1:]
-    neg_a_tail = [-c for c in a.coeffs[1:]]
+    b0, b_tail = b[0], b[1:]
+    neg_a_tail = [-c for c in a[1:]]
     px, py = deque(px, maxlen=len(px)), deque(py, maxlen=len(py))
     for x in xs:
         y = sum(map(mul, neg_a_tail, py), sum(map(mul, b_tail, px), b0 * x))
@@ -118,10 +120,10 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
         raise FixedGainError(f"impulse tolerance must be >= 0, got {tol!r}")
     b, a = _finite_pair(num, den)
     _check_normalized(a)
-    k = a.degree
+    k = len(a) - 1
     if k == 0:
-        return list(b.coeffs)
-    ints, _ = _ints(b.coeffs + a.coeffs)
+        return list(b)
+    ints, _ = _ints(b + a)
     dens = ints[len(b):]
     bound = tol * _step_down(ints[:len(b)], dens)
     pulse = chain((1.0,), repeat(0.0))
@@ -166,9 +168,9 @@ def _horner_block(steps: int, first: bool, divide: bool):
     return namespace["block"]
 
 
-def _horner(p: Polynomial, zs, dvs=None) -> list[complex]:
-    """p at each z of ``zs``, over the matching ``dvs`` when given, 8 steps a pass."""
-    acc, tail = p.coeffs[0], p.coeffs[1:]
+def _horner(p: tuple, zs, dvs=None) -> list[complex]:
+    """Coefficients ``p`` at each z of ``zs``, over ``dvs`` when given, 8 steps a pass."""
+    acc, tail = p[0], p[1:]
     for i in range(0, len(tail), 8) or (0,):
         block = tail[i:i + 8]
         acc = _horner_block(len(block), i == 0, dvs is not None and i + 8 >= len(tail))(
@@ -225,7 +227,7 @@ def white_noise_gain(num, den) -> float:
     """
     b, a = _finite_pair(num, den)
     _check_normalized(a)
-    ints, _ = _ints(b.coeffs + a.coeffs)
+    ints, _ = _ints(b + a)
     return _step_down(ints[:len(b)], ints[len(b):])
 
 
@@ -314,16 +316,16 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     coefficient m.
     """
     b, a = _finite_pair(num, den)
-    d0 = sum(a.coeffs)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
-    if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a.coeffs)):
+    d0 = sum(a)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
+    if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a)):
         raise PoleAtOne(
             "denominator at z = 1 vanishes, or is not resolved from zero by its"
             " coefficients; no dc steady state"
         )
 
-    def series(p: Polynomial) -> list[float]:
-        n = p.degree
-        return [sum(c * (n - k) ** m for k, c in enumerate(p.coeffs)) / math.factorial(m)
+    def series(p: tuple) -> list[float]:
+        n = len(p) - 1
+        return [sum(c * (n - k) ** m for k, c in enumerate(p)) / math.factorial(m)
                 for m in range(orders)]
 
     ns, ds = series(b), series(a)

@@ -42,7 +42,6 @@ from .errors import (
     Unobservable,
     UnstablePoles,
 )
-from .linalg import Matrix
 from .poly import from_roots
 from .process import ProcessModel
 from .realize import ccf_realization, ocf_realization, pcf_realization, transfer_coefficients
@@ -135,7 +134,7 @@ def _design_from_args(args) -> DesignResult:
 # ---------------------------------------------------------------------------
 # document assembly
 
-def _matrix_rows(m: Matrix) -> list[list[float]]:
+def _matrix_rows(m) -> list[list[float]]:
     return [list(row) for row in m.data]
 
 

@@ -185,16 +185,6 @@ class FilterState:
         return f"FilterState(form={self.form!r}, vector={self.vector!r})"
 
 
-def _observability_matrix(output_row: Matrix, transition: Matrix) -> Matrix:
-    """Stack output_row @ transition**k for k = 0 .. K-1 into a K x K matrix,
-    each product summed as ``Matrix @`` sums it."""
-    columns = tuple(zip(*transition.data))
-    rows = [output_row.row(0)]
-    for _ in range(transition.rows - 1):
-        rows.append(tuple([sum(map(mul, rows[-1], col)) for col in columns]))
-    return Matrix._of(tuple(rows))
-
-
 def companion_matrix(column: Sequence[float]) -> Matrix:
     """Companion matrix with the given last column over a shifted identity.
 
@@ -214,31 +204,33 @@ def _unit_column(k: int, i: int) -> tuple:
 
 
 def _observable_form(
-    row: Matrix, transition: Matrix, column: Sequence[float], error: FixedGainError
-) -> tuple[Matrix, Matrix]:
-    """Similarity pair ``(kin_from_form, form_from_kin)`` from the pair
-    ``(row, transition)`` = (c, A) to the companion transition with last
-    column ``column`` = (g_0, .., g_{K-1}) read by the last unit row.
+    c: tuple, rows_a: tuple, column: Sequence[float], error: FixedGainError
+) -> tuple[tuple, tuple]:
+    """Rows of the similarity pair ``(kin_from_form, form_from_kin)`` from the
+    rows (c, A) to the companion transition with last column ``column`` =
+    (g_0, .., g_{K-1}) read by the last unit row.
 
     ``form_from_kin`` has Horner's rows: t_{K-1} = c, t_{i-1} = t_i A - g_i c.
     ``kin_from_form`` is the Krylov matrix [x, Ax, .., A^{K-1} x] of the x
-    that the observability stack maps to the last unit vector (the one
-    solve).  A singular stack raises ``error``.
+    that the observability stack (rows c A^i) maps to the last unit vector
+    (the one solve).  A singular stack raises ``error``.
     """
     k = len(column)
-    rows_a, c = transition.data, row.row(0)
+    columns = tuple(zip(*rows_a))
+    stack = [c]
+    for _ in range(k - 1):
+        stack.append(tuple([sum(map(mul, stack[-1], a)) for a in columns]))
     try:
-        x = _observability_matrix(row, transition).solve(Matrix._of(_unit_column(k, -1)))
+        x = Matrix._of(tuple(stack)).solve(Matrix._of(_unit_column(k, -1)))
     except SingularMatrix as exc:
         raise error from exc
     krylov = [x.col(0)]
     for _ in range(k - 1):
         krylov.append([sum(map(mul, a, krylov[-1])) for a in rows_a])
-    columns = tuple(zip(*rows_a))
     horner = [c]
     for g in column[:0:-1]:
         horner.append(tuple([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)]))
-    return Matrix._of(tuple(zip(*krylov))), Matrix._of(tuple(horner[::-1]))
+    return tuple(zip(*krylov)), tuple(horner[::-1])
 
 
 def companion_column(char: Polynomial) -> tuple[float, ...]:
@@ -273,10 +265,9 @@ def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
 def _unit_pcf_transform(order: int) -> tuple[tuple, tuple]:
     """The rows of the ts = 1 pair, built once per order."""
     model = ProcessModel(order, 1.0)
-    return tuple(m.data for m in _observable_form(
-        model.predictor_row(), model.transition_matrix, companion_column(model.char_poly),
-        Unobservable("process/predictor pair is not observable at this order"),
-    ))
+    return _observable_form(model.predictor_row().row(0), model.transition_matrix.data,
+                            companion_column(model.char_poly),
+                            Unobservable("process/predictor pair is not observable at this order"))
 
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -308,15 +299,16 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     """
     kin, col = result.ss_kin, companion_column(result.char_poly)
     kin_from_ocf, ocf_from_kin = _observable_form(
-        kin.output_row, kin.transition, col,
+        kin.output_row.row(0), kin.transition.data, col,
         Unobservable("closed-loop pair is not observable; cannot reach OCF"),
     )
+    ocf_from_kin = Matrix._of(ocf_from_kin)
     model = StateSpaceModel(
         form=Form.OCF,
         transition=companion_matrix(col),
         input_gain=ocf_from_kin @ kin.input_gain,
         output_row=Matrix._of(identity_rows(kin.order)[-1:]),
-        kin_from_form=kin_from_ocf,
+        kin_from_form=Matrix._of(kin_from_ocf),
         form_from_kin=ocf_from_kin,
     )
     _certify_similarity(kin, model, Unobservable)
@@ -342,17 +334,17 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     col = companion_column(result.char_poly)
     companion = companion_matrix(col).data
     p_inv, p = _observable_form(
-        Matrix._of((kin.input_gain.col(0),)), Matrix._of(tuple(zip(*kin.transition.data))), col,
+        kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
     )
-    kin_from_ccf = Matrix._of(tuple(zip(*p.data[::-1])))
+    kin_from_ccf = Matrix._of(tuple(zip(*p[::-1])))
     model = StateSpaceModel(
         form=Form.CCF,
         transition=Matrix._of(tuple([row[::-1] for row in zip(*companion)])[::-1]),
         input_gain=Matrix._of(_unit_column(k, 0)),
         output_row=kin.output_row @ kin_from_ccf,
         kin_from_form=kin_from_ccf,
-        form_from_kin=Matrix._of(tuple(zip(*p_inv.data))[::-1]),
+        form_from_kin=Matrix._of(tuple(zip(*p_inv))[::-1]),
     )
     _certify_similarity(kin, model, Uncontrollable)
     return model
@@ -421,9 +413,9 @@ def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomia
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     """State holding the first sample: position x0, all derivatives zero,
     expressed in the realization's own coordinates."""
-    kin0 = Matrix.column([float(x0)] + [0.0] * (ss.order - 1))
-    w = ss.form_from_kin @ kin0
-    return FilterState(form=ss.form, vector=list(w.col(0)))
+    kin0 = (float(x0),) + (0.0,) * (ss.order - 1)
+    return FilterState(form=ss.form,
+                       vector=[sum(map(mul, row, kin0)) for row in ss.form_from_kin.data])
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:

@@ -47,7 +47,7 @@ from fixedgain.errors import (
     Unobservable,
     UnstablePoles,
 )
-from fixedgain.realize import _observability_matrix, companion_column
+from fixedgain.realize import companion_column
 
 
 def _reference_design():
@@ -116,16 +116,6 @@ def test_designs_of_one_order_share_no_matrix():
         m.data = ((math.nan,),)
     assert [m.data for m in owned[1]] == want
     assert second.ss_kin.kin_from_form == Matrix.identity(3) == design(spec).ss_kin.form_from_kin
-
-
-def test_observability_matrix_matches_numpy_stack():
-    rng = random.Random(5)
-    g = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)]
-    c = [[rng.uniform(-1, 1) for _ in range(4)]]
-    got = np.array(_observability_matrix(Matrix(c), Matrix(g)).data)
-    cn, gn = np.array(c), np.array(g)
-    want = np.vstack([cn @ np.linalg.matrix_power(gn, k) for k in range(4)])
-    assert float(np.max(np.abs(got - want))) < 1e-12
 
 
 # --- canonical realizations --------------------------------------------------
