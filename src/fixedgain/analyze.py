@@ -38,6 +38,8 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
 )
+from .linalg import ORDER_CAP
+from .process import ProcessModel, check_deriv
 from . import realize
 from .realize import _ints
 
@@ -55,6 +57,17 @@ def _finite_pair(num, den) -> tuple[tuple, tuple]:
     if not all(map(math.isfinite, b + a)):
         raise NonFiniteValue("transfer coefficients must be finite")
     return b, a
+
+
+def _read_out(deriv: int, lag, ts) -> tuple[float, float]:
+    """``(lag, ts)`` as floats, refused with ``deriv`` as ObserverSpec and
+    ProcessModel refuse them (any order up to ORDER_CAP, ts**deriv in range)."""
+    check_deriv(deriv, ORDER_CAP)
+    ts = ProcessModel(deriv + 1, ts).ts
+    lag = float(lag)
+    if not math.isfinite(lag):
+        raise NonFiniteValue(f"lag must be finite, got {lag!r}")
+    return lag, ts
 
 
 def _check_normalized(den: tuple) -> None:
@@ -275,14 +288,19 @@ def ramp_error(num, den, lag: float, ts: float, horizon: int) -> float:
     Feeds x[n] = n*ts through the recursion from a cold start and returns
     (horizon - lag)*ts - y[horizon]: what the lag-matched read-out should
     have produced minus what it did.  For an unbiased design this decays to
-    roundoff once the start-up transient dies.
+    roundoff once the start-up transient dies.  A lag or ts the records refuse
+    raises as there (:func:`_read_out`), an error past the double range
+    NonFiniteValue.
     """
     if horizon < 0:
         raise DimensionMismatch(f"ramp error needs horizon >= 0, got {horizon!r}")
-    ts = float(ts)
+    lag, ts = _read_out(0, lag, ts)
     xs = [n * ts for n in range(horizon + 1)]
     ys = lde_filter(num, den, xs)
-    return (horizon - float(lag)) * ts - ys[horizon]
+    error = (horizon - lag) * ts - ys[horizon]
+    if not math.isfinite(error):
+        raise NonFiniteValue(f"ramp error overflows at lag = {lag!r}, ts = {ts!r}")
+    return error
 
 
 def flatness_targets(deriv: int, lag: float, ts: float, count: int) -> list[complex]:
@@ -292,18 +310,19 @@ def flatness_targets(deriv: int, lag: float, ts: float, count: int) -> list[comp
     evaluated ``lag`` samples back, has frequency response locally equal to
     (i*omega/ts)**deriv * exp(-i*lag*omega) around omega = 0; these are that
     function's derivatives: zero below order ``deriv``, then
-    i**k * (-lag)**(k-deriv) * ts**(-deriv) * k!/(k-deriv)!.
+    i**k * (-lag)**(k-deriv) * ts**(-deriv) * k!/(k-deriv)!.  A deriv, lag
+    or ts the records refuse raises as there (:func:`_read_out`), a target
+    past the double range NonFiniteValue.
     """
-    q = float(lag)
-    t = float(ts)
-    out: list[complex] = []
-    for k in range(count):
-        if k < deriv:
-            out.append(0j)
-        else:
-            val = (1j) ** k * (-q) ** (k - deriv) * t ** (-deriv)
-            out.append(val * math.perm(k, deriv))
-    return out
+    q, t = _read_out(deriv, lag, ts)
+    try:
+        out = [(1j) ** k * (-q) ** (k - deriv) * t ** (-deriv) * math.perm(k, deriv)
+               if k >= deriv else 0j for k in range(count)]
+        if all(map(cmath.isfinite, out)):
+            return out
+    except OverflowError:
+        pass
+    raise NonFiniteValue(f"flatness targets overflow at lag = {q!r}, ts = {t!r}")
 
 
 def _dc_derivatives(num, den, orders: int) -> list[complex]:

@@ -24,14 +24,13 @@ from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
-    DerivativeIndexOutOfRange,
     FixedGainError,
     NonFiniteValue,
     UnstablePoles,
 )
 from .linalg import Matrix, identity_rows
 from .poly import from_roots
-from .process import ProcessModel
+from .process import ProcessModel, check_deriv
 from .realize import Form, StateSpaceModel
 
 
@@ -45,7 +44,7 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
         lag: read-out point in samples behind the newest measurement.
             Fractional and negative (prediction) values are allowed.
         deriv: which kinematic derivative the scalar output taps
-            (0 = position, 1 = velocity, ...).
+            (0 = position, 1 = velocity, ...), an int in 0..K-1.
     """
 
     __slots__ = ()
@@ -58,9 +57,7 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
             raise NonFiniteValue(f"poles and lag must be finite, got {poles}, {lag!r}")
         if len(poles) != process.order:
             raise DimensionMismatch(f"need {process.order} poles, got {len(poles)}")
-        if not 0 <= deriv < process.order:
-            raise DerivativeIndexOutOfRange(
-                f"derivative index must be in 0..{process.order - 1}, got {deriv}")
+        check_deriv(deriv, process.order)
         return super().__new__(cls, process, poles, lag, deriv)
 
     @classmethod

@@ -22,6 +22,12 @@ from .linalg import ORDER_CAP, Matrix
 from .poly import Polynomial
 
 
+def check_deriv(deriv: int, order: int) -> None:
+    """Refuse a read-out derivative that is not an int in 0..order-1."""
+    if not (isinstance(deriv, int) and 0 <= deriv < order):
+        raise DerivativeIndexOutOfRange(f"derivative index must be in 0..{order - 1}, got {deriv}")
+
+
 def _taylor_row(order: int, t: float, i: int) -> tuple[float, ...]:
     """Row i of the closed-form transition over any (signed) time t: t**(j-i) / (j-i)!.
     A row with an entry past the double range (t itself may be infinite, and
@@ -90,7 +96,5 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         may be fractional or negative (negative means prediction ahead);
         ``output_row(0.0)`` picks off position.
         """
-        if not 0 <= deriv < self.order:
-            raise DerivativeIndexOutOfRange(
-                f"derivative index must be in 0..{self.order - 1}, got {deriv}")
+        check_deriv(deriv, self.order)
         return Matrix._of((_taylor_row(self.order, -float(lag) * self.ts, deriv),))

@@ -56,11 +56,14 @@ from fixedgain import (
     white_noise_gain,
 )
 from fixedgain.analyze import _ints, _step_down
+from fixedgain.linalg import ORDER_CAP
 from fixedgain.errors import (
+    DerivativeIndexOutOfRange,
     DimensionMismatch,
     FixedGainError,
     NonConvergent,
     NonFiniteValue,
+    NonPositiveSamplingPeriod,
     NotNormalized,
     PoleAtOne,
     PoleOnUnitCircle,
@@ -770,10 +773,11 @@ def test_ramp_error_refuses_negative_horizon():
         ramp_error(DELAY_NUM, DELAY_DEN, 2.0, 0.04, -1)
 
 
+@pytest.mark.parametrize("num, den", [([], [1.0]), ([1.0], [])])
 @pytest.mark.parametrize("analysis", [white_noise_gain, impulse_response, steady_state_step])
-def test_empty_coefficient_list_is_a_dimension_mismatch(analysis):
-    with pytest.raises(DimensionMismatch):
-        analysis([], [1.0])
+def test_empty_coefficient_list_is_a_dimension_mismatch(analysis, num, den):
+    with pytest.raises(DimensionMismatch, match="^polynomial needs at least one coefficient$"):
+        analysis(num, den)
 
 
 # --- dc flatness --------------------------------------------------------------------
@@ -792,6 +796,88 @@ def test_flatness_targets_below_derivative_are_zero():
 def test_flatness_targets_velocity_readout():
     targets = flatness_targets(1, 0.0, 0.25, 2)
     assert targets[1] == pytest.approx(1j / 0.25, abs=1e-12)
+
+
+# Lag, ts and deriv that ObserverSpec and ProcessModel refuse, with the error
+# each raises there; a lag or ts past the double range fails as a target does.
+BAD_READ_OUTS = [
+    (0, math.nan, 0.1, NonFiniteValue),
+    (1, math.inf, 0.1, NonFiniteValue),
+    (1, -math.inf, 0.1, NonFiniteValue),
+    (3, 1e308, 0.1, NonFiniteValue),
+    (0, 1.0, math.nan, NonFiniteValue),
+    (1, 1.0, math.inf, NonFiniteValue),
+    (0, 1.0, -math.inf, NonFiniteValue),
+    (1, 1.0, 0.0, NonPositiveSamplingPeriod),
+    (0, 1.0, -0.04, NonPositiveSamplingPeriod),
+    (2, 1.0, 1e-300, NonFiniteValue),
+    (2, 1.0, 1e200, NonFiniteValue),
+    (-1, 1.0, 0.1, DerivativeIndexOutOfRange),
+    (ORDER_CAP, 1.0, 0.1, DerivativeIndexOutOfRange),
+    (1.5, 1.0, 0.1, DerivativeIndexOutOfRange),
+    (1.0, 1.0, 0.1, DerivativeIndexOutOfRange),
+]
+
+
+@pytest.mark.parametrize("deriv, lag, ts, error", BAD_READ_OUTS)
+@pytest.mark.parametrize("analysis", [
+    lambda deriv, lag, ts: flatness_targets(deriv, lag, ts, 5),
+    lambda deriv, lag, ts: flatness_profile([0.5, 0.0], [1.0, -0.5], deriv, lag, ts, 5),
+    lambda deriv, lag, ts: flatness_check([0.5, 0.0], [1.0, -0.5], deriv, lag, ts, 5),
+])
+def test_flatness_refuses_what_the_records_refuse(analysis, deriv, lag, ts, error):
+    with pytest.raises(error):
+        analysis(deriv, lag, ts)
+
+
+@pytest.mark.parametrize("lag, ts, error", [
+    (math.nan, 0.1, NonFiniteValue),
+    (math.inf, 0.1, NonFiniteValue),
+    (-math.inf, 0.1, NonFiniteValue),
+    (1.0, math.nan, NonFiniteValue),
+    (1.0, math.inf, NonFiniteValue),
+    (1.0, -math.inf, NonFiniteValue),
+    (1.0, 0.0, NonPositiveSamplingPeriod),
+    (1.0, -0.04, NonPositiveSamplingPeriod),
+    (1.0, 1e308, NonFiniteValue),
+])
+def test_ramp_error_refuses_what_the_records_refuse(lag, ts, error):
+    # A ts of 1e308 is a valid period, but the ramp n * ts overflows, and the
+    # error would be nan.
+    with pytest.raises(error):
+        ramp_error([0.5, 0.0], [1.0, -0.5], lag, ts, 50)
+
+
+def _unguarded_targets(deriv, lag, ts, count):
+    # flatness_targets' closed form with no checks, term by term.
+    return [(1j) ** k * (-lag) ** (k - deriv) * ts ** (-deriv) * math.perm(k, deriv)
+            if k >= deriv else 0j for k in range(count)]
+
+
+_READ_OUT_REFUSALS = (NonFiniteValue, NonPositiveSamplingPeriod, DerivativeIndexOutOfRange)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(-2, ORDER_CAP + 1), st.floats(-1.0, 9.0)), st.floats(),
+       st.one_of(st.floats(), st.floats(1e-320, 1e-280), st.floats(1e150, 1e308)),
+       st.integers(0, 10))
+def test_flatness_targets_are_the_closed_form_or_a_typed_refusal(deriv, lag, ts, count):
+    # Accepted inputs give the unguarded closed form's bits; a refusal is
+    # typed and holds a deriv, lag or ts the records refuse, or a target
+    # past the double range.
+    try:
+        got = flatness_targets(deriv, lag, ts, count)
+    except _READ_OUT_REFUSALS:
+        if isinstance(deriv, int) and 0 <= deriv < ORDER_CAP and math.isfinite(lag):
+            try:
+                ProcessModel(deriv + 1, ts)
+                want = _unguarded_targets(deriv, lag, ts, count)
+            except (OverflowError, *_READ_OUT_REFUSALS):
+                return
+            assert not all(map(cmath.isfinite, want))
+        return
+    assert isinstance(deriv, int) and 0 <= deriv < ORDER_CAP and math.isfinite(lag)
+    assert repr(got) == repr(_unguarded_targets(deriv, lag, ProcessModel(deriv + 1, ts).ts, count))
 
 
 def test_reference_design_is_flat_through_order_two():

@@ -369,6 +369,19 @@ def test_spec_derivative_index_checked():
         ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), deriv=2)
 
 
+@pytest.mark.parametrize("deriv", [1.0, 1.5, 0.0, -1, 3, math.nan, math.inf, "1", None])
+@pytest.mark.parametrize("build", [
+    lambda deriv: ObserverSpec(ProcessModel(3, 0.5), (0.5,) * 3, 1.0, deriv),
+    lambda deriv: ObserverSpec.repeated(ProcessModel(3, 0.5), 0.5, lag=1.0, deriv=deriv),
+    lambda deriv: ObserverSpec(ProcessModel(3, 0.5), (0.5,) * 3)._replace(deriv=deriv),
+])
+def test_spec_refuses_a_deriv_that_is_not_an_index(build, deriv):
+    # A float deriv, even 1.0, was accepted and then failed inside design()
+    # with an untyped TypeError.
+    with pytest.raises(DerivativeIndexOutOfRange, match=r"^derivative index must be in 0\.\.2, "):
+        build(deriv)
+
+
 @pytest.mark.parametrize("poles, lag", [
     ((math.nan, 0.5), 0.0),
     ((complex(0.5, math.inf), 0.5), 0.0),
@@ -378,6 +391,12 @@ def test_spec_derivative_index_checked():
 def test_spec_rejects_non_finite_poles_and_lag(poles, lag):
     with pytest.raises(NonFiniteValue):
         ObserverSpec(ProcessModel(2, 1.0), poles, lag=lag)
+
+
+@pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf])
+def test_repeated_spec_rejects_a_non_finite_lag(lag):
+    with pytest.raises(NonFiniteValue):
+        ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5, lag=lag)
 
 
 def test_repeated_spec_rejects_out_of_range_pole():

@@ -1,14 +1,19 @@
 """Package surface: the exported names, the docstring example, the
-stdlib-only import rule and the modules the CLI leaves out at start-up."""
+stdlib-only import rule, the modules the CLI leaves out at start-up and the
+size of each module's token stream."""
 
 import ast
 import contextlib
 import doctest
+import glob
 import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
+
+import pytest
 
 import fixedgain
 import fixedgain.cli
@@ -81,3 +86,27 @@ def test_cli_start_up_leaves_out_the_heavy_modules():
     with contextlib.redirect_stdout(out):
         assert fixedgain.cli.main(["design", "--order", "2", "--pole", "0.5"]) == 0
     assert json.loads(out.getvalue())["design"]["pole"] == 0.5
+
+
+# CPython 3.11's parser doubles its token array, and allocates a record for
+# every new slot, once a module passes 4,096 tokens: compiling such a module
+# from source (as a start with PYTHONDONTWRITEBYTECODE does) peaks about
+# 0.23 MB higher.  Counted as that parser sees the source: tokenize's stream
+# without comments and non-logical newlines.  Other versions tokenize
+# differently (f-strings from 3.12 on), so the bound is checked on 3.11 only.
+PARSER_TOKEN_STEP = 4096
+
+
+def _parser_tokens(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                   for tok in tokenize.generate_tokens(fh.readline))
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="the token step was measured on CPython 3.11's parser")
+def test_every_module_stays_under_the_parser_token_step():
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(fixedgain.__file__), "*.py")))
+    counts = {os.path.basename(path): _parser_tokens(path) for path in paths}
+    assert "cli.py" in counts
+    assert max(counts.values()) < PARSER_TOKEN_STEP, counts

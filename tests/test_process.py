@@ -106,6 +106,13 @@ def test_derivative_index_validated():
         model.output_row(0.0, deriv=-1)
 
 
+@pytest.mark.parametrize("deriv", [1.0, 0.5, -1, 3, math.nan, "1", None])
+def test_output_row_refuses_a_deriv_that_is_not_an_index(deriv):
+    # The rule ObserverSpec shares: an int in 0..K-1, not a float of one.
+    with pytest.raises(DerivativeIndexOutOfRange, match=r"^derivative index must be in 0\.\.2, "):
+        ProcessModel(3, 0.1).output_row(0.0, deriv)
+
+
 def test_order_validated():
     with pytest.raises(OrderOutOfRange):
         ProcessModel(0, 1.0)
@@ -120,7 +127,7 @@ def test_sampling_period_validated():
         ProcessModel(2, -0.1)
 
 
-@pytest.mark.parametrize("ts", [math.nan, math.inf])
+@pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
 def test_non_finite_sampling_period_rejected(ts):
     with pytest.raises(NonFiniteValue):
         ProcessModel(2, ts)
