@@ -773,11 +773,19 @@ def test_ramp_error_refuses_negative_horizon():
         ramp_error(DELAY_NUM, DELAY_DEN, 2.0, 0.04, -1)
 
 
-@pytest.mark.parametrize("num, den", [([], [1.0]), ([1.0], [])])
 @pytest.mark.parametrize("analysis", [white_noise_gain, impulse_response, steady_state_step])
-def test_empty_coefficient_list_is_a_dimension_mismatch(analysis, num, den):
-    with pytest.raises(DimensionMismatch, match="^polynomial needs at least one coefficient$"):
-        analysis(num, den)
+def test_empty_coefficient_list_is_a_dimension_mismatch(analysis):
+    with pytest.raises(DimensionMismatch):
+        analysis([], [1.0])
+
+
+@pytest.mark.parametrize("num, den", [([], [1.0]), ([1.0], []), ((), ())])
+def test_empty_coefficient_list_keeps_the_polynomial_message(num, den):
+    # The gate converts without building a Polynomial, and words the refusal
+    # as Polynomial([]) does.
+    for analysis in (white_noise_gain, steady_state_step, partial(frequency_response, omega=0.1)):
+        with pytest.raises(DimensionMismatch, match="^polynomial needs at least one coefficient$"):
+            analysis(num, den)
 
 
 # --- dc flatness --------------------------------------------------------------------

@@ -387,16 +387,11 @@ def test_spec_refuses_a_deriv_that_is_not_an_index(build, deriv):
     ((complex(0.5, math.inf), 0.5), 0.0),
     ((0.5, 0.5), math.nan),
     ((0.5, 0.5), -math.inf),
+    ((0.5, 0.5), math.inf),
 ])
 def test_spec_rejects_non_finite_poles_and_lag(poles, lag):
     with pytest.raises(NonFiniteValue):
         ObserverSpec(ProcessModel(2, 1.0), poles, lag=lag)
-
-
-@pytest.mark.parametrize("lag", [math.nan, math.inf, -math.inf])
-def test_repeated_spec_rejects_a_non_finite_lag(lag):
-    with pytest.raises(NonFiniteValue):
-        ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5, lag=lag)
 
 
 def test_repeated_spec_rejects_out_of_range_pole():
