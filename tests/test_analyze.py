@@ -56,7 +56,6 @@ from fixedgain import (
     white_noise_gain,
 )
 from fixedgain.analyze import _ints, _step_down
-from fixedgain.linalg import ORDER_CAP
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
@@ -69,6 +68,7 @@ from fixedgain.errors import (
     PoleOnUnitCircle,
     UnstablePoles,
 )
+from fixedgain.linalg import ORDER_CAP
 
 DELAY_NUM = Polynomial([0.0, 0.0, 1.0, 0.0])
 DELAY_DEN = Polynomial([1.0, 0.0, 0.0, 0.0])
@@ -807,7 +807,7 @@ def test_flatness_targets_velocity_readout():
 
 
 # Lag, ts and deriv that ObserverSpec and ProcessModel refuse, with the error
-# each raises there; a lag or ts past the double range fails as a target does.
+# each raises there, and a lag of 1e308, whose targets overflow.
 BAD_READ_OUTS = [
     (0, math.nan, 0.1, NonFiniteValue),
     (1, math.inf, 0.1, NonFiniteValue),
