@@ -3,7 +3,9 @@
 Works on the transfer-coefficient view of a filter: a numerator/denominator
 pair over descending powers of z.  Every analysis of a pair refuses a nan or
 infinite coefficient (NonFiniteValue); white_noise_gain, impulse_response,
-lde_filter and ramp_error need a monic denominator.  Covers what one asks of a
+lde_filter and ramp_error need a monic denominator.  A count (grid points,
+dc orders, ramp horizon, step samples) that is not an int, or is below its
+minimum, raises DimensionMismatch.  Covers what one asks of a
 smoother: how much measurement noise gets through (white-noise gain), what the
 frequency response looks like, how fast the step response settles, whether
 ramps are tracked without bias, and how flat the passband is at dc
@@ -68,6 +70,13 @@ def _read_out(deriv: int, lag, ts) -> tuple[float, float]:
     if not math.isfinite(lag):
         raise NonFiniteValue(f"lag must be finite, got {lag!r}")
     return lag, ts
+
+
+def _check_count(count, least: int, need: str) -> None:
+    """Refuse a count that is not an int (tested as check_deriv tests an
+    index) of at least ``least``, with the message ``need``."""
+    if not (isinstance(count, int) and count >= least):
+        raise DimensionMismatch(f"{need}, got {count!r}")
 
 
 def _check_normalized(den: tuple) -> None:
@@ -216,8 +225,12 @@ def _responses(num, den, omegas, zs) -> list[complex]:
 
 def frequency_response(num, den, omega) -> complex:
     """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
-    complex values are accepted.  A non-finite response raises NonFiniteValue."""
-    z = cmath.exp(1j * omega)
+    complex values are accepted.  A non-finite response, or an exp(i*omega)
+    past the double range, raises NonFiniteValue."""
+    try:
+        z = cmath.exp(1j * omega)
+    except OverflowError:
+        raise NonFiniteValue(f"exp(i*omega) overflows at omega = {omega!r}") from None
     return _responses(num, den, (omega,), (z,))[0]
 
 
@@ -292,8 +305,7 @@ def ramp_error(num, den, lag: float, ts: float, horizon: int) -> float:
     raises as there (:func:`_read_out`), an error past the double range
     NonFiniteValue.
     """
-    if horizon < 0:
-        raise DimensionMismatch(f"ramp error needs horizon >= 0, got {horizon!r}")
+    _check_count(horizon, 0, "ramp error needs horizon >= 0")
     lag, ts = _read_out(0, lag, ts)
     xs = [n * ts for n in range(horizon + 1)]
     ys = lde_filter(num, den, xs)
@@ -315,6 +327,7 @@ def flatness_targets(deriv: int, lag: float, ts: float, count: int) -> list[comp
     past the double range NonFiniteValue.
     """
     q, t = _read_out(deriv, lag, ts)
+    _check_count(count, 0, "flatness needs a count of orders >= 0")
     try:
         out = [(1j) ** k * (-q) ** (k - deriv) * t ** (-deriv) * math.perm(k, deriv)
                if k >= deriv else 0j for k in range(count)]
@@ -377,8 +390,7 @@ def flatness_check(num, den, deriv: int, lag: float, ts: float, orders: int) -> 
 def step_response(result, n_max: int) -> list[float]:
     """Unit-step response y[0..n_max] of a design, run through the kinematic
     realization with the state initialized from the first sample; n_max >= 0."""
-    if n_max < 0:
-        raise DimensionMismatch(f"step response needs n_max >= 0, got {n_max!r}")
+    _check_count(n_max, 0, "step response needs n_max >= 0")
     ss = result.ss_kin
     state = realize.initialize_state(ss, 1.0)
     ys = [realize.read_output(ss, state)]
@@ -397,7 +409,6 @@ def _grid(points: int) -> tuple[tuple, tuple, tuple]:
 
 def frequency_grid(num, den, points: int = 1024) -> list[tuple[float, complex]]:
     """(cycles-per-sample, response) pairs on a uniform grid of points >= 2 over [0, 0.5]."""
-    if points < 2:
-        raise DimensionMismatch(f"frequency grid needs at least 2 points, got {points!r}")
+    _check_count(points, 2, "frequency grid needs at least 2 points")
     fs, omegas, zs = _grid(points)
     return list(zip(fs, _responses(num, den, omegas, zs)))

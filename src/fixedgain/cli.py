@@ -246,9 +246,9 @@ def verify_document(doc: dict) -> float:
         output = model.output_row(spec["lag"], spec["derivative"]).row(0)
         poles = [complex(re, im) for re, im in spec["poles"]]
         gains = [float(g) for g in doc["gains"]["kin"]]
+        want = from_roots([p - 1.0 for p in poles]).coeffs
     except (KeyError, TypeError, ValueError) as exc:  # a FixedGainError is a ValueError
         raise InputDataError(f"document design or gains are missing or unusable: {exc}") from exc
-    want = from_roots([p - 1.0 for p in poles]).coeffs
     fits = len(gains) == len(poles) == model.order and all(a > 0.0 for a in want[1:])
     if not fits or not all(map(math.isfinite, gains)):  # output_row refuses a non-finite row
         raise InputDataError("document gains or poles are not finite, or unfit for a stable design")

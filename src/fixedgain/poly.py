@@ -10,9 +10,10 @@ polynomials are monic with ``c[0] == 1``, and index k multiplies ``z**(n-k)``.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatch, NonRealCoefficients
+from .errors import DimensionMismatch, NonFiniteValue, NonRealCoefficients
 
 # Imaginary residue allowed when collapsing a conjugate-closed product
 # back to real coefficients.
@@ -70,7 +71,9 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     own conjugates); otherwise the product has genuinely complex coefficients
     and :class:`NonRealCoefficients` is raised.  The tiny imaginary residue
     left by a conjugate-closed product is checked against
-    ``1e-12 * (1 + |Re c|)`` per coefficient, then dropped.
+    ``1e-12 * (1 + |Re c|)`` per coefficient, then dropped.  A nan or
+    infinite coefficient (a nan root, or a product past the double range)
+    raises :class:`NonFiniteValue`.
     """
     acc = [complex(1.0)]
     for r in roots:
@@ -83,6 +86,8 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
 
     real = []
     for c in acc:
+        if not cmath.isfinite(c):
+            raise NonFiniteValue(f"root product coefficient {c} is not finite")
         if abs(c.imag) > _IMAG_TOL * (1.0 + abs(c.real)):
             raise NonRealCoefficients(
                 f"root set is not conjugate-closed (imaginary residue {c.imag:g})"

@@ -35,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import mul, or_
+from operator import mul, or_, sub
 from types import CodeType, FunctionType, SimpleNamespace
 
 from .errors import (
@@ -65,35 +65,6 @@ class Form(str, enum.Enum):
 # it conjugates the kinematic ones.  Residuals above this bound mean the
 # coordinates are too close to degenerate to certify in double precision.
 _CERTIFY_TOL = 1e-8
-
-
-def _certify_similarity(kin: "StateSpaceModel", candidate: "StateSpaceModel", error) -> None:
-    """Check a freshly built transform pair against the identities it must
-    satisfy: conjugating the kinematic transition reproduces the canonical
-    transition, mapping the output row across reproduces the canonical row,
-    and mapping the gain column across reproduces the canonical column.
-    Raises ``error`` when the worst residual exceeds the certification bound
-    (the rank test alone can miss degeneracy hidden by row scaling).  One pass
-    over the rows, each product summed as ``Matrix @`` sums it (the transition
-    as (T A) S); a nan residual counts as inf."""
-    columns_a = tuple(zip(*kin.transition.data))
-    columns_s = tuple(zip(*candidate.kin_from_form.data))
-    gain = kin.input_gain.col(0)
-    gaps = [sum(map(mul, kin.output_row.data[0], s)) - want
-            for s, want in zip(columns_s, candidate.output_row.data[0])]
-    for t, want_a, (want_b,) in zip(candidate.form_from_kin.data, candidate.transition.data,
-                                    candidate.input_gain.data):
-        ta = [sum(map(mul, t, a)) for a in columns_a]
-        gaps += [sum(map(mul, ta, s)) - want for s, want in zip(columns_s, want_a)]
-        gaps.append(sum(map(mul, t, gain)) - want_b)
-    residual = max([abs(v) if v == v else math.inf for v in gaps])
-    if residual > _CERTIFY_TOL:
-        raise error(
-            f"cannot certify the {candidate.form.value} transform: identity "
-            f"residual {residual:.3e} exceeds {_CERTIFY_TOL:g} (the design's "
-            "coordinates are numerically degenerate, e.g. a read-out that "
-            "nearly cancels a pole)"
-        )
 
 
 class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain output_row"
@@ -192,15 +163,13 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
     the given one and whose first K-1 columns are the identity shifted down
     one row -- the transition-matrix shape shared by the PCF and OCF forms.
     """
-    column = tuple(map(float, column))
+    return Matrix._of(_companion_rows(tuple(map(float, column))))
+
+
+def _companion_rows(column: tuple) -> tuple:
+    """The rows of :func:`companion_matrix` of a float ``column``."""
     rows = identity_rows(len(column))  # rotated down one row, last column dropped
-    return Matrix._of(tuple([row[:-1] + (g,) for row, g in zip(rows[-1:] + rows[:-1], column)]))
-
-
-@lru_cache(maxsize=None)
-def _unit_column(k: int, i: int) -> tuple:
-    """The rows of the k x 1 unit column with its 1.0 at index i (e_K at i = -1)."""
-    return tuple(zip(identity_rows(k)[i]))
+    return tuple([row[:-1] + (g,) for row, g in zip(rows[-1:] + rows[:-1], column)])
 
 
 def _observable_form(
@@ -221,7 +190,7 @@ def _observable_form(
     for _ in range(k - 1):
         stack.append(tuple([sum(map(mul, stack[-1], a)) for a in columns]))
     try:
-        x = Matrix._of(tuple(stack)).solve(Matrix._of(_unit_column(k, -1)))
+        x = Matrix._of(tuple(stack)).solve(Matrix.column(identity_rows(k)[-1]))
     except SingularMatrix as exc:
         raise error from exc
     krylov = [x.col(0)]
@@ -270,20 +239,48 @@ def _unit_pcf_transform(order: int) -> tuple[tuple, tuple]:
                             Unobservable("process/predictor pair is not observable at this order"))
 
 
+def _certified(result: "DesignResult", form: Form, error, transition: tuple, pair: tuple,
+               gain: tuple = (), row: tuple = ()) -> StateSpaceModel:
+    """The certified realization of ``result`` in ``form`` from its
+    ``transition`` rows, the rows of ``pair`` = (kin_from_form,
+    form_from_kin) = (S, T), and whichever of its input column ``gain`` and
+    output ``row`` the form fixes.  The other is mapped across from ``ss_kin``
+    = (A, b, c) as T b or c S, each entry summed as ``Matrix @`` sums it.
+    One pass takes the worst residual of T b = gain, c S = row and
+    (T A) S = transition, a nan read as inf; above the bound it raises
+    ``error``, since the pivot test alone can miss degeneracy hidden by row
+    scaling.  Each field is wrapped once."""
+    kin = result.ss_kin
+    kin_from_form, form_from_kin = pair
+    columns_a = tuple(zip(*kin.transition.data))
+    columns_s = tuple(zip(*kin_from_form))
+    b = kin.input_gain.col(0)
+    tb = [sum(map(mul, t, b)) for t in form_from_kin]
+    cs = [sum(map(mul, kin.output_row.data[0], s)) for s in columns_s]
+    gain = gain or tuple(tb)  # a field mapped across gaps 0 from itself, nan if not finite
+    row = row or tuple(cs)
+    gaps = [*map(sub, tb, gain), *map(sub, cs, row)]
+    for t, want_a in zip(form_from_kin, transition):
+        ta = [sum(map(mul, t, a)) for a in columns_a]
+        gaps += [sum(map(mul, ta, s)) - want for s, want in zip(columns_s, want_a)]
+    residual = max([abs(v) if v == v else math.inf for v in gaps])
+    if residual > _CERTIFY_TOL:
+        raise error(
+            f"cannot certify the {form.value} transform: identity "
+            f"residual {residual:.3e} exceeds {_CERTIFY_TOL:g} (the design's "
+            "coordinates are numerically degenerate, e.g. a read-out that "
+            "nearly cancels a pole)"
+        )
+    return StateSpaceModel(form, *map(Matrix._of, (transition, tuple(zip(gain)), (row,),
+                                                   kin_from_form, form_from_kin)))
+
+
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
-    kin = result.ss_kin
-    kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
-    model = StateSpaceModel(
-        form=Form.PCF,
-        transition=companion_matrix(companion_column(result.char_poly)),
-        input_gain=result.gains.pcf,
-        output_row=kin.output_row @ kin_from_pcf,
-        kin_from_form=kin_from_pcf,
-        form_from_kin=pcf_from_kin,
-    )
-    _certify_similarity(kin, model, Unobservable)
-    return model
+    pair = [m.data for m in pcf_transform(result.spec.process)]
+    return _certified(result, Form.PCF, Unobservable,
+                      _companion_rows(companion_column(result.char_poly)), pair,
+                      gain=result.gains.pcf.col(0))
 
 
 def ocf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -298,21 +295,10 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     corrupt transform.
     """
     kin, col = result.ss_kin, companion_column(result.char_poly)
-    kin_from_ocf, ocf_from_kin = _observable_form(
-        kin.output_row.row(0), kin.transition.data, col,
-        Unobservable("closed-loop pair is not observable; cannot reach OCF"),
-    )
-    ocf_from_kin = Matrix._of(ocf_from_kin)
-    model = StateSpaceModel(
-        form=Form.OCF,
-        transition=companion_matrix(col),
-        input_gain=ocf_from_kin @ kin.input_gain,
-        output_row=Matrix._of(identity_rows(kin.order)[-1:]),
-        kin_from_form=Matrix._of(kin_from_ocf),
-        form_from_kin=ocf_from_kin,
-    )
-    _certify_similarity(kin, model, Unobservable)
-    return model
+    pair = _observable_form(kin.output_row.row(0), kin.transition.data, col,
+                            Unobservable("closed-loop pair is not observable; cannot reach OCF"))
+    return _certified(result, Form.OCF, Unobservable, _companion_rows(col), pair,
+                      row=identity_rows(kin.order)[-1])
 
 
 def ccf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -330,24 +316,15 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     construction or certification fails.
     """
     kin = result.ss_kin
-    k = kin.order
     col = companion_column(result.char_poly)
-    companion = companion_matrix(col).data
     p_inv, p = _observable_form(
         kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
     )
-    kin_from_ccf = Matrix._of(tuple(zip(*p[::-1])))
-    model = StateSpaceModel(
-        form=Form.CCF,
-        transition=Matrix._of(tuple([row[::-1] for row in zip(*companion)])[::-1]),
-        input_gain=Matrix._of(_unit_column(k, 0)),
-        output_row=kin.output_row @ kin_from_ccf,
-        kin_from_form=kin_from_ccf,
-        form_from_kin=Matrix._of(tuple(zip(*p_inv))[::-1]),
-    )
-    _certify_similarity(kin, model, Uncontrollable)
-    return model
+    pair = tuple(zip(*p[::-1])), tuple(zip(*p_inv))[::-1]
+    rows = identity_rows(kin.order)
+    return _certified(result, Form.CCF, Uncontrollable, (col[::-1],) + rows[:-1], pair,
+                      gain=rows[0])
 
 
 def _ints(values, shifts=repeat(0)) -> tuple[list[int], int]:

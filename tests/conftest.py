@@ -8,7 +8,8 @@ for orders 1-3, the order-2 transfer function and noise gain), which the
 pipeline must reproduce, and exact Fraction solves of the noise gain of a
 coefficient pair and of a realization's matrices, the integer step-down
 without its exact divisions, the exact Cayley-Hamilton numerator of a
-realization and the exact transfer pair of a design's loop.  Three float
+realization, the exact transfer pair of a design's loop and the exact
+impulse-response moments of a coefficient pair.  Three float
 routes the package no longer takes are oracles here too: the Lyapunov
 doubling of a realization's noise gain, the characteristic polynomial read
 off the PCF rotation of the loop, and the multiplicity residual of a
@@ -287,6 +288,29 @@ def companion_pair_fraction(row, transition, column) -> tuple[list, list]:
     for g in column[:0:-1]:
         horner.append([v - Fraction(g) * w for v, w in zip(_row_times(horner[-1], a), c)])
     return [list(r) for r in zip(*krylov)], horner[::-1]
+
+
+def impulse_moments_fraction(num, den, count: int) -> list[Fraction]:
+    """Exact moments sum_n n**k h[n], k < count, of the impulse response of
+    ``num / den`` (float coefficients, descending powers of z): with
+    theta = -z d/dz, each is theta**k H at z = 1, and theta**k H = P_k / D**(k+1)
+    with P_0 = N and P_(k+1) = theta(P_k) D - (k+1) P_k theta(D), in Fractions."""
+    def theta(p):
+        return [-(len(p) - 1 - j) * c for j, c in enumerate(p)]
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, v in enumerate(p):
+            for j, w in enumerate(q):
+                out[i + j] += v * w
+        return out
+
+    p, d = [Fraction(v) for v in num], [Fraction(v) for v in den]
+    moments = []
+    for k in range(count):
+        moments.append(sum(p) / sum(d) ** (k + 1))
+        p = [v - (k + 1) * w for v, w in zip(times(theta(p), d), times(p, theta(d)))]
+    return moments
 
 
 def exact_design_noise_gain(spec) -> float:

@@ -11,6 +11,7 @@ division vs impulse-response moments for flatness.
 import cmath
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     BENCH_MEMORIES,
@@ -27,6 +28,7 @@ from conftest import (
     BENCH_POLES_4DP,
     BENCH_WNG,
     _realization_noise_gain,
+    impulse_moments_fraction,
     lyapunov_noise_gain_fraction,
     max_abs_diff,
     noise_gain_fraction,
@@ -321,6 +323,7 @@ def test_non_finite_coefficients_fail_at_once(num, den):
     (partial(frequency_response, omega=0.0), [1e308, 1e308], [1.0, -0.5]),
     (white_noise_gain, [1e200], [1.0]),
     (frequency_grid, [1.0], [1.0, 1e308, 1e308]),
+    (partial(frequency_response, omega=-1e3j), [1.0], [1.0, -0.5]),  # exp(i omega) overflows
 ])
 def test_non_finite_responses_and_noise_gains_are_refused(analysis, num, den):
     with pytest.raises(NonFiniteValue):
@@ -919,14 +922,19 @@ def test_dc_derivatives_match_impulse_moments():
     st.lists(st.floats(0.0, 0.8), min_size=k, max_size=k),
     st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k),
 )))
+@example(([0.0] * 7 + [0.796875], [0.0, 0.0, -0.46875, 0.875, -0.578125, 0.8125, -0.53125, 0.0]))
 def test_dc_derivatives_match_impulse_moments_property(draw):
+    # The k-th dc derivative is sum h[n] (-i n)**k, with the moments taken
+    # exactly: a float sum over a cut impulse response is no reference at
+    # high k, since the energy cut does not bound the n**k-weighted tail (at
+    # the example, order 8 of a 135-sample response was 1.4e-6 off).
     poles, head = draw
     order = len(poles)
     num, den = head + [0.0], from_roots(poles)
-    h = impulse_response(num, den, tol=1e-30)
     profile = flatness_profile(num, den, 0, 0.0, 1.0, order + 1)
-    for k, (_, measured) in enumerate(profile):
-        moment = sum(v * (-1j * n) ** k for n, v in enumerate(h))
+    moments = impulse_moments_fraction(num, den.coeffs, order + 1)
+    for k, ((_, measured), exact) in enumerate(zip(profile, moments)):
+        moment = (-1j) ** k * float(exact)
         assert abs(measured - moment) <= 1e-6 * max(1.0, abs(moment))
 
 
@@ -949,6 +957,34 @@ def test_step_response_is_flat_with_matched_initialization():
     ys = step_response(result, 50)
     assert len(ys) == 51
     assert max(abs(y - 1.0) for y in ys) < 1e-12
+
+
+_COUNTS = {  # each count argument: its analysis, its least value, its refusal
+    "frequency_grid.points": (partial(frequency_grid, DELAY_NUM, DELAY_DEN), 2,
+                              "frequency grid needs at least 2 points"),
+    "step_response.n_max": (
+        lambda n: step_response(design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5)), n), 0,
+        "step response needs n_max >= 0"),
+    "ramp_error.horizon": (partial(ramp_error, DELAY_NUM, DELAY_DEN, 2.0, 0.04), 0,
+                           "ramp error needs horizon >= 0"),
+    "flatness_targets.count": (partial(flatness_targets, 0, 2.0, 0.04), 0,
+                               "flatness needs a count of orders >= 0"),
+    "flatness_profile.orders": (partial(flatness_profile, DELAY_NUM, DELAY_DEN, 0, 2.0, 0.04),
+                                0, "flatness needs a count of orders >= 0"),
+    "flatness_check.orders": (partial(flatness_check, DELAY_NUM, DELAY_DEN, 0, 2.0, 0.04), 0,
+                              "flatness needs a count of orders >= 0"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 3.0, "3", -1, -5], ids=repr)
+@pytest.mark.parametrize("argument", sorted(_COUNTS))
+def test_a_count_must_be_an_int_of_at_least_its_least_value(argument, bad):
+    # A float or a string count raised an untyped TypeError from range() or a
+    # comparison, and a negative flatness count returned an empty list.
+    analysis, least, need = _COUNTS[argument]
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(need)}, got {re.escape(repr(bad))}$"):
+        analysis(bad)
+    analysis(least)
 
 
 @pytest.mark.parametrize("n_max", [-1, -3])

@@ -218,6 +218,8 @@ def test_verify_document_refuses_unfit_gains_and_poles():
     doc = design_document(design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)))
     for edit in (lambda d: d["gains"]["kin"].pop(), lambda d: d["design"]["poles"].pop(),
                  lambda d: d["design"].update(poles=[[1.5, 0.0]] * 3),
+                 lambda d: d["design"].update(poles=[[-1e155, 0.0]] * 3),  # from_roots overflows
+                 lambda d: d["design"].update(poles=[[math.nan, 0.0]] * 3),
                  lambda d: d["gains"].pop("kin"),
                  lambda d: d["gains"]["kin"].__setitem__(1, math.inf),
                  lambda d: d["gains"]["kin"].__setitem__(2, math.nan),

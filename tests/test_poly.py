@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fixedgain import Polynomial, from_roots
-from fixedgain.errors import DimensionMismatch, NonRealCoefficients
+from fixedgain.errors import DimensionMismatch, NonFiniteValue, NonRealCoefficients
 
 
 def test_degree_len_and_indexing():
@@ -93,6 +93,16 @@ def test_from_roots_matches_numpy_poly():
 def test_from_roots_rejects_unpaired_complex_root():
     with pytest.raises(NonRealCoefficients):
         from_roots([0.3 + 0.4j, 0.5])
+
+
+@pytest.mark.parametrize("roots", [
+    [1e200, 1e200], [math.nan], [math.inf], [complex(1e200, 1e200), complex(1e200, -1e200)],
+    [-1e155 - 1.0] * 2,
+])
+def test_from_roots_refuses_a_non_finite_coefficient(roots):
+    # These expanded to [1.0, -2e200, inf], [1.0, nan], ... without a word.
+    with pytest.raises(NonFiniteValue):
+        from_roots(roots)
 
 
 def test_from_roots_conjugate_pair_is_real():

@@ -101,6 +101,32 @@ def test_realization_matrices_hold_only_float_row_tuples(order):
     assert forms == set(Form)
 
 
+@pytest.mark.parametrize("order", range(1, 9))
+def test_companion_forms_fix_two_fields_and_map_the_third_across(order):
+    # Each form fixes its transition and one of its input column and output
+    # row exactly; the other is T b or c S, bit for bit as Matrix @ gives it.
+    forms = set()
+    for ts, lag, deriv in ((1, 2, 0), (2, 0, order - 1), (3, -1, order // 2)):
+        result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
+        kin, col = result.ss_kin, companion_column(result.char_poly)
+        companion = companion_matrix(col).data
+        unit = Matrix.identity(order).data
+        for ss in _realizations(result)[1:]:
+            forms.add(ss.form)
+            mapped_row = (kin.output_row @ ss.kin_from_form).data
+            mapped_gain = (ss.form_from_kin @ kin.input_gain).data
+            if ss.form is Form.PCF:
+                fixed = (companion, result.gains.pcf.data, mapped_row)
+            elif ss.form is Form.OCF:
+                fixed = (companion, mapped_gain, unit[-1:])
+            else:  # the transposed companion matrix, reversed in both orders
+                fixed = (tuple(row[::-1] for row in zip(*companion))[::-1],
+                         tuple(zip(unit[0])), mapped_row)
+            got = (ss.transition.data, ss.input_gain.data, ss.output_row.data)
+            assert repr(got) == repr(fixed)  # == cannot tell 0.0 from -0.0
+    assert forms == {Form.PCF, Form.OCF, Form.CCF}
+
+
 def test_designs_of_one_order_share_no_matrix():
     # Matrix.data can be reassigned, so each design and realization owns its
     # matrices; only the immutable row tuples are shared.
