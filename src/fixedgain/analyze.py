@@ -110,7 +110,8 @@ def lde_filter(
 
     ``prehistory``, when given, is a pair ``(past_inputs, past_outputs)``
     ordered most-recent-first (``past_inputs[0]`` is x[-1]).  Missing history
-    is taken as zero, which is the cold-start convention.
+    is taken as zero, which is the cold-start convention.  A sample or past
+    value that ``float`` refuses raises FixedGainError.
     """
     b, a = _finite_pair(num, den)
     _check_normalized(a)
@@ -119,9 +120,11 @@ def lde_filter(
     past_x, past_y = prehistory if prehistory is not None else ((), ())
     if len(past_x) > nb or len(past_y) > na:
         raise DimensionMismatch(f"prehistory longer than coefficient memory ({nb}, {na})")
-    px = [float(v) for v in past_x] + [0.0] * (nb - len(past_x))
-    py = [float(v) for v in past_y] + [0.0] * (na - len(past_y))
-    return list(_recursion(b, a, xs, px, py))
+    try:
+        xs, px, py = (list(map(float, vs)) for vs in (xs, past_x, past_y))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FixedGainError(f"samples must be numbers: {exc}") from None
+    return list(_recursion(b, a, xs, px + [0.0] * (nb - len(px)), py + [0.0] * (na - len(py))))
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
@@ -225,10 +228,13 @@ def _responses(num, den, omegas, zs) -> list[complex]:
 
 def frequency_response(num, den, omega) -> complex:
     """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
-    complex values are accepted.  A non-finite response, or an exp(i*omega)
-    past the double range, raises NonFiniteValue."""
+    complex values are accepted, and an omega that is not a number raises
+    FixedGainError.  A non-finite response, or an exp(i*omega) past the double
+    range, raises NonFiniteValue."""
     try:
-        z = cmath.exp(1j * omega)
+        z = cmath.exp(1j * complex(omega))
+    except (TypeError, ValueError):
+        raise FixedGainError(f"omega must be a number, got {omega!r}") from None
     except OverflowError:
         raise NonFiniteValue(f"exp(i*omega) overflows at omega = {omega!r}") from None
     return _responses(num, den, (omega,), (z,))[0]

@@ -284,6 +284,23 @@ def test_impulse_refuses_a_nan_or_negative_tolerance_at_once():
     assert len(impulse_response(num, den, tol=0.0)) > len(impulse_response(num, den))
 
 
+@pytest.mark.parametrize("bad", ["a", None])
+@pytest.mark.parametrize("call", [
+    partial(frequency_response, [1.0], [1.0, -0.5]),
+    partial(lde_filter, [1.0], [1.0, -0.5]),
+    lambda bad: lde_filter([1.0], [1.0, -0.5], [1.0, bad]),
+    lambda bad: lde_filter([1.0, 0.5], [1.0, -0.5], [1.0], prehistory=([bad], [])),
+], ids=["omega", "samples", "one-sample", "past-input"])
+def test_omega_and_samples_are_converted_as_the_impulse_tolerance_is(call, bad):
+    # Used as numbers unconverted, they raised an untyped TypeError; what
+    # complex() or float() accepts still answers as the number would.
+    with pytest.raises(FixedGainError, match="must be (a number|numbers)"):
+        call(bad)
+    num, den = _transfer(2, 1.0, 0.75, 0.5)
+    assert frequency_response(num, den, "0.3") == frequency_response(num, den, 0.3)
+    assert lde_filter(num, den, ["0.5", 2]) == lde_filter(num, den, [0.5, 2.0])
+
+
 def test_impulse_of_a_zero_energy_pair_at_infinite_tolerance_ends_at_once():
     # tol * total is inf * 0.0 = nan: every tail is "left" at once, so the
     # cut is n0, not a million-sample spin ending in NonConvergent.

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,8 @@ from fixedgain import (
     step_response,
     transfer_coefficients,
 )
-from fixedgain import cli
+from fixedgain import _samples, cli
+from fixedgain._samples import _CHUNK
 from fixedgain.cli import _BLOCK, _noise_gain, design_document, main, verify_document
 from fixedgain.design import memory_to_pole
 
@@ -561,11 +563,11 @@ def test_filter_error_rows_are_file_lines(tmp_path, capsys):
     late = "n,value\n" + "".join(f"{n},{n / 8}\n" for n in range(40_000))
     # A blank line, or a record that spans two lines, at the end of the first
     # chunk: the row count goes on past it into the next chunk.
-    first = "n,value\n" + "".join(f"{n},1.0\n" for n in range(2, cli._CHUNK))
-    rest = "".join(f"{n},1.0\n" for n in range(cli._CHUNK + 1, 3 * cli._CHUNK))
+    first = "n,value\n" + "".join(f"{n},1.0\n" for n in range(2, _CHUNK))
+    rest = "".join(f"{n},1.0\n" for n in range(_CHUNK + 1, 3 * _CHUNK))
     for text, line in (("1.0\n\n2.0\nxyz\n", 4),
-                       (first + "\n" + rest + "x,abc\n", 3 * cli._CHUNK),
-                       (first + '"a\nb",1.0\n' + rest + "x,abc\n", 3 * cli._CHUNK + 1),
+                       (first + "\n" + rest + "x,abc\n", 3 * _CHUNK),
+                       (first + '"a\nb",1.0\n' + rest + "x,abc\n", 3 * _CHUNK + 1),
                        ("n,value\n\n\n1,2.0,3\n", 4),
                        ("\n\nn,value\n0,1.0\n\n1,inf\n", 6),
                        (late + "40000,1.0,2.0\n", 40_002),
@@ -629,13 +631,15 @@ def test_filter_validates_whole_input_before_output(tmp_path, capsys, last, line
 
 
 def _row_loop_samples(path):
-    """``cli._read_samples`` as one row loop over the whole input: every row
-    through ``csv.reader``, nothing read in bulk.  The reference the chunked
-    reader must match, result and error message alike."""
+    """``_samples._read_samples`` as one row loop over the whole input, its
+    labels in one list and its values in another: every row through
+    ``csv.reader``, nothing read in bulk.  The reference the chunked reader
+    must match, expanded by ``_expanded_samples``, result and error message
+    alike."""
     labels, values = [], []
     encoding, errors = sys.stdout.encoding, sys.stdout.errors
     try:
-        with (cli._stdin_text() if path == "-"
+        with (_samples._stdin_text() if path == "-"
               else open(path, "r", encoding="utf-8", newline="")) as fh:
             lines = iter(fh)
             reader = csv.reader(itertools.chain([next(lines, "").removeprefix("\ufeff")], lines))
@@ -664,8 +668,8 @@ def _row_loop_samples(path):
                             raise cli.InputDataError(
                                 f"row {reader.line_num}: label {label!r} cannot be written"
                                 f" to standard output ({encoding})") from None
-                    if not cli._QUOTED_CHARS.isdisjoint(label):
-                        label = cli._csv_field(label)
+                    if not _samples._QUOTED_CHARS.isdisjoint(label):
+                        label = _samples._csv_field(label)
                 labels.append(label)
                 values.append(value)
     except (OSError, UnicodeDecodeError) as exc:
@@ -673,6 +677,12 @@ def _row_loop_samples(path):
     except csv.Error as exc:
         raise cli.InputDataError(f"row {reader.line_num}: {exc}") from None
     return labels, values
+
+
+def _expanded_samples(path):
+    """``_samples._read_samples(path)`` with every label and value listed."""
+    chunks, values = _samples._read_samples(path)
+    return list(_samples._labels(chunks)), values.tolist()
 
 
 def _samples_outcome(read, path, data):
@@ -697,13 +707,13 @@ _ODD_LINES = (st.lists(_ODD_FIELDS | _NUMBERS, max_size=3).map(",".join)
               | st.tuples(_ODD_FIELDS, _NUMBERS).map(",".join))
 _LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", ""])
 # Where odd lines go: anywhere, and often at the first line of a chunk or the last.
-_PLACES = st.integers(0, 3 * cli._CHUNK) | st.sampled_from(
-    [k * cli._CHUNK + d for k in (1, 2) for d in (-2, -1, 0, 1)])
+_PLACES = st.integers(0, 3 * _CHUNK) | st.sampled_from(
+    [k * _CHUNK + d for k in (1, 2) for d in (-2, -1, 0, 1)])
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(rows=st.sampled_from([0, 3, cli._CHUNK - 1, cli._CHUNK, 2 * cli._CHUNK + 7]),
+@given(rows=st.sampled_from([0, 3, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 7]),
        two=st.booleans(), header=st.booleans(), bom=st.booleans(),
        odd=st.lists(st.tuples(_PLACES, _ODD_LINES, _LINE_ENDS), max_size=4),
        bad_byte=st.none() | st.integers(0, 60_000), source=st.sampled_from(["file", "stdin"]))
@@ -720,7 +730,7 @@ def test_read_samples_is_the_row_loop(tmp_path, rows, two, header, bom, odd, bad
     path = tmp_path / "samples.csv"
     path.write_bytes(data)
     name = str(path) if source == "file" else "-"
-    assert (_samples_outcome(cli._read_samples, name, data)
+    assert (_samples_outcome(_expanded_samples, name, data)
             == _samples_outcome(_row_loop_samples, name, data))
 
 
@@ -728,15 +738,44 @@ def test_read_samples_takes_plain_chunks_in_bulk(tmp_path, monkeypatch):
     # Only the chunk holding the header goes through the csv module.
     taken = []
 
-    def recorded(*args, bulk=cli._take_plain):
+    def recorded(*args, bulk=_samples._take_plain):
         taken.append(bulk(*args))
         return taken[-1]
 
-    monkeypatch.setattr(cli, "_take_plain", recorded)
+    monkeypatch.setattr(_samples, "_take_plain", recorded)
     path = tmp_path / "samples.csv"
-    path.write_text("n,value\n" + "".join(f"{n},{n / 3}\n" for n in range(4 * cli._CHUNK)))
-    assert cli._read_samples(str(path)) == _row_loop_samples(str(path))
+    path.write_text("n,value\n" + "".join(f"{n},{n / 3}\n" for n in range(4 * _CHUNK)))
+    assert _expanded_samples(str(path)) == _row_loop_samples(str(path))
     assert taken == [True] * 4
+    # Each bulk chunk is held as one joined string of labels.
+    chunks, values = _samples._read_samples(str(path))
+    assert [type(chunk) for chunk in chunks] == [list, str, str, str, str, list]
+    assert values.typecode == "d"
+
+
+@pytest.mark.parametrize("kind", ["two-column", "one-column", "quoted-label"])
+def test_read_samples_holds_a_few_bytes_a_row(tmp_path, kind):
+    # The values go in one array of doubles and a bulk chunk's labels in one
+    # joined string, so about 16 bytes a row stay held; a str label and a
+    # float object a row would hold about 94.  The quoted label sends its
+    # chunk through the csv module, and that chunk keeps a list of labels.
+    rows = 24_000
+    lines = [f"{n / 7!r}\n" if kind == "one-column" else f"{n},{n / 7!r}\n" for n in range(rows)]
+    if kind == "quoted-label":
+        lines[3 * _CHUNK + 5] = '"a\nb",0.5\n'
+    path = tmp_path / "samples.csv"
+    path.write_text("n,value\n" * (kind != "one-column") + "".join(lines))
+    _samples._read_samples(str(path))  # lazy module set-up is not counted
+    tracemalloc.start()
+    try:
+        chunks, values = _samples._read_samples(str(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == rows
+    assert any('"a\nb"' in chunk for chunk in chunks if isinstance(chunk, list)) == (
+        kind == "quoted-label")
+    assert held < 24 * rows, held / rows
 
 
 @pytest.mark.parametrize("bad_byte,message", [
