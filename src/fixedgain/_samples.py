@@ -17,11 +17,7 @@ import sys
 from array import array
 from itertools import chain, islice
 
-from .errors import FixedGainError
-
-
-class InputDataError(FixedGainError):
-    """Input CSV could not be parsed as sample data."""
+from .errors import InputDataError
 
 
 @contextlib.contextmanager

@@ -39,6 +39,7 @@ from .errors import (
     PoleAtOne,
     PoleOnUnitCircle,
     UnstablePoles,
+    number,
 )
 from .linalg import ORDER_CAP
 from .process import ProcessModel, check_deriv
@@ -53,7 +54,10 @@ _SAMPLE_CAP = 1_000_000
 def _finite_pair(num, den) -> tuple[tuple, tuple]:
     """The coefficients of ``(num, den)`` as float tuples, refusing an empty
     list (as Polynomial does) and a nan or infinite coefficient."""
-    b, a = tuple(map(float, num)), tuple(map(float, den))
+    try:
+        b, a = tuple(map(float, num)), tuple(map(float, den))
+    except OverflowError:
+        raise NonFiniteValue("transfer coefficient is past the double range") from None
     if not (b and a):
         raise DimensionMismatch("polynomial needs at least one coefficient")
     if not all(map(math.isfinite, b + a)):
@@ -66,7 +70,7 @@ def _read_out(deriv: int, lag, ts) -> tuple[float, float]:
     ProcessModel refuse them (any order up to ORDER_CAP, ts**deriv in range)."""
     check_deriv(deriv, ORDER_CAP)
     ts = ProcessModel(deriv + 1, ts).ts
-    lag = float(lag)
+    lag = number(lag, "lag", error=NonFiniteValue)
     if not math.isfinite(lag):
         raise NonFiniteValue(f"lag must be finite, got {lag!r}")
     return lag, ts
@@ -141,6 +145,8 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
         tol = float(tol)
     except (TypeError, ValueError):
         raise FixedGainError(f"impulse tolerance must be a number, got {tol!r}") from None
+    except OverflowError:
+        raise FixedGainError("impulse tolerance is past the double range") from None
     if not tol >= 0.0:
         raise FixedGainError(f"impulse tolerance must be >= 0, got {tol!r}")
     b, a = _finite_pair(num, den)
@@ -236,7 +242,7 @@ def frequency_response(num, den, omega) -> complex:
     except (TypeError, ValueError):
         raise FixedGainError(f"omega must be a number, got {omega!r}") from None
     except OverflowError:
-        raise NonFiniteValue(f"exp(i*omega) overflows at omega = {omega!r}") from None
+        raise NonFiniteValue("omega or exp(i*omega) is past the double range") from None
     return _responses(num, den, (omega,), (z,))[0]
 
 
@@ -290,7 +296,7 @@ def optimal_lag_k2(pole: float) -> float:
     At this lag the numerator gains a zero at z = -1, nulling the response at
     the Nyquist frequency.
     """
-    p = float(pole)
+    p = number(pole, "pole")
     if not 0.0 <= p < 1.0:
         raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
     return 0.5 * (1.0 + 3.0 * p) / (1.0 - p)

@@ -24,16 +24,18 @@ uncontrollable pair), 4 malformed input data.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain, islice
 
-from . import _samples, analyze
+from . import analyze
 from .design import DesignResult, ObserverSpec, design, memory_to_pole, pole_to_memory
 from .errors import (
     FixedGainError,
+    InputDataError,
     NonFiniteValue,
     Uncontrollable,
     Unobservable,
@@ -43,7 +45,6 @@ from .poly import from_roots
 from .process import ProcessModel
 from .realize import ccf_realization, ocf_realization, pcf_realization, transfer_coefficients
 from . import realize
-from ._samples import InputDataError
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +330,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    from . import _samples  # only this command reads samples; the others start without it
+
     result = _design_from_args(args)
     # The whole input is validated before the first output line is written.
     chunks, values = _samples._read_samples(args.input)
@@ -398,6 +401,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # What start-up built (site's modules, this package) lives until exit:
+    # frozen, neither the command's full collections nor the interpreter's
+    # teardown walk it again.  The exit still goes through sys.exit, so atexit
+    # hooks and the final flush of stdout run as before.
+    gc.freeze()
     try:
         code = main()
         if sys.stdout is not None:

@@ -27,6 +27,7 @@ from .errors import (
     FixedGainError,
     NonFiniteValue,
     UnstablePoles,
+    number,
 )
 from .linalg import Matrix, identity_rows
 from .poly import from_roots
@@ -51,8 +52,8 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
 
     def __new__(cls, process: ProcessModel, poles: Sequence[complex], lag: float = 0.0,
                 deriv: int = 0):
-        poles = tuple(complex(p) for p in poles)
-        lag = float(lag)
+        poles = tuple(number(p, "pole", complex) for p in poles)
+        lag = number(lag, "lag")
         if not all(map(cmath.isfinite, poles + (lag,))):
             raise NonFiniteValue(f"poles and lag must be finite, got {poles}, {lag!r}")
         if len(poles) != process.order:
@@ -69,7 +70,7 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
                  deriv: int = 0) -> ObserverSpec:
         """Spec with one real pole repeated across all states -- the common
         single-knob design.  Requires 0 <= pole < 1."""
-        pole = float(pole)
+        pole = number(pole, "pole")
         if not 0.0 <= pole < 1.0:
             raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {pole!r}")
         return cls(process=process, poles=(pole,) * process.order, lag=lag, deriv=deriv)
@@ -156,7 +157,7 @@ def design(spec: ObserverSpec) -> DesignResult:
 
 def memory_to_pole(memory: float) -> float:
     """Pole with the given memory length in samples: p = exp(-1/memory)."""
-    memory = float(memory)
+    memory = number(memory, "memory length")
     if not memory > 0.0:
         raise FixedGainError(f"memory length must be > 0, got {memory!r}")
     return math.exp(-1.0 / memory)
@@ -164,7 +165,7 @@ def memory_to_pole(memory: float) -> float:
 
 def pole_to_memory(pole: float) -> float:
     """Memory length in samples of a real pole in (0, 1): -1/ln(p)."""
-    pole = float(pole)
+    pole = number(pole, "pole")
     if not 0.0 < pole < 1.0:
         raise FixedGainError(f"memory is defined for 0 < p < 1, got {pole!r}")
     return -1.0 / math.log(pole)

@@ -2,12 +2,23 @@
 
 Everything derives from :class:`FixedGainError`, which itself derives from
 ``ValueError`` so callers that don't care about the distinction can catch the
-usual thing.
+usual thing.  :func:`number` converts a parameter as the package's entry
+points do, so a number past the double range raises one of them too.
 """
 
 
 class FixedGainError(ValueError):
     """Base class for all errors raised by this package."""
+
+
+def number(value, what: str, convert=float, error: type[FixedGainError] = FixedGainError):
+    """``convert(value)``, ``float`` or ``complex``, raising ``error`` in place
+    of the OverflowError of a number past the double range (an int such as
+    10**400); what ``convert`` refuses otherwise raises as there."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise error(f"{what} is past the double range") from None
 
 
 # --- polynomial / matrix primitives ---------------------------------------
@@ -89,3 +100,10 @@ class PoleOnUnitCircle(FixedGainError):
 class PoleAtOne(FixedGainError):
     """Steady-state (dc) evaluation is singular: the denominator at z = 1
     vanishes, or is not resolved from zero by its coefficients."""
+
+
+# --- command-line input -----------------------------------------------------
+
+class InputDataError(FixedGainError):
+    """Input CSV could not be parsed as sample data, or a design document
+    could not be read back."""

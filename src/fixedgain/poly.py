@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatch, NonFiniteValue, NonRealCoefficients
+from .errors import DimensionMismatch, FixedGainError, NonFiniteValue, NonRealCoefficients, number
 
 # Imaginary residue allowed when collapsing a conjugate-closed product
 # back to real coefficients.
@@ -26,7 +26,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = tuple(float(c) for c in coeffs)
+        try:
+            cs = tuple(map(float, coeffs))
+        except OverflowError:
+            raise FixedGainError("polynomial coefficient is past the double range") from None
         if not cs:
             raise DimensionMismatch("polynomial needs at least one coefficient")
         self.coeffs = cs
@@ -77,7 +80,7 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     """
     acc = [complex(1.0)]
     for r in roots:
-        r = complex(r)
+        r = number(r, "root", complex, NonFiniteValue)
         nxt = [complex(0.0)] * (len(acc) + 1)
         for i, c in enumerate(acc):
             nxt[i] += c

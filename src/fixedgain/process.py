@@ -17,6 +17,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveSamplingPeriod,
     OrderOutOfRange,
+    number,
 )
 from .linalg import ORDER_CAP, Matrix
 from .poly import Polynomial
@@ -55,7 +56,7 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
     def __new__(cls, order: int, ts: float):
         if not isinstance(order, int) or order < 1 or order > ORDER_CAP:
             raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {order!r}")
-        ts = float(ts)
+        ts = number(ts, "sampling period", error=NonFiniteValue)
         if not math.isfinite(ts):
             raise NonFiniteValue(f"sampling period must be finite, got {ts!r}")
         if not ts > 0.0:
@@ -83,7 +84,8 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
     def transition(self, t: float) -> Matrix:
         """State transition over a signed time ``t`` (``transition(ts)`` is one
         step): the closed form ``t**k / k!`` is exact, as the chain is nilpotent."""
-        return Matrix._of(tuple([_taylor_row(self.order, float(t), i) for i in range(self.order)]))
+        t = number(t, "transition time", error=NonFiniteValue)
+        return Matrix._of(tuple([_taylor_row(self.order, t, i) for i in range(self.order)]))
 
     def predictor_row(self) -> Matrix:
         """Row 0 of the one-step transition: the position implied for the next sample."""
@@ -97,4 +99,5 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         ``output_row(0.0)`` picks off position.
         """
         check_deriv(deriv, self.order)
-        return Matrix._of((_taylor_row(self.order, -float(lag) * self.ts, deriv),))
+        lag = number(lag, "lag", error=NonFiniteValue)
+        return Matrix._of((_taylor_row(self.order, -lag * self.ts, deriv),))

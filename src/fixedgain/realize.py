@@ -46,6 +46,7 @@ from .errors import (
     SingularMatrix,
     Uncontrollable,
     Unobservable,
+    number,
 )
 from .linalg import Matrix, identity_rows
 from .poly import Polynomial
@@ -163,7 +164,10 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
     the given one and whose first K-1 columns are the identity shifted down
     one row -- the transition-matrix shape shared by the PCF and OCF forms.
     """
-    return Matrix._of(_companion_rows(tuple(map(float, column))))
+    try:
+        return Matrix._of(_companion_rows(tuple(map(float, column))))
+    except OverflowError:
+        raise FixedGainError("companion column entry is past the double range") from None
 
 
 def _companion_rows(column: tuple) -> tuple:
@@ -390,7 +394,7 @@ def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomia
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     """State holding the first sample: position x0, all derivatives zero,
     expressed in the realization's own coordinates."""
-    kin0 = (float(x0),) + (0.0,) * (ss.order - 1)
+    kin0 = (number(x0, "first sample"),) + (0.0,) * (ss.order - 1)
     return FilterState(form=ss.form,
                        vector=[sum(map(mul, row, kin0)) for row in ss.form_from_kin.data])
 

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -1109,6 +1110,27 @@ def test_module_invocation_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert max_abs_diff(doc["gains"]["kin"], REF_GAIN_KIN) < 1e-12
+
+
+def test_console_entry_freezes_the_heap_and_still_runs_atexit_hooks(capsys):
+    # The hook is registered before the entry runs, as coverage or cProfile
+    # register theirs: it must still run, and after the freeze.
+    code = ("import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+            "sys.argv = ['fixedgain', 'tables', '--table', '1']; "
+            "runpy.run_module('fixedgain', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_module_env(None))
+    assert run_cli(capsys, ["tables", "--table", "1"]) == (0, proc.stdout)
+    assert proc.returncode == 0
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, ["analyze", "--order", "2", "--memory", "12", "--wng"])[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("argv", [

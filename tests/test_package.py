@@ -1,6 +1,7 @@
 """Package surface: the exported names, the docstring example, the
-stdlib-only import rule, the modules the CLI leaves out at start-up and the
-size of each module's token stream."""
+stdlib-only import rule, the modules the CLI leaves out at start-up, the
+size of each module's token stream and the typed refusal of a number past
+the double range at every entry point."""
 
 import ast
 import contextlib
@@ -16,7 +17,9 @@ import tokenize
 import pytest
 
 import fixedgain
+import fixedgain._samples
 import fixedgain.cli
+from fixedgain.errors import FixedGainError, NonFiniteValue
 
 PUBLIC_NAMES = (
     "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
@@ -79,13 +82,16 @@ def test_cli_imports_only_the_standard_library():
 def test_cli_start_up_leaves_out_the_heavy_modules():
     # Modules the bare interpreter already had (some site hooks load typing,
     # for one) are not counted: only what importing the CLI adds.
-    heavy = {"dataclasses", "inspect", "typing", "json"}
+    heavy = {"dataclasses", "inspect", "typing", "json", "csv", "array", "fixedgain._samples"}
     assert heavy.isdisjoint(_modules_loaded_by("import fixedgain.cli"))
-    # The design command imports json itself and still prints a valid document.
+    # The design command imports json itself and still prints a valid document;
+    # the filter command imports the sample reader, whose error the CLI names.
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert fixedgain.cli.main(["design", "--order", "2", "--pole", "0.5"]) == 0
     assert json.loads(out.getvalue())["design"]["pole"] == 0.5
+    assert fixedgain.cli.InputDataError is fixedgain.errors.InputDataError
+    assert fixedgain._samples.InputDataError is fixedgain.errors.InputDataError
 
 
 # CPython 3.11's parser doubles its token array, and allocates a record for
@@ -110,3 +116,44 @@ def test_every_module_stays_under_the_parser_token_step():
     counts = {os.path.basename(path): _parser_tokens(path) for path in paths}
     assert "cli.py" in counts
     assert max(counts.values()) < PARSER_TOKEN_STEP, counts
+
+
+# An int past the double range: float() and complex() raise OverflowError on
+# it, which every entry point turns into a typed error, NonFiniteValue where
+# its docstring speaks of the double range.
+BIG = 10**400
+_MODEL = fixedgain.ProcessModel(2, 1.0)
+_RESULT = fixedgain.design(fixedgain.ObserverSpec.repeated(_MODEL, 0.5))
+_NUM, _DEN = fixedgain.transfer_coefficients(_RESULT)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: fixedgain.impulse_response(_NUM, _DEN, tol=BIG), FixedGainError),
+    (lambda: fixedgain.ProcessModel(2, BIG), NonFiniteValue),
+    (lambda: fixedgain.ProcessModel(2, -BIG), NonFiniteValue),
+    (lambda: fixedgain.ObserverSpec(_MODEL, (0.5, 0.5), lag=BIG), FixedGainError),
+    (lambda: fixedgain.ObserverSpec(_MODEL, (BIG, 0.5)), FixedGainError),
+    (lambda: fixedgain.ObserverSpec.repeated(_MODEL, BIG), FixedGainError),
+    (lambda: fixedgain.memory_to_pole(BIG), FixedGainError),
+    (lambda: fixedgain.pole_to_memory(BIG), FixedGainError),
+    (lambda: fixedgain.optimal_lag_k2(BIG), FixedGainError),
+    (lambda: fixedgain.flatness_targets(0, BIG, 1.0, 3), NonFiniteValue),
+    (lambda: fixedgain.ramp_error(_NUM, _DEN, BIG, 1.0, 3), NonFiniteValue),
+    (lambda: _MODEL.transition(BIG), NonFiniteValue),
+    (lambda: _MODEL.output_row(BIG), NonFiniteValue),
+    (lambda: fixedgain.initialize_state(_RESULT.ss_kin, BIG), FixedGainError),
+    (lambda: fixedgain.Polynomial([1.0, BIG]), FixedGainError),
+    (lambda: fixedgain.Matrix([[1.0, BIG]]), FixedGainError),
+    (lambda: fixedgain.companion_matrix([BIG, 0.5]), FixedGainError),
+    (lambda: fixedgain.from_roots([BIG]), NonFiniteValue),
+    (lambda: fixedgain.white_noise_gain([BIG], _DEN), NonFiniteValue),
+    (lambda: fixedgain.frequency_grid([1.0], [1.0, BIG]), NonFiniteValue),
+    (lambda: fixedgain.frequency_response(_NUM, _DEN, 10**5000), NonFiniteValue),
+], ids=["impulse-tol", "ts", "negative-ts", "lag", "pole", "repeated-pole", "memory",
+        "pole-to-memory", "optimal-lag", "flatness-lag", "ramp-lag", "transition",
+        "output-row", "first-sample", "polynomial", "matrix", "companion", "roots",
+        "noise-gain-coefficient", "grid-coefficient", "omega-past-int-str-limit"])
+def test_a_number_past_the_double_range_raises_a_typed_error(call, error):
+    with pytest.raises(FixedGainError, match="past the double range") as caught:
+        call()
+    assert type(caught.value) is error
