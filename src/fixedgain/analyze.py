@@ -40,6 +40,7 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
     number,
+    shown,
 )
 from .linalg import ORDER_CAP
 from .process import ProcessModel, check_deriv
@@ -80,7 +81,7 @@ def _check_count(count, least: int, need: str) -> None:
     """Refuse a count that is not an int (tested as check_deriv tests an
     index) of at least ``least``, with the message ``need``."""
     if not (isinstance(count, int) and count >= least):
-        raise DimensionMismatch(f"{need}, got {count!r}")
+        raise DimensionMismatch(f"{need}, got {shown(count)}")
 
 
 def _check_normalized(den: tuple) -> None:

@@ -339,9 +339,11 @@ def cmd_filter(args) -> int:
     emit_state = args.emit == "state"
     text = _csv_line(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)])
     if values:
-        # Every call goes through the realize module, once per sample, so a
-        # wrapper installed on it before the command runs sees each one.
-        ss, step, kinematic = result.ss_kin, realize.step, realize.extract_kinematic
+        # The loop runs in scaled coordinates, predict then correct
+        # (realize._scaled_loop).  Every call goes through the realize module,
+        # once per sample, so a wrapper installed on it before the command
+        # runs sees each one.
+        ss, step, kinematic = realize._scaled_loop(result), realize.step, realize.extract_kinematic
         state = realize.initialize_state(ss, values[0])
         y = realize.read_output(ss, state)
         text += _csv_line((next(labels), y, *(kinematic(ss, state) if emit_state else ())))
@@ -389,6 +391,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # The parser's reference cycles would otherwise live through the command.
+    # It was built just now, so collecting the young generations frees it.
+    del parser
+    gc.collect(1)
     if sys.stdout is None:  # started with file descriptor 1 closed
         print("error: standard output is closed", file=sys.stderr)
         return 2

@@ -106,21 +106,27 @@ def _stirling(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _kinematic_gains(poles: Sequence[complex], ts: float) -> list[float]:
-    """Kinematic gain column placing ``poles``: Ackermann's formula with the
-    observer polynomial in powers of u = z - 1.  With a_m the u^m coefficient
-    of D(1+u),
+def _scaled_gains(poles: Sequence[complex]) -> list[float]:
+    """The ts-free part of the kinematic gains (:func:`_kinematic_gains`):
+    the gains g_j = k_j ts^j / j! of the loop in scaled coordinates
+    z_j = x_j ts^j / j!, alpha, beta and gamma / 2 for K <= 3.  With a_m
+    the u^m coefficient of D(1+u), u = z - 1,
 
-        k_j = (j! / ts^j) * sum_{n=j+1..K} s(n, j+1) a_{K-n} / (n-1)!
+        g_j = sum_{n=j+1..K} s(n, j+1) a_{K-n} / (n-1)!
 
     For stable poles every factor of D(1+u) has positive coefficients, so
     the a_m carry no cancellation."""
     order = len(poles)
     a = from_roots([p - 1.0 for p in poles]).coeffs  # a[n] is the u^(K-n) coefficient
     s = _stirling(order)
-    return [math.factorial(j) * ts ** -j
-            * sum(s[n][j + 1] * a[n] / math.factorial(n - 1) for n in range(j + 1, order + 1))
+    return [sum(s[n][j + 1] * a[n] / math.factorial(n - 1) for n in range(j + 1, order + 1))
             for j in range(order)]
+
+
+def _kinematic_gains(poles: Sequence[complex], ts: float) -> list[float]:
+    """Kinematic gain column placing ``poles``: Ackermann's formula with the
+    observer polynomial in powers of u = z - 1, k_j = (j! / ts^j) g_j."""
+    return [math.factorial(j) * ts ** -j * g for j, g in enumerate(_scaled_gains(poles))]
 
 
 def design(spec: ObserverSpec) -> DesignResult:

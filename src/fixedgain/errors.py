@@ -3,7 +3,8 @@
 Everything derives from :class:`FixedGainError`, which itself derives from
 ``ValueError`` so callers that don't care about the distinction can catch the
 usual thing.  :func:`number` converts a parameter as the package's entry
-points do, so a number past the double range raises one of them too.
+points do, so a number past the double range raises one of them too, and
+:func:`shown` prints one in a message.
 """
 
 
@@ -19,6 +20,16 @@ def number(value, what: str, convert=float, error: type[FixedGainError] = FixedG
         return convert(value)
     except OverflowError:
         raise error(f"{what} is past the double range") from None
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message; an int too long for the interpreter to
+    print in decimal (past 4,300 digits by default) is given by its sign and
+    bit length, so building the message cannot raise."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 # --- polynomial / matrix primitives ---------------------------------------

@@ -18,6 +18,7 @@ from .errors import (
     NonPositiveSamplingPeriod,
     OrderOutOfRange,
     number,
+    shown,
 )
 from .linalg import ORDER_CAP, Matrix
 from .poly import Polynomial
@@ -26,7 +27,8 @@ from .poly import Polynomial
 def check_deriv(deriv: int, order: int) -> None:
     """Refuse a read-out derivative that is not an int in 0..order-1."""
     if not (isinstance(deriv, int) and 0 <= deriv < order):
-        raise DerivativeIndexOutOfRange(f"derivative index must be in 0..{order - 1}, got {deriv}")
+        raise DerivativeIndexOutOfRange(
+            f"derivative index must be in 0..{order - 1}, got {shown(deriv)}")
 
 
 def _taylor_row(order: int, t: float, i: int) -> tuple[float, ...]:
@@ -55,7 +57,7 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
 
     def __new__(cls, order: int, ts: float):
         if not isinstance(order, int) or order < 1 or order > ORDER_CAP:
-            raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {order!r}")
+            raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {shown(order)}")
         ts = number(ts, "sampling period", error=NonFiniteValue)
         if not math.isfinite(ts):
             raise NonFiniteValue(f"sampling period must be finite, got {ts!r}")

@@ -24,6 +24,11 @@ rounds the exact pair of the loop the design runs, computed in integers.
 A realization's per-sample arithmetic (:func:`step`,
 :func:`extract_kinematic`) runs as straight-line Python compiled once per
 realization, on first use, with every dot product unrolled.
+
+The ``filter`` command runs a fifth view of the loop, not a realization:
+:func:`_scaled_loop`, the alpha-beta-gamma recursion in scaled coordinates
+z_j = x_j ts^j / j!.  It predicts by a Taylor shift and corrects by the
+gains, about a third of the arithmetic of the dense kinematic transition.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import mul, or_, sub
+from operator import add, mul, or_, sub
 from types import CodeType, FunctionType, SimpleNamespace
 
 from .errors import (
@@ -60,6 +65,7 @@ class Form(str, enum.Enum):
     PCF = "pcf"
     OCF = "ocf"
     CCF = "ccf"
+    SCALED = "scaled"
 
 
 # Every constructed transform pair must reproduce the canonical matrices when
@@ -97,6 +103,12 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         state.pop("_kernel", None)
         return state
 
+    def _from_kin(self, kin: Sequence[float]) -> list[float]:
+        return [sum(map(mul, row, kin)) for row in self.form_from_kin.data]
+
+    def _output(self, w: Sequence[float]) -> float:
+        return sum(map(mul, self.output_row.data[0], w))
+
 
 # Globals of the compiled kernels: from Python 3.12 their source calls sum.
 _KERNEL_GLOBALS = {"sum": sum}
@@ -131,7 +143,7 @@ def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
     t = [[f"t{i}_{j}" for j in range(k)] for i in range(k)]
     state = ", ".join(w) + ","
     updates = ", ".join(f"{_dot(row, w)} + {g} * x" for row, g in zip(a, h))
-    source = (
+    return _compiled(
         f"def advance(w, x, {', '.join([*sum(a, []), *h, *c])}):\n"
         f"    {state} = w\n"
         f"    w[:] = {state} = ({updates},)\n"
@@ -140,9 +152,81 @@ def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
         f"    {state} = w\n"
         f"    return ({', '.join(_dot(row, w) for row in t)},)\n"
     )
+
+
+def _compiled(source: str) -> tuple[CodeType, CodeType]:
+    """Code objects of ``advance`` and ``kinematic`` in ``source``."""
     namespace: dict = {}
     exec(source, namespace)
     return tuple(namespace[name].__code__ for name in ("advance", "kinematic"))
+
+
+class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
+    """The design's loop in scaled coordinates z_j = x_j ts^j / j!
+    (:attr:`Form.SCALED`), where the integrator chain over one step is the
+    Pascal matrix, a Taylor shift.  It holds the gains g_j = k_j ts^j / j!,
+    the read-out row o_j = c_j j! / ts^j and the diagonals j! / ts^j and
+    ts^j / j! of the maps to and from kinematic coordinates."""
+
+    form = Form.SCALED
+    __getstate__ = StateSpaceModel.__getstate__
+
+    @property
+    def order(self) -> int:
+        return len(self.gain)
+
+    @cached_property
+    def _kernel(self) -> SimpleNamespace:
+        advance, kinematic = _scaled_code(self.order)
+        return SimpleNamespace(
+            advance=FunctionType(advance, _KERNEL_GLOBALS, None, self.gain + self.output),
+            kinematic=FunctionType(kinematic, _KERNEL_GLOBALS, None, self.to_kin),
+        )
+
+    def _from_kin(self, kin: Sequence[float]) -> list[float]:
+        return list(map(mul, self.from_kin, kin))
+
+    def _output(self, z: Sequence[float]) -> float:
+        return reduce(add, map(mul, self.output, z), 0.0)  # as the kernel sums it
+
+
+@lru_cache(maxsize=None)
+def _scaled_code(k: int) -> tuple[CodeType, CodeType]:
+    """Code objects of the order-``k`` scaled kernel, ``advance(z, x, *gain,
+    *output)`` and ``kinematic(z, *to_kin)``, bound as :func:`_kernel_code`'s
+    are.  ``advance`` predicts by a Taylor shift (K(K-1)/2 additions), sets
+    e = x - z0 and z_j += g_j e, and returns 0.0 + o0 z0 + o1 z1 + ... summed
+    left to right on every Python version; ``kinematic`` is K products."""
+    z, g, o = ([f"{v}{j}" for j in range(k)] for v in "zgo")
+    state = ", ".join(z) + ","
+    shift = "".join(f"    z{j} += z{j + 1}\n"
+                    for i in range(k - 1) for j in range(k - 2, i - 1, -1))
+    return _compiled(
+        f"def advance(z, x, {', '.join(g + o)}):\n"
+        f"    {state} = z\n{shift}"
+        f"    e = x - z0\n"
+        f"    z[:] = {state} = ({', '.join(f'{v} + {h} * e' for v, h in zip(z, g))},)\n"
+        f"    return {' + '.join(['0.0', *(f'{c} * {v}' for c, v in zip(o, z))])}\n"
+        f"def kinematic(z, {', '.join(f'd{j}' for j in range(k))}):\n"
+        f"    {state} = z\n"
+        f"    return ({', '.join(f'z{j} * d{j}' for j in range(k))},)\n"
+    )
+
+
+def _scaled_loop(result: "DesignResult") -> _ScaledLoop:
+    """The design's loop in scaled coordinates (:class:`_ScaledLoop`), its
+    gains the ts-free sums of :func:`fixedgain.design._scaled_gains`.  The
+    map j! / ts^j is finite, since the design's k_j = (j! / ts^j) g_j is; a
+    gain or read-out entry past the double range raises NonFiniteValue."""
+    from .design import _scaled_gains  # design imports this module
+
+    ts, k = result.spec.process.ts, result.order
+    to_kin = tuple([math.factorial(j) * ts ** -j for j in range(k)])
+    gain = tuple(_scaled_gains(result.spec.poles))
+    output = tuple(map(mul, result.ss_kin.output_row.data[0], to_kin))
+    if not all(map(math.isfinite, gain + output)):
+        raise NonFiniteValue(f"the scaled loop's gains or read-out overflow at ts = {ts!r}")
+    return _ScaledLoop(gain, output, to_kin, tuple([ts ** j / math.factorial(j) for j in range(k)]))
 
 
 class FilterState:
@@ -395,15 +479,14 @@ def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     """State holding the first sample: position x0, all derivatives zero,
     expressed in the realization's own coordinates."""
     kin0 = (number(x0, "first sample"),) + (0.0,) * (ss.order - 1)
-    return FilterState(form=ss.form,
-                       vector=[sum(map(mul, row, kin0)) for row in ss.form_from_kin.data])
+    return FilterState(form=ss.form, vector=ss._from_kin(kin0))
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return sum(map(mul, ss.output_row.data[0], state.vector))
+    return ss._output(state.vector)
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
@@ -414,10 +497,18 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     dot product, here and in extract_kinematic, sums its products as
     ``Matrix @`` does (``0.0 + p0 + p1 + ...`` left to right up to Python
     3.11, ``sum`` of the products from 3.12), then adds ``h * x`` for a state
-    entry: bit-identical to ``Matrix @`` on every version."""
+    entry: bit-identical to ``Matrix @`` on every version.  The scaled loop's
+    kernel runs the same loop by predict and correct (:func:`_scaled_code`).
+
+    A sample the arithmetic refuses (a str, None, an int past the double
+    range) raises FixedGainError and leaves the state as it was."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return ss._kernel.advance(state.vector, x)
+    try:
+        return ss._kernel.advance(state.vector, x)
+    except (OverflowError, TypeError):  # raised before the state is written
+        raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
+                             " in the double range") from None
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:

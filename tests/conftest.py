@@ -26,12 +26,22 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import strategies as st
 
-from fixedgain import Matrix, ObserverSpec, Polynomial, ProcessModel, design
+from fixedgain import (
+    Matrix,
+    ObserverSpec,
+    Polynomial,
+    ProcessModel,
+    design,
+    extract_kinematic,
+    initialize_state,
+    read_output,
+    step,
+)
 from fixedgain.errors import (
     NonConvergent,
     NonFiniteValue,
@@ -412,6 +422,43 @@ def max_abs_diff(got, expected) -> float:
     expected = list(expected)
     assert len(got) == len(expected)
     return max(abs(complex(g) - complex(e)) for g, e in zip(got, expected))
+
+
+def noisy_polynomial(rng, order: int, rows: int) -> list[float]:
+    """A noisy polynomial of degree order - 1 over the rows, amplitude about
+    1, as the benchmark's stream files draw it."""
+    coeffs = [rng.uniform(-1.0, 1.0) for _ in range(order)]
+    return [sum(c * (n / rows) ** j for j, c in enumerate(coeffs)) + 0.05 * rng.gauss(0.0, 1.0)
+            for n in range(rows)]
+
+
+def matrix_recursion_columns(ss, xs) -> list[list[float]]:
+    """The columns y, state0, .., state(K-1) of the recursion of ``ss``
+    written with Matrix products over ``xs``: w <- G w + h x from the first
+    sample's state, y = c w, kinematic state = T w."""
+    w = ss.form_from_kin @ Matrix.column([xs[0]] + [0.0] * (ss.order - 1))
+    rows = []
+    for n, x in enumerate(xs):
+        if n:
+            moved = (ss.transition @ w).col(0)
+            w = Matrix.column([m + h * x for m, h in zip(moved, ss.input_gain.col(0))])
+        rows.append(((ss.output_row @ w)[0, 0], *(ss.kin_from_form @ w).col(0)))
+    return [list(column) for column in zip(*rows)]
+
+
+def stepped_columns(ss, xs) -> list[list[float]]:
+    """The columns y, state0, .., state(K-1) of ``ss`` run over ``xs`` by
+    ``initialize_state``, ``read_output``/``step`` and ``extract_kinematic``."""
+    state = initialize_state(ss, xs[0])
+    rows = [(read_output(ss, state), *extract_kinematic(ss, state))]
+    rows += [(step(ss, state, x), *extract_kinematic(ss, state)) for x in xs[1:]]
+    return [list(column) for column in zip(*rows)]
+
+
+def column_gap(got, want) -> float:
+    """The largest gap of two lists of columns, each relative to the largest
+    magnitude of its ``want`` column."""
+    return max(max(map(abs, map(sub, g, w))) / max(map(abs, w)) for g, w in zip(got, want))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -27,8 +27,10 @@ from conftest import (
     REF_GAIN_KIN,
     REF_NUMERATOR,
     _realization_noise_gain,
+    column_gap,
     exact_design_noise_gain,
     loop_noise_gain_fraction,
+    matrix_recursion_columns,
     max_abs_diff,
     placed_specs,
 )
@@ -816,14 +818,18 @@ def test_filter_output_is_the_same_when_a_late_chunk_needs_the_csv_module(tmp_pa
     code, out = run_cli(capsys, ["filter", "--order", "2", "--pole", "0.6", "--input", str(path),
                                  "--emit", "state"])
     assert code == 0
-    ss = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.6)).ss_kin
-    assert out == _csv_writer_reference(ss, labels, xs, "state")
+    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.6)))
+    assert out == _csv_writer_reference(loop, labels, xs, "state")
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
-    # Every printed number is the repr of the recursion written with Matrix
-    # products: w <- G w + h x, y = c w, kinematic state = T w.
+    # Every printed number is the repr of the predict/correct recursion in
+    # scaled coordinates z_j = x_j ts^j / j!, written out here: a Taylor
+    # shift, e = x - z_0, z_j += g_j e, y = 0.0 + o_0 z_0 + o_1 z_1 + ...
+    # left to right, kinematic state z_j j! / ts^j.  Every column is also
+    # the Matrix recursion of ss_kin, w <- G w + h x, y = c w, within 1e-11
+    # of the column's largest value.
     xs = [math.sin(0.3 * n) + 0.01 * n * n for n in range(60)]
     path = tmp_path / "samples.csv"
     path.write_text("".join(f"{x!r}\n" for x in xs))
@@ -831,16 +837,37 @@ def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
                                  "--ts", "0.5", "--lag", "0.7", "--input", str(path),
                                  "--emit", "state"])
     assert code == 0
-    ss = design(ObserverSpec.repeated(ProcessModel(order, 0.5), 0.6, lag=0.7)).ss_kin
-    w = Matrix.column([xs[0]] + [0.0] * (order - 1))
+    result = design(ObserverSpec.repeated(ProcessModel(order, 0.5), 0.6, lag=0.7))
+    loop = realize._scaled_loop(result)
+    z = [xs[0]] + [0.0] * (order - 1)
     lines = ["n,y," + ",".join(f"state{i}" for i in range(order))]
     for n, x in enumerate(xs):
         if n:
-            moved = (ss.transition @ w).col(0)
-            w = Matrix.column([m + h * x for m, h in zip(moved, ss.input_gain.col(0))])
-        y = (ss.output_row @ w)[0, 0]
-        lines.append(",".join([str(n), repr(y)] + [repr(v) for v in (ss.kin_from_form @ w).col(0)]))
+            for i in range(order - 1):
+                for j in range(order - 2, i - 1, -1):
+                    z[j] += z[j + 1]
+            e = x - z[0]
+            z = [v + g * e for v, g in zip(z, loop.gain)]
+        y = 0.0
+        for o, v in zip(loop.output, z):
+            y += o * v
+        lines.append(",".join([str(n), repr(y)] + [repr(v * d) for v, d in zip(z, loop.to_kin)]))
     assert out == "\n".join(lines) + "\n"
+    printed = [list(map(float, line.split(",")[1:])) for line in out.splitlines()[1:]]
+    assert column_gap(zip(*printed), matrix_recursion_columns(result.ss_kin, xs)) < 1e-11
+
+
+def test_filter_refuses_a_scaled_read_out_past_the_double_range(tmp_path, capsys):
+    # At ts = 1e-30 and lag 1e50 the kinematic read-out row is finite, but
+    # the scaled one, c_j j! / ts^j, is not: exit 2 before any row, where
+    # the kinematic loop printed rows of inf.
+    path = tmp_path / "samples.csv"
+    path.write_text("1.0\n2.0\n3.5\n")
+    code = main(["filter", "--order", "8", "--pole", "0.5", "--ts", "1e-30", "--lag", "1e50",
+                 "--input", str(path), "--emit", "state"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: the scaled loop's gains or read-out overflow")
 
 
 def _write_labelled_samples(path, labels, xs):
@@ -851,15 +878,17 @@ def _write_labelled_samples(path, labels, xs):
     path.write_text("n,value\n" + source.getvalue(), encoding="utf-8", newline="")
 
 
-def _csv_writer_reference(ss, labels, xs, emit):
-    """The filter's stdout as a row-by-row ``csv.writer`` prints it."""
+def _csv_writer_reference(loop, labels, xs, emit):
+    """The filter's stdout as a row-by-row ``csv.writer`` prints it, the
+    ``loop`` the command runs stepped by the realize module."""
     reference = io.StringIO()
     writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(["n", "y"] + ([f"state{i}" for i in range(ss.order)] if emit == "state" else []))
-    state = realize.initialize_state(ss, xs[0])
+    writer.writerow(["n", "y"] + ([f"state{i}" for i in range(loop.order)]
+                                  if emit == "state" else []))
+    state = realize.initialize_state(loop, xs[0])
     for n, (label, x) in enumerate(zip(labels, xs)):
-        y = realize.step(ss, state, x) if n else realize.read_output(ss, state)
-        extra = realize.extract_kinematic(ss, state) if emit == "state" else []
+        y = realize.step(loop, state, x) if n else realize.read_output(loop, state)
+        extra = realize.extract_kinematic(loop, state) if emit == "state" else []
         writer.writerow([label, y, *extra])
     return reference.getvalue()
 
@@ -878,8 +907,8 @@ def test_filter_output_is_byte_identical_across_block_boundaries(tmp_path, capsy
     code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7", "--lag", "1",
                                  "--input", str(path), "--emit", emit])
     assert code == 0
-    ss = design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)).ss_kin
-    assert out == _csv_writer_reference(ss, labels, xs, emit)
+    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)))
+    assert out == _csv_writer_reference(loop, labels, xs, emit)
     assert out.count(f'"a,""b""{_BLOCK - 1}"') == 1
 
 
@@ -905,8 +934,9 @@ def test_filter_prints_any_label_as_csv_writer_does(tmp_path, drawn, start, orde
         code = main(["filter", "--order", str(order), "--pole", "0.6", "--lag", "0.5",
                      "--input", str(path), "--emit", emit])
     assert code == 0
-    ss = design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.6, lag=0.5)).ss_kin
-    assert out.getvalue() == _csv_writer_reference(ss, labels, xs, emit)
+    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.6,
+                                                             lag=0.5)))
+    assert out.getvalue() == _csv_writer_reference(loop, labels, xs, emit)
 
 
 @pytest.mark.parametrize("emit", ["position", "state"])

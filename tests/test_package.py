@@ -19,7 +19,13 @@ import pytest
 import fixedgain
 import fixedgain._samples
 import fixedgain.cli
-from fixedgain.errors import FixedGainError, NonFiniteValue
+from fixedgain.errors import (
+    DerivativeIndexOutOfRange,
+    DimensionMismatch,
+    FixedGainError,
+    NonFiniteValue,
+    OrderOutOfRange,
+)
 
 PUBLIC_NAMES = (
     "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
@@ -157,3 +163,22 @@ def test_a_number_past_the_double_range_raises_a_typed_error(call, error):
     with pytest.raises(FixedGainError, match="past the double range") as caught:
         call()
     assert type(caught.value) is error
+
+
+# An int past the 4,300 digits the interpreter prints in decimal by default:
+# a message that names it gives its sign and bit length instead.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("call, error, shown", [
+    (lambda: fixedgain.ProcessModel(HUGE, 1.0), OrderOutOfRange, "an int of 16610 bits"),
+    (lambda: fixedgain.frequency_grid(_NUM, _DEN, points=-HUGE), DimensionMismatch,
+     "a negative int of 16610 bits"),
+    (lambda: fixedgain.ObserverSpec(_MODEL, (0.5, 0.5), deriv=HUGE), DerivativeIndexOutOfRange,
+     "an int of 16610 bits"),
+], ids=["order", "grid-points", "deriv"])
+def test_an_int_too_long_to_print_raises_its_own_typed_error(call, error, shown):
+    with pytest.raises(FixedGainError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value).endswith(f"got {shown}")

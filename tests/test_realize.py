@@ -13,11 +13,15 @@ from conftest import (
     REF_GAIN_OCF,
     REF_NUMERATOR,
     REF_OCF_FROM_KIN_COL0,
+    column_gap,
     companion_pair_fraction,
     loop_transfer_fraction,
+    matrix_recursion_columns,
     max_abs_diff,
+    noisy_polynomial,
     placed_specs,
     second_order_transfer,
+    stepped_columns,
     transfer_numerator_fraction,
     transfer_pair_fraction,
 )
@@ -43,11 +47,13 @@ from fixedgain import (
 from fixedgain.errors import (
     FixedGainError,
     FormMismatch,
+    NonFiniteValue,
     Uncontrollable,
     Unobservable,
     UnstablePoles,
 )
-from fixedgain.realize import companion_column
+from fixedgain.cli import design_document
+from fixedgain.realize import _scaled_loop, companion_column
 
 
 def _reference_design():
@@ -75,15 +81,16 @@ def _matrices(ss: StateSpaceModel) -> list[Matrix]:
     return [ss.transition, ss.input_gain, ss.output_row, ss.kin_from_form, ss.form_from_kin]
 
 
-def _realizations(result) -> list[StateSpaceModel]:
-    """ss_kin and every canonical form of ``result`` that certifies."""
+def _realizations(result) -> list:
+    """ss_kin, every canonical form of ``result`` that certifies, and last
+    the scaled loop the filter command runs."""
     built = [result.ss_kin]
     for build in (pcf_realization, ocf_realization, ccf_realization):
         try:
             built.append(build(result))
         except (Unobservable, Uncontrollable):
             pass
-    return built
+    return built + [_scaled_loop(result)]
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -95,9 +102,11 @@ def test_realization_matrices_hold_only_float_row_tuples(order):
         result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
         built = _realizations(result)
         forms.update(ss.form for ss in built)
-        for m in [m for ss in built for m in _matrices(ss)] + list(result.gains):
+        for m in [m for ss in built[:-1] for m in _matrices(ss)] + list(result.gains):
             assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
             assert {type(v) for row in m.data for v in row} == {float}, m
+        for field in built[-1]:  # the scaled loop holds float tuples
+            assert type(field) is tuple and {type(v) for v in field} == {float}, built[-1]
     assert forms == set(Form)
 
 
@@ -111,7 +120,7 @@ def test_companion_forms_fix_two_fields_and_map_the_third_across(order):
         kin, col = result.ss_kin, companion_column(result.char_poly)
         companion = companion_matrix(col).data
         unit = Matrix.identity(order).data
-        for ss in _realizations(result)[1:]:
+        for ss in _realizations(result)[1:-1]:
             forms.add(ss.form)
             mapped_row = (kin.output_row @ ss.kin_from_form).data
             mapped_gain = (ss.form_from_kin @ kin.input_gain).data
@@ -132,7 +141,7 @@ def test_designs_of_one_order_share_no_matrix():
     # matrices; only the immutable row tuples are shared.
     spec = ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)
     first, second = design(spec), design(spec)
-    owned = [[m for ss in _realizations(result) for m in _matrices(ss)] + list(result.gains)
+    owned = [[m for ss in _realizations(result)[:-1] for m in _matrices(ss)] + list(result.gains)
              for result in (first, second)]
     assert len(owned[0]) == len(owned[1]) == 22
     assert not {id(m) for m in owned[0]} & {id(m) for m in owned[1]}
@@ -747,3 +756,84 @@ def test_filter_state_record():
     state.vector = [2.0, 3.0]
     copy = pickle.loads(pickle.dumps(state))
     assert (copy.form, copy.vector) == (Form.OCF, [2.0, 3.0])
+
+
+# --- the scaled loop ----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1))),
+    st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+    st.floats(0.0, math.log10(500.0)).map(lambda e: 10.0 ** e),
+    st.floats(-1.0, 3.0),
+    st.integers(0, 2 ** 32),
+)
+def test_scaled_loop_runs_the_kinematic_loop(order_deriv, ts, memory, lag, seed):
+    # The predict/correct recursion in scaled coordinates is the loop of the
+    # ss_kin Matrix recursion: every column within 1e-11 of its largest value.
+    order, deriv = order_deriv
+    result = design(ObserverSpec.repeated(ProcessModel(order, ts), math.exp(-1.0 / memory),
+                                          lag=lag, deriv=deriv))
+    xs = noisy_polynomial(random.Random(seed), order, 2000)
+    gap = column_gap(stepped_columns(_scaled_loop(result), xs),
+                     matrix_recursion_columns(result.ss_kin, xs))
+    assert gap < 1e-11
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("ts", [1e-3, 0.04, 1.0, 7.0])
+@pytest.mark.parametrize("pole", [0.0, 0.5, 0.98])
+def test_scaled_gains_are_alpha_beta_and_a_quarter_gamma(order, ts, pole):
+    # The document prints gamma = 2 ts^2 k_2, and g_2 = k_2 ts^2 / 2!.
+    result = design(ObserverSpec.repeated(ProcessModel(order, ts), pole, lag=0.5))
+    loop, gains = _scaled_loop(result), design_document(result, forms=("kin",))["gains"]
+    want = [gains["alpha"], gains.get("beta"), gains.get("gamma", 0.0) / 4.0][:order]
+    assert loop.gain == pytest.approx(want, rel=1e-15, abs=0.0)
+    # The kinematic gains are the scaled ones mapped back, bit for bit.
+    assert result.gains.kin.col(0) == tuple(g * d for g, d in zip(loop.gain, loop.to_kin))
+
+
+def test_scaled_state_and_kinematic_state_refuse_each_other():
+    result = _reference_design()
+    loop, kin = _scaled_loop(result), result.ss_kin
+    for ss, state in ((kin, initialize_state(loop, 1.0)), (loop, initialize_state(kin, 1.0))):
+        for call in (lambda: step(ss, state, 0.0), lambda: read_output(ss, state),
+                     lambda: extract_kinematic(ss, state)):
+            with pytest.raises(FormMismatch):
+                call()
+
+
+def test_stepped_scaled_loop_pickles_and_steps_to_the_same_bits():
+    loop = _scaled_loop(_reference_design())
+    xs = [math.sin(0.2 * n) for n in range(40)]
+    state = initialize_state(loop, xs[0])
+    run(loop, state, xs[1:20])
+    twin = pickle.loads(pickle.dumps(loop))
+    assert twin == loop and "_kernel" not in vars(twin)
+    twin_state = FilterState(state.form, list(state.vector))
+    assert repr(run(twin, twin_state, xs[20:])) == repr(run(loop, state, xs[20:]))
+    assert repr(twin_state.vector) == repr(state.vector)
+
+
+def test_scaled_read_out_past_the_double_range_is_refused():
+    # Read 1e50 samples back at ts = 1e-30: the kinematic read-out row is
+    # finite, but c_7 * 7! / ts^7 is not.
+    result = design(ObserverSpec.repeated(ProcessModel(8, 1e-30), 0.5, lag=1e50))
+    assert all(map(math.isfinite, result.ss_kin.output_row.row(0)))
+    with pytest.raises(NonFiniteValue, match="overflow"):
+        _scaled_loop(result)
+
+
+@pytest.mark.parametrize("sample", [10 ** 400, -10 ** 5000, "a", None, [1.0]],
+                         ids=["big-int", "huge-int", "str", "none", "list"])
+def test_a_sample_that_is_not_a_double_raises_a_typed_error_and_keeps_the_state(sample):
+    result = _reference_design()
+    for ss in (result.ss_kin, pcf_realization(result), _scaled_loop(result)):
+        state = initialize_state(ss, 1.0)
+        step(ss, state, 2.0)
+        before = list(state.vector)
+        for call in (lambda: step(ss, state, sample), lambda: run(ss, state, [sample])):
+            with pytest.raises(FixedGainError, match="is not a number") as caught:
+                call()
+            assert type(caught.value) is FixedGainError
+            assert repr(state.vector) == repr(before)
