@@ -22,26 +22,27 @@ The transfer function needs no canonical form: :func:`transfer_coefficients`
 rounds the exact pair of the loop the design runs, computed in integers.
 
 A realization's per-sample arithmetic (:func:`step`,
-:func:`extract_kinematic`) runs as straight-line Python compiled once per
-realization, on first use, with every dot product unrolled.
+:func:`extract_kinematic`) takes each dot product as ``sum(map(mul, ...))``,
+the sum ``Matrix @`` takes, so it matches ``Matrix @`` bit for bit on every
+Python version.
 
 The ``filter`` command runs a fifth view of the loop, not a realization:
 :func:`_scaled_loop`, the alpha-beta-gamma recursion in scaled coordinates
 z_j = x_j ts^j / j!.  It predicts by a Taylor shift and corrects by the
-gains, about a third of the arithmetic of the dense kinematic transition.
+gains, about a third of the arithmetic of the dense kinematic transition,
+as straight-line Python compiled once per order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import add, mul, or_, sub
-from types import CodeType, FunctionType, SimpleNamespace
+from types import CodeType, FunctionType
 
 from .errors import (
     FixedGainError,
@@ -51,7 +52,6 @@ from .errors import (
     SingularMatrix,
     Uncontrollable,
     Unobservable,
-    number,
 )
 from .linalg import Matrix, identity_rows
 from .poly import Polynomial
@@ -81,27 +81,23 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
     transition, K x 1 input gain and 1 x K output row are in ``form``
     coordinates; ``kin_from_form`` maps its state into kinematic ones."""
 
-    # No __slots__ = (): the instance dict holds the cached kernel.
+    __slots__ = ()
+
     @property
     def order(self) -> int:
         return self.transition.rows
 
-    @cached_property
-    def _kernel(self) -> SimpleNamespace:
-        """This realization's compiled per-sample functions, built on first
-        use, with its coefficients bound in."""
-        advance, kinematic = _kernel_code(self.order)
-        coefficients = self.transition.flat() + self.input_gain.flat() + self.output_row.flat()
-        return SimpleNamespace(
-            advance=FunctionType(advance, _KERNEL_GLOBALS, None, coefficients),
-            kinematic=FunctionType(kinematic, _KERNEL_GLOBALS, None, self.kin_from_form.flat()),
-        )
+    def _advance(self, w: list, x: float) -> float:
+        """One step of ``w`` in place, by the sums ``Matrix @`` takes; the
+        output read from the updated state.  ``float(x - 0.0)`` is x's own
+        double; a complex or str sample raises TypeError before ``w`` moves."""
+        x = float(x - 0.0)
+        w[:] = [sum(map(mul, row, w)) + h * x
+                for row, (h,) in zip(self.transition.data, self.input_gain.data)]
+        return sum(map(mul, self.output_row.data[0], w))
 
-    def __getstate__(self) -> dict:
-        # The compiled kernel cannot be pickled; an unpickled copy rebuilds it.
-        state = self.__dict__.copy()
-        state.pop("_kernel", None)
-        return state
+    def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
+        return tuple([sum(map(mul, row, w)) for row in self.kin_from_form.data])
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
         return [sum(map(mul, row, kin)) for row in self.form_from_kin.data]
@@ -110,78 +106,32 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         return sum(map(mul, self.output_row.data[0], w))
 
 
-# Globals of the compiled kernels: from Python 3.12 their source calls sum.
-_KERNEL_GLOBALS = {"sum": sum}
-
-
-def _dot(coefficients: Sequence[str], names: Sequence[str]) -> str:
-    """Source of the dot product ``c0 * w0 + c1 * w1 + ...``, summed exactly
-    as ``sum(map(mul, ...))`` and ``Matrix @`` sum it on this interpreter.
-    Up to Python 3.11 that sum is ``0.0 + p0 + p1 + ...`` left to right,
-    written out here; from 3.12 ``sum`` compensates rounding, so the products
-    are handed to ``sum`` as a tuple."""
-    products = [f"{c} * {w}" for c, w in zip(coefficients, names)]
-    if sys.version_info >= (3, 12):
-        return f"sum(({', '.join(products)},))"
-    return " + ".join(["0.0", *products])
-
-
-@lru_cache(maxsize=None)
-def _kernel_code(k: int) -> tuple[CodeType, CodeType]:
-    """Code objects of the order-``k`` kernel: ``advance(w, x, *coefficients)``
-    and ``kinematic(w, *kin_from_form)``.
-
-    The source holds only names; the coefficients are the parameters, bound
-    as defaults by :attr:`StateSpaceModel._kernel`, so any float (nan, inf,
-    -0.0) enters as a value.  ``advance`` updates ``w`` in place and returns
-    the output read from the updated state.
-    """
-    w = [f"w{j}" for j in range(k)]
-    a = [[f"a{i}_{j}" for j in range(k)] for i in range(k)]
-    h = [f"h{i}" for i in range(k)]
-    c = [f"c{j}" for j in range(k)]
-    t = [[f"t{i}_{j}" for j in range(k)] for i in range(k)]
-    state = ", ".join(w) + ","
-    updates = ", ".join(f"{_dot(row, w)} + {g} * x" for row, g in zip(a, h))
-    return _compiled(
-        f"def advance(w, x, {', '.join([*sum(a, []), *h, *c])}):\n"
-        f"    {state} = w\n"
-        f"    w[:] = {state} = ({updates},)\n"
-        f"    return {_dot(c, w)}\n"
-        f"def kinematic(w, {', '.join(sum(t, []))}):\n"
-        f"    {state} = w\n"
-        f"    return ({', '.join(_dot(row, w) for row in t)},)\n"
-    )
-
-
-def _compiled(source: str) -> tuple[CodeType, CodeType]:
-    """Code objects of ``advance`` and ``kinematic`` in ``source``."""
-    namespace: dict = {}
-    exec(source, namespace)
-    return tuple(namespace[name].__code__ for name in ("advance", "kinematic"))
-
-
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
     """The design's loop in scaled coordinates z_j = x_j ts^j / j!
     (:attr:`Form.SCALED`), where the integrator chain over one step is the
     Pascal matrix, a Taylor shift.  It holds the gains g_j = k_j ts^j / j!,
     the read-out row o_j = c_j j! / ts^j and the diagonals j! / ts^j and
-    ts^j / j! of the maps to and from kinematic coordinates."""
+    ts^j / j! of the maps to and from kinematic coordinates.  Its
+    ``_advance`` and ``_kinematic`` are the compiled functions of
+    :func:`_scaled_code`, its coefficients bound in, built on first use."""
 
     form = Form.SCALED
-    __getstate__ = StateSpaceModel.__getstate__
+
+    def __getstate__(self) -> None:
+        return None  # the compiled functions cannot be pickled; a copy rebuilds them
 
     @property
     def order(self) -> int:
         return len(self.gain)
 
     @cached_property
-    def _kernel(self) -> SimpleNamespace:
-        advance, kinematic = _scaled_code(self.order)
-        return SimpleNamespace(
-            advance=FunctionType(advance, _KERNEL_GLOBALS, None, self.gain + self.output),
-            kinematic=FunctionType(kinematic, _KERNEL_GLOBALS, None, self.to_kin),
-        )
+    def _advance(self) -> FunctionType:
+        return FunctionType(_scaled_code(self.order)[0], _KERNEL_GLOBALS, None,
+                            self.gain + self.output)
+
+    @cached_property
+    def _kinematic(self) -> FunctionType:
+        return FunctionType(_scaled_code(self.order)[1], _KERNEL_GLOBALS, None, self.to_kin)
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
         return list(map(mul, self.from_kin, kin))
@@ -190,27 +140,34 @@ class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
         return reduce(add, map(mul, self.output, z), 0.0)  # as the kernel sums it
 
 
+# Globals of the compiled scaled kernel: its source calls float.
+_KERNEL_GLOBALS = {"float": float}
+
+
 @lru_cache(maxsize=None)
 def _scaled_code(k: int) -> tuple[CodeType, CodeType]:
     """Code objects of the order-``k`` scaled kernel, ``advance(z, x, *gain,
-    *output)`` and ``kinematic(z, *to_kin)``, bound as :func:`_kernel_code`'s
-    are.  ``advance`` predicts by a Taylor shift (K(K-1)/2 additions), sets
-    e = x - z0 and z_j += g_j e, and returns 0.0 + o0 z0 + o1 z1 + ... summed
-    left to right on every Python version; ``kinematic`` is K products."""
+    *output)`` and ``kinematic(z, *to_kin)``.  The source holds only names;
+    the coefficients are the parameters, bound as defaults by
+    :class:`_ScaledLoop`, so any float (nan, inf, -0.0) enters as a value.
+    ``advance`` predicts by a Taylor shift (K(K-1)/2 additions), sets
+    e = float(x - z0) (a complex or str x raises TypeError before ``z`` is
+    written) and z_j += g_j e, and returns 0.0 + o0 z0 + o1 z1 + ... summed
+    left to right; ``kinematic`` is K products."""
     z, g, o = ([f"{v}{j}" for j in range(k)] for v in "zgo")
     state = ", ".join(z) + ","
     shift = "".join(f"    z{j} += z{j + 1}\n"
                     for i in range(k - 1) for j in range(k - 2, i - 1, -1))
-    return _compiled(
-        f"def advance(z, x, {', '.join(g + o)}):\n"
-        f"    {state} = z\n{shift}"
-        f"    e = x - z0\n"
-        f"    z[:] = {state} = ({', '.join(f'{v} + {h} * e' for v, h in zip(z, g))},)\n"
-        f"    return {' + '.join(['0.0', *(f'{c} * {v}' for c, v in zip(o, z))])}\n"
-        f"def kinematic(z, {', '.join(f'd{j}' for j in range(k))}):\n"
-        f"    {state} = z\n"
-        f"    return ({', '.join(f'z{j} * d{j}' for j in range(k))},)\n"
-    )
+    namespace: dict = {}
+    exec(f"def advance(z, x, {', '.join(g + o)}):\n"
+         f"    {state} = z\n{shift}"
+         f"    e = float(x - z0)\n"
+         f"    z[:] = {state} = ({', '.join(f'{v} + {h} * e' for v, h in zip(z, g))},)\n"
+         f"    return {' + '.join(['0.0', *(f'{c} * {v}' for c, v in zip(o, z))])}\n"
+         f"def kinematic(z, {', '.join(f'd{j}' for j in range(k))}):\n"
+         f"    {state} = z\n"
+         f"    return ({', '.join(f'z{j} * d{j}' for j in range(k))},)\n", namespace)
+    return namespace["advance"].__code__, namespace["kinematic"].__code__
 
 
 def _scaled_loop(result: "DesignResult") -> _ScaledLoop:
@@ -477,9 +434,20 @@ def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomia
 
 def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     """State holding the first sample: position x0, all derivatives zero,
-    expressed in the realization's own coordinates."""
-    kin0 = (number(x0, "first sample"),) + (0.0,) * (ss.order - 1)
-    return FilterState(form=ss.form, vector=ss._from_kin(kin0))
+    expressed in the realization's own coordinates.  A first sample that
+    ``float`` refuses, or past the double range, raises FixedGainError."""
+    try:
+        x0 = float(x0)
+    except OverflowError:
+        raise FixedGainError("first sample is past the double range") from None
+    except (TypeError, ValueError):
+        raise _not_a_sample(x0) from None
+    return FilterState(form=ss.form, vector=ss._from_kin((x0,) + (0.0,) * (ss.order - 1)))
+
+
+def _not_a_sample(x) -> FixedGainError:
+    return FixedGainError(f"a sample of type {type(x).__name__} is not a number"
+                          " in the double range")
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:
@@ -493,22 +461,21 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
     the output read from the updated state.  Mutates ``state`` in place.
 
-    Runs the realization's compiled kernel, built on its first call.  Each
-    dot product, here and in extract_kinematic, sums its products as
-    ``Matrix @`` does (``0.0 + p0 + p1 + ...`` left to right up to Python
-    3.11, ``sum`` of the products from 3.12), then adds ``h * x`` for a state
-    entry: bit-identical to ``Matrix @`` on every version.  The scaled loop's
-    kernel runs the same loop by predict and correct (:func:`_scaled_code`).
+    Each dot product, here and in extract_kinematic, is ``sum(map(mul,
+    ...))``, the sum ``Matrix @`` takes, and a state entry then adds
+    ``h * x``: bit-identical to ``Matrix @`` on every Python version.  The
+    scaled loop runs the same loop by predict and correct, compiled
+    (:func:`_scaled_code`).
 
-    A sample the arithmetic refuses (a str, None, an int past the double
-    range) raises FixedGainError and leaves the state as it was."""
+    A sample that is not a real number in the double range (a str, None, a
+    complex, an int past it) raises FixedGainError and leaves the state as
+    it was."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
-        return ss._kernel.advance(state.vector, x)
+        return ss._advance(state.vector, x)
     except (OverflowError, TypeError):  # raised before the state is written
-        raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
-                             " in the double range") from None
+        raise _not_a_sample(x) from None
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:
@@ -518,9 +485,8 @@ def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[fl
 
 def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, ...]:
     """Current state mapped back to kinematic coordinates
-    (position, velocity, ... regardless of the realization's form), by the
-    realization's compiled kernel: the rows of ``kin_from_form`` unrolled,
-    each summed as in :func:`step`."""
+    (position, velocity, ... regardless of the realization's form): each
+    row of ``kin_from_form`` summed as in :func:`step`."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return ss._kernel.kinematic(state.vector)
+    return ss._kinematic(state.vector)

@@ -716,7 +716,7 @@ def test_stepped_realization_pickles_and_steps_to_the_same_bits():
         assert repr(twin_state.vector) == repr(state.vector)
 
 
-def test_replaced_realization_gets_a_fresh_kernel():
+def test_replaced_realization_steps_by_its_own_matrices():
     ss = _reference_design().ss_kin
     step(ss, initialize_state(ss, 1.0), 2.0)
     other = ss._replace(output_row=Matrix.row_vector([0.0, 1.0, 0.0]),
@@ -740,14 +740,14 @@ def test_state_space_model_record_contract():
                            Matrix([[1.0]]), Matrix([[1.0]]))
     assert ss == same and hash(ss) == hash(same)
     assert ss != ss._replace(form=Form.PCF)
-    step(ss, initialize_state(ss, 1.0), 2.0)  # the cached kernel is not a field
+    step(ss, initialize_state(ss, 1.0), 2.0)  # stepping leaves the record as it was
     assert ss == same and hash(ss) == hash(same) and repr(ss).endswith("Matrix([[1.0]]))")
     for field in ("form", "transition", "input_gain", "output_row", "kin_from_form",
                   "form_from_kin"):
         with pytest.raises(AttributeError):
             setattr(ss, field, getattr(ss, field))
     copy = pickle.loads(pickle.dumps(ss))
-    assert copy == ss and "_kernel" not in vars(copy)
+    assert copy == ss and not hasattr(ss, "__dict__") and not hasattr(copy, "__dict__")
 
 
 def test_filter_state_record():
@@ -809,7 +809,7 @@ def test_stepped_scaled_loop_pickles_and_steps_to_the_same_bits():
     state = initialize_state(loop, xs[0])
     run(loop, state, xs[1:20])
     twin = pickle.loads(pickle.dumps(loop))
-    assert twin == loop and "_kernel" not in vars(twin)
+    assert twin == loop and vars(twin) == {}  # the compiled functions are not pickled
     twin_state = FilterState(state.form, list(state.vector))
     assert repr(run(twin, twin_state, xs[20:])) == repr(run(loop, state, xs[20:]))
     assert repr(twin_state.vector) == repr(state.vector)
@@ -824,11 +824,16 @@ def test_scaled_read_out_past_the_double_range_is_refused():
         _scaled_loop(result)
 
 
-@pytest.mark.parametrize("sample", [10 ** 400, -10 ** 5000, "a", None, [1.0]],
-                         ids=["big-int", "huge-int", "str", "none", "list"])
+@pytest.mark.parametrize("sample", [10 ** 400, -10 ** 5000, "a", None, [1.0], 1 + 2j,
+                                    complex(1.0, 0.0)],
+                         ids=["big-int", "huge-int", "str", "none", "list", "complex",
+                              "complex-real"])
 def test_a_sample_that_is_not_a_double_raises_a_typed_error_and_keeps_the_state(sample):
     result = _reference_design()
     for ss in (result.ss_kin, pcf_realization(result), _scaled_loop(result)):
+        with pytest.raises(FixedGainError, match="sample") as caught:
+            initialize_state(ss, sample)
+        assert type(caught.value) is FixedGainError
         state = initialize_state(ss, 1.0)
         step(ss, state, 2.0)
         before = list(state.vector)
@@ -837,3 +842,12 @@ def test_a_sample_that_is_not_a_double_raises_a_typed_error_and_keeps_the_state(
                 call()
             assert type(caught.value) is FixedGainError
             assert repr(state.vector) == repr(before)
+
+
+def test_int_bool_and_fraction_samples_step_as_their_doubles():
+    result = _reference_design()
+    for ss in (result.ss_kin, pcf_realization(result), _scaled_loop(result)):
+        for sample in (3, True, Fraction(1, 3)):
+            state, twin = initialize_state(ss, sample), initialize_state(ss, float(sample))
+            assert repr(step(ss, state, sample)) == repr(step(ss, twin, float(sample)))
+            assert repr(state.vector) == repr(twin.vector)
