@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import deque
 from collections.abc import Sequence
 from functools import lru_cache
@@ -40,6 +39,7 @@ from .errors import (
     PoleOnUnitCircle,
     UnstablePoles,
     number,
+    numbers,
     shown,
 )
 from .linalg import ORDER_CAP
@@ -55,10 +55,7 @@ _SAMPLE_CAP = 1_000_000
 def _finite_pair(num, den) -> tuple[tuple, tuple]:
     """The coefficients of ``(num, den)`` as float tuples, refusing an empty
     list (as Polynomial does) and a nan or infinite coefficient."""
-    try:
-        b, a = tuple(map(float, num)), tuple(map(float, den))
-    except OverflowError:
-        raise NonFiniteValue("transfer coefficient is past the double range") from None
+    b, a = (numbers(p, "transfer coefficient", error=NonFiniteValue) for p in (num, den))
     if not (b and a):
         raise DimensionMismatch("polynomial needs at least one coefficient")
     if not all(map(math.isfinite, b + a)):
@@ -125,11 +122,8 @@ def lde_filter(
     past_x, past_y = prehistory if prehistory is not None else ((), ())
     if len(past_x) > nb or len(past_y) > na:
         raise DimensionMismatch(f"prehistory longer than coefficient memory ({nb}, {na})")
-    try:
-        xs, px, py = (list(map(float, vs)) for vs in (xs, past_x, past_y))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FixedGainError(f"samples must be numbers: {exc}") from None
-    return list(_recursion(b, a, xs, px + [0.0] * (nb - len(px)), py + [0.0] * (na - len(py))))
+    xs, px, py = (numbers(vs, "sample") for vs in (xs, past_x, past_y))
+    return list(_recursion(b, a, xs, px + (0.0,) * (nb - len(px)), py + (0.0,) * (na - len(py))))
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
@@ -142,12 +136,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     tail(n-1) found by doubling from n0 and bisecting.  Raises FixedGainError
     for a tol that is not a number >= 0, what white_noise_gain raises, and
     NonConvergent after a million samples."""
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError):
-        raise FixedGainError(f"impulse tolerance must be a number, got {tol!r}") from None
-    except OverflowError:
-        raise FixedGainError("impulse tolerance is past the double range") from None
+    tol = number(tol, "impulse tolerance")
     if not tol >= 0.0:
         raise FixedGainError(f"impulse tolerance must be >= 0, got {tol!r}")
     b, a = _finite_pair(num, den)
@@ -183,11 +172,9 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
 def _horner_block(steps: int, first: bool, divide: bool):
     """``block(zs, dvs, acc, c0, ..)``: ``steps`` steps ``acc * z + c`` at each z of
     ``zs`` from the previous pass's values ``acc``, or if ``first`` the leading
-    coefficient ``acc``; with ``divide``, each over its ``dvs``.  Up to Python 3.13
-    a float times a complex is promoted, so c0 * z + c1 is c0 * (z * 0 + 1) * z + c1."""
-    value = "acc * (z * 0 + 1)" if first else "a"
-    if first and steps and sys.version_info < (3, 14):
-        value = "acc"
+    coefficient ``acc``; with ``divide``, each over its ``dvs``.  The first step is
+    c0 * z + c1, as in Polynomial.__call__; only a constant is promoted to z's type."""
+    value = ("acc" if steps else "acc * (z * 0 + 1)") if first else "a"
     for j in range(steps):
         value = f"({value}) * z + c{j}"
     names = (["z"] if first else ["a", "z"]) + ["d"] * divide
@@ -238,12 +225,11 @@ def frequency_response(num, den, omega) -> complex:
     complex values are accepted, and an omega that is not a number raises
     FixedGainError.  A non-finite response, or an exp(i*omega) past the double
     range, raises NonFiniteValue."""
+    w = number(omega, "omega", complex, NonFiniteValue)
     try:
-        z = cmath.exp(1j * complex(omega))
-    except (TypeError, ValueError):
-        raise FixedGainError(f"omega must be a number, got {omega!r}") from None
+        z = cmath.exp(1j * w)
     except OverflowError:
-        raise NonFiniteValue("omega or exp(i*omega) is past the double range") from None
+        raise NonFiniteValue("exp(i*omega) is past the double range") from None
     return _responses(num, den, (omega,), (z,))[0]
 
 
@@ -401,15 +387,14 @@ def flatness_check(num, den, deriv: int, lag: float, ts: float, orders: int) -> 
 
 
 def step_response(result, n_max: int) -> list[float]:
-    """Unit-step response y[0..n_max] of a design, run through the kinematic
-    realization with the state initialized from the first sample; n_max >= 0."""
+    """The unit step from a matched start, y[0..n_max], n_max >= 0: the kinematic
+    realization started from the first sample, 1.0, so its state holds at
+    (1, 0, .., 0) up to rounding and each y reads that out.  The response from
+    rest is ``lde_filter(num, den, [1.0] * (n_max + 1))``."""
     _check_count(n_max, 0, "step response needs n_max >= 0")
     ss = result.ss_kin
     state = realize.initialize_state(ss, 1.0)
-    ys = [realize.read_output(ss, state)]
-    for _ in range(n_max):
-        ys.append(realize.step(ss, state, 1.0))
-    return ys
+    return [realize.read_output(ss, state), *realize.run(ss, state, repeat(1.0, n_max))]
 
 
 @lru_cache(maxsize=4, typed=True)

@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--wng", action="store_true", help="white-noise gain")
     what.add_argument("--freq", action="store_true",
                       help="frequency response on 1024 points over [0, 0.5] cycles/sample")
-    what.add_argument("--step", type=int, metavar="N", help="step response through sample N")
+    what.add_argument("--step", type=int, metavar="N",
+                      help="unit step from a matched start through sample N: the state"
+                           " holds at (1, 0, ...), each row its read-out")
     what.add_argument("--impulse", action="store_true", help="impulse response until truncation")
     what.add_argument("--flatness", action="store_true",
                       help="dc derivative targets vs. measurements")
@@ -391,10 +393,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # The parser's reference cycles would otherwise live through the command.
-    # It was built just now, so collecting the young generations frees it.
-    del parser
-    gc.collect(1)
     if sys.stdout is None:  # started with file descriptor 1 closed
         print("error: standard output is closed", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteValue,
     UnstablePoles,
     number,
+    numbers,
 )
 from .linalg import Matrix, identity_rows
 from .poly import from_roots
@@ -52,7 +53,7 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
 
     def __new__(cls, process: ProcessModel, poles: Sequence[complex], lag: float = 0.0,
                 deriv: int = 0):
-        poles = tuple(number(p, "pole", complex) for p in poles)
+        poles = numbers(poles, "pole", complex)
         lag = number(lag, "lag")
         if not all(map(cmath.isfinite, poles + (lag,))):
             raise NonFiniteValue(f"poles and lag must be finite, got {poles}, {lag!r}")

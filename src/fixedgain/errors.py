@@ -2,9 +2,10 @@
 
 Everything derives from :class:`FixedGainError`, which itself derives from
 ``ValueError`` so callers that don't care about the distinction can catch the
-usual thing.  :func:`number` converts a parameter as the package's entry
-points do, so a number past the double range raises one of them too, and
-:func:`shown` prints one in a message.
+usual thing.  :func:`number` and :func:`numbers` convert every numeric
+parameter the package's entry points take, so a number past the double range,
+or a value that is not a number, raises one of them too; :func:`shown` prints
+one in a message.
 """
 
 
@@ -12,14 +13,24 @@ class FixedGainError(ValueError):
     """Base class for all errors raised by this package."""
 
 
-def number(value, what: str, convert=float, error: type[FixedGainError] = FixedGainError):
-    """``convert(value)``, ``float`` or ``complex``, raising ``error`` in place
-    of the OverflowError of a number past the double range (an int such as
-    10**400); what ``convert`` refuses otherwise raises as there."""
+def numbers(values, what: str, convert=float,
+            error: type[FixedGainError] = FixedGainError) -> tuple:
+    """``tuple(map(convert, values))``, ``convert`` ``float`` or ``complex``:
+    the package's one gate for numbers from outside.  A number past the double
+    range (an int such as 10**400) raises ``error``; what ``convert`` refuses
+    (a str, None, a complex where a real is needed, a ``values`` that is not
+    iterable) raises FixedGainError.  Each message names ``what``."""
     try:
-        return convert(value)
+        return tuple(map(convert, values))
     except OverflowError:
         raise error(f"{what} is past the double range") from None
+    except (TypeError, ValueError) as exc:
+        raise FixedGainError(f"{what} must be a number: {exc}") from None
+
+
+def number(value, what: str, convert=float, error: type[FixedGainError] = FixedGainError):
+    """The one ``value`` through :func:`numbers`."""
+    return numbers((value,), what, convert, error)[0]
 
 
 def shown(value) -> str:

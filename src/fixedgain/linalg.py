@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul, sub
 
-from .errors import DimensionMismatch, FixedGainError, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, numbers
 
 # Largest state dimension the package will build: a fixed cap, not a setting.
 # process.py copies it at import, so rebinding it here does not lift the limit.
@@ -29,10 +29,7 @@ class Matrix:
     __slots__ = ("data",)
 
     def __init__(self, rows: Iterable[Iterable[float]]):
-        try:
-            data = tuple([tuple(map(float, row)) for row in rows])
-        except OverflowError:
-            raise FixedGainError("matrix entry is past the double range") from None
+        data = tuple([numbers(row, "matrix entry") for row in rows])
         if not data or not data[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(data[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable, Sequence
 
-from .errors import DimensionMismatch, FixedGainError, NonFiniteValue, NonRealCoefficients, number
+from .errors import DimensionMismatch, NonFiniteValue, NonRealCoefficients, numbers
 
 # Imaginary residue allowed when collapsing a conjugate-closed product
 # back to real coefficients.
@@ -26,10 +26,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        try:
-            cs = tuple(map(float, coeffs))
-        except OverflowError:
-            raise FixedGainError("polynomial coefficient is past the double range") from None
+        cs = numbers(coeffs, "polynomial coefficient")
         if not cs:
             raise DimensionMismatch("polynomial needs at least one coefficient")
         self.coeffs = cs
@@ -57,11 +54,12 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __call__(self, z):
-        """Evaluate by Horner's rule; ``z`` may be real or complex."""
-        acc = self.coeffs[0] * (z * 0 + 1)  # promote to z's type
+        """Evaluate by Horner's rule from the leading coefficient; ``z`` may be
+        real or complex, and only a constant is promoted to z's type."""
+        acc = self.coeffs[0]
         for c in self.coeffs[1:]:
             acc = acc * z + c
-        return acc
+        return acc if self.degree else acc * (z * 0 + 1)
 
     def is_monic(self) -> bool:
         return self.coeffs[0] == 1.0
@@ -79,8 +77,7 @@ def from_roots(roots: Sequence[complex]) -> Polynomial:
     raises :class:`NonFiniteValue`.
     """
     acc = [complex(1.0)]
-    for r in roots:
-        r = number(r, "root", complex, NonFiniteValue)
+    for r in numbers(roots, "root", complex, NonFiniteValue):
         nxt = [complex(0.0)] * (len(acc) + 1)
         for i, c in enumerate(acc):
             nxt[i] += c

@@ -40,7 +40,6 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
-from itertools import repeat
 from operator import add, mul, or_, sub
 from types import CodeType, FunctionType
 
@@ -52,6 +51,8 @@ from .errors import (
     SingularMatrix,
     Uncontrollable,
     Unobservable,
+    number,
+    numbers,
 )
 from .linalg import Matrix, identity_rows
 from .poly import Polynomial
@@ -205,10 +206,7 @@ def companion_matrix(column: Sequence[float]) -> Matrix:
     the given one and whose first K-1 columns are the identity shifted down
     one row -- the transition-matrix shape shared by the PCF and OCF forms.
     """
-    try:
-        return Matrix._of(_companion_rows(tuple(map(float, column))))
-    except OverflowError:
-        raise FixedGainError("companion column entry is past the double range") from None
+    return Matrix._of(_companion_rows(numbers(column, "companion column entry")))
 
 
 def _companion_rows(column: tuple) -> tuple:
@@ -372,11 +370,11 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
                       gain=rows[0])
 
 
-def _ints(values, shifts=repeat(0)) -> tuple[list[int], int]:
-    """The floats ``values`` times 2**shift each, as integers over one 2**e, e >= 0."""
+def _ints(values) -> tuple[list[int], int]:
+    """The floats ``values`` as integers over one 2**e, e >= 0."""
     ratios = list(map(float.as_integer_ratio, values))
-    exps = [d.bit_length() - 1 - s if n else 0 for (n, d), s in zip(ratios, shifts)]
-    e = max(0, *exps)
+    exps = [d.bit_length() - 1 for _, d in ratios]
+    e = max(exps, default=0)
     return [n << e - x for (n, _), x in zip(ratios, exps)], e
 
 
@@ -387,12 +385,10 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
     D(u) = u^K + sum_j (p N^j k) u^(K-1-j), P(u) = sum_j (c N^j k) u^(K-1-j)
     and p N^j k = (N^j k)_0 + (N^(j+1) k)_0.  The entries are floats, so the
     coefficients (descending powers) are integers over one power of two, D's
-    lead.  State i is scaled by 2**(i e), e the binary exponent of ts, in the
-    integers' exponents: an exact similarity that keeps them short at any ts."""
-    k, e = model.order, math.frexp(model.ts)[1]
-    ints, x = _ints([*model.predictor_row().row(0)[1:], *gains, *output],
-                    [-i * e for i in range(1, k)] + [i * e for i in range(k)]
-                    + [-i * e for i in range(k)])
+    lead; divided by their common power of two, they are canonical, the same
+    for every exact similarity of the loop."""
+    k = model.order
+    ints, x = _ints([*model.predictor_row().row(0)[1:], *gains, *output])
     g, v, c = ints[:k - 1], ints[k - 1:2 * k - 1], ints[2 * k - 1:]
     heads, nums = [], []  # (N^j k)_0 over 2**((j + 1) x), c N^j k over 2**((j + 2) x)
     for _ in range(k):
@@ -436,18 +432,8 @@ def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     """State holding the first sample: position x0, all derivatives zero,
     expressed in the realization's own coordinates.  A first sample that
     ``float`` refuses, or past the double range, raises FixedGainError."""
-    try:
-        x0 = float(x0)
-    except OverflowError:
-        raise FixedGainError("first sample is past the double range") from None
-    except (TypeError, ValueError):
-        raise _not_a_sample(x0) from None
+    x0 = number(x0, "first sample")
     return FilterState(form=ss.form, vector=ss._from_kin((x0,) + (0.0,) * (ss.order - 1)))
-
-
-def _not_a_sample(x) -> FixedGainError:
-    return FixedGainError(f"a sample of type {type(x).__name__} is not a number"
-                          " in the double range")
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:
@@ -475,7 +461,8 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     try:
         return ss._advance(state.vector, x)
     except (OverflowError, TypeError):  # raised before the state is written
-        raise _not_a_sample(x) from None
+        raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
+                             " in the double range") from None
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:

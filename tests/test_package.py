@@ -1,7 +1,7 @@
 """Package surface: the exported names, the docstring example, the
 stdlib-only import rule, the modules the CLI leaves out at start-up, the
 size of each module's token stream and the typed refusal of a number past
-the double range at every entry point."""
+the double range, or of a value that is not a number, at every entry point."""
 
 import ast
 import contextlib
@@ -163,6 +163,50 @@ def test_a_number_past_the_double_range_raises_a_typed_error(call, error):
     with pytest.raises(FixedGainError, match="past the double range") as caught:
         call()
     assert type(caught.value) is error
+
+
+# The same entry points given what float() or complex() refuses: a str, None,
+# or a complex where a real is needed.  Each raises FixedGainError naming the
+# parameter, as does a list of numbers that is None.
+_NUMBER_SITES = [
+    ("impulse-tol", lambda v: fixedgain.impulse_response(_NUM, _DEN, tol=v), float),
+    ("ts", lambda v: fixedgain.ProcessModel(2, v), float),
+    ("lag", lambda v: fixedgain.ObserverSpec(_MODEL, (0.5, 0.5), lag=v), float),
+    ("pole", lambda v: fixedgain.ObserverSpec(_MODEL, (v, 0.5)), complex),
+    ("repeated-pole", lambda v: fixedgain.ObserverSpec.repeated(_MODEL, v), float),
+    ("memory", fixedgain.memory_to_pole, float),
+    ("pole-to-memory", fixedgain.pole_to_memory, float),
+    ("optimal-lag", fixedgain.optimal_lag_k2, float),
+    ("flatness-lag", lambda v: fixedgain.flatness_targets(0, v, 1.0, 3), float),
+    ("ramp-lag", lambda v: fixedgain.ramp_error(_NUM, _DEN, v, 1.0, 3), float),
+    ("transition", _MODEL.transition, float),
+    ("output-row", _MODEL.output_row, float),
+    ("first-sample", lambda v: fixedgain.initialize_state(_RESULT.ss_kin, v), float),
+    ("polynomial", lambda v: fixedgain.Polynomial([1.0, v]), float),
+    ("matrix", lambda v: fixedgain.Matrix([[1.0, v]]), float),
+    ("companion", lambda v: fixedgain.companion_matrix([v, 0.5]), float),
+    ("roots", lambda v: fixedgain.from_roots([v]), complex),
+    ("noise-gain-coefficient", lambda v: fixedgain.white_noise_gain([v], _DEN), float),
+    ("grid-coefficient", lambda v: fixedgain.frequency_grid([1.0], [1.0, v]), float),
+    ("omega", lambda v: fixedgain.frequency_response(_NUM, _DEN, v), complex),
+]
+_LIST_SITES = [
+    ("polynomial-list-none", fixedgain.Polynomial),
+    ("noise-gain-list-none", lambda v: fixedgain.white_noise_gain(v, _DEN)),
+    ("poles-list-none", lambda v: fixedgain.ObserverSpec(_MODEL, v)),
+    ("roots-list-none", fixedgain.from_roots),
+]
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{label}")
+    for name, call, kind in _NUMBER_SITES
+    for label, value in (("str", "a"), ("none", None), ("complex", 1j))
+    if kind is float or label != "complex"
+] + [pytest.param(call, None, id=name) for name, call in _LIST_SITES])
+def test_a_value_that_is_not_a_number_raises_a_typed_error(call, value):
+    with pytest.raises(FixedGainError, match="must be a number"):
+        call(value)
 
 
 # An int past the 4,300 digits the interpreter prints in decimal by default:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     REF_GAIN_OCF,
@@ -405,7 +405,7 @@ def test_transfer_structural_invariants():
         assert den[0] == 1.0
 
 
-def test_transfer_falls_back_when_unobservable():
+def test_deadbeat_transfer_at_lag_0_passes_the_input_through():
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.0, lag=0.0))
     num, den = transfer_coefficients(result)
     assert num.coeffs == pytest.approx((1.0, 0.0, 0.0), abs=1e-13)
@@ -427,6 +427,11 @@ def test_ocf_and_ccf_routes_agree():
 
 @settings(max_examples=300, deadline=None)
 @given(placed_specs())
+# The draw spans ts 1e-3 to 10; these reach the ends of the exact pair's scale.
+@example(ObserverSpec.repeated(ProcessModel(8, 1e-30), 0.9, lag=1.5, deriv=2))
+@example(ObserverSpec.repeated(ProcessModel(8, 1e30), 0.9, lag=1.5, deriv=2))
+@example(ObserverSpec(ProcessModel(3, 1e-30), (0.6 + 0.3j, 0.6 - 0.3j, 0.5), lag=-0.5, deriv=1))
+@example(ObserverSpec(ProcessModel(3, 1e30), (0.6 + 0.3j, 0.6 - 0.3j, 0.5), lag=-0.5, deriv=1))
 def test_transfer_numerator_is_the_exact_recursion_rounded(spec):
     result = design(spec)
     num, den = transfer_coefficients(result)
