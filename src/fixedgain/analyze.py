@@ -25,9 +25,9 @@ import cmath
 import math
 from collections import deque
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -89,14 +89,14 @@ def _check_normalized(den: tuple) -> None:
 def _recursion(b: tuple, a: tuple, xs, px: Sequence[float], py: Sequence[float]):
     """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``,
     from past inputs ``px`` and outputs ``py`` ordered most-recent-first,
-    len(b) - 1 and len(a) - 1 of them.  The terms are added left to right,
-    from b[0] x as ``sum``'s start; lde_filter and impulse_response share this
-    one loop, so a unit pulse gives the same bits through either."""
+    len(b) - 1 and len(a) - 1 of them.  The terms are added left to right
+    from b[0] x on every Python version; lde_filter and impulse_response
+    share this one loop, so a unit pulse gives the same bits through either."""
     b0, b_tail = b[0], b[1:]
     neg_a_tail = [-c for c in a[1:]]
     px, py = deque(px, maxlen=len(px)), deque(py, maxlen=len(py))
     for x in xs:
-        y = sum(map(mul, neg_a_tail, py), sum(map(mul, b_tail, px), b0 * x))
+        y = reduce(add, map(mul, neg_a_tail, py), reduce(add, map(mul, b_tail, px), b0 * x))
         px.appendleft(x)
         py.appendleft(y)
         yield y
@@ -344,10 +344,10 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     s = 0 is sum c_k (n-k)**m / m!.  Dividing the numerator series by the
     denominator series gives the series of H(e^s) exactly, and since
     s = i*omega the m-th derivative in omega is i**m * m! times its
-    coefficient m.
+    coefficient m.  Every sum adds left to right, on every Python version.
     """
     b, a = _finite_pair(num, den)
-    d0 = sum(a)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
+    d0 = reduce(add, a, 0.0)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
     if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a)):
         raise PoleAtOne(
             "denominator at z = 1 vanishes, or is not resolved from zero by its"
@@ -356,13 +356,13 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
 
     def series(p: tuple) -> list[float]:
         n = len(p) - 1
-        return [sum(c * (n - k) ** m for k, c in enumerate(p)) / math.factorial(m)
-                for m in range(orders)]
+        return [reduce(add, [c * (n - k) ** m for k, c in enumerate(p)], 0.0)
+                / math.factorial(m) for m in range(orders)]
 
     ns, ds = series(b), series(a)
     hs: list[float] = []
     for m in range(orders):
-        hs.append((ns[m] - sum(ds[j] * hs[m - j] for j in range(1, m + 1))) / d0)
+        hs.append((ns[m] - reduce(add, [ds[j] * hs[m - j] for j in range(1, m + 1)], 0.0)) / d0)
     return [(1j) ** m * math.factorial(m) * h for m, h in enumerate(hs)]
 
 

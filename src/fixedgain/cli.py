@@ -33,6 +33,7 @@ from itertools import chain, islice
 
 from . import analyze
 from .design import DesignResult, ObserverSpec, design, memory_to_pole, pole_to_memory
+from .design import _scaled_gains, _scaled_loop
 from .errors import (
     FixedGainError,
     InputDataError,
@@ -175,14 +176,10 @@ def design_document(
         if 0.0 < first.real < 1.0:
             doc["design"]["memory"] = pole_to_memory(first.real)
 
-    kin = list(result.gains.kin.col(0))
-    gains = {"kin": kin, "pcf": list(result.gains.pcf.col(0))}
-    if order <= 3:
-        gains["alpha"] = kin[0]
-        if order >= 2:
-            gains["beta"] = kin[1] * ts
-        if order >= 3:
-            gains["gamma"] = 2.0 * ts * ts * kin[2]
+    gains = {"kin": list(result.gains.kin.col(0)), "pcf": list(result.gains.pcf.col(0))}
+    if order <= 3:  # the scaled gains g_j the filter runs: gamma = 2 ts^2 k_2 = 4 g_2
+        scaled = _scaled_gains(spec.poles)
+        gains.update(zip(("alpha", "beta", "gamma"), scaled[:2] + [4.0 * g for g in scaled[2:]]))
     doc["gains"] = gains
 
     doc["char_poly"] = list(result.char_poly.coeffs)
@@ -342,10 +339,10 @@ def cmd_filter(args) -> int:
     text = _csv_line(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)])
     if values:
         # The loop runs in scaled coordinates, predict then correct
-        # (realize._scaled_loop).  Every call goes through the realize module,
+        # (design._scaled_loop).  Every call goes through the realize module,
         # once per sample, so a wrapper installed on it before the command
         # runs sees each one.
-        ss, step, kinematic = realize._scaled_loop(result), realize.step, realize.extract_kinematic
+        ss, step, kinematic = _scaled_loop(result), realize.step, realize.extract_kinematic
         state = realize.initialize_state(ss, values[0])
         y = realize.read_output(ss, state)
         text += _csv_line((next(labels), y, *(kinematic(ss, state) if emit_state else ())))

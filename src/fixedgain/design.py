@@ -6,8 +6,8 @@ poles exactly there, then assembles the closed-loop filter in kinematic
 coordinates.  The gains come in closed form, from the observer polynomial in
 powers of u = z - 1 and a per-order table of Stirling numbers; nothing is
 inverted, so every stable pole set designs at every sampling period.  The
-canonical forms are other views of the same loop, built on request by
-:mod:`fixedgain.realize`.
+filter's scaled loop is built here, beside its gains; the canonical forms,
+other views of the same loop, are built on request by :mod:`fixedgain.realize`.
 
 The poles are the whole design surface: a single repeated pole ``p`` trades
 bandwidth against noise through one number, with ``p = 0`` giving a deadbeat
@@ -20,7 +20,8 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -33,7 +34,7 @@ from .errors import (
 from .linalg import Matrix, identity_rows
 from .poly import from_roots
 from .process import ProcessModel, check_deriv
-from .realize import Form, StateSpaceModel
+from .realize import Form, StateSpaceModel, _ScaledLoop
 
 
 class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
@@ -108,10 +109,11 @@ def _stirling(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _scaled_gains(poles: Sequence[complex]) -> list[float]:
-    """The ts-free part of the kinematic gains (:func:`_kinematic_gains`):
-    the gains g_j = k_j ts^j / j! of the loop in scaled coordinates
-    z_j = x_j ts^j / j!, alpha, beta and gamma / 2 for K <= 3.  With a_m
-    the u^m coefficient of D(1+u), u = z - 1,
+    """The ts-free gains g_j = k_j ts^j / j! of the loop in scaled
+    coordinates z_j = x_j ts^j / j!: alpha, beta and gamma/4 of the design
+    document for K <= 3 (gamma/2 in the convention a += gamma e / ts^2).
+    With a_m the u^m coefficient of D(1+u), u = z - 1, and the terms added
+    left to right on every Python version,
 
         g_j = sum_{n=j+1..K} s(n, j+1) a_{K-n} / (n-1)!
 
@@ -120,32 +122,33 @@ def _scaled_gains(poles: Sequence[complex]) -> list[float]:
     order = len(poles)
     a = from_roots([p - 1.0 for p in poles]).coeffs  # a[n] is the u^(K-n) coefficient
     s = _stirling(order)
-    return [sum(s[n][j + 1] * a[n] / math.factorial(n - 1) for n in range(j + 1, order + 1))
-            for j in range(order)]
+    return [reduce(add, [s[n][j + 1] * a[n] / math.factorial(n - 1)
+                         for n in range(j + 1, order + 1)], 0.0) for j in range(order)]
 
 
-def _kinematic_gains(poles: Sequence[complex], ts: float) -> list[float]:
-    """Kinematic gain column placing ``poles``: Ackermann's formula with the
-    observer polynomial in powers of u = z - 1, k_j = (j! / ts^j) g_j."""
-    return [math.factorial(j) * ts ** -j * g for j, g in enumerate(_scaled_gains(poles))]
+def _to_kin(ts: float, order: int) -> tuple[float, ...]:
+    """The map j! / ts^j from scaled coordinates z_j to kinematic x_j."""
+    return tuple([math.factorial(j) * ts ** -j for j in range(order)])
 
 
 def design(spec: ObserverSpec) -> DesignResult:
     """Place the observer poles and assemble the kinematic-form filter.
 
-    The kinematic gains come in closed form (:func:`_kinematic_gains`) and
-    the companion gain is the coefficient gap between the observer and
-    process polynomials.  The loop is closed against the predictor row and
-    read out by the requested row.  A pole on or outside the unit circle
-    raises :class:`UnstablePoles`; gains past the double range raise
-    :class:`NonFiniteValue`.
+    The kinematic gains come in closed form, k_j = (j! / ts^j) g_j of
+    :func:`_scaled_gains`, and the companion gain is the coefficient gap
+    between the observer and process polynomials.  The loop is closed
+    against the predictor row and read out by the requested row.  A pole on
+    or outside the unit circle raises :class:`UnstablePoles`; gains past the
+    double range raise :class:`NonFiniteValue`.
     """
+    if not isinstance(spec, ObserverSpec):
+        raise FixedGainError(f"design needs an ObserverSpec, not {type(spec).__name__}")
     model = spec.process
     for p in spec.poles:
         if abs(p) >= 1.0:
             raise UnstablePoles(f"pole {p} is not strictly inside the unit circle")
     char, proc, k = from_roots(spec.poles), model.char_poly, model.order
-    gains = _kinematic_gains(spec.poles, model.ts)
+    gains = list(map(mul, _to_kin(model.ts, k), _scaled_gains(spec.poles)))
     if not all(map(math.isfinite, gains)):
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
     gain_kin_vec = Matrix._of(tuple([(g,) for g in gains]))
@@ -160,6 +163,19 @@ def design(spec: ObserverSpec) -> DesignResult:
     )
     return DesignResult(spec=spec, gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
                         char_poly=char, ss_kin=ss_kin)
+
+
+def _scaled_loop(result: DesignResult) -> _ScaledLoop:
+    """The design's loop in scaled coordinates (:class:`_ScaledLoop`), its
+    gains :func:`_scaled_gains` and its read-out row mapped by :func:`_to_kin`;
+    an entry past the double range raises NonFiniteValue."""
+    ts, k = result.spec.process.ts, result.order
+    to_kin = _to_kin(ts, k)
+    gain = tuple(_scaled_gains(result.spec.poles))
+    output = tuple(map(mul, result.ss_kin.output_row.data[0], to_kin))
+    if not all(map(math.isfinite, gain + output)):
+        raise NonFiniteValue(f"the scaled loop's gains or read-out overflow at ts = {ts!r}")
+    return _ScaledLoop(gain, output, to_kin, tuple([ts ** j / math.factorial(j) for j in range(k)]))
 
 
 def memory_to_pole(memory: float) -> float:

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul, sub
 
-from .errors import DimensionMismatch, SingularMatrix, numbers
+from .errors import DimensionMismatch, FixedGainError, SingularMatrix, numbers
 
 # Largest state dimension the package will build: a fixed cap, not a setting.
 # process.py copies it at import, so rebinding it here does not lift the limit.
@@ -29,7 +29,10 @@ class Matrix:
     __slots__ = ("data",)
 
     def __init__(self, rows: Iterable[Iterable[float]]):
-        data = tuple([numbers(row, "matrix entry") for row in rows])
+        try:  # numbers types a bad row; only iterating ``rows`` can raise TypeError
+            data = tuple([numbers(row, "matrix entry") for row in rows])
+        except TypeError:
+            raise FixedGainError(f"Matrix needs iterable rows, not {type(rows).__name__}") from None
         if not data or not data[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
         width = len(data[0])

@@ -27,10 +27,11 @@ the sum ``Matrix @`` takes, so it matches ``Matrix @`` bit for bit on every
 Python version.
 
 The ``filter`` command runs a fifth view of the loop, not a realization:
-:func:`_scaled_loop`, the alpha-beta-gamma recursion in scaled coordinates
-z_j = x_j ts^j / j!.  It predicts by a Taylor shift and corrects by the
-gains, about a third of the arithmetic of the dense kinematic transition,
-as straight-line Python compiled once per order.
+:class:`_ScaledLoop`, the alpha-beta-gamma recursion in scaled coordinates
+z_j = x_j ts^j / j!, built in :mod:`fixedgain.design` beside the gains it
+scales.  It predicts by a Taylor shift and corrects by the gains, about a
+third of the arithmetic of the dense kinematic transition, as straight-line
+Python compiled once per order here.
 """
 
 from __future__ import annotations
@@ -171,22 +172,6 @@ def _scaled_code(k: int) -> tuple[CodeType, CodeType]:
     return namespace["advance"].__code__, namespace["kinematic"].__code__
 
 
-def _scaled_loop(result: "DesignResult") -> _ScaledLoop:
-    """The design's loop in scaled coordinates (:class:`_ScaledLoop`), its
-    gains the ts-free sums of :func:`fixedgain.design._scaled_gains`.  The
-    map j! / ts^j is finite, since the design's k_j = (j! / ts^j) g_j is; a
-    gain or read-out entry past the double range raises NonFiniteValue."""
-    from .design import _scaled_gains  # design imports this module
-
-    ts, k = result.spec.process.ts, result.order
-    to_kin = tuple([math.factorial(j) * ts ** -j for j in range(k)])
-    gain = tuple(_scaled_gains(result.spec.poles))
-    output = tuple(map(mul, result.ss_kin.output_row.data[0], to_kin))
-    if not all(map(math.isfinite, gain + output)):
-        raise NonFiniteValue(f"the scaled loop's gains or read-out overflow at ts = {ts!r}")
-    return _ScaledLoop(gain, output, to_kin, tuple([ts ** j / math.factorial(j) for j in range(k)]))
-
-
 class FilterState:
     """Mutable running state of one filter instance: its form and vector."""
 
@@ -318,9 +303,17 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
                                                    kin_from_form, form_from_kin)))
 
 
+def _as_design(result, what: str) -> "DesignResult":
+    """``result``, or FixedGainError if it lacks a DesignResult's fields (no isinstance:
+    design imports this module)."""
+    if getattr(result, "_fields", None) != ("spec", "gains", "char_poly", "ss_kin"):
+        raise FixedGainError(f"{what} needs a DesignResult, not {type(result).__name__}")
+    return result
+
+
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
-    pair = [m.data for m in pcf_transform(result.spec.process)]
+    pair = [m.data for m in pcf_transform(_as_design(result, "pcf_realization").spec.process)]
     return _certified(result, Form.PCF, Unobservable,
                       _companion_rows(companion_column(result.char_poly)), pair,
                       gain=result.gains.pcf.col(0))
@@ -337,7 +330,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     roundoff of it) raise :class:`Unobservable` rather than returning a
     corrupt transform.
     """
-    kin, col = result.ss_kin, companion_column(result.char_poly)
+    kin, col = _as_design(result, "ocf_realization").ss_kin, companion_column(result.char_poly)
     pair = _observable_form(kin.output_row.row(0), kin.transition.data, col,
                             Unobservable("closed-loop pair is not observable; cannot reach OCF"))
     return _certified(result, Form.OCF, Unobservable, _companion_rows(col), pair,
@@ -358,7 +351,7 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     transform identities and :class:`Uncontrollable` is raised when the
     construction or certification fails.
     """
-    kin = result.ss_kin
+    kin = _as_design(result, "ccf_realization").ss_kin
     col = companion_column(result.char_poly)
     p_inv, p = _observable_form(
         kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
@@ -421,7 +414,7 @@ def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomia
     powers of z, K+1 entries each: z P(z - 1) and D(z - 1) of the loop the
     design runs (:func:`_loop_pair`), exact and rounded once; a coefficient
     beyond the double range raises NonFiniteValue."""
-    num, den = _transfer_ints(result)
+    num, den = _transfer_ints(_as_design(result, "transfer_coefficients"))
     try:
         return Polynomial([v / den[0] for v in num]), Polynomial([v / den[0] for v in den])
     except OverflowError:
@@ -467,7 +460,10 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:
     """Step through a whole input sequence, returning the outputs."""
-    return [step(ss, state, x) for x in xs]
+    try:  # step types a bad sample; only iterating ``xs`` can raise TypeError
+        return [step(ss, state, x) for x in xs]
+    except TypeError:
+        raise FixedGainError(f"run needs iterable samples, not {type(xs).__name__}") from None
 
 
 def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, ...]:

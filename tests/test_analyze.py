@@ -12,7 +12,6 @@ import cmath
 import math
 import random
 import re
-import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -174,8 +173,6 @@ def _loop_recursion(b, a, xs):
     return out
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="from 3.12 sum() compensates float rounding")
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda k: st.tuples(
     st.just(k), st.floats(0.0, 0.95), st.floats(-1.0, 3.0), st.integers(0, k - 1),

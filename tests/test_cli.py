@@ -48,7 +48,7 @@ from fixedgain import (
 from fixedgain import _samples, cli
 from fixedgain._samples import _CHUNK
 from fixedgain.cli import _BLOCK, _noise_gain, design_document, main, verify_document
-from fixedgain.design import memory_to_pole
+from fixedgain.design import _scaled_gains, _scaled_loop, memory_to_pole
 
 REF_ARGS = ["--order", "3", "--pole", "0.8", "--lag", "2", "--ts", "0.04"]
 
@@ -79,6 +79,23 @@ def test_design_document_reference_values(capsys):
     assert doc["gains"]["gamma"] == pytest.approx(2.0 * 0.04**2 * 5.0, abs=1e-12)
     assert set(doc["realizations"]) == {"kin", "pcf", "ocf", "ccf"}
     assert doc["verification"]["placement_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("poles", [
+    (0.5,), (-0.3,),
+    (0.3, 0.8), (0.6 + 0.3j, 0.6 - 0.3j), (-0.4, -0.7),
+    (0.7, 0.7, 0.7), (0.5, 0.6 + 0.3j, 0.6 - 0.3j), (-0.4, -0.6, -0.2),
+], ids=["K1-real", "K1-negative", "K2-real", "K2-complex", "K2-negative", "K3-real",
+        "K3-complex", "K3-negative"])
+def test_document_alpha_beta_gamma_are_the_scaled_gains_at_every_ts(poles):
+    # alpha, beta and gamma = 2 ts^2 k_2 are g_0, g_1 and 4 g_2 of the loop the
+    # filter runs, bit for bit, so they are the same at every sampling period.
+    g = _scaled_gains(ObserverSpec(ProcessModel(len(poles), 1.0), poles).poles)
+    want = dict(zip(("alpha", "beta", "gamma"), [*g[:2], *(4.0 * v for v in g[2:])]))
+    for ts in (1e-3, 0.04, 1.0, 7.0):
+        result = design(ObserverSpec(ProcessModel(len(poles), ts), poles, lag=0.5))
+        gains = design_document(result, forms=("kin",))["gains"]
+        assert {name: gains[name] for name in ("alpha", "beta", "gamma") if name in gains} == want
 
 
 def test_design_document_round_trips_and_verifies(capsys):
@@ -818,7 +835,7 @@ def test_filter_output_is_the_same_when_a_late_chunk_needs_the_csv_module(tmp_pa
     code, out = run_cli(capsys, ["filter", "--order", "2", "--pole", "0.6", "--input", str(path),
                                  "--emit", "state"])
     assert code == 0
-    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.6)))
+    loop = _scaled_loop(design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.6)))
     assert out == _csv_writer_reference(loop, labels, xs, "state")
 
 
@@ -838,7 +855,7 @@ def test_filter_state_output_is_the_matrix_recursion(tmp_path, capsys, order):
                                  "--emit", "state"])
     assert code == 0
     result = design(ObserverSpec.repeated(ProcessModel(order, 0.5), 0.6, lag=0.7))
-    loop = realize._scaled_loop(result)
+    loop = _scaled_loop(result)
     z = [xs[0]] + [0.0] * (order - 1)
     lines = ["n,y," + ",".join(f"state{i}" for i in range(order))]
     for n, x in enumerate(xs):
@@ -907,7 +924,7 @@ def test_filter_output_is_byte_identical_across_block_boundaries(tmp_path, capsy
     code, out = run_cli(capsys, ["filter", "--order", "3", "--pole", "0.7", "--lag", "1",
                                  "--input", str(path), "--emit", emit])
     assert code == 0
-    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)))
+    loop = _scaled_loop(design(ObserverSpec.repeated(ProcessModel(3, 1.0), 0.7, lag=1.0)))
     assert out == _csv_writer_reference(loop, labels, xs, emit)
     assert out.count(f'"a,""b""{_BLOCK - 1}"') == 1
 
@@ -934,7 +951,7 @@ def test_filter_prints_any_label_as_csv_writer_does(tmp_path, drawn, start, orde
         code = main(["filter", "--order", str(order), "--pole", "0.6", "--lag", "0.5",
                      "--input", str(path), "--emit", emit])
     assert code == 0
-    loop = realize._scaled_loop(design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.6,
+    loop = _scaled_loop(design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.6,
                                                              lag=0.5)))
     assert out.getvalue() == _csv_writer_reference(loop, labels, xs, emit)
 

@@ -46,7 +46,7 @@ from fixedgain import (
     run,
     transfer_coefficients,
 )
-from fixedgain.design import _kinematic_gains, _stirling
+from fixedgain.design import _scaled_gains, _stirling
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
@@ -182,7 +182,7 @@ def test_placing_poles_on_process_poles_needs_no_correction():
     # With the observer poles equal to the process poles D(1+u) = u^K, so
     # every a_m below the leading one vanishes and the closed form gives an
     # exactly zero gain.  design() itself refuses these marginal poles.
-    assert _kinematic_gains((1.0, 1.0, 1.0), 0.1) == [0.0, 0.0, 0.0]
+    assert _scaled_gains((1.0, 1.0, 1.0)) == [0.0, 0.0, 0.0]
 
 
 def test_unstable_poles_rejected():

@@ -1,7 +1,9 @@
 """Package surface: the exported names, the docstring example, the
 stdlib-only import rule, the modules the CLI leaves out at start-up, the
-size of each module's token stream and the typed refusal of a number past
-the double range, or of a value that is not a number, at every entry point."""
+size of each module's token stream, the typed refusal of a number past
+the double range, of a value that is not a number and of a record or list
+that is not one at every entry point, realize's independence of design, and
+the printed sums added left to right on every interpreter."""
 
 import ast
 import contextlib
@@ -9,6 +11,7 @@ import doctest
 import glob
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +22,8 @@ import pytest
 import fixedgain
 import fixedgain._samples
 import fixedgain.cli
+import fixedgain.realize
+from fixedgain.design import _scaled_gains, _stirling
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
@@ -26,6 +31,7 @@ from fixedgain.errors import (
     NonFiniteValue,
     OrderOutOfRange,
 )
+from fixedgain.poly import from_roots
 
 PUBLIC_NAMES = (
     "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
@@ -207,6 +213,89 @@ _LIST_SITES = [
 def test_a_value_that_is_not_a_number_raises_a_typed_error(call, value):
     with pytest.raises(FixedGainError, match="must be a number"):
         call(value)
+
+
+def _state():
+    return fixedgain.initialize_state(_RESULT.ss_kin, 1.0)
+
+
+# A call given something that is not the record or the list it iterates:
+# each raises FixedGainError naming what it needed.
+@pytest.mark.parametrize("call, needed", [
+    (lambda: fixedgain.Matrix(None), "Matrix needs iterable rows"),
+    (lambda: fixedgain.run(_RESULT.ss_kin, _state(), None), "run needs iterable samples"),
+    (lambda: fixedgain.design(None), "design needs an ObserverSpec"),
+    (lambda: fixedgain.design(_MODEL), "design needs an ObserverSpec"),
+    (lambda: fixedgain.transfer_coefficients(None), "transfer_coefficients needs a DesignResult"),
+    (lambda: fixedgain.pcf_realization(None), "pcf_realization needs a DesignResult"),
+    (lambda: fixedgain.ocf_realization(None), "ocf_realization needs a DesignResult"),
+    (lambda: fixedgain.ccf_realization(_MODEL), "ccf_realization needs a DesignResult"),
+], ids=["matrix-rows", "run-samples", "design", "design-of-a-model", "transfer", "pcf", "ocf",
+        "ccf-of-a-model"])
+def test_a_value_that_is_not_a_record_or_list_raises_a_typed_error(call, needed):
+    with pytest.raises(FixedGainError, match=needed) as caught:
+        call()
+    assert type(caught.value) is FixedGainError
+
+
+def test_run_stops_at_a_bad_sample_with_the_state_of_the_last_good_one():
+    ss, state, twin = _RESULT.ss_kin, _state(), _state()
+    fixedgain.run(ss, twin, [2.0, 3.0])
+    with pytest.raises(FixedGainError, match="is not a number") as caught:
+        fixedgain.run(ss, state, iter([2.0, 3.0, "a", 4.0]))
+    assert type(caught.value) is FixedGainError
+    assert repr(state.vector) == repr(twin.vector)
+
+
+def test_realize_imports_nothing_from_design():
+    # design builds on realize; an import back, even one inside a function
+    # body, would make the modules a cycle.
+    with open(fixedgain.realize.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)
+    assert ".errors" in imported  # the walk sees the module's imports
+    assert not {name for name in imported if name.rpartition(".")[2] == "design"}, imported
+
+
+# Designs whose sums CPython 3.12's compensated sum() rounds apart from
+# adding left to right.  The package adds them left to right on every
+# interpreter; this module imports no numpy, so every installed one runs it.
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("order, pole, lag", [(8, 0.8, 1.0), (7, 0.7, 0.5), (8, 0.3, 2.0)])
+def test_the_printed_sums_add_left_to_right(order, pole, lag):
+    poles = (pole,) * order
+    a, s = from_roots([p - 1.0 for p in poles]).coeffs, _stirling(order)
+    assert _scaled_gains(poles) == [
+        _left_to_right([s[n][j + 1] * a[n] / math.factorial(n - 1)
+                        for n in range(j + 1, order + 1)]) for j in range(order)]
+    spec = fixedgain.ObserverSpec.repeated(fixedgain.ProcessModel(order, 1.0), pole, lag=lag)
+    num, den = fixedgain.transfer_coefficients(fixedgain.design(spec))
+    b, a = num.coeffs, den.coeffs
+    assert fixedgain.steady_state_step(num, den) == _left_to_right(b) / _left_to_right(a)
+    xs = [math.sin(0.3 * n) + 0.01 * n for n in range(40)]
+    want, px, py = [], [0.0] * order, [0.0] * order  # most recent first
+    for x in xs:
+        y = b[0] * x
+        for c, v in zip(b[1:], px):
+            y += c * v
+        for c, v in zip(a[1:], py):
+            y -= c * v
+        want.append(y)
+        px, py = [x, *px[:-1]], [y, *py[:-1]]
+    assert fixedgain.lde_filter(num, den, xs) == want
 
 
 # An int past the 4,300 digits the interpreter prints in decimal by default:

@@ -53,7 +53,8 @@ from fixedgain.errors import (
     UnstablePoles,
 )
 from fixedgain.cli import design_document
-from fixedgain.realize import _scaled_loop, companion_column
+from fixedgain.design import _scaled_loop
+from fixedgain.realize import companion_column
 
 
 def _reference_design():
@@ -789,11 +790,11 @@ def test_scaled_loop_runs_the_kinematic_loop(order_deriv, ts, memory, lag, seed)
 @pytest.mark.parametrize("ts", [1e-3, 0.04, 1.0, 7.0])
 @pytest.mark.parametrize("pole", [0.0, 0.5, 0.98])
 def test_scaled_gains_are_alpha_beta_and_a_quarter_gamma(order, ts, pole):
-    # The document prints gamma = 2 ts^2 k_2, and g_2 = k_2 ts^2 / 2!.
+    # The document prints the loop's own gains: gamma = 2 ts^2 k_2 = 4 g_2.
     result = design(ObserverSpec.repeated(ProcessModel(order, ts), pole, lag=0.5))
     loop, gains = _scaled_loop(result), design_document(result, forms=("kin",))["gains"]
     want = [gains["alpha"], gains.get("beta"), gains.get("gamma", 0.0) / 4.0][:order]
-    assert loop.gain == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert list(loop.gain) == want
     # The kinematic gains are the scaled ones mapped back, bit for bit.
     assert result.gains.kin.col(0) == tuple(g * d for g, d in zip(loop.gain, loop.to_kin))
 
