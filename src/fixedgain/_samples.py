@@ -128,9 +128,10 @@ def _raising(exc):
 
 def _take_plain(lines, labels, values):
     """Append the rows of ``lines`` in bulk and return True if they are plain:
-    ASCII with no ``"``, carriage return or NUL, within the csv field limit in
-    all, one comma on every line or on none (so no blank line), finite values."""
-    text = "".join(lines).removesuffix("\n")
+    ASCII with no ``"``, NUL or carriage return but one ending a line before
+    its line feed, within the csv field limit in all, one comma on every line
+    or on none (so no blank line), finite values."""
+    text = "".join(lines).replace("\r\n", "\n").removesuffix("\n")
     if (len(text) > csv.field_size_limit() or not text.isascii()
             or '"' in text or "\r" in text or "\0" in text):
         return False

@@ -336,7 +336,7 @@ def cmd_filter(args) -> int:
     chunks, values = _samples._read_samples(args.input)
     labels = _samples._labels(chunks)  # expanded a chunk at a time, as the rows go out
     emit_state = args.emit == "state"
-    text = _csv_line(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)])
+    lines = ()
     if values:
         # The loop runs in scaled coordinates, predict then correct
         # (design._scaled_loop).  Every call goes through the realize module,
@@ -345,15 +345,14 @@ def cmd_filter(args) -> int:
         ss, step, kinematic = _scaled_loop(result), realize.step, realize.extract_kinematic
         state = realize.initialize_state(ss, values[0])
         y = realize.read_output(ss, state)
-        text += _csv_line((next(labels), y, *(kinematic(ss, state) if emit_state else ())))
-    sys.stdout.write(text)
-    for start in range(1, len(values), _BLOCK):
-        rows = zip(islice(labels, _BLOCK), values[start:start + _BLOCK])
-        # One block's lines are alive at a time; y is stepped before its state is read.
-        sys.stdout.write("".join(
-            [label + "," + ",".join(map(repr, (step(ss, state, x), *kinematic(ss, state)))) + "\n"
-             for label, x in rows] if emit_state
-            else [f"{label},{step(ss, state, x)!r}\n" for label, x in rows]))
+        first = _csv_line((next(labels), y, *(kinematic(ss, state) if emit_state else ())))
+        rows = zip(labels, islice(values, 1, None))
+        # Computed as _write_lines asks for them; y is stepped before its state is read.
+        lines = chain((first,), (
+            label + "," + ",".join(map(repr, (step(ss, state, x), *kinematic(ss, state)))) + "\n"
+            for label, x in rows) if emit_state
+            else (f"{label},{step(ss, state, x)!r}\n" for label, x in rows))
+    _write_lines(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)], lines)
     return 0
 
 

@@ -12,15 +12,11 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul, sub
 
-from .errors import DimensionMismatch, FixedGainError, SingularMatrix, numbers
+from .errors import DimensionMismatch, FixedGainError, numbers
 
 # Largest state dimension the package will build: a fixed cap, not a setting.
 # process.py copies it at import, so rebinding it here does not lift the limit.
 ORDER_CAP = 8
-
-# A pivot below this fraction of its row's pre-elimination magnitude is
-# treated as zero during elimination.
-_PIVOT_RTOL = 1e-12
 
 
 class Matrix:
@@ -118,38 +114,6 @@ class Matrix:
             raise DimensionMismatch("shape mismatch in subtraction")
         return Matrix._of(tuple([tuple(map(sub, ra, rb))
                                  for ra, rb in zip(self.data, other.data)]))
-
-    def solve(self, rhs: "Matrix") -> "Matrix":
-        """The X with ``self @ X == rhs``, by Gauss-Jordan elimination with
-        partial pivoting on the rows of ``self`` extended by those of ``rhs``.
-
-        Raises :class:`SingularMatrix` when the best available pivot is
-        smaller than ``1e-12`` times the largest entry the pivot's row had
-        before elimination started.  Each step updates only the columns right
-        of its pivot, and the right side.
-        """
-        n = self.rows
-        if self.cols != n or rhs.rows != n:
-            raise DimensionMismatch("solve needs a square matrix and a right side of its height")
-        a = [row + extra for row, extra in zip(self.data, rhs.data)]
-        # Row magnitudes before any elimination, for the relative pivot test.
-        row_scale = [max(map(abs, row)) for row in self.data]
-
-        for col in range(n):
-            # a[r] holds row r from column col on: no step reads an earlier column.
-            pivot_row = max(range(col, n), key=lambda r: abs(a[r][0]))
-            pivot = a[pivot_row][0]
-            if abs(pivot) <= _PIVOT_RTOL * row_scale[pivot_row]:
-                raise SingularMatrix(f"no usable pivot in column {col}")
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
-            inv_p = 1.0 / pivot
-            pivot_vals = [v * inv_p for v in a[col][1:]]
-            for r, row in enumerate(a):
-                f = row[0]
-                a[r] = (pivot_vals if r == col else row[1:] if f == 0.0
-                        else [v - f * w for v, w in zip(row[1:], pivot_vals)])
-        return Matrix._of(tuple(map(tuple, a)))
 
 
 @lru_cache(maxsize=None)

@@ -49,7 +49,6 @@ from .errors import (
     FormMismatch,
     NonFiniteValue,
     NotMonic,
-    SingularMatrix,
     Uncontrollable,
     Unobservable,
     number,
@@ -210,24 +209,49 @@ def _observable_form(
     ``form_from_kin`` has Horner's rows: t_{K-1} = c, t_{i-1} = t_i A - g_i c.
     ``kin_from_form`` is the Krylov matrix [x, Ax, .., A^{K-1} x] of the x
     that the observability stack (rows c A^i) maps to the last unit vector
-    (the one solve).  A singular stack raises ``error``.
+    (:func:`_last_unit_solve`).  A singular stack raises ``error``.
     """
     k = len(column)
     columns = tuple(zip(*rows_a))
     stack = [c]
     for _ in range(k - 1):
         stack.append(tuple([sum(map(mul, stack[-1], a)) for a in columns]))
-    try:
-        x = Matrix._of(tuple(stack)).solve(Matrix.column(identity_rows(k)[-1]))
-    except SingularMatrix as exc:
-        raise error from exc
-    krylov = [x.col(0)]
+    krylov = [_last_unit_solve(stack, error)]
     for _ in range(k - 1):
         krylov.append([sum(map(mul, a, krylov[-1])) for a in rows_a])
     horner = [c]
     for g in column[:0:-1]:
         horner.append(tuple([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)]))
     return tuple(zip(*krylov)), tuple(horner[::-1])
+
+
+def _last_unit_solve(stack: list, error: FixedGainError) -> list[float]:
+    """The x with ``stack`` x = e_K, the last unit vector, by Gauss-Jordan
+    elimination of the rows of ``stack`` (K float tuples of length K)
+    extended by e_K, with partial pivoting on the largest magnitude.
+
+    Raises ``error`` when the best available pivot is at most 1e-12 times
+    the largest magnitude the pivot's row had before elimination started.
+    Each step multiplies by the reciprocal pivot and updates only the
+    columns right of its pivot, and the right side.
+    """
+    k = len(stack)
+    rows = [row + (e,) for row, e in zip(stack, identity_rows(k)[-1])]
+    scale = [max(map(abs, row)) for row in stack]  # for the relative pivot test
+    for col in range(k):
+        # rows[r] holds row r from column col on: no step reads an earlier column.
+        p = max(range(col, k), key=lambda r: abs(rows[r][0]))
+        pivot = rows[p][0]
+        if abs(pivot) <= 1e-12 * scale[p]:
+            raise error
+        rows[col], rows[p], scale[col], scale[p] = rows[p], rows[col], scale[p], scale[col]
+        inv_p = 1.0 / pivot
+        pivot_vals = [v * inv_p for v in rows[col][1:]]
+        for r, row in enumerate(rows):
+            f = row[0]
+            rows[r] = (pivot_vals if r == col else row[1:] if f == 0.0
+                       else [v - f * w for v, w in zip(row[1:], pivot_vals)])
+    return [x for x, in rows]
 
 
 def companion_column(char: Polynomial) -> tuple[float, ...]:

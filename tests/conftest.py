@@ -15,8 +15,9 @@ doubling of a realization's noise gain, the characteristic polynomial read
 off the PCF rotation of the loop, and the multiplicity residual of a
 polynomial at the requested poles.  So are the routes by which the process
 model once built its rows: the whole transition, the measurement row times
-it, and the complex product for (z - 1)**K.  So is the full-width
-Gauss-Jordan elimination that ``Matrix.solve`` once ran.
+it, and the complex product for (z - 1)**K.  So is a full-width Gauss-Jordan
+elimination, the reference for the one-vector elimination the observable
+form runs, and the inverse it gives against the identity.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -43,13 +44,13 @@ from fixedgain import (
     step,
 )
 from fixedgain.errors import (
+    DimensionMismatch,
     NonConvergent,
     NonFiniteValue,
     NonPositiveSamplingPeriod,
     SingularMatrix,
     UnstablePoles,
 )
-from fixedgain.linalg import _PIVOT_RTOL
 from fixedgain.poly import from_roots
 from fixedgain.realize import pcf_transform
 
@@ -462,23 +463,28 @@ def column_gap(got, want) -> float:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """``m`` inverted by ``Matrix.solve`` against the identity; a non-square
-    ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
-    return m.solve(Matrix.identity(m.rows))
+    """``m`` inverted by :func:`gauss_jordan_full` against the identity; a
+    non-square ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
+    return gauss_jordan_full(m, Matrix.identity(m.rows))
 
 
 def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
-    """``a.solve(rhs)`` by full-width Gauss-Jordan elimination: the same
-    pivots, factors and pivot test as ``Matrix.solve``, but every step updates
-    every column of the extended rows, those left of its pivot included.
-    A singular ``a`` raises SingularMatrix naming the pivot column."""
+    """The X with ``a @ X == rhs`` by Gauss-Jordan elimination of the rows of
+    ``a`` extended by those of ``rhs``: partial pivoting on the largest
+    magnitude, a pivot refused when it is at most 1e-12 times the largest
+    magnitude its row had before elimination, multiplication by the
+    reciprocal pivot, and every step updating every column of the extended
+    rows, those left of its pivot included.  A singular ``a`` raises
+    SingularMatrix naming the pivot column."""
     n = a.rows
+    if a.cols != n or rhs.rows != n:
+        raise DimensionMismatch("solve needs a square matrix and a right side of its height")
     ext = [list(row + extra) for row, extra in zip(a.data, rhs.data)]
     row_scale = [max(map(abs, row)) for row in a.data]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(ext[r][col]))
         pivot = ext[pivot_row][col]
-        if abs(pivot) <= _PIVOT_RTOL * row_scale[pivot_row]:
+        if abs(pivot) <= 1e-12 * row_scale[pivot_row]:
             raise SingularMatrix(f"no usable pivot in column {col}")
         ext[col], ext[pivot_row] = ext[pivot_row], ext[col]
         row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]

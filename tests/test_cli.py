@@ -773,6 +773,21 @@ def test_read_samples_takes_plain_chunks_in_bulk(tmp_path, monkeypatch):
     assert values.typecode == "d"
 
 
+def test_read_samples_takes_crlf_chunks_in_bulk(tmp_path):
+    # A line ending in CRLF is as plain as one ending in LF: after the header
+    # chunk, each chunk is held as one joined string of labels, and the
+    # samples are the LF file's.
+    lines = [f"{n},{n / 3!r}" for n in range(4 * _CHUNK)]
+    paths = {}
+    for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(f"n,value{end}" + "".join(line + end for line in lines),
+                               newline="")
+    chunks, _ = _samples._read_samples(str(paths["crlf"]))
+    assert [type(chunk) for chunk in chunks] == [list, str, str, str, str, list]
+    assert _expanded_samples(str(paths["crlf"])) == _expanded_samples(str(paths["lf"]))
+
+
 @pytest.mark.parametrize("kind", ["two-column", "one-column", "quoted-label"])
 def test_read_samples_holds_a_few_bytes_a_row(tmp_path, kind):
     # The values go in one array of doubles and a bulk chunk's labels in one
@@ -816,12 +831,12 @@ def test_filter_reports_a_bad_row_and_an_undecodable_byte_in_file_order(tmp_path
     assert captured.err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("late", ['"ab",{x!r}\n', "40000,{x!r}\r\n", "\n"],
-                         ids=["quoted", "crlf", "blank"])
+@pytest.mark.parametrize("late", ['"ab",{x!r}\n', "40000,{x!r}\r", "\n"],
+                         ids=["quoted", "bare-cr", "blank"])
 def test_filter_output_is_the_same_when_a_late_chunk_needs_the_csv_module(tmp_path, capsys,
                                                                           late):
-    # One line far past the first chunk is quoted, ends in CRLF or is blank;
-    # every row is still printed as csv.writer prints it.
+    # One line far past the first chunk is quoted, ends in a bare carriage
+    # return or is blank; every row is still printed as csv.writer prints it.
     labels = [str(n) for n in range(40_001)]
     xs = [math.sin(0.001 * n) + 1e-5 * n for n in range(len(labels))]
     lines = [f"{label},{x!r}\n" for label, x in zip(labels, xs)]

@@ -15,6 +15,7 @@ from conftest import (
     REF_OCF_FROM_KIN_COL0,
     column_gap,
     companion_pair_fraction,
+    gauss_jordan_full,
     loop_transfer_fraction,
     matrix_recursion_columns,
     max_abs_diff,
@@ -48,13 +49,14 @@ from fixedgain.errors import (
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
+    SingularMatrix,
     Uncontrollable,
     Unobservable,
     UnstablePoles,
 )
 from fixedgain.cli import design_document
 from fixedgain.design import _scaled_loop
-from fixedgain.realize import companion_column
+from fixedgain.realize import _last_unit_solve, companion_column
 
 
 def _reference_design():
@@ -248,7 +250,8 @@ def test_unobservable_readout_raises():
     # Zero pole with zero lag cancels the dynamics entirely; the read-out row
     # cannot see the state and the observable form does not exist.
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.0, lag=0.0))
-    with pytest.raises(Unobservable):
+    with pytest.raises(Unobservable,
+                       match="^closed-loop pair is not observable; cannot reach OCF$"):
         ocf_realization(result)
 
 
@@ -261,8 +264,50 @@ def test_uncontrollable_zero_gain_raises():
     kin = result.ss_kin
     result = result._replace(ss_kin=kin._replace(
         transition=ProcessModel(2, 1.0).transition_matrix, input_gain=Matrix.column([0.0, 0.0])))
-    with pytest.raises(Uncontrollable):
+    with pytest.raises(Uncontrollable,
+                       match="^closed-loop pair is not controllable; cannot reach CCF$"):
         ccf_realization(result)
+
+
+@st.composite
+def _stacks(draw):
+    """A K x K matrix, K = 1..8: random entries (zeros among them), rows and
+    columns scaled across 1e+-150, or one row a combination of two others
+    plus a perturbation of 0 to 1e-8."""
+    n = draw(st.integers(1, 8))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["random", "badly scaled", "near singular"]))
+    if kind == "badly scaled":
+        rows, cols = (draw(st.lists(st.integers(-150, 150), min_size=n, max_size=n))
+                      for _ in range(2))
+        a = [[v * 10.0 ** (r + c) for v, c in zip(row, cols)] for row, r in zip(a, rows)]
+    elif kind == "near singular":
+        i, j, target = (draw(st.integers(0, n - 1)) for _ in range(3))
+        eps = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 1e-8]))
+        x, y = draw(entries), draw(entries)
+        a[target] = [x * u + y * v + eps * w for u, v, w in zip(a[i], a[j], a[target])]
+    return Matrix(a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stacks())
+def test_last_unit_solve_is_the_full_width_elimination_bit_for_bit(a):
+    # Columns left of a pivot are never read again, so updating only those
+    # right of it, for the one right side e_K, leaves every pivot, factor and
+    # result unchanged; repr tells -0.0 from 0.0 and shows nan.  The stack is
+    # refused, with the caller's own error, exactly when the reference
+    # refuses it.
+    unit = Matrix.column([0.0] * (a.rows - 1) + [1.0])
+    error = Unobservable("stack is singular")
+    try:
+        want = gauss_jordan_full(a, unit)
+    except SingularMatrix:
+        with pytest.raises(Unobservable) as refused:
+            _last_unit_solve(list(a.data), error)
+        assert refused.value is error
+    else:
+        assert repr(_last_unit_solve(list(a.data), error)) == repr(list(want.col(0)))
 
 
 @pytest.mark.parametrize("lag", [-1.0, 0.5, 2.0])
