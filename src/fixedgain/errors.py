@@ -54,11 +54,6 @@ class DimensionMismatch(FixedGainError):
     """Matrix/vector operands have incompatible shapes."""
 
 
-class SingularMatrix(FixedGainError):
-    """Elimination hit a pivot too small to trust; the matrix has no
-    usable inverse."""
-
-
 class NotMonic(FixedGainError):
     """A characteristic polynomial was expected (leading coefficient
     exactly 1) but something else was supplied."""

@@ -230,21 +230,21 @@ def _last_unit_solve(stack: list, error: FixedGainError) -> list[float]:
     elimination of the rows of ``stack`` (K float tuples of length K)
     extended by e_K, with partial pivoting on the largest magnitude.
 
-    Raises ``error`` when the best available pivot is at most 1e-12 times
-    the largest magnitude the pivot's row had before elimination started.
-    Each step multiplies by the reciprocal pivot and updates only the
-    columns right of its pivot, and the right side.
+    Raises ``error`` only at a pivot of exactly 0.0, a test that a
+    power-of-two scaling of the columns leaves alone; :func:`_certified`
+    refuses a stack singular within roundoff.  Each step multiplies by the
+    reciprocal pivot and updates only the columns right of its pivot, and
+    the right side.
     """
     k = len(stack)
     rows = [row + (e,) for row, e in zip(stack, identity_rows(k)[-1])]
-    scale = [max(map(abs, row)) for row in stack]  # for the relative pivot test
     for col in range(k):
         # rows[r] holds row r from column col on: no step reads an earlier column.
         p = max(range(col, k), key=lambda r: abs(rows[r][0]))
         pivot = rows[p][0]
-        if abs(pivot) <= 1e-12 * scale[p]:
+        if pivot == 0.0:
             raise error
-        rows[col], rows[p], scale[col], scale[p] = rows[p], rows[col], scale[p], scale[col]
+        rows[col], rows[p] = rows[p], rows[col]
         inv_p = 1.0 / pivot
         pivot_vals = [v * inv_p for v in rows[col][1:]]
         for r, row in enumerate(rows):
@@ -300,8 +300,8 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
     = (A, b, c) as T b or c S, each entry summed as ``Matrix @`` sums it.
     One pass takes the worst residual of T b = gain, c S = row and
     (T A) S = transition, a nan read as inf; above the bound it raises
-    ``error``, since the pivot test alone can miss degeneracy hidden by row
-    scaling.  Each field is wrapped once."""
+    ``error``, the one test of a numerically degenerate OCF or CCF.  Each
+    field is wrapped once."""
     kin = result.ss_kin
     kin_from_form, form_from_kin = pair
     columns_a = tuple(zip(*kin.transition.data))

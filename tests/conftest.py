@@ -45,10 +45,10 @@ from fixedgain import (
 )
 from fixedgain.errors import (
     DimensionMismatch,
+    FixedGainError,
     NonConvergent,
     NonFiniteValue,
     NonPositiveSamplingPeriod,
-    SingularMatrix,
     UnstablePoles,
 )
 from fixedgain.poly import from_roots
@@ -460,6 +460,11 @@ def column_gap(got, want) -> float:
     """The largest gap of two lists of columns, each relative to the largest
     magnitude of its ``want`` column."""
     return max(max(map(abs, map(sub, g, w))) / max(map(abs, w)) for g, w in zip(got, want))
+
+
+class SingularMatrix(FixedGainError):
+    """:func:`gauss_jordan_full` hit a pivot too small to trust; the matrix
+    has no usable inverse."""
 
 
 def inverse(m: Matrix) -> Matrix:

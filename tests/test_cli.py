@@ -261,7 +261,7 @@ def test_design_omits_uncertifiable_form(capsys):
     # is dropped from the document (with a note) instead of failing the run;
     # asking for that form explicitly is still an error.  A deadbeat design
     # with a one-sample lag leaves part of the state unseen by the read-out;
-    # at ts = 10 the pivot test misses it and the identity check refuses it.
+    # roundoff keeps its pivots nonzero, and the identity check refuses it.
     argv = ["design", "--order", "7", "--pole", "0", "--lag", "1", "--ts", "10"]
     code, out = run_cli(capsys, argv)
     assert code == 0

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import gauss_jordan_full, inverse
+from conftest import SingularMatrix, gauss_jordan_full, inverse
 from fixedgain import Matrix
-from fixedgain.errors import DimensionMismatch, SingularMatrix
+from fixedgain.errors import DimensionMismatch
 
 
 def _random_matrix(rng, n, m=None):

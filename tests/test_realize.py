@@ -13,6 +13,7 @@ from conftest import (
     REF_GAIN_OCF,
     REF_NUMERATOR,
     REF_OCF_FROM_KIN_COL0,
+    SingularMatrix,
     column_gap,
     companion_pair_fraction,
     gauss_jordan_full,
@@ -49,7 +50,6 @@ from fixedgain.errors import (
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
-    SingularMatrix,
     Uncontrollable,
     Unobservable,
     UnstablePoles,
@@ -295,19 +295,34 @@ def _stacks(draw):
 def test_last_unit_solve_is_the_full_width_elimination_bit_for_bit(a):
     # Columns left of a pivot are never read again, so updating only those
     # right of it, for the one right side e_K, leaves every pivot, factor and
-    # result unchanged; repr tells -0.0 from 0.0 and shows nan.  The stack is
-    # refused, with the caller's own error, exactly when the reference
-    # refuses it.
+    # result unchanged; repr tells -0.0 from 0.0 and shows nan.  Where the
+    # reference's relative pivot test refuses, the one-vector solve, which
+    # refuses only an exactly zero pivot and leaves roundoff to the
+    # certification, either raises the caller's own error or returns K floats.
     unit = Matrix.column([0.0] * (a.rows - 1) + [1.0])
     error = Unobservable("stack is singular")
     try:
         want = gauss_jordan_full(a, unit)
     except SingularMatrix:
-        with pytest.raises(Unobservable) as refused:
-            _last_unit_solve(list(a.data), error)
-        assert refused.value is error
+        try:
+            got = _last_unit_solve(list(a.data), error)
+        except Unobservable as refused:
+            assert refused is error
+        else:
+            assert len(got) == a.rows and all(type(v) is float for v in got)
     else:
         assert repr(_last_unit_solve(list(a.data), error)) == repr(list(want.col(0)))
+
+
+@pytest.mark.parametrize("zero", range(3))
+def test_last_unit_solve_refuses_an_all_zero_column(zero):
+    # A zero column leaves no nonzero pivot in that column at any step.
+    full = [(2.0, -1.0, 3.0), (0.5, 4.0, -2.0), (1.0, 1.0, 8.0)]
+    stack = [tuple(0.0 if j == zero else v for j, v in enumerate(row)) for row in full]
+    error = Uncontrollable("stack is singular")
+    with pytest.raises(Uncontrollable) as refused:
+        _last_unit_solve(stack, error)
+    assert refused.value is error
 
 
 @pytest.mark.parametrize("lag", [-1.0, 0.5, 2.0])
@@ -392,11 +407,10 @@ def test_ocf_is_pcf_when_the_read_out_is_the_predictor_row(order, ts):
 @pytest.mark.parametrize("order, ts", [(3, 0.04), (4, 10.0)])
 def test_certification_rejects_graded_degenerate_readout(order, ts):
     # Deadbeat designs with a one-sample lag make the read-out row exactly
-    # orthogonal to part of the state space, but the scaling that a non-unit
-    # sampling period puts on the observability rows hides the rank drop from
-    # the pivot test.  The identity check on the finished transform still
-    # catches it, so the observable form is refused rather than returned with
-    # silently corrupt coordinates.
+    # orthogonal to part of the state space, but roundoff leaves the
+    # observability stack's pivots nonzero, so the elimination finishes.  The
+    # identity check on the finished transform catches it, so the observable
+    # form is refused rather than returned with silently corrupt coordinates.
     result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.0, lag=1.0))
     with pytest.raises(Unobservable):
         ocf_realization(result)
@@ -426,6 +440,48 @@ def test_certified_fallback_keeps_transfer_exact(order, ts):
     want_den[0] = 1.0
     assert max_abs_diff(num.coeffs, want_num) < 1e-12
     assert max_abs_diff(den.coeffs, want_den) < 1e-12
+
+
+def _certifies(build, result) -> bool:
+    try:
+        build(result)
+    except (Unobservable, Uncontrollable):
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_specs(), st.floats(-3.0, 3.0), st.integers(-20, 20))
+def test_refusals_ignore_a_power_of_two_change_of_ts(spec, log_ts, m):
+    # A power-of-two change of ts scales the columns of the observability
+    # stacks by powers of two, which changes neither partial pivoting, nor an
+    # exactly zero pivot, nor the rounding of the finished pair's identities:
+    # each companion form certifies at ts * 2**m exactly when it does at ts.
+    ts = 10.0 ** log_ts
+    decisions = []
+    for t in (ts, math.ldexp(ts, m)):
+        result = design(ObserverSpec(ProcessModel(spec.process.order, t), spec.poles,
+                                     lag=spec.lag, deriv=spec.deriv))
+        decisions.append([_certifies(build, result)
+                          for build in (pcf_realization, ocf_realization, ccf_realization)])
+    assert decisions[0] == decisions[1]
+
+
+@pytest.mark.parametrize("ts", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+def test_six_state_lag_one_companion_forms_certify_at_every_time_unit(ts):
+    # Whether a companion form exists is a property of the loop, not of the
+    # unit ts is given in: both forms certify, each side of each pair within
+    # 1e-8 of the builder run exactly, relative to its largest entry.
+    result = design(ObserverSpec.repeated(ProcessModel(6, ts), 0.8, lag=1.0))
+    kin, col = result.ss_kin, companion_column(result.char_poly)
+    ocf, ccf = ocf_realization(result), ccf_realization(result)
+    kin_from_ocf, ocf_from_kin = companion_pair_fraction(kin.output_row, kin.transition, col)
+    p_inv, p = companion_pair_fraction(
+        Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col)
+    for got, want in ((ocf.kin_from_form, kin_from_ocf), (ocf.form_from_kin, ocf_from_kin),
+                      (ccf.kin_from_form, [list(r) for r in zip(*p[::-1])]),
+                      (ccf.form_from_kin, [list(r) for r in zip(*p_inv)][::-1])):
+        assert _dev(got, want) <= 1e-8
 
 
 # --- transfer coefficients ---------------------------------------------------
