@@ -10,6 +10,8 @@ Four subcommands:
 * ``tables``  - regenerate the two benchmark tables (second-order white-noise
   gain over memory length and lag; optimal lag and its gain).
 
+The command line's grammar, its parser and its help are ``_grammar``.
+
 CSV lines are formatted without ``csv.writer``: every number is printed with
 ``repr`` (``str`` of a float is its ``repr``), as ``csv.writer`` prints it, so
 every value re-parses to the exact in-memory double, and runs are
@@ -23,15 +25,15 @@ uncontrollable pair), 4 malformed input data.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain, islice
+from types import SimpleNamespace
 
-from . import analyze
+from . import _grammar, analyze
 from .design import DesignResult, ObserverSpec, design, memory_to_pole, pole_to_memory
 from .design import _scaled_gains, _scaled_loop
 from .errors import (
@@ -49,74 +51,19 @@ from . import realize
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing (the grammar is fixedgain._grammar)
 
-def _pole_list(text: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(tok.strip()) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse pole list {text!r}") from exc
+def build_parser() -> SimpleNamespace:
+    """The CLI's parser: ``build_parser().parse_args(argv)`` is :func:`_parse_args`."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
-def _add_design_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, required=True, metavar="K",
-                        help="filter order (number of tracked states)")
-    parser.add_argument("--ts", type=float, default=1.0, metavar="SEC",
-                        help="sampling period in seconds (default 1.0)")
-    where = parser.add_mutually_exclusive_group(required=True)
-    where.add_argument("--pole", type=float, metavar="P",
-                       help="repeated real pole in [0, 1)")
-    where.add_argument("--memory", type=float, metavar="L",
-                       help="memory length in samples; sets the pole to exp(-1/L)")
-    where.add_argument("--poles", type=_pole_list, metavar="LIST",
-                       help="comma-separated pole list (complex ok, e.g. '0.5,0.4+0.2j,0.4-0.2j');"
-                       " write a list that starts with '-' as --poles=-0.5,-0.5")
-    parser.add_argument("--lag", type=float, default=0.0, metavar="Q",
-                        help="read-out lag in samples (fractional/negative ok, default 0)")
-    parser.add_argument("--deriv", type=int, default=0, metavar="D",
-                        help="derivative order of the output (0 = position)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fixedgain",
-        description="Design and analyze fixed-gain tracking filters by pole placement.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_design = sub.add_parser("design", help="run a design, print the JSON document")
-    _add_design_args(p_design)
-    p_design.add_argument("--form", choices=["kin", "pcf", "ocf", "ccf", "all"],
-                          default="all", help="which realizations to include (default all)")
-    p_design.set_defaults(func=cmd_design)
-
-    p_analyze = sub.add_parser("analyze", help="CSV response analyses of a design")
-    _add_design_args(p_analyze)
-    what = p_analyze.add_mutually_exclusive_group(required=True)
-    what.add_argument("--wng", action="store_true", help="white-noise gain")
-    what.add_argument("--freq", action="store_true",
-                      help="frequency response on 1024 points over [0, 0.5] cycles/sample")
-    what.add_argument("--step", type=int, metavar="N",
-                      help="unit step from a matched start through sample N: the state"
-                           " holds at (1, 0, ...), each row its read-out")
-    what.add_argument("--impulse", action="store_true", help="impulse response until truncation")
-    what.add_argument("--flatness", action="store_true",
-                      help="dc derivative targets vs. measurements")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_filter = sub.add_parser("filter", help="run a design over CSV samples")
-    _add_design_args(p_filter)
-    p_filter.add_argument("--input", required=True, metavar="PATH",
-                          help="CSV of samples: one column (value) or two (n,value); '-' for stdin")
-    p_filter.add_argument("--emit", choices=["position", "state"], default="position",
-                          help="emit the scalar output or the full kinematic state")
-    p_filter.set_defaults(func=cmd_filter)
-
-    p_tables = sub.add_parser("tables", help="regenerate the benchmark tables")
-    p_tables.add_argument("--table", type=int, choices=[1, 2], required=True)
-    p_tables.set_defaults(func=cmd_tables)
-
-    return parser
+def _parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace:
+    """:func:`_grammar.parse`'s namespace with ``func``, the command's ``cmd_*``
+    function, looked up at the call.  Help and usage errors raise SystemExit."""
+    args = _grammar.parse(argv)
+    args.func = globals()["cmd_" + args.command]
+    return args
 
 
 def _design_from_args(args) -> DesignResult:
@@ -384,11 +331,10 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _parse_args(argv)
+    except SystemExit as exc:  # help, or a usage error
+        return exc.code
     if sys.stdout is None:  # started with file descriptor 1 closed
         print("error: standard output is closed", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ end at its own tolerances.
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import math
 from fractions import Fraction
@@ -51,6 +52,7 @@ from fixedgain.errors import (
     NonPositiveSamplingPeriod,
     UnstablePoles,
 )
+from fixedgain import _grammar, cli
 from fixedgain.poly import from_roots
 from fixedgain.realize import pcf_transform
 
@@ -614,3 +616,72 @@ def predictor_row_product(model) -> Matrix:
 def output_row_of_transition(model, lag: float, deriv: int) -> Matrix:
     """Row ``deriv`` of the whole transition over -lag * ts."""
     return Matrix.row_vector(taylor_transition(model.order, -float(lag) * model.ts).row(deriv))
+
+
+# --- the argparse parser the CLI once built ----------------------------------
+
+def _add_design_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--order", type=int, required=True, metavar="K",
+                        help="filter order (number of tracked states)")
+    parser.add_argument("--ts", type=float, default=1.0, metavar="SEC",
+                        help="sampling period in seconds (default 1.0)")
+    where = parser.add_mutually_exclusive_group(required=True)
+    where.add_argument("--pole", type=float, metavar="P",
+                       help="repeated real pole in [0, 1)")
+    where.add_argument("--memory", type=float, metavar="L",
+                       help="memory length in samples; sets the pole to exp(-1/L)")
+    # Its help once added "write a list that starts with '-' as --poles=-0.5,-0.5",
+    # which the CLI's own parser no longer needs.
+    where.add_argument("--poles", type=_grammar._pole_list, metavar="LIST",
+                       help="comma-separated pole list (complex ok, e.g. '0.5,0.4+0.2j,0.4-0.2j')")
+    parser.add_argument("--lag", type=float, default=0.0, metavar="Q",
+                        help="read-out lag in samples (fractional/negative ok, default 0)")
+    parser.add_argument("--deriv", type=int, default=0, metavar="D",
+                        help="derivative order of the output (0 = position)")
+
+
+def argparse_reference_parser() -> argparse.ArgumentParser:
+    """The CLI's grammar as argparse parsed it: ``parse_args(argv)`` gives the
+    namespace ``cli.build_parser().parse_args(argv)`` must equal, attribute for
+    attribute, and exits 2 on what that must refuse.  It differs on purpose
+    where a value starts with '-' and is not a plain negative number (argparse
+    reads ``--lag -1e-3`` and ``--poles -0.5,-0.5`` as a missing value)."""
+    parser = argparse.ArgumentParser(
+        prog="fixedgain",
+        description="Design and analyze fixed-gain tracking filters by pole placement.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_design = sub.add_parser("design", help="run a design, print the JSON document")
+    _add_design_args(p_design)
+    p_design.add_argument("--form", choices=["kin", "pcf", "ocf", "ccf", "all"],
+                          default="all", help="which realizations to include (default all)")
+    p_design.set_defaults(func=cli.cmd_design)
+
+    p_analyze = sub.add_parser("analyze", help="CSV response analyses of a design")
+    _add_design_args(p_analyze)
+    what = p_analyze.add_mutually_exclusive_group(required=True)
+    what.add_argument("--wng", action="store_true", help="white-noise gain")
+    what.add_argument("--freq", action="store_true",
+                      help="frequency response on 1024 points over [0, 0.5] cycles/sample")
+    what.add_argument("--step", type=int, metavar="N",
+                      help="unit step from a matched start through sample N: the state"
+                           " holds at (1, 0, ...), each row its read-out")
+    what.add_argument("--impulse", action="store_true", help="impulse response until truncation")
+    what.add_argument("--flatness", action="store_true",
+                      help="dc derivative targets vs. measurements")
+    p_analyze.set_defaults(func=cli.cmd_analyze)
+
+    p_filter = sub.add_parser("filter", help="run a design over CSV samples")
+    _add_design_args(p_filter)
+    p_filter.add_argument("--input", required=True, metavar="PATH",
+                          help="CSV of samples: one column (value) or two (n,value); '-' for stdin")
+    p_filter.add_argument("--emit", choices=["position", "state"], default="position",
+                          help="emit the scalar output or the full kinematic state")
+    p_filter.set_defaults(func=cli.cmd_filter)
+
+    p_tables = sub.add_parser("tables", help="regenerate the benchmark tables")
+    p_tables.add_argument("--table", type=int, choices=[1, 2], required=True)
+    p_tables.set_defaults(func=cli.cmd_tables)
+
+    return parser

@@ -1,8 +1,10 @@
-"""Command-line surface: documents, CSV schemas, exit codes, determinism."""
+"""Command-line surface: documents, CSV schemas, exit codes, determinism,
+and the argument parser against the argparse parser it replaced."""
 
 import cmath
 import contextlib
 import csv
+import functools
 import gc
 import io
 import itertools
@@ -10,6 +12,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -27,6 +30,7 @@ from conftest import (
     REF_GAIN_KIN,
     REF_NUMERATOR,
     _realization_noise_gain,
+    argparse_reference_parser,
     column_gap,
     exact_design_noise_gain,
     loop_noise_gain_fraction,
@@ -1283,3 +1287,167 @@ def test_filter_into_a_closed_pipe_exits_141_quietly(tmp_path, unbuffered):
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+# --- argument parsing -------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STORE_TRUE = ("--wng", "--freq", "--impulse", "--flatness")
+# argparse's own test for a negative number; a value that starts with '-' and
+# fails it is read by argparse as a flag, by the CLI as the option's value.
+ARGPARSE_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parsed(parser, argv):
+    """The attributes ``parser`` gives ``argv``, or the status it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@functools.lru_cache(maxsize=None)
+def _deck_command_lines():
+    """Every command of the benchmark's cli and stream decks of two seeds."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads  # perfbench/ is not a package
+    finally:
+        sys.path.pop(0)
+    return tuple(tuple(workloads.argv_for(op, "samples.csv")) for seed in (1000, 1004)
+                 for op in workloads.cli_deck(seed) + workloads.stream_deck(seed))
+
+
+def _ci_command_lines():
+    """Every ``fixedgain <command>`` of the CI's console-script step, ``$ts`` as 1e-3."""
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml"), encoding="utf-8") as fh:
+        step = fh.read().split("- name: Installed fixedgain console script")[1]
+    step = step.split("- name:")[0].replace('"$ts"', "1e-3")
+    return [shlex.split(line) for line in
+            re.findall(r"\bfixedgain ((?:design|analyze|filter|tables)\b[^|<>;\n]*)", step)]
+
+
+def _equals_form(argv):
+    """``--flag value`` written ``--flag=value``."""
+    tokens, out = iter(argv[1:]), [argv[0]]
+    for token in tokens:
+        bare = token in STORE_TRUE or token == "--help" or "=" in token
+        out.append(token if bare else f"{token}={next(tokens)}")
+    return out
+
+
+def _prefix_form(argv):
+    """Every flag cut to the shortest prefix that names it alone among its command's."""
+    sub = argparse_reference_parser()._subparsers._group_actions[0].choices[argv[0]]
+    flags = [flag for flag in sub._option_string_actions if flag.startswith("--")]
+
+    def cut(token):
+        if not token.startswith("--"):
+            return token
+        flag, eq, value = token.partition("=")
+        return next(flag[:n] for n in range(3, len(flag) + 1) if flag[:n] == flag
+                    or [f for f in flags if f.startswith(flag[:n])] == [flag]) + eq + value
+    return [argv[0], *map(cut, argv[1:])]
+
+
+def test_no_deck_or_ci_command_is_a_usage_error():
+    lines = _deck_command_lines()
+    assert len(lines) == 148
+    assert all(isinstance(_parsed(cli.build_parser(), list(argv)), dict) for argv in lines)
+    # Of the CI's commands only the one written to fail and the help are not parsed.
+    ci = {shlex.join(argv): _parsed(cli.build_parser(), argv) for argv in _ci_command_lines()}
+    assert len(ci) >= 25
+    assert {line for line, got in ci.items() if not isinstance(got, dict)} <= {
+        "analyze --order 2 --pole 0.5", "filter --help"}
+
+
+@pytest.mark.parametrize("variant", [list, _equals_form, _prefix_form, lambda argv: _prefix_form(
+    _equals_form(argv))], ids=["as-run", "equals", "prefix", "prefix-equals"])
+def test_parser_gives_argparse_namespace_on_every_deck_and_ci_command(variant):
+    lines = [*map(list, _deck_command_lines()), *_ci_command_lines()]
+    checked = 0
+    for argv in [variant(argv) for argv in lines]:
+        if any(len(t) > 1 and t[0] == "-" != t[1] and not ARGPARSE_NEGATIVE.match(t)
+               for t in argv):
+            continue  # a value argparse reads as a flag: the two differ on purpose
+        new, ref = _parsed(cli.build_parser(), argv), _parsed(argparse_reference_parser(), argv)
+        assert new == ref, argv
+        checked += 1
+    assert checked >= len(lines) - 2
+
+
+BAD_COMMAND_LINES = {
+    "unknown flag": (["design", "--order", "2", "--pole", "0.5", "--bogus", "1"], "--bogus"),
+    "positional": (["design", "--order", "2", "--pole", "0.5", "extra"], "extra"),
+    "missing value": (["design", "--order", "2", "--pole", "0.5", "--lag"], "--lag"),
+    "bad int": (["design", "--order", "two", "--pole", "0.5"], "--order"),
+    "bad float": (["analyze", "--order", "2", "--pole", "half", "--wng"], "--pole"),
+    "bad pole list": (["design", "--order", "2", "--poles", "a,b"], "--poles"),
+    "bad form": (["design", "--order", "2", "--pole", "0.5", "--form", "xyz"], "--form"),
+    "bad emit": (["filter", "--order", "2", "--pole", "0.5", "--input", "-", "--emit", "all"],
+                 "--emit"),
+    "bad table": (["tables", "--table", "3"], "--table"),
+    "two poles": (["design", "--order", "2", "--pole", "0.5", "--memory", "8"], "--memory"),
+    "two analyses": (["analyze", "--order", "2", "--pole", "0.5", "--wng", "--step", "3"],
+                     "--step"),
+    "no pole": (["design", "--order", "2"], "--pole"),
+    "no analysis": (["analyze", "--order", "2", "--pole", "0.5"], "--wng"),
+    "no order": (["design", "--pole", "0.5"], "--order"),
+    "no input": (["filter", "--order", "2", "--pole", "0.5"], "--input"),
+    "no table": (["tables"], "--table"),
+    "no subcommand": ([], "command"),
+    "unknown subcommand": (["simulate", "--order", "2"], "simulate"),
+    "top-level flag": (["--order", "2"], "--order"),
+    "store-true value": (["analyze", "--order", "2", "--pole", "0.5", "--wng=1"], "--wng"),
+    "ambiguous prefix": (["design", "--order", "2", "--po", "0.5"], "--po"),
+}
+
+
+@pytest.mark.parametrize("argv,name", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_usage_error_exits_2_naming_the_argument_as_argparse_refuses_it(capsys, argv, name):
+    assert _parsed(argparse_reference_parser(), argv) == 2
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prog = " ".join(["fixedgain", *(t for t in argv[:1] if t in ("design", "analyze", "filter",
+                                                                  "tables"))])
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h] ")
+    assert error.startswith(f"{prog}: error: ")
+    assert name in error
+
+
+@pytest.mark.parametrize("flag,value", [("--lag", "-1e-3"), ("--lag", "-.5e1"),
+                                        ("--poles", "-0.5,-0.5")])
+def test_a_value_that_starts_with_a_minus_is_read_as_its_equals_form(capsys, flag, value):
+    pole = [] if flag == "--poles" else ["--pole", "0.5"]
+    for command, last in (["analyze", "--wng"], ["design", "--form=pcf"]):
+        by_equals = run_cli(capsys, [command, "--order", "2", *pole, f"{flag}={value}", last])
+        assert by_equals[0] == 0
+        assert run_cli(capsys, [command, "--order", "2", *pole, flag, value, last]) == by_equals
+
+
+@pytest.mark.parametrize("command", [None, "design", "analyze", "filter", "tables"])
+def test_help_prints_the_same_bytes_at_any_width_and_every_option(command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    runs = [_run_module(argv, env={"COLUMNS": width}) for width in ("40", "200")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    text = runs[0].stdout.decode()
+    parser = argparse_reference_parser()
+    if command is not None:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    for action in parser._actions:
+        for shown in [*action.option_strings, action.help or ""]:
+            assert shown.replace("%(prog)s", "") in text, shown
+        for choice in action.choices or ():
+            assert str(choice) in text
+
+
+def test_help_in_process_prints_to_stdout_and_returns_0(capsys):
+    assert main(["analyze", "--order", "2", "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: fixedgain analyze [-h] --order K [--ts SEC]"
+                                   " (--pole P | --memory L | --poles LIST)")

@@ -94,8 +94,15 @@ def test_cli_imports_only_the_standard_library():
 def test_cli_start_up_leaves_out_the_heavy_modules():
     # Modules the bare interpreter already had (some site hooks load typing,
     # for one) are not counted: only what importing the CLI adds.
-    heavy = {"dataclasses", "inspect", "typing", "json", "csv", "array", "fixedgain._samples"}
+    heavy = {"dataclasses", "inspect", "typing", "json", "csv", "array", "fixedgain._samples",
+             "argparse", "gettext"}
     assert heavy.isdisjoint(_modules_loaded_by("import fixedgain.cli"))
+    # Nor does a command, run or refused as a usage error, load argparse or the
+    # translation machinery argparse would look its messages up in.
+    for argv in (["analyze", "--order", "2", "--pole", "0.5", "--wng"],
+                 ["analyze", "--order", "2", "--pole", "0.5"]):
+        loaded = _modules_loaded_by(f"import fixedgain.cli; fixedgain.cli.main({argv!r})")
+        assert {"argparse", "gettext", "locale"}.isdisjoint(loaded), argv
     # The design command imports json itself and still prints a valid document;
     # the filter command imports the sample reader, whose error the CLI names.
     out = io.StringIO()
