@@ -5,7 +5,7 @@ pair over descending powers of z.  Every analysis of a pair refuses a nan or
 infinite coefficient (NonFiniteValue); white_noise_gain, impulse_response,
 lde_filter and ramp_error need a monic denominator.  A count (grid points,
 dc orders, ramp horizon, step samples) that is not an int, or is below its
-minimum, raises DimensionMismatch.  Covers what one asks of a
+minimum or above a million, raises DimensionMismatch.  Covers what one asks of a
 smoother: how much measurement noise gets through (white-noise gain), what the
 frequency response looks like, how fast the step response settles, whether
 ramps are tracked without bias, and how flat the passband is at dc
@@ -76,9 +76,11 @@ def _read_out(deriv: int, lag, ts) -> tuple[float, float]:
 
 def _check_count(count, least: int, need: str) -> None:
     """Refuse a count that is not an int (tested as check_deriv tests an
-    index) of at least ``least``, with the message ``need``."""
+    index) from ``least`` to _SAMPLE_CAP, with the message ``need``."""
     if not (isinstance(count, int) and count >= least):
         raise DimensionMismatch(f"{need}, got {shown(count)}")
+    if count > _SAMPLE_CAP:
+        raise DimensionMismatch(f"{need} and at most {_SAMPLE_CAP}, got {shown(count)}")
 
 
 def _check_normalized(den: tuple) -> None:
@@ -89,9 +91,9 @@ def _check_normalized(den: tuple) -> None:
 def _recursion(b: tuple, a: tuple, xs, px: Sequence[float], py: Sequence[float]):
     """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``,
     from past inputs ``px`` and outputs ``py`` ordered most-recent-first,
-    len(b) - 1 and len(a) - 1 of them.  The terms are added left to right
-    from b[0] x on every Python version; lde_filter and impulse_response
-    share this one loop, so a unit pulse gives the same bits through either."""
+    len(b) - 1 and len(a) - 1 of them, the terms added from b[0] x on;
+    lde_filter and impulse_response share this one loop, so a unit pulse
+    gives the same bits through either."""
     b0, b_tail = b[0], b[1:]
     neg_a_tail = [-c for c in a[1:]]
     px, py = deque(px, maxlen=len(px)), deque(py, maxlen=len(py))
@@ -344,8 +346,7 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     s = 0 is sum c_k (n-k)**m / m!.  Dividing the numerator series by the
     denominator series gives the series of H(e^s) exactly, and since
     s = i*omega the m-th derivative in omega is i**m * m! times its
-    coefficient m.  Every sum adds left to right, on every Python version.
-    """
+    coefficient m."""
     b, a = _finite_pair(num, den)
     d0 = reduce(add, a, 0.0)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
     if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a)):
@@ -359,7 +360,10 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
         return [reduce(add, [c * (n - k) ** m for k, c in enumerate(p)], 0.0)
                 / math.factorial(m) for m in range(orders)]
 
-    ns, ds = series(b), series(a)
+    try:
+        ns, ds = series(b), series(a)
+    except OverflowError:  # m! is past the double range from m = 171 on
+        raise NonFiniteValue(f"dc derivatives of {orders} orders overflow") from None
     hs: list[float] = []
     for m in range(orders):
         hs.append((ns[m] - reduce(add, [ds[j] * hs[m - j] for j in range(1, m + 1)], 0.0)) / d0)

@@ -112,8 +112,7 @@ def _scaled_gains(poles: Sequence[complex]) -> list[float]:
     """The ts-free gains g_j = k_j ts^j / j! of the loop in scaled
     coordinates z_j = x_j ts^j / j!: alpha, beta and gamma/4 of the design
     document for K <= 3 (gamma/2 in the convention a += gamma e / ts^2).
-    With a_m the u^m coefficient of D(1+u), u = z - 1, and the terms added
-    left to right on every Python version,
+    With a_m the u^m coefficient of D(1+u), u = z - 1,
 
         g_j = sum_{n=j+1..K} s(n, j+1) a_{K-n} / (n-1)!
 
@@ -153,9 +152,11 @@ def design(spec: ObserverSpec) -> DesignResult:
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
     gain_kin_vec = Matrix._of(tuple([(g,) for g in gains]))
     gain_pcf_vec = Matrix._of(tuple([(char[k - i] - proc[k - i],) for i in range(k)]))
+    f = model.transition_matrix.data  # F - k p, p = F's first row: one product an entry
     ss_kin = StateSpaceModel(
         form=Form.KIN,
-        transition=model.transition_matrix - gain_kin_vec @ model.predictor_row(),
+        transition=Matrix._of(tuple([tuple([v - g * u for v, u in zip(row, f[0])])
+                                     for row, g in zip(f, gains)])),
         input_gain=gain_kin_vec,
         output_row=model.output_row(spec.lag, spec.deriv),
         kin_from_form=Matrix._of(identity_rows(k)),

@@ -4,13 +4,17 @@ Everything here is sized for state dimensions of at most :data:`ORDER_CAP`
 (8): beyond that the observability products built on top of these routines
 are too ill-conditioned to mean anything, so the cap is enforced at
 construction.  Storage is an immutable tuple of row tuples.
+
+The package's one summation rule: a float sum adds left to right from 0.0, as
+``reduce(add, terms, 0.0)`` does, never by ``sum``, which compensates its
+rounding from CPython 3.12 on.  So no printed number depends on the interpreter.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
-from operator import mul, sub
+from functools import lru_cache, reduce
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, FixedGainError, numbers
 
@@ -104,7 +108,7 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         columns = tuple(zip(*other.data))
-        return Matrix._of(tuple([tuple([sum(map(mul, row, col)) for col in columns])
+        return Matrix._of(tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in columns])
                                  for row in self.data]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":

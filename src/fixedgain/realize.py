@@ -21,11 +21,6 @@ each, PCF from a per-order table) and certifies the transform, raising
 The transfer function needs no canonical form: :func:`transfer_coefficients`
 rounds the exact pair of the loop the design runs, computed in integers.
 
-A realization's per-sample arithmetic (:func:`step`,
-:func:`extract_kinematic`) takes each dot product as ``sum(map(mul, ...))``,
-the sum ``Matrix @`` takes, so it matches ``Matrix @`` bit for bit on every
-Python version.
-
 The ``filter`` command runs a fifth view of the loop, not a realization:
 :class:`_ScaledLoop`, the alpha-beta-gamma recursion in scaled coordinates
 z_j = x_j ts^j / j!, built in :mod:`fixedgain.design` beside the gains it
@@ -93,18 +88,18 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         output read from the updated state.  ``float(x - 0.0)`` is x's own
         double; a complex or str sample raises TypeError before ``w`` moves."""
         x = float(x - 0.0)
-        w[:] = [sum(map(mul, row, w)) + h * x
+        w[:] = [reduce(add, map(mul, row, w), 0.0) + h * x
                 for row, (h,) in zip(self.transition.data, self.input_gain.data)]
-        return sum(map(mul, self.output_row.data[0], w))
+        return reduce(add, map(mul, self.output_row.data[0], w), 0.0)
 
     def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
-        return tuple([sum(map(mul, row, w)) for row in self.kin_from_form.data])
+        return tuple([reduce(add, map(mul, row, w), 0.0) for row in self.kin_from_form.data])
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
-        return [sum(map(mul, row, kin)) for row in self.form_from_kin.data]
+        return [reduce(add, map(mul, row, kin), 0.0) for row in self.form_from_kin.data]
 
     def _output(self, w: Sequence[float]) -> float:
-        return sum(map(mul, self.output_row.data[0], w))
+        return reduce(add, map(mul, self.output_row.data[0], w), 0.0)
 
 
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
@@ -138,7 +133,7 @@ class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
         return list(map(mul, self.from_kin, kin))
 
     def _output(self, z: Sequence[float]) -> float:
-        return reduce(add, map(mul, self.output, z), 0.0)  # as the kernel sums it
+        return reduce(add, map(mul, self.output, z), 0.0)
 
 
 # Globals of the compiled scaled kernel: its source calls float.
@@ -215,13 +210,14 @@ def _observable_form(
     columns = tuple(zip(*rows_a))
     stack = [c]
     for _ in range(k - 1):
-        stack.append(tuple([sum(map(mul, stack[-1], a)) for a in columns]))
+        stack.append(tuple([reduce(add, map(mul, stack[-1], a), 0.0) for a in columns]))
     krylov = [_last_unit_solve(stack, error)]
     for _ in range(k - 1):
-        krylov.append([sum(map(mul, a, krylov[-1])) for a in rows_a])
+        krylov.append([reduce(add, map(mul, a, krylov[-1]), 0.0) for a in rows_a])
     horner = [c]
     for g in column[:0:-1]:
-        horner.append(tuple([sum(map(mul, horner[-1], a)) - g * v for a, v in zip(columns, c)]))
+        horner.append(tuple([reduce(add, map(mul, horner[-1], a), 0.0) - g * v
+                             for a, v in zip(columns, c)]))
     return tuple(zip(*krylov)), tuple(horner[::-1])
 
 
@@ -307,14 +303,14 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
     columns_a = tuple(zip(*kin.transition.data))
     columns_s = tuple(zip(*kin_from_form))
     b = kin.input_gain.col(0)
-    tb = [sum(map(mul, t, b)) for t in form_from_kin]
-    cs = [sum(map(mul, kin.output_row.data[0], s)) for s in columns_s]
+    tb = [reduce(add, map(mul, t, b), 0.0) for t in form_from_kin]
+    cs = [reduce(add, map(mul, kin.output_row.data[0], s), 0.0) for s in columns_s]
     gain = gain or tuple(tb)  # a field mapped across gaps 0 from itself, nan if not finite
     row = row or tuple(cs)
     gaps = [*map(sub, tb, gain), *map(sub, cs, row)]
     for t, want_a in zip(form_from_kin, transition):
-        ta = [sum(map(mul, t, a)) for a in columns_a]
-        gaps += [sum(map(mul, ta, s)) - want for s, want in zip(columns_s, want_a)]
+        ta = [reduce(add, map(mul, t, a), 0.0) for a in columns_a]
+        gaps += [reduce(add, map(mul, ta, s), 0.0) - want for s, want in zip(columns_s, want_a)]
     residual = max([abs(v) if v == v else math.inf for v in gaps])
     if residual > _CERTIFY_TOL:
         raise error(
@@ -464,11 +460,9 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
     the output read from the updated state.  Mutates ``state`` in place.
 
-    Each dot product, here and in extract_kinematic, is ``sum(map(mul,
-    ...))``, the sum ``Matrix @`` takes, and a state entry then adds
-    ``h * x``: bit-identical to ``Matrix @`` on every Python version.  The
-    scaled loop runs the same loop by predict and correct, compiled
-    (:func:`_scaled_code`).
+    Each dot product, here and in extract_kinematic, is summed as ``Matrix @``
+    sums it, then a state entry adds ``h * x``.  The scaled loop runs the
+    same loop by predict and correct, compiled (:func:`_scaled_code`).
 
     A sample that is not a real number in the double range (a str, None, a
     complex, an int past it) raises FixedGainError and leaves the state as

@@ -4,10 +4,10 @@ Builds the cli deck and the first four stream files of each seed with
 ``perfbench/workloads.py`` (the benchmark's own inputs), runs every command
 once under each interpreter given, with this checkout's ``src`` on
 ``PYTHONPATH``, and lists the commands whose exit code, stdout or stderr
-differ between them.  Exits 1 when a command of a kind not named by
-``--allow`` differs.  Standard library only.
+differ between them.  Exits 1 when any command differs.  Standard library
+only.
 
-    python tests/interpreter_digests.py --seed 1000 --seed 1004 --allow design \\
+    python tests/interpreter_digests.py --seed 1000 --seed 1004 \\
         python3.10 python3.11 python3.12 python3.13
 """
 
@@ -59,8 +59,6 @@ def main() -> int:
                         help="interpreters to compare, the first one the reference")
     parser.add_argument("--seed", type=int, action="append", metavar="N",
                         help="workload seed (repeatable; default 1000)")
-    parser.add_argument("--allow", action="append", default=[], metavar="KIND",
-                        help="command kind whose differences do not fail the check")
     args = parser.parse_args()
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
@@ -71,11 +69,11 @@ def main() -> int:
                 digests = [digest(python, argv) for python in args.interpreters]
                 if len(set(digests)) > 1:
                     differ[kind] += 1
+                    failed = True
                     groups = [python for python, d in zip(args.interpreters, digests)
                               if d != digests[0]]
                     print(f"seed {seed}: {kind} differs under {', '.join(groups)}:"
                           f" {' '.join(argv)}")
-                    failed |= kind not in args.allow
             kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(differ.items())) or "none"
             print(f"seed {seed}: {sum(differ.values())} of {len(deck)} commands differ"
                   f" ({kinds})")

@@ -56,7 +56,7 @@ from fixedgain import (
     transfer_coefficients,
     white_noise_gain,
 )
-from fixedgain.analyze import _ints, _step_down
+from fixedgain.analyze import _SAMPLE_CAP, _ints, _step_down
 from fixedgain.errors import (
     DerivativeIndexOutOfRange,
     DimensionMismatch,
@@ -999,6 +999,32 @@ def test_a_count_must_be_an_int_of_at_least_its_least_value(argument, bad):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(need)}, got {re.escape(repr(bad))}$"):
         analysis(bad)
     analysis(least)
+
+
+@pytest.mark.parametrize("argument", sorted(_COUNTS))
+def test_a_count_past_the_sample_cap_is_refused(argument):
+    # A count past the million samples impulse_response stops at ran for
+    # seconds; far past it, without end or into an untyped OverflowError.
+    analysis, _, need = _COUNTS[argument]
+    with pytest.raises(DimensionMismatch,
+                       match=f"^{re.escape(need)} and at most 1000000, got 1000001$"):
+        analysis(_SAMPLE_CAP + 1)
+    analysis(2)
+
+
+def test_step_response_past_ssize_t_is_a_typed_refusal():
+    result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
+    with pytest.raises(DimensionMismatch, match="at most 1000000, got 10000000000000000000000$"):
+        step_response(result, 10**22)
+
+
+@pytest.mark.parametrize("order", [2, 8])
+def test_flatness_past_171_orders_raises_non_finite_value(order):
+    # 171! is past the double range: the dc series raised an untyped OverflowError.
+    num, den = transfer_coefficients(design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.5)))
+    for analysis in (flatness_profile, flatness_check):
+        with pytest.raises(NonFiniteValue, match="dc derivatives of 172 orders overflow"):
+            analysis(num, den, 0, 0.0, 1.0, 172)
 
 
 @pytest.mark.parametrize("n_max", [-1, -3])

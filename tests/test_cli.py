@@ -403,6 +403,13 @@ def test_analyze_negative_step_horizon_exits_2(capsys):
     assert out == ""
 
 
+def test_analyze_step_horizon_past_the_sample_cap_exits_2(capsys):
+    # At 10**22 the step response raised an untyped OverflowError (exit 1).
+    code, out = run_cli(capsys, ["analyze", "--order", "2", "--pole", "0.5", "--step", str(10**22)])
+    assert code == 2
+    assert out == ""
+
+
 # Designs of the benchmark's cli deck at high order and long memory.  The noise
 # gain and the step response need only the kinematic realization, and must not
 # ask for the transfer coefficients.

@@ -272,13 +272,19 @@ def test_realize_imports_nothing_from_design():
 
 
 # Designs whose sums CPython 3.12's compensated sum() rounds apart from
-# adding left to right.  The package adds them left to right on every
-# interpreter; this module imports no numpy, so every installed one runs it.
+# adding left to right: the gains, the direct-form recursion, the dc series,
+# Matrix @ and the dense realizations' steps.  The package adds them left to
+# right on every interpreter; this module imports no numpy, so every
+# installed one runs it.
 def _left_to_right(values):
     total = 0.0
     for v in values:
         total += v
     return total
+
+
+def _dot(u, v):
+    return _left_to_right([x * y for x, y in zip(u, v)])
 
 
 @pytest.mark.parametrize("order, pole, lag", [(8, 0.8, 1.0), (7, 0.7, 0.5), (8, 0.3, 2.0)])
@@ -303,6 +309,21 @@ def test_the_printed_sums_add_left_to_right(order, pole, lag):
         want.append(y)
         px, py = [x, *px[:-1]], [y, *py[:-1]]
     assert fixedgain.lde_filter(num, den, xs) == want
+    result = fixedgain.design(spec)
+    for ss in (result.ss_kin, fixedgain.pcf_realization(result)):
+        for m, n in ((ss.transition, ss.transition), (ss.form_from_kin, result.ss_kin.transition)):
+            assert (m @ n).data == tuple(tuple(_dot(row, col) for col in zip(*n.data))
+                                         for row in m.data)
+        state = fixedgain.initialize_state(ss, xs[0])
+        w = [_dot(row, [xs[0]] + [0.0] * (order - 1)) for row in ss.form_from_kin.data]
+        assert state.vector == w
+        want = []
+        for x in xs[1:]:
+            w = [_dot(row, w) + h * x for row, (h,) in zip(ss.transition.data, ss.input_gain.data)]
+            want.append(_dot(ss.output_row.data[0], w))
+        assert fixedgain.run(ss, state, xs[1:]) == want
+        assert fixedgain.extract_kinematic(ss, state) == tuple(
+            _dot(row, w) for row in ss.kin_from_form.data)
 
 
 # An int past the 4,300 digits the interpreter prints in decimal by default:
