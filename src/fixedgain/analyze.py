@@ -346,7 +346,7 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     s = 0 is sum c_k (n-k)**m / m!.  Dividing the numerator series by the
     denominator series gives the series of H(e^s) exactly, and since
     s = i*omega the m-th derivative in omega is i**m * m! times its
-    coefficient m."""
+    coefficient m.  A derivative past the double range raises NonFiniteValue."""
     b, a = _finite_pair(num, den)
     d0 = reduce(add, a, 0.0)  # D(1) under 1e-12 max(1, |a_k|) is inside the a_k's rounding
     if abs(d0) < 1e-12 * max(1.0, max(abs(c) for c in a)):
@@ -367,7 +367,10 @@ def _dc_derivatives(num, den, orders: int) -> list[complex]:
     hs: list[float] = []
     for m in range(orders):
         hs.append((ns[m] - reduce(add, [ds[j] * hs[m - j] for j in range(1, m + 1)], 0.0)) / d0)
-    return [(1j) ** m * math.factorial(m) * h for m, h in enumerate(hs)]
+    out = [(1j) ** m * math.factorial(m) * h for m, h in enumerate(hs)]
+    if all(map(cmath.isfinite, out)):
+        return out
+    raise NonFiniteValue(f"dc derivatives of {orders} orders overflow")
 
 
 def flatness_profile(

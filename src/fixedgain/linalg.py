@@ -1,9 +1,10 @@
-"""Small dense real matrices for low-order filter work.
+"""The carrier of a realization's small dense real matrices.
 
-Everything here is sized for state dimensions of at most :data:`ORDER_CAP`
-(8): beyond that the observability products built on top of these routines
-are too ill-conditioned to mean anything, so the cap is enforced at
-construction.  Storage is an immutable tuple of row tuples.
+A :class:`Matrix` holds no arithmetic: the package computes on its row tuples.
+It is sized for state dimensions of at most :data:`ORDER_CAP` (8): beyond
+that the observability products the realizations are built from are too
+ill-conditioned to mean anything, so the cap is enforced at construction.
+Storage is an immutable tuple of row tuples.
 
 The package's one summation rule: a float sum adds left to right from 0.0, as
 ``reduce(add, terms, 0.0)`` does, never by ``sum``, which compensates its
@@ -12,9 +13,8 @@ rounding from CPython 3.12 on.  So no printed number depends on the interpreter.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from functools import lru_cache, reduce
-from operator import add, mul, sub
+from collections.abc import Iterable
+from functools import lru_cache
 
 from .errors import DimensionMismatch, FixedGainError, numbers
 
@@ -50,29 +50,11 @@ class Matrix:
         m.data = data
         return m
 
-    # --- construction helpers ---
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def row_vector(cls, values: Sequence[float]) -> "Matrix":
-        return cls([list(values)])
-
-    @classmethod
-    def column(cls, values: Sequence[float]) -> "Matrix":
-        return cls([[v] for v in values])
-
     # --- shape / access ---
 
     @property
     def rows(self) -> int:
         return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0])
 
     def __getitem__(self, ij) -> float:
         i, j = ij
@@ -84,10 +66,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
-    def flat(self) -> tuple:
-        """All entries, row-major.  Handy for 1xN and Nx1 matrices."""
-        return tuple(v for row in self.data for v in row)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.data == other.data
 
@@ -98,30 +76,9 @@ class Matrix:
         body = ",\n        ".join(repr(list(r)) for r in self.data)
         return f"Matrix([{body}])"
 
-    # --- arithmetic ---
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        columns = tuple(zip(*other.data))
-        return Matrix._of(tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in columns])
-                                 for row in self.data]))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return Matrix._of(tuple([tuple(map(sub, ra, rb))
-                                 for ra, rb in zip(self.data, other.data)]))
-
 
 @lru_cache(maxsize=None)
 def identity_rows(n: int) -> tuple:
-    """The rows of ``Matrix.identity(n)``, built and checked once per n; wrap
-    them with ``Matrix._of`` for a matrix of one's own."""
-    return Matrix.identity(n).data
+    """The rows of the n x n identity, built and checked once per n; wrap them
+    with ``Matrix._of`` for a matrix of one's own."""
+    return Matrix([[float(i == j) for j in range(n)] for i in range(n)]).data

@@ -84,7 +84,7 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         return self.transition.rows
 
     def _advance(self, w: list, x: float) -> float:
-        """One step of ``w`` in place, by the sums ``Matrix @`` takes; the
+        """One step of ``w`` in place, by a left-to-right product; the
         output read from the updated state.  ``float(x - 0.0)`` is x's own
         double; a complex or str sample raises TypeError before ``w`` moves."""
         x = float(x - 0.0)
@@ -293,7 +293,7 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
     ``transition`` rows, the rows of ``pair`` = (kin_from_form,
     form_from_kin) = (S, T), and whichever of its input column ``gain`` and
     output ``row`` the form fixes.  The other is mapped across from ``ss_kin``
-    = (A, b, c) as T b or c S, each entry summed as ``Matrix @`` sums it.
+    = (A, b, c) as T b or c S, each entry a left-to-right product.
     One pass takes the worst residual of T b = gain, c S = row and
     (T A) S = transition, a nan read as inf; above the bound it raises
     ``error``, the one test of a numerically degenerate OCF or CCF.  Each
@@ -460,8 +460,8 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
     the output read from the updated state.  Mutates ``state`` in place.
 
-    Each dot product, here and in extract_kinematic, is summed as ``Matrix @``
-    sums it, then a state entry adds ``h * x``.  The scaled loop runs the
+    Each dot product, here and in extract_kinematic, is a left-to-right
+    product, then a state entry adds ``h * x``.  The scaled loop runs the
     same loop by predict and correct, compiled (:func:`_scaled_code`).
 
     A sample that is not a real number in the double range (a str, None, a

@@ -17,7 +17,8 @@ polynomial at the requested poles.  So are the routes by which the process
 model once built its rows: the whole transition, the measurement row times
 it, and the complex product for (z - 1)**K.  So is a full-width Gauss-Jordan
 elimination, the reference for the one-vector elimination the observable
-form runs, and the inverse it gives against the identity.
+form runs, and the inverse it gives against the identity.  So is the matrix
+product ``Matrix @`` once took, summed left to right (:func:`matmul`).
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -28,6 +29,7 @@ import argparse
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul, sub
 
 import pytest
@@ -53,6 +55,7 @@ from fixedgain.errors import (
     UnstablePoles,
 )
 from fixedgain import _grammar, cli
+from fixedgain.linalg import identity_rows
 from fixedgain.poly import from_roots
 from fixedgain.realize import pcf_transform
 
@@ -122,18 +125,18 @@ def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
     if not ts > 0.0:
         raise NonPositiveSamplingPeriod(f"sampling period must be > 0, got {ts!r}")
     if order == 1:
-        return Matrix.column([1.0 - p])
-    if order == 2:
-        return Matrix.column([1.0 - p * p, (1.0 - p) ** 2 / ts])
-    if order == 3:
-        return Matrix.column(
-            [
-                1.0 - p ** 3,
-                1.5 * (1.0 - p) ** 2 * (1.0 + p) / ts,
-                (1.0 - p) ** 3 / (ts * ts),
-            ]
-        )
-    raise ValueError(f"closed-form gains cover orders 1-3, got {order}")
+        gains = [1.0 - p]
+    elif order == 2:
+        gains = [1.0 - p * p, (1.0 - p) ** 2 / ts]
+    elif order == 3:
+        gains = [
+            1.0 - p ** 3,
+            1.5 * (1.0 - p) ** 2 * (1.0 + p) / ts,
+            (1.0 - p) ** 3 / (ts * ts),
+        ]
+    else:
+        raise ValueError(f"closed-form gains cover orders 1-3, got {order}")
+    return Matrix([[g] for g in gains])
 
 
 def second_order_transfer(pole: float, lag: float) -> tuple[Polynomial, Polynomial]:
@@ -435,17 +438,27 @@ def noisy_polynomial(rng, order: int, rows: int) -> list[float]:
             for n in range(rows)]
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, each entry summed left to right from 0.0 by the
+    package's rule, ``reduce(add, map(mul, row, col), 0.0)``: the reference a
+    realization's steps and maps meet bit for bit."""
+    columns = tuple(zip(*b.data))
+    assert len(a.row(0)) == len(columns[0]), "inner dimensions differ"
+    return Matrix._of(tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in columns])
+                             for row in a.data]))
+
+
 def matrix_recursion_columns(ss, xs) -> list[list[float]]:
     """The columns y, state0, .., state(K-1) of the recursion of ``ss``
-    written with Matrix products over ``xs``: w <- G w + h x from the first
+    written with :func:`matmul` over ``xs``: w <- G w + h x from the first
     sample's state, y = c w, kinematic state = T w."""
-    w = ss.form_from_kin @ Matrix.column([xs[0]] + [0.0] * (ss.order - 1))
+    w = matmul(ss.form_from_kin, Matrix([[xs[0]]] + [[0.0]] * (ss.order - 1)))
     rows = []
     for n, x in enumerate(xs):
         if n:
-            moved = (ss.transition @ w).col(0)
-            w = Matrix.column([m + h * x for m, h in zip(moved, ss.input_gain.col(0))])
-        rows.append(((ss.output_row @ w)[0, 0], *(ss.kin_from_form @ w).col(0)))
+            moved = matmul(ss.transition, w).col(0)
+            w = Matrix([[m + h * x] for m, h in zip(moved, ss.input_gain.col(0))])
+        rows.append((matmul(ss.output_row, w)[0, 0], *matmul(ss.kin_from_form, w).col(0)))
     return [list(column) for column in zip(*rows)]
 
 
@@ -472,7 +485,7 @@ class SingularMatrix(FixedGainError):
 def inverse(m: Matrix) -> Matrix:
     """``m`` inverted by :func:`gauss_jordan_full` against the identity; a
     non-square ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
-    return gauss_jordan_full(m, Matrix.identity(m.rows))
+    return gauss_jordan_full(m, Matrix._of(identity_rows(m.rows)))
 
 
 def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
@@ -484,7 +497,7 @@ def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
     rows, those left of its pivot included.  A singular ``a`` raises
     SingularMatrix naming the pivot column."""
     n = a.rows
-    if a.cols != n or rhs.rows != n:
+    if len(a.row(0)) != n or rhs.rows != n:
         raise DimensionMismatch("solve needs a square matrix and a right side of its height")
     ext = [list(row + extra) for row, extra in zip(a.data, rhs.data)]
     row_scale = [max(map(abs, row)) for row in a.data]
@@ -549,20 +562,24 @@ def _realization_noise_gain(ss) -> float:
     am = ss.transition
     col = ss.input_gain
     out = ss.output_row.data[0]
-    p = col @ Matrix([col.col(0)])
-    top = max(map(abs, am.flat()))
+    p = matmul(col, Matrix([col.col(0)]))
 
     def quad(m: Matrix) -> float:  # c m c'
         return sum(map(mul, out, [sum(map(mul, r, out)) for r in m.data]))
 
+    def peak(m: Matrix) -> float:
+        return max(abs(v) for row in m.data for v in row)
+
+    top = peak(am)
+
     for _ in range(64):
-        step = am @ p @ Matrix(zip(*am.data))
+        step = matmul(matmul(am, p), Matrix(zip(*am.data)))
         p = Matrix([map(add, x, y) for x, y in zip(p.data, step.data)])
-        am = am @ am
+        am = matmul(am, am)
         total = quad(p)
         if not math.isfinite(total):
             break
-        if abs(quad(step)) <= 1e-17 * abs(total) and max(map(abs, am.flat())) <= 1e-12 * top:
+        if abs(quad(step)) <= 1e-17 * abs(total) and peak(am) <= 1e-12 * top:
             return total
     raise NonConvergent("transition does not contract: the noise-gain series does not converge")
 
@@ -572,8 +589,8 @@ def realized_char_poly(result) -> Polynomial:
     rotating the kinematic transition into companion coordinates and reading
     its last column.  Agrees with ``result.char_poly`` up to roundoff."""
     kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
-    rotated = pcf_from_kin @ result.ss_kin.transition @ kin_from_pcf
-    return Polynomial([1.0] + [-c for c in reversed(rotated.col(rotated.cols - 1))])
+    rotated = matmul(matmul(pcf_from_kin, result.ss_kin.transition), kin_from_pcf)
+    return Polynomial([1.0] + [-c for c in reversed(rotated.col(-1))])
 
 
 def placement_residual(char: Polynomial, poles) -> float:
@@ -609,13 +626,13 @@ def process_char_poly_product(order: int) -> Polynomial:
 
 def predictor_row_product(model) -> Matrix:
     """The measurement row e0 times the whole one-step transition."""
-    e0 = Matrix.row_vector([1.0] + [0.0] * (model.order - 1))
-    return e0 @ taylor_transition(model.order, model.ts)
+    e0 = Matrix([[1.0] + [0.0] * (model.order - 1)])
+    return matmul(e0, taylor_transition(model.order, model.ts))
 
 
 def output_row_of_transition(model, lag: float, deriv: int) -> Matrix:
     """Row ``deriv`` of the whole transition over -lag * ts."""
-    return Matrix.row_vector(taylor_transition(model.order, -float(lag) * model.ts).row(deriv))
+    return Matrix([taylor_transition(model.order, -float(lag) * model.ts).row(deriv)])
 
 
 # --- the argparse parser the CLI once built ----------------------------------

@@ -12,6 +12,7 @@ capture), then asserts at the frozen tolerances.
 
 import math
 import random
+from operator import sub
 
 from conftest import (
     BENCH_MEMORIES,
@@ -28,6 +29,7 @@ from conftest import (
     REF_POLE,
     REF_TS,
     closed_form_gains,
+    matmul,
     max_abs_diff,
     realized_char_poly,
     second_order_transfer,
@@ -65,7 +67,7 @@ def _mat_dev(matrix, rows):
     return max(
         abs(matrix[i, j] - rows[i][j])
         for i in range(matrix.rows)
-        for j in range(matrix.cols)
+        for j in range(len(matrix.row(i)))
     )
 
 
@@ -105,19 +107,20 @@ def test_reference_third_order_design_constants(reference_design, capsys):
 
     # Independent routes to the same quantities must agree far tighter than
     # the printed four-decimal values do.
-    kin_via_transform = kin_from_pcf @ r.gains.pcf
+    kin_via_transform = matmul(kin_from_pcf, r.gains.pcf)
     identity = [[1.0 if i == j else 0.0 for j in range(order)] for i in range(order)]
     ocf_gain = ocf.input_gain.col(0)
     num_via_ocf = [ocf_gain[order - 1 - j] for j in range(order)] + [0.0]
     num_via_ccf = list(ccf.output_row.row(0)) + [0.0]
-    rebuilt_loop = model.transition_matrix - r.gains.kin @ model.predictor_row()
+    correction = matmul(r.gains.kin, model.predictor_row()).data
+    rebuilt_loop = [list(map(sub, f, kp)) for f, kp in zip(model.transition_matrix.data, correction)]
     closed = closed_form_gains(order, REF_POLE, REF_TS).col(0)
     consistency = max(
         _mat_dev(kin_via_transform, [[v] for v in r.gains.kin.col(0)]),
         max_abs_diff(realized_char_poly(r).coeffs, r.char_poly.coeffs),
-        _mat_dev(kin_from_pcf @ pcf_from_kin, identity),
+        _mat_dev(matmul(kin_from_pcf, pcf_from_kin), identity),
         max_abs_diff(num_via_ocf, num_via_ccf),
-        _mat_dev(r.ss_kin.transition, rebuilt_loop.data),
+        _mat_dev(r.ss_kin.transition, rebuilt_loop),
         max(abs(c - g) / abs(g) for c, g in zip(closed, r.gains.kin.col(0))),
     )
 
@@ -250,10 +253,10 @@ def test_all_realizations_equivalent(capsys):
             outputs.append([read_output(ss, state)] + run(ss, state, xs[1:]))
             worst_sim = max(
                 worst_sim,
-                _mat_dev(ss.form_from_kin @ kin.transition @ ss.kin_from_form,
+                _mat_dev(matmul(matmul(ss.form_from_kin, kin.transition), ss.kin_from_form),
                          ss.transition.data),
-                _mat_dev(kin.output_row @ ss.kin_from_form, ss.output_row.data),
-                _mat_dev(ss.form_from_kin @ kin.input_gain, ss.input_gain.data),
+                _mat_dev(matmul(kin.output_row, ss.kin_from_form), ss.output_row.data),
+                _mat_dev(matmul(ss.form_from_kin, kin.input_gain), ss.input_gain.data),
             )
         for other in outputs[1:]:
             worst_out = max(

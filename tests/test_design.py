@@ -24,6 +24,7 @@ from conftest import (
     _realization_noise_gain,
     ackermann_gains_fraction,
     closed_form_gains,
+    matmul,
     max_abs_diff,
     placed_specs,
     placement_residual,
@@ -93,7 +94,7 @@ def test_pcf_transform_reference_values():
 
 def test_pcf_transform_directions_invert_each_other():
     kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(4, 0.3))
-    prod = np.array((kin_from_pcf @ pcf_from_kin).data)
+    prod = np.array(matmul(kin_from_pcf, pcf_from_kin).data)
     assert float(np.max(np.abs(prod - np.eye(4)))) < 1e-9
 
 
@@ -109,10 +110,10 @@ def test_pcf_transform_carries_the_similarity():
     # must become the last unit row.
     model = ProcessModel(3, 0.04)
     kin_from_pcf, pcf_from_kin = pcf_transform(model)
-    rotated = pcf_from_kin @ model.transition_matrix @ kin_from_pcf
+    rotated = matmul(matmul(pcf_from_kin, model.transition_matrix), kin_from_pcf)
     want = companion_matrix(companion_column(model.char_poly))
     assert float(np.max(np.abs(np.array(rotated.data) - np.array(want.data)))) < 1e-8
-    row = (model.predictor_row() @ kin_from_pcf).row(0)
+    row = matmul(model.predictor_row(), kin_from_pcf).row(0)
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    matmul,
     output_row_of_transition,
     predictor_row_product,
     process_char_poly_product,
@@ -47,7 +48,7 @@ def test_char_poly_is_binomial_expansion():
 
 def test_transition_group_property():
     model = ProcessModel(4, 0.25)
-    lhs = model.transition(0.7) @ model.transition(-0.3)
+    lhs = matmul(model.transition(0.7), model.transition(-0.3))
     rhs = model.transition(0.4)
     assert float(np.max(np.abs(np.array(lhs.data) - np.array(rhs.data)))) < 1e-13
 

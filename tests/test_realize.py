@@ -18,6 +18,7 @@ from conftest import (
     companion_pair_fraction,
     gauss_jordan_full,
     loop_transfer_fraction,
+    matmul,
     matrix_recursion_columns,
     max_abs_diff,
     noisy_polynomial,
@@ -47,6 +48,7 @@ from fixedgain import (
     transfer_coefficients,
 )
 from fixedgain.errors import (
+    DimensionMismatch,
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
@@ -78,6 +80,16 @@ def test_companion_matrix_converts_its_column_to_float():
     m = companion_matrix([1, 2, 3])
     assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0))
     assert {type(v) for row in m.data for v in row} == {float}
+
+
+@pytest.mark.parametrize("column, message", [
+    ([], "matrix must have at least one row and column"),
+    ([0.5] * 9, "matrix 9x9 exceeds the 8x8 cap"),
+])
+def test_companion_matrix_refuses_an_empty_or_oversized_column(column, message):
+    # The shifted identity is checked as a Matrix once per order.
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        companion_matrix(column)
 
 
 def _matrices(ss: StateSpaceModel) -> list[Matrix]:
@@ -116,17 +128,18 @@ def test_realization_matrices_hold_only_float_row_tuples(order):
 @pytest.mark.parametrize("order", range(1, 9))
 def test_companion_forms_fix_two_fields_and_map_the_third_across(order):
     # Each form fixes its transition and one of its input column and output
-    # row exactly; the other is T b or c S, bit for bit as Matrix @ gives it.
+    # row exactly; the other is T b or c S, bit for bit as a left-to-right
+    # product gives it.
     forms = set()
     for ts, lag, deriv in ((1, 2, 0), (2, 0, order - 1), (3, -1, order // 2)):
         result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
         kin, col = result.ss_kin, companion_column(result.char_poly)
         companion = companion_matrix(col).data
-        unit = Matrix.identity(order).data
+        unit = tuple(tuple(float(i == j) for j in range(order)) for i in range(order))
         for ss in _realizations(result)[1:-1]:
             forms.add(ss.form)
-            mapped_row = (kin.output_row @ ss.kin_from_form).data
-            mapped_gain = (ss.form_from_kin @ kin.input_gain).data
+            mapped_row = matmul(kin.output_row, ss.kin_from_form).data
+            mapped_gain = matmul(ss.form_from_kin, kin.input_gain).data
             if ss.form is Form.PCF:
                 fixed = (companion, result.gains.pcf.data, mapped_row)
             elif ss.form is Form.OCF:
@@ -153,7 +166,8 @@ def test_designs_of_one_order_share_no_matrix():
     for m in owned[0]:
         m.data = ((math.nan,),)
     assert [m.data for m in owned[1]] == want
-    assert second.ss_kin.kin_from_form == Matrix.identity(3) == design(spec).ss_kin.form_from_kin
+    identity = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert second.ss_kin.kin_from_form == identity == design(spec).ss_kin.form_from_kin
 
 
 # --- canonical realizations --------------------------------------------------
@@ -169,11 +183,11 @@ def test_pcf_similarity_identities():
     result = _reference_design()
     pcf = pcf_realization(result)
     kin = result.ss_kin
-    rotated = np.array((pcf.form_from_kin @ kin.transition @ pcf.kin_from_form).data)
+    rotated = np.array(matmul(matmul(pcf.form_from_kin, kin.transition), pcf.kin_from_form).data)
     assert float(np.max(np.abs(rotated - np.array(pcf.transition.data)))) < 1e-8
     # The predictor row becomes the last unit row in companion coordinates.
     model = result.spec.process
-    row = (model.predictor_row() @ pcf.kin_from_form).row(0)
+    row = matmul(model.predictor_row(), pcf.kin_from_form).row(0)
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-8)
 
 
@@ -263,7 +277,7 @@ def test_uncontrollable_zero_gain_raises():
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
     kin = result.ss_kin
     result = result._replace(ss_kin=kin._replace(
-        transition=ProcessModel(2, 1.0).transition_matrix, input_gain=Matrix.column([0.0, 0.0])))
+        transition=ProcessModel(2, 1.0).transition_matrix, input_gain=Matrix([[0.0], [0.0]])))
     with pytest.raises(Uncontrollable,
                        match="^closed-loop pair is not controllable; cannot reach CCF$"):
         ccf_realization(result)
@@ -299,7 +313,7 @@ def test_last_unit_solve_is_the_full_width_elimination_bit_for_bit(a):
     # reference's relative pivot test refuses, the one-vector solve, which
     # refuses only an exactly zero pivot and leaves roundoff to the
     # certification, either raises the caller's own error or returns K floats.
-    unit = Matrix.column([0.0] * (a.rows - 1) + [1.0])
+    unit = Matrix([[0.0]] * (a.rows - 1) + [[1.0]])
     error = Unobservable("stack is singular")
     try:
         want = gauss_jordan_full(a, unit)
@@ -382,7 +396,7 @@ def test_companion_transforms_match_the_exact_builder(order, ts, lag):
         assert order >= 7  # every lower order certifies at pole 0.8
         return
     p_inv, p = companion_pair_fraction(
-        Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col)
+        Matrix([kin.input_gain.col(0)]), Matrix(zip(*kin.transition.data)), col)
     assert _dev(ccf.kin_from_form, [list(r) for r in zip(*p[::-1])]) <= horner_tol
     assert _dev(ccf.form_from_kin, [list(r) for r in zip(*p_inv)][::-1]) <= 1e-8
 
@@ -399,9 +413,10 @@ def test_ocf_is_pcf_when_the_read_out_is_the_predictor_row(order, ts):
     assert result.ss_kin.output_row == model.predictor_row()
     ocf, pcf = ocf_realization(result), pcf_realization(result)
     for name in ("transition", "input_gain", "output_row", "kin_from_form", "form_from_kin"):
-        want = getattr(pcf, name).flat()
+        want = [v for row in getattr(pcf, name).data for v in row]
         tol = 1e-8 * max(map(abs, want))
-        assert max_abs_diff(getattr(ocf, name).flat(), want) <= tol, name
+        got = [v for row in getattr(ocf, name).data for v in row]
+        assert max_abs_diff(got, want) <= tol, name
 
 
 @pytest.mark.parametrize("order, ts", [(3, 0.04), (4, 10.0)])
@@ -424,7 +439,7 @@ def test_certification_refuses_a_transform_holding_nan():
     result = design(ObserverSpec.repeated(ProcessModel(3, 0.04), 0.0, lag=2.2e-308))
     with pytest.raises(Unobservable):
         ocf_realization(result)
-    assert all(map(math.isfinite, ccf_realization(result).kin_from_form.flat()))
+    assert all(math.isfinite(v) for row in ccf_realization(result).kin_from_form.data for v in row)
 
 
 @pytest.mark.parametrize("order, ts", [(3, 0.04), (4, 10.0)])
@@ -477,7 +492,7 @@ def test_six_state_lag_one_companion_forms_certify_at_every_time_unit(ts):
     ocf, ccf = ocf_realization(result), ccf_realization(result)
     kin_from_ocf, ocf_from_kin = companion_pair_fraction(kin.output_row, kin.transition, col)
     p_inv, p = companion_pair_fraction(
-        Matrix.row_vector(kin.input_gain.col(0)), Matrix(zip(*kin.transition.data)), col)
+        Matrix([kin.input_gain.col(0)]), Matrix(zip(*kin.transition.data)), col)
     for got, want in ((ocf.kin_from_form, kin_from_ocf), (ocf.form_from_kin, ocf_from_kin),
                       (ccf.kin_from_form, [list(r) for r in zip(*p[::-1])]),
                       (ccf.form_from_kin, [list(r) for r in zip(*p_inv)][::-1])):
@@ -715,29 +730,25 @@ def test_extract_kinematic_is_identity_in_kin_form():
 
 # --- kernel bit-identity ------------------------------------------------------
 
-def triple_loop_product(a, b):
-    """A @ B as one generator sum per entry over k, in order: the product
-    Matrix @ must reproduce bit for bit."""
-    return tuple(
-        tuple(sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols))
-        for i in range(a.rows)
-    )
+def _column(values) -> Matrix:
+    return Matrix([[v] for v in values])
 
 
 def reference_step(ss, w, x):
-    """One step of the recursion written with Matrix products: the updated
+    """One step of the recursion written with :func:`matmul`: the updated
     state and the output read from it."""
-    moved = (ss.transition @ Matrix.column(w)).col(0)
+    moved = matmul(ss.transition, _column(w)).col(0)
     new = [m + h * x for m, h in zip(moved, ss.input_gain.col(0))]
-    return new, (ss.output_row @ Matrix.column(new))[0, 0]
+    return new, matmul(ss.output_row, _column(new))[0, 0]
 
 
 def assert_steps_as_matrix_products(ss, x0, xs):
-    """step, read_output, extract_kinematic and run agree with the Matrix
-    product recursion, compared by repr so signed zeros and nan count."""
+    """step, read_output, extract_kinematic and run agree with the recursion
+    written with :func:`matmul`, compared by repr so signed zeros and nan
+    count."""
     state = initialize_state(ss, x0)
     w = list(state.vector)
-    assert repr(read_output(ss, state)) == repr((ss.output_row @ Matrix.column(w))[0, 0])
+    assert repr(read_output(ss, state)) == repr(matmul(ss.output_row, _column(w))[0, 0])
     ys = []
     for x in xs:
         w, y = reference_step(ss, w, x)
@@ -745,7 +756,7 @@ def assert_steps_as_matrix_products(ss, x0, xs):
         assert repr(state.vector) == repr(w)
         assert repr(read_output(ss, state)) == repr(y)
         assert repr(extract_kinematic(ss, state)) == repr(
-            (ss.kin_from_form @ Matrix.column(w)).col(0))
+            matmul(ss.kin_from_form, _column(w)).col(0))
         ys.append(y)
     again = initialize_state(ss, x0)
     assert repr(run(ss, again, xs)) == repr(ys)
@@ -779,18 +790,15 @@ def test_kernel_is_bit_identical_to_matrix_products(order_deriv, pole, lag, ts, 
             ss = build()
         except (Unobservable, Uncontrollable):
             continue
-        for a, b in ((ss.transition, ss.kin_from_form), (ss.form_from_kin, ss.input_gain),
-                     (ss.output_row, ss.transition), (ss.transition, ss.transition)):
-            assert (a @ b).data == triple_loop_product(a, b)
         assert_steps_as_matrix_products(ss, xs[0], xs[1:])
 
 
 def _model(transition, input_gain, output_row, kin_from_form):
     k = len(transition)
     return StateSpaceModel(
-        form=Form.KIN, transition=Matrix(transition), input_gain=Matrix.column(input_gain),
-        output_row=Matrix.row_vector(output_row), kin_from_form=Matrix(kin_from_form),
-        form_from_kin=Matrix.identity(k),
+        form=Form.KIN, transition=Matrix(transition), input_gain=_column(input_gain),
+        output_row=Matrix([output_row]), kin_from_form=Matrix(kin_from_form),
+        form_from_kin=Matrix([[float(i == j) for j in range(k)] for i in range(k)]),
     )
 
 
@@ -826,8 +834,8 @@ def test_stepped_realization_pickles_and_steps_to_the_same_bits():
 def test_replaced_realization_steps_by_its_own_matrices():
     ss = _reference_design().ss_kin
     step(ss, initialize_state(ss, 1.0), 2.0)
-    other = ss._replace(output_row=Matrix.row_vector([0.0, 1.0, 0.0]),
-                        transition=Matrix.identity(3))
+    other = ss._replace(output_row=Matrix([[0.0, 1.0, 0.0]]),
+                        transition=Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert_steps_as_matrix_products(other, 1.0, [2.0, 3.0])
     # Identity transition: the state moves by the gain column alone, and the
     # output is the velocity entry.
