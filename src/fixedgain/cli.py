@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 from itertools import chain, islice
 from types import SimpleNamespace
 
-from . import _grammar, analyze
+from . import _grammar, analyze, realize
 from .design import DesignResult, ObserverSpec, design, memory_to_pole, pole_to_memory
 from .design import _scaled_gains, _scaled_loop
 from .errors import (
@@ -47,7 +47,6 @@ from .errors import (
 from .poly import from_roots
 from .process import ProcessModel
 from .realize import ccf_realization, ocf_realization, pcf_realization, transfer_coefficients
-from . import realize
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def _noise_gain(result: DesignResult) -> float:
 # ---------------------------------------------------------------------------
 # output helpers
 
-_BLOCK = 1024  # CSV lines per write to stdout
+_BLOCK = 1024  # CSV lines, or filter samples, per write to stdout
 
 
 def _csv_line(fields) -> str:
@@ -215,9 +214,8 @@ def _csv_line(fields) -> str:
 
 
 def _write_lines(header: Sequence[str], lines: Iterable[str]) -> None:
-    """Print the header and the CSV lines, ``_BLOCK`` lines per write, so an
-    unbuffered stdout (``PYTHONUNBUFFERED``) sees one write call per block, not
-    one per line; ``lines`` is consumed lazily, a block at a time."""
+    """Print the header and the CSV lines, ``_BLOCK`` lines per write (one write
+    call per block also when stdout is unbuffered), drawn lazily a block at a time."""
     lines = chain((_csv_line(header),), lines)
     while block := "".join(islice(lines, _BLOCK)):
         sys.stdout.write(block)
@@ -281,25 +279,27 @@ def cmd_filter(args) -> int:
     result = _design_from_args(args)
     # The whole input is validated before the first output line is written.
     chunks, values = _samples._read_samples(args.input)
-    labels = _samples._labels(chunks)  # expanded a chunk at a time, as the rows go out
+    labels = _samples._labels(chunks)  # expanded a chunk at a time, as the blocks go out
     emit_state = args.emit == "state"
-    lines = ()
-    if values:
-        # The loop runs in scaled coordinates, predict then correct
-        # (design._scaled_loop).  Every call goes through the realize module,
-        # once per sample, so a wrapper installed on it before the command
-        # runs sees each one.
-        ss, step, kinematic = _scaled_loop(result), realize.step, realize.extract_kinematic
-        state = realize.initialize_state(ss, values[0])
-        y = realize.read_output(ss, state)
-        first = _csv_line((next(labels), y, *(kinematic(ss, state) if emit_state else ())))
-        rows = zip(labels, islice(values, 1, None))
-        # Computed as _write_lines asks for them; y is stepped before its state is read.
-        lines = chain((first,), (
-            label + "," + ",".join(map(repr, (step(ss, state, x), *kinematic(ss, state)))) + "\n"
-            for label, x in rows) if emit_state
-            else (f"{label},{step(ss, state, x)!r}\n" for label, x in rows))
-    _write_lines(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)], lines)
+    head = _csv_line(["n", "y", *(f"state{i}" for i in range(result.order) if emit_state)])
+    if not values:
+        sys.stdout.write(head)
+        return 0
+    # The loop runs in scaled coordinates, predict then correct (design._scaled_loop).
+    # Every call goes through the realize module, once per sample (realize.run steps
+    # each by realize.step), so a wrapper installed on it beforehand sees each one.
+    ss, step, kinematic = _scaled_loop(result), realize.step, realize.extract_kinematic
+    state = realize.initialize_state(ss, values[0])
+    head += _csv_line((next(labels), realize.read_output(ss, state),
+                       *(kinematic(ss, state) if emit_state else ())))
+    # Sample 0 is read, not stepped; each _BLOCK of samples is stepped and formatted
+    # as one list (y before its state is read), freed once joined for its one write.
+    for xs in (values[i or 1:i + _BLOCK] for i in range(0, len(values), _BLOCK)):
+        sys.stdout.write(head + "".join(
+            [label + "," + ",".join(map(repr, (step(ss, state, x), *kinematic(ss, state)))) + "\n"
+             for x, label in zip(xs, labels)] if emit_state
+            else [f"{label},{y!r}\n" for y, label in zip(realize.run(ss, state, xs), labels)]))
+        head = ""
     return 0
 
 

@@ -985,8 +985,10 @@ def test_filter_prints_any_label_as_csv_writer_does(tmp_path, drawn, start, orde
 @pytest.mark.parametrize("emit", ["position", "state"])
 def test_filter_calls_the_realize_module_once_per_sample(tmp_path, capsys, monkeypatch, emit):
     # A wrapper installed on the realize module before the command runs, as a
-    # per-layer tracer installs one, must see every per-sample call.
-    calls = dict.fromkeys(["initialize_state", "read_output", "step", "extract_kinematic"], 0)
+    # per-layer tracer installs one, must see every per-sample call: run steps
+    # each sample of a position block by the module's step.
+    calls = dict.fromkeys(["initialize_state", "read_output", "run", "step",
+                           "extract_kinematic"], 0)
     for name in calls:
         def counted(*args, name=name, original=getattr(realize, name)):
             calls[name] += 1
@@ -999,7 +1001,8 @@ def test_filter_calls_the_realize_module_once_per_sample(tmp_path, capsys, monke
                                  "--input", str(path), "--emit", emit])
     assert code == 0
     assert len(out.splitlines()) == n + 1
-    assert calls == {"initialize_state": 1, "read_output": 1, "step": n - 1,
+    assert calls == {"initialize_state": 1, "read_output": 1,
+                     "run": 2 if emit == "position" else 0, "step": n - 1,
                      "extract_kinematic": n if emit == "state" else 0}
 
 
@@ -1011,12 +1014,14 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-def test_filter_writes_stdout_a_block_at_a_time(tmp_path, monkeypatch):
+@pytest.mark.parametrize("emit", ["position", "state"])
+def test_filter_writes_stdout_a_block_at_a_time(tmp_path, monkeypatch, emit):
     path = tmp_path / "samples.csv"
     path.write_text("".join(f"{0.25 * n}\n" for n in range(3 * _BLOCK)))
     stdout = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
-    code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path)])
+    code = main(["filter", "--order", "2", "--pole", "0.5", "--input", str(path),
+                 "--emit", emit])
     assert code == 0
     assert len(stdout.getvalue().splitlines()) == 3 * _BLOCK + 1
     assert stdout.writes <= 4  # the header and 3 * _BLOCK rows, in 1,024-row blocks
