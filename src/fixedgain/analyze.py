@@ -77,7 +77,7 @@ def _read_out(deriv: int, lag, ts) -> tuple[float, float]:
 def _check_count(count, least: int, need: str) -> None:
     """Refuse a count that is not an int (tested as check_deriv tests an
     index) from ``least`` to _SAMPLE_CAP, with the message ``need``."""
-    if not (isinstance(count, int) and count >= least):
+    if not (isinstance(count, int) and not isinstance(count, bool) and count >= least):
         raise DimensionMismatch(f"{need}, got {shown(count)}")
     if count > _SAMPLE_CAP:
         raise DimensionMismatch(f"{need} and at most {_SAMPLE_CAP}, got {shown(count)}")
@@ -88,15 +88,14 @@ def _check_normalized(den: tuple) -> None:
         raise NotNormalized(f"denominator must be monic, leading {den[0]!r}")
 
 
-def _recursion(b: tuple, a: tuple, xs, px: Sequence[float], py: Sequence[float]):
-    """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``,
-    from past inputs ``px`` and outputs ``py`` ordered most-recent-first,
-    len(b) - 1 and len(a) - 1 of them, the terms added from b[0] x on;
+def _recursion(b: tuple, a: tuple, xs):
+    """Yield y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] for each x in ``xs``, from
+    rest (zero past inputs and outputs), the terms added from b[0] x on;
     lde_filter and impulse_response share this one loop, so a unit pulse
     gives the same bits through either."""
     b0, b_tail = b[0], b[1:]
     neg_a_tail = [-c for c in a[1:]]
-    px, py = deque(px, maxlen=len(px)), deque(py, maxlen=len(py))
+    px, py = (deque([0.0] * len(tail), len(tail)) for tail in (b_tail, neg_a_tail))
     for x in xs:
         y = reduce(add, map(mul, neg_a_tail, py), reduce(add, map(mul, b_tail, px), b0 * x))
         px.appendleft(x)
@@ -104,28 +103,13 @@ def _recursion(b: tuple, a: tuple, xs, px: Sequence[float], py: Sequence[float])
         yield y
 
 
-def lde_filter(
-    num,
-    den,
-    xs: Sequence[float],
-    prehistory: tuple[Sequence[float], Sequence[float]] | None = None,
-) -> list[float]:
-    """Run the direct recursion y[n] = sum b[k] x[n-k] - sum a[k] y[n-k].
-
-    ``prehistory``, when given, is a pair ``(past_inputs, past_outputs)``
-    ordered most-recent-first (``past_inputs[0]`` is x[-1]).  Missing history
-    is taken as zero, which is the cold-start convention.  A sample or past
-    value that ``float`` refuses raises FixedGainError.
-    """
+def lde_filter(num, den, xs: Sequence[float]) -> list[float]:
+    """Run the direct recursion y[n] = sum b[k] x[n-k] - sum a[k] y[n-k] from
+    rest: every past input and output is zero.  A sample that ``float``
+    refuses raises FixedGainError."""
     b, a = _finite_pair(num, den)
     _check_normalized(a)
-    nb = len(b) - 1
-    na = len(a) - 1
-    past_x, past_y = prehistory if prehistory is not None else ((), ())
-    if len(past_x) > nb or len(past_y) > na:
-        raise DimensionMismatch(f"prehistory longer than coefficient memory ({nb}, {na})")
-    xs, px, py = (numbers(vs, "sample") for vs in (xs, past_x, past_y))
-    return list(_recursion(b, a, xs, px + (0.0,) * (nb - len(px)), py + (0.0,) * (na - len(py))))
+    return list(_recursion(b, a, numbers(xs, "sample")))
 
 
 def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
@@ -150,7 +134,7 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
     dens = ints[len(b):]
     bound = tol * _step_down(ints[:len(b)], dens)
     pulse = chain((1.0,), repeat(0.0))
-    samples = _recursion(b, a, pulse, [0.0] * (len(b) - 1), [0.0] * k)
+    samples = _recursion(b, a, pulse)
     h: list[float] = []
 
     def below(n: int) -> bool:  # tail(n) <= tol * total; a nan bound (inf * 0) holds it
@@ -223,16 +207,11 @@ def _responses(num, den, omegas, zs) -> list[complex]:
 
 
 def frequency_response(num, den, omega) -> complex:
-    """H evaluated at z = exp(i*omega).  ``omega`` is radians per sample;
-    complex values are accepted, and an omega that is not a number raises
-    FixedGainError.  A non-finite response, or an exp(i*omega) past the double
-    range, raises NonFiniteValue."""
-    w = number(omega, "omega", complex, NonFiniteValue)
-    try:
-        z = cmath.exp(1j * w)
-    except OverflowError:
-        raise NonFiniteValue("exp(i*omega) is past the double range") from None
-    return _responses(num, den, (omega,), (z,))[0]
+    """H evaluated at z = exp(i*omega), ``omega`` a real number of radians per
+    sample; an omega that ``float`` refuses raises FixedGainError, a non-finite
+    response NonFiniteValue."""
+    w = number(omega, "omega", error=NonFiniteValue)
+    return _responses(num, den, (w,), (cmath.exp(1j * w),))[0]
 
 
 def white_noise_gain(num, den) -> float:

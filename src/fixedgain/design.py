@@ -182,8 +182,8 @@ def _scaled_loop(result: DesignResult) -> _ScaledLoop:
 def memory_to_pole(memory: float) -> float:
     """Pole with the given memory length in samples: p = exp(-1/memory)."""
     memory = number(memory, "memory length")
-    if not memory > 0.0:
-        raise FixedGainError(f"memory length must be > 0, got {memory!r}")
+    if not 0.0 < memory < math.inf:
+        raise FixedGainError(f"memory length must be finite and > 0, got {memory!r}")
     return math.exp(-1.0 / memory)
 
 

@@ -25,8 +25,8 @@ from .poly import Polynomial
 
 
 def check_deriv(deriv: int, order: int) -> None:
-    """Refuse a read-out derivative that is not an int in 0..order-1."""
-    if not (isinstance(deriv, int) and 0 <= deriv < order):
+    """Refuse a read-out derivative that is not an int in 0..order-1; a bool is not one."""
+    if not (isinstance(deriv, int) and not isinstance(deriv, bool) and 0 <= deriv < order):
         raise DerivativeIndexOutOfRange(
             f"derivative index must be in 0..{order - 1}, got {shown(deriv)}")
 
@@ -56,7 +56,7 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
     __slots__ = ()
 
     def __new__(cls, order: int, ts: float):
-        if not isinstance(order, int) or order < 1 or order > ORDER_CAP:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1 or order > ORDER_CAP:
             raise OrderOutOfRange(f"order must be an integer in 1..{ORDER_CAP}, got {shown(order)}")
         ts = number(ts, "sampling period", error=NonFiniteValue)
         if not math.isfinite(ts):

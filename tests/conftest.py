@@ -422,6 +422,10 @@ BENCH_WNG = {
 BENCH_OPTIMAL_LAG = (3.58, 7.54, 15.52, 23.51, 31.51)
 BENCH_OPTIMAL_WNG = (0.1225, 0.0622, 0.0312, 0.0208, 0.0156)
 
+# A smoother whose noise gain rises with the pole: K = 2, lag 2, repeated pole
+# p -> the exact gain (5/27 at p = 0.5), against "random error falls as p -> 1".
+SMOOTHER_WNG_K2_LAG2 = {0.5: 0.18518518518518517, 0.66: 0.19994333554278082}
+
 
 def max_abs_diff(got, expected) -> float:
     got = list(got)

@@ -29,6 +29,7 @@ from conftest import (
     BENCH_WNG,
     REF_GAIN_KIN,
     REF_NUMERATOR,
+    SMOOTHER_WNG_K2_LAG2,
     _realization_noise_gain,
     argparse_reference_parser,
     column_gap,
@@ -37,6 +38,7 @@ from conftest import (
     matrix_recursion_columns,
     max_abs_diff,
     placed_specs,
+    white_noise_gain_k2,
 )
 import fixedgain
 from fixedgain import (
@@ -253,7 +255,8 @@ def test_verify_document_refuses_unfit_gains_and_poles():
                  lambda d: d["design"].update(lag=math.inf),
                  lambda d: d["design"].update(lag=math.nan),
                  lambda d: d["design"].update(sampling_period=1e200),
-                 lambda d: d["design"].update(order=9)):
+                 lambda d: d["design"].update(order=9),
+                 lambda d: d["design"].update(derivative=True)):  # was read as 1
         broken = json.loads(json.dumps(doc))
         edit(broken)
         with pytest.raises(fixedgain.cli.InputDataError):
@@ -338,6 +341,24 @@ def test_cli_noise_gain_is_the_exact_loop_gain_rounded_once(spec):
     assume(spec.process.order <= 4)
     result = design(spec)
     assert _noise_gain(result) == loop_noise_gain_fraction(result)
+
+
+@pytest.mark.parametrize("lag", [-1.0, 0.0])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_noise_gain_never_rises_with_the_pole_for_a_filter_or_predictor(order, lag):
+    # The paper's claim that random error falls as p -> 1, on p = 0, 0.01, .., 0.99.
+    gains = [_noise_gain(design(ObserverSpec.repeated(ProcessModel(order, 1.0), j / 100, lag=lag)))
+             for j in range(100)]
+    assert all(g <= prev * (1.0 + 1e-12) for prev, g in zip(gains, gains[1:]))
+
+
+def test_smoother_noise_gain_rises_with_the_pole_somewhere():
+    # ... and where it fails: at K = 2, lag 2, p = 0.66 lets more noise through than p = 0.5.
+    gains = {p: _noise_gain(design(ObserverSpec.repeated(ProcessModel(2, 1.0), p, lag=2.0)))
+             for p in SMOOTHER_WNG_K2_LAG2}
+    assert gains == SMOOTHER_WNG_K2_LAG2
+    assert all(g == pytest.approx(white_noise_gain_k2(p, 2.0), rel=1e-14) for p, g in gains.items())
+    assert gains[0.66] > gains[0.5]
 
 
 @pytest.mark.parametrize("ts", [1e-26, 1e-40, 1e25, 1e30])
@@ -1130,6 +1151,9 @@ def test_malformed_pole_list_exits_2(capsys):
     # -lag * ts is -inf although lag and ts are each finite
     ["design", "--order", "3", "--pole", "0.5", "--lag", "1e300", "--ts", "1e10"],
     ["analyze", "--order", "3", "--pole", "0.5", "--lag", "1e300", "--ts", "1e10", "--freq"],
+    # an infinite memory (1e400 reads as inf) is refused by name, not as the pole 1.0
+    ["analyze", "--order", "2", "--memory", "inf", "--wng"],
+    ["analyze", "--order", "2", "--memory", "1e400", "--wng"],
 ])
 def test_non_finite_parameters_exit_2_at_once(capsys, argv):
     start = time.perf_counter()
@@ -1140,6 +1164,14 @@ def test_non_finite_parameters_exit_2_at_once(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert elapsed < 1.0
+
+
+def test_infinite_memory_is_named_and_a_finite_one_past_the_pole_range_is_infeasible(capsys):
+    assert main(["analyze", "--order", "2", "--memory", "inf", "--wng"]) == 2
+    assert "memory length must be finite and > 0, got inf" in capsys.readouterr().err
+    # exp(-1e-17) rounds to the pole 1.0: a design that cannot be built, exit 3
+    assert main(["analyze", "--order", "2", "--memory", "1e17", "--wng"]) == 3
+    assert "got 1.0" in capsys.readouterr().err
 
 
 def test_ts_whose_powers_overflow_exits_2_with_the_ts_message(capsys):

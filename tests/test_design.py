@@ -370,7 +370,7 @@ def test_spec_derivative_index_checked():
         ObserverSpec(ProcessModel(2, 1.0), (0.5, 0.5), deriv=2)
 
 
-@pytest.mark.parametrize("deriv", [1.0, 1.5, 0.0, -1, 3, math.nan, math.inf, "1", None])
+@pytest.mark.parametrize("deriv", [1.0, 1.5, 0.0, -1, 3, math.nan, math.inf, "1", None, True])
 @pytest.mark.parametrize("build", [
     lambda deriv: ObserverSpec(ProcessModel(3, 0.5), (0.5,) * 3, 1.0, deriv),
     lambda deriv: ObserverSpec.repeated(ProcessModel(3, 0.5), 0.5, lag=1.0, deriv=deriv),
@@ -378,7 +378,7 @@ def test_spec_derivative_index_checked():
 ])
 def test_spec_refuses_a_deriv_that_is_not_an_index(build, deriv):
     # A float deriv, even 1.0, was accepted and then failed inside design()
-    # with an untyped TypeError.
+    # with an untyped TypeError; True was read as deriv 1.
     with pytest.raises(DerivativeIndexOutOfRange, match=r"^derivative index must be in 0\.\.2, "):
         build(deriv)
 

@@ -119,6 +119,8 @@ def test_order_validated():
         ProcessModel(0, 1.0)
     with pytest.raises(OrderOutOfRange):
         ProcessModel(9, 1.0)
+    with pytest.raises(OrderOutOfRange, match="got True$"):  # was a first-order model
+        ProcessModel(True, 1.0)
 
 
 def test_sampling_period_validated():
