@@ -38,7 +38,7 @@ from .design import (
     pole_to_memory,
 )
 from .linalg import Matrix
-from .poly import Polynomial, from_roots
+from .poly import from_roots
 from .process import ProcessModel
 from .realize import (
     FilterState,
@@ -65,7 +65,6 @@ __all__ = [
     "GainVectors",
     "Matrix",
     "ObserverSpec",
-    "Polynomial",
     "ProcessModel",
     "StateSpaceModel",
     "ccf_realization",

@@ -54,7 +54,7 @@ _SAMPLE_CAP = 1_000_000
 
 def _finite_pair(num, den) -> tuple[tuple, tuple]:
     """The coefficients of ``(num, den)`` as float tuples, refusing an empty
-    list (as Polynomial does) and a nan or infinite coefficient."""
+    list and a nan or infinite coefficient."""
     b, a = (numbers(p, "transfer coefficient", error=NonFiniteValue) for p in (num, den))
     if not (b and a):
         raise DimensionMismatch("polynomial needs at least one coefficient")
@@ -156,10 +156,10 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
 
 @lru_cache(maxsize=None)
 def _horner_block(steps: int, first: bool, divide: bool):
-    """``block(zs, dvs, acc, c0, ..)``: ``steps`` steps ``acc * z + c`` at each z of
-    ``zs`` from the previous pass's values ``acc``, or if ``first`` the leading
-    coefficient ``acc``; with ``divide``, each over its ``dvs``.  The first step is
-    c0 * z + c1, as in Polynomial.__call__; only a constant is promoted to z's type."""
+    """``block(zs, dvs, acc, c0, ..)``: ``steps`` steps ``acc * z + c`` at each z of ``zs``
+    from the previous pass's values ``acc``, or if ``first`` the leading coefficient
+    ``acc``; with ``divide``, each over its ``dvs``.  The first step is c0 * z + c1, as in
+    Horner's rule from the leading coefficient; only a constant is promoted to z's type."""
     value = ("acc" if steps else "acc * (z * 0 + 1)") if first else "a"
     for j in range(steps):
         value = f"({value}) * z + c{j}"
@@ -184,10 +184,10 @@ def _horner(p: tuple, zs, dvs=None) -> list[complex]:
 
 
 def _responses(num, den, omegas, zs) -> list[complex]:
-    """N(z) / D(z) at each z of ``zs``, bit-identical to Polynomial.__call__ (signed
-    zeros included) for any number of coefficients: each runs over all points in
-    passes of up to 8 Horner steps, N's last dividing by D.  Only a |D| under 1e-12,
-    or one abs() overflows on, has D searched in order: its first zero names omega."""
+    """N(z) / D(z) at each z of ``zs``, bit-identical to Horner's rule from the leading
+    coefficient (signed zeros included) for any number of coefficients: each runs over all
+    points in passes of up to 8 Horner steps, N's last dividing by D.  Only a |D| under
+    1e-12, or one abs() overflows on, has D searched in order: its first zero names omega."""
     b, a = _finite_pair(num, den)
     dvs = _horner(a, zs)
     try:
@@ -378,7 +378,7 @@ def step_response(result, n_max: int) -> list[float]:
     (1, 0, .., 0) up to rounding and each y reads that out.  The response from
     rest is ``lde_filter(num, den, [1.0] * (n_max + 1))``."""
     _check_count(n_max, 0, "step response needs n_max >= 0")
-    ss = result.ss_kin
+    ss = realize._as_design(result, "step_response").ss_kin
     state = realize.initialize_state(ss, 1.0)
     return [realize.read_output(ss, state), *realize.run(ss, state, repeat(1.0, n_max))]
 

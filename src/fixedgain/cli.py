@@ -43,6 +43,7 @@ from .errors import (
     Uncontrollable,
     Unobservable,
     UnstablePoles,
+    numbers,
 )
 from .poly import from_roots
 from .process import ProcessModel
@@ -102,7 +103,7 @@ def design_document(
     certification is dropped from the document (its error message recorded
     under ``realizations_omitted``) instead of aborting the whole document.
     """
-    spec = result.spec
+    spec = realize._as_design(result, "design_document").spec
     model = spec.process
     order = model.order
     ts = model.ts
@@ -128,8 +129,8 @@ def design_document(
         gains.update(zip(("alpha", "beta", "gamma"), scaled[:2] + [4.0 * g for g in scaled[2:]]))
     doc["gains"] = gains
 
-    doc["char_poly"] = list(result.char_poly.coeffs)
-    doc["process_char_poly"] = list(model.char_poly.coeffs)
+    doc["char_poly"] = list(result.char_poly)
+    doc["process_char_poly"] = list(model.char_poly)
     doc["companion_columns"] = {
         "observer": list(realize.companion_column(result.char_poly)),
         "process": list(realize.companion_column(model.char_poly)),
@@ -144,6 +145,8 @@ def design_document(
     realizations = {}
     omitted = {}
     for form in forms:
+        if form not in builders:
+            raise FixedGainError(f"design_document has no form {form!r}")
         try:
             realizations[form] = builders[form]()
         except (Unobservable, Uncontrollable) as exc:
@@ -162,7 +165,7 @@ def design_document(
         doc["realizations_omitted"] = omitted
 
     num, den = transfer_coefficients(result)
-    doc["transfer"] = {"numerator": list(num.coeffs), "denominator": list(den.coeffs)}
+    doc["transfer"] = {"numerator": list(num), "denominator": list(den)}
 
     analysis = {"white_noise_gain": _noise_gain(result)}
     if order == 2 and doc["design"].get("pole", -1.0) >= 0.0:
@@ -184,9 +187,9 @@ def verify_document(doc: dict) -> float:
         spec = doc["design"]
         model = ProcessModel(spec["order"], spec["sampling_period"])
         output = model.output_row(spec["lag"], spec["derivative"]).row(0)
-        poles = [complex(re, im) for re, im in spec["poles"]]
-        gains = [float(g) for g in doc["gains"]["kin"]]
-        want = from_roots([p - 1.0 for p in poles]).coeffs
+        poles = [complex(*numbers((re, im), "pole")) for re, im in spec["poles"]]
+        gains = numbers(doc["gains"]["kin"], "gain")
+        want = from_roots([p - 1.0 for p in poles])
     except (KeyError, TypeError, ValueError) as exc:  # a FixedGainError is a ValueError
         raise InputDataError(f"document design or gains are missing or unusable: {exc}") from exc
     fits = len(gains) == len(poles) == model.order and all(a > 0.0 for a in want[1:])

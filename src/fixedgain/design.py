@@ -119,7 +119,7 @@ def _scaled_gains(poles: Sequence[complex]) -> list[float]:
     For stable poles every factor of D(1+u) has positive coefficients, so
     the a_m carry no cancellation."""
     order = len(poles)
-    a = from_roots([p - 1.0 for p in poles]).coeffs  # a[n] is the u^(K-n) coefficient
+    a = from_roots([p - 1.0 for p in poles])  # a[n] is the u^(K-n) coefficient
     s = _stirling(order)
     return [reduce(add, [s[n][j + 1] * a[n] / math.factorial(n - 1)
                          for n in range(j + 1, order + 1)], 0.0) for j in range(order)]

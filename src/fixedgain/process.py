@@ -21,7 +21,6 @@ from .errors import (
     shown,
 )
 from .linalg import ORDER_CAP, Matrix
-from .poly import Polynomial
 
 
 def check_deriv(deriv: int, order: int) -> None:
@@ -79,9 +78,9 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         return self.transition(self.ts)
 
     @property
-    def char_poly(self) -> Polynomial:
-        """Characteristic polynomial (z - 1)**K: binomial coefficients."""
-        return Polynomial([(-1) ** j * math.comb(self.order, j) for j in range(self.order + 1)])
+    def char_poly(self) -> tuple[float, ...]:
+        """Characteristic polynomial (z - 1)**K: binomial coefficients, as floats."""
+        return tuple([float((-1) ** j * math.comb(self.order, j)) for j in range(self.order + 1)])
 
     def transition(self, t: float) -> Matrix:
         """State transition over a signed time ``t`` (``transition(ts)`` is one

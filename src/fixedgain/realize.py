@@ -50,7 +50,6 @@ from .errors import (
     numbers,
 )
 from .linalg import Matrix, identity_rows
-from .poly import Polynomial
 from .process import ProcessModel
 
 
@@ -250,12 +249,14 @@ def _last_unit_solve(stack: list, error: FixedGainError) -> list[float]:
     return [x for x, in rows]
 
 
-def companion_column(char: Polynomial) -> tuple[float, ...]:
+def companion_column(char) -> tuple[float, ...]:
     """Last column of the companion matrix whose characteristic polynomial
-    is ``char``: entry k is ``-char[K-k]``.  ``char`` must be monic."""
-    if not char.is_monic():
+    has the coefficients ``char`` (descending powers): entry k is
+    ``-char[K-k]``.  ``char`` must be monic, of degree >= 1."""
+    char = numbers(char, "polynomial coefficient")
+    if char and char[0] != 1.0:
         raise NotMonic(f"expected leading coefficient 1, got {char[0]!r}")
-    k = char.degree
+    k = len(char) - 1
     if k < 1:
         raise NotMonic("characteristic polynomial must have degree >= 1")
     return tuple(-char[k - i] for i in range(k))
@@ -429,14 +430,14 @@ def _transfer_ints(result: "DesignResult") -> tuple[list[int], list[int]]:
     return num + [0], den
 
 
-def transfer_coefficients(result: "DesignResult") -> tuple[Polynomial, Polynomial]:
+def transfer_coefficients(result: "DesignResult") -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Numerator/denominator of the filter's transfer function over descending
-    powers of z, K+1 entries each: z P(z - 1) and D(z - 1) of the loop the
-    design runs (:func:`_loop_pair`), exact and rounded once; a coefficient
-    beyond the double range raises NonFiniteValue."""
+    powers of z, float tuples of K+1 entries each: z P(z - 1) and D(z - 1) of
+    the loop the design runs (:func:`_loop_pair`), exact and rounded once; a
+    coefficient beyond the double range raises NonFiniteValue."""
     num, den = _transfer_ints(_as_design(result, "transfer_coefficients"))
     try:
-        return Polynomial([v / den[0] for v in num]), Polynomial([v / den[0] for v in den])
+        return tuple([v / den[0] for v in num]), tuple([v / den[0] for v in den])
     except OverflowError:
         raise NonFiniteValue("transfer coefficients overflow") from None
 

@@ -18,7 +18,9 @@ model once built its rows: the whole transition, the measurement row times
 it, and the complex product for (z - 1)**K.  So is a full-width Gauss-Jordan
 elimination, the reference for the one-vector elimination the observable
 form runs, and the inverse it gives against the identity.  So is the matrix
-product ``Matrix @`` once took, summed left to right (:func:`matmul`).
+product ``Matrix @`` once took, summed left to right (:func:`matmul`), and
+Horner's rule from the leading coefficient (:func:`horner`), whose order of
+operations the frequency response keeps.
 Unit tests check them piecewise; the acceptance module re-checks them end to
 end at its own tolerances.
 """
@@ -38,7 +40,6 @@ from hypothesis import strategies as st
 from fixedgain import (
     Matrix,
     ObserverSpec,
-    Polynomial,
     ProcessModel,
     design,
     extract_kinematic,
@@ -139,7 +140,7 @@ def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
     return Matrix([[g] for g in gains])
 
 
-def second_order_transfer(pole: float, lag: float) -> tuple[Polynomial, Polynomial]:
+def second_order_transfer(pole: float, lag: float) -> tuple[tuple, tuple]:
     """Closed-form numerator/denominator of the order-2 smoother with both
     poles at ``pole`` and read-out lag ``lag`` (which may be fractional), as
     ``transfer_coefficients`` of the pipeline design must give them."""
@@ -147,14 +148,12 @@ def second_order_transfer(pole: float, lag: float) -> tuple[Polynomial, Polynomi
     q = float(lag)
     if not 0.0 <= p < 1.0:
         raise UnstablePoles(f"repeated pole must satisfy 0 <= p < 1, got {p!r}")
-    num = Polynomial(
-        [
-            (q * p + p - q + 1.0) * (1.0 - p),
-            -(q * p + 2.0 * p - q) * (1.0 - p),
-            0.0,
-        ]
+    num = (
+        (q * p + p - q + 1.0) * (1.0 - p),
+        -(q * p + 2.0 * p - q) * (1.0 - p),
+        0.0,
     )
-    den = Polynomial([1.0, -2.0 * p, p * p])
+    den = (1.0, -2.0 * p, p * p)
     return num, den
 
 
@@ -381,7 +380,7 @@ def transfer_numerator_fraction(ss, char_poly) -> tuple[float, ...]:
     Cayley-Hamilton recursion on the float coefficients of ``char_poly``."""
     return _numerator_recursion([[Fraction(v) for v in row] for row in ss.transition.data],
                                 [Fraction(v) for v in ss.input_gain.col(0)],
-                                [Fraction(v) for v in ss.output_row.row(0)], char_poly.coeffs)
+                                [Fraction(v) for v in ss.output_row.row(0)], char_poly)
 
 
 def loop_transfer_fraction(result) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -432,6 +431,16 @@ def max_abs_diff(got, expected) -> float:
     expected = list(expected)
     assert len(got) == len(expected)
     return max(abs(complex(g) - complex(e)) for g, e in zip(got, expected))
+
+
+def horner(coeffs, z):
+    """``coeffs`` (descending powers) at ``z`` by Horner's rule from the leading
+    coefficient, c0 * z + c1 first; only a constant is promoted to z's type.
+    The frequency response keeps this order of operations bit for bit."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc if len(coeffs) > 1 else acc * (z * 0 + 1)
 
 
 def noisy_polynomial(rng, order: int, rows: int) -> list[float]:
@@ -588,16 +597,16 @@ def _realization_noise_gain(ss) -> float:
     raise NonConvergent("transition does not contract: the noise-gain series does not converge")
 
 
-def realized_char_poly(result) -> Polynomial:
+def realized_char_poly(result) -> tuple[float, ...]:
     """Characteristic polynomial of the assembled closed loop, recovered by
     rotating the kinematic transition into companion coordinates and reading
     its last column.  Agrees with ``result.char_poly`` up to roundoff."""
     kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
     rotated = matmul(matmul(pcf_from_kin, result.ss_kin.transition), kin_from_pcf)
-    return Polynomial([1.0] + [-c for c in reversed(rotated.col(-1))])
+    return (1.0, *[-c for c in reversed(rotated.col(-1))])
 
 
-def placement_residual(char: Polynomial, poles) -> float:
+def placement_residual(char, poles) -> float:
     """Largest scaled magnitude of ``char`` (and its derivatives, up to each
     pole's multiplicity) over the requested pole set.  Zero means the
     polynomial vanishes exactly where it should."""
@@ -609,9 +618,9 @@ def placement_residual(char: Polynomial, poles) -> float:
     for pole, mult in counts.items():
         d = char
         for _ in range(mult):
-            scale = max(1.0, max(abs(c) for c in d.coeffs))
-            worst = max(worst, abs(d(pole)) / scale)
-            d = Polynomial([(d.degree - k) * c for k, c in enumerate(d.coeffs[:-1])] or [0.0])
+            scale = max(1.0, max(abs(c) for c in d))
+            worst = max(worst, abs(horner(d, pole)) / scale)
+            d = tuple([(len(d) - 1 - k) * c for k, c in enumerate(d[:-1])] or [0.0])
     return worst
 
 
@@ -623,7 +632,7 @@ def taylor_transition(order: int, t: float) -> Matrix:
                     for j in range(order)] for i in range(order)])
 
 
-def process_char_poly_product(order: int) -> Polynomial:
+def process_char_poly_product(order: int) -> tuple[float, ...]:
     """(z - 1)**K as the complex product over K roots at 1."""
     return from_roots([1.0] * order)
 

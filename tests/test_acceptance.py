@@ -98,11 +98,11 @@ def test_reference_third_order_design_constants(reference_design, capsys):
     printed = max(
         max_abs_diff(r.gains.pcf.col(0), REF_GAIN_PCF),
         max_abs_diff(r.gains.kin.col(0), REF_GAIN_KIN),
-        max_abs_diff(r.char_poly.coeffs, REF_CHAR),
+        max_abs_diff(r.char_poly, REF_CHAR),
         _mat_dev(r.ss_kin.transition, REF_CLOSED_LOOP_4DP),
         _mat_dev(kin_from_pcf, REF_KIN_FROM_PCF),
         max_abs_diff(ocf.input_gain.col(0), REF_GAIN_OCF),
-        max_abs_diff(num.coeffs, REF_NUMERATOR),
+        max_abs_diff(num, REF_NUMERATOR),
     )
 
     # Independent routes to the same quantities must agree far tighter than
@@ -117,7 +117,7 @@ def test_reference_third_order_design_constants(reference_design, capsys):
     closed = closed_form_gains(order, REF_POLE, REF_TS).col(0)
     consistency = max(
         _mat_dev(kin_via_transform, [[v] for v in r.gains.kin.col(0)]),
-        max_abs_diff(realized_char_poly(r).coeffs, r.char_poly.coeffs),
+        max_abs_diff(realized_char_poly(r), r.char_poly),
         _mat_dev(matmul(kin_from_pcf, pcf_from_kin), identity),
         max_abs_diff(num_via_ocf, num_via_ccf),
         _mat_dev(r.ss_kin.transition, rebuilt_loop),
@@ -207,8 +207,8 @@ def test_two_sample_delay_limit(capsys):
         num, den = transfer_coefficients(_repeated(3, ts, 0.0, 2.0))
         worst = max(
             worst,
-            max_abs_diff(num.coeffs, (0.0, 0.0, 1.0, 0.0)),
-            max_abs_diff(den.coeffs, (1.0, 0.0, 0.0, 0.0)),
+            max_abs_diff(num, (0.0, 0.0, 1.0, 0.0)),
+            max_abs_diff(den, (1.0, 0.0, 0.0, 0.0)),
             abs(white_noise_gain(num, den) - 1.0),
             max(abs(abs(h) - 1.0) for _, h in frequency_grid(num, den, 1024)),
         )
@@ -339,8 +339,8 @@ def test_second_order_transfer_closed_form_grid(capsys):
             cnum, cden = second_order_transfer(pole, lag)
             worst = max(
                 worst,
-                max_abs_diff(num.coeffs, cnum.coeffs),
-                max_abs_diff(den.coeffs, cden.coeffs),
+                max_abs_diff(num, cnum),
+                max_abs_diff(den, cden),
             )
 
     ok = worst <= 1e-9

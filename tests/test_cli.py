@@ -263,6 +263,22 @@ def test_verify_document_refuses_unfit_gains_and_poles():
             verify_document(broken)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["gains"]["kin"].__setitem__(0, 10**400),
+    lambda d: d["design"]["poles"][0].__setitem__(0, 10**400),
+    lambda d: d["design"]["poles"][0].__setitem__(1, -10**400),
+], ids=["gain", "pole-real-part", "pole-imaginary-part"])
+def test_verify_document_refuses_a_number_past_the_double_range(edit):
+    # float() raised an untyped OverflowError on these ints.
+    broken = json.loads(json.dumps(design_document(design(
+        ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)))))
+    edit(broken)
+    with pytest.raises(fixedgain.cli.InputDataError,
+                       match="^document design or gains are missing or unusable: "
+                             "(gain|pole) is past the double range$"):
+        verify_document(broken)
+
+
 def test_design_omits_uncertifiable_form(capsys):
     # With the default --form all, a form whose transform fails certification
     # is dropped from the document (with a note) instead of failing the run;
@@ -293,8 +309,8 @@ def test_design_keeps_its_transfer_where_the_companion_forms_fail(capsys):
     assert set(doc["realizations_omitted"]) == {"ocf", "ccf"}
     num, den = transfer_coefficients(
         design(ObserverSpec.repeated(ProcessModel(6, 1.0), 0.9, lag=2.0)))
-    assert doc["transfer"] == {"numerator": list(num.coeffs), "denominator": list(den.coeffs)}
-    assert all(map(math.isfinite, num.coeffs))
+    assert doc["transfer"] == {"numerator": list(num), "denominator": list(den)}
+    assert all(map(math.isfinite, num))
 
     code, out = run_cli(capsys, ["analyze", *argv, "--freq"])
     assert code == 0

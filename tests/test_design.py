@@ -35,7 +35,6 @@ from fixedgain import (
     GainVectors,
     Matrix,
     ObserverSpec,
-    Polynomial,
     ProcessModel,
     companion_matrix,
     design,
@@ -67,11 +66,27 @@ def test_companion_column_of_integrator_chain():
     assert companion_column(char) == (1.0, -3.0, 3.0)
 
 
+def test_companion_column_takes_any_coefficient_sequence(reference_design):
+    for char in (ProcessModel(3, 1.0).char_poly, reference_design.char_poly):
+        want = companion_column(char)
+        assert companion_column(list(char)) == companion_column(iter(char)) == want
+    assert companion_column([1, -3, 3, -1]) == (1.0, -3.0, 3.0)
+
+
 def test_companion_column_requires_monic():
-    with pytest.raises(NotMonic):
-        companion_column(Polynomial([2.0, 1.0]))
-    with pytest.raises(NotMonic):
-        companion_column(Polynomial([1.0]))
+    with pytest.raises(NotMonic, match=r"^expected leading coefficient 1, got 2\.0$"):
+        companion_column([2.0, 1.0])
+    for char in ([1.0], []):
+        with pytest.raises(NotMonic, match="^characteristic polynomial must have degree >= 1$"):
+            companion_column(char)
+
+
+def test_polynomials_are_float_tuples(reference_design):
+    # The design document prints these lists: an int coefficient would print as 1, not 1.0.
+    num, den = transfer_coefficients(reference_design)
+    for poly in (ProcessModel(3, 1.0).char_poly, reference_design.char_poly, num, den):
+        assert type(poly) is tuple and len(poly) == 4
+        assert all(type(c) is float for c in poly), poly
 
 
 def test_pcf_gain_is_columnwise_gap(reference_design):
@@ -140,7 +155,7 @@ def test_reference_design_gains(reference_design):
 
 
 def test_reference_design_char_poly(reference_design):
-    assert max_abs_diff(reference_design.char_poly.coeffs, REF_CHAR) < 1e-13
+    assert max_abs_diff(reference_design.char_poly, REF_CHAR) < 1e-13
 
 
 def test_reference_design_closed_loop(reference_design):
@@ -205,15 +220,15 @@ def test_placement_residual_small_over_random_designs():
 
 def test_realized_char_poly_recovers_design_polynomial(reference_design):
     got = realized_char_poly(reference_design)
-    assert max_abs_diff(got.coeffs, reference_design.char_poly.coeffs) < 1e-10
+    assert max_abs_diff(got, reference_design.char_poly) < 1e-10
 
 
 def test_placement_residual_counts_multiplicity():
     # (z - 0.5)**2 has residual zero at the double pole, but a simple shift of
     # one root must show up through the derivative term.
-    exact = Polynomial([1.0, -1.0, 0.25])
+    exact = (1.0, -1.0, 0.25)
     assert placement_residual(exact, [0.5, 0.5]) < 1e-15
-    shifted = Polynomial([1.0, -1.001, 0.2505])
+    shifted = (1.0, -1.001, 0.2505)
     assert placement_residual(shifted, [0.5, 0.5]) > 1e-5
 
 
@@ -227,7 +242,7 @@ def test_gains_are_the_exact_ackermann_gains_rounded(spec):
     order = model.order
     got = design(spec).gains.kin.col(0)
     want = ackermann_gains_fraction(spec.poles, model.ts)
-    a = from_roots([p - 1.0 for p in spec.poles]).coeffs
+    a = from_roots([p - 1.0 for p in spec.poles])
     s = _stirling(order)
     for j, (g, w) in enumerate(zip(got, want)):
         scale = math.factorial(j) / Fraction(model.ts) ** j * sum(
@@ -281,8 +296,8 @@ def test_first_order_design_is_exponential_smoother():
     p = 0.65
     result = design(ObserverSpec.repeated(ProcessModel(1, 1.0), p))
     num, den = transfer_coefficients(result)
-    assert num.coeffs == pytest.approx((1.0 - p, 0.0), abs=1e-12)
-    assert den.coeffs == pytest.approx((1.0, -p), abs=1e-12)
+    assert num == pytest.approx((1.0 - p, 0.0), abs=1e-12)
+    assert den == pytest.approx((1.0, -p), abs=1e-12)
 
 
 # --- closed-form gains -------------------------------------------------------

@@ -35,7 +35,7 @@ from fixedgain.poly import from_roots
 
 PUBLIC_NAMES = (
     "DesignResult", "FilterState", "Form", "GainVectors", "Matrix", "ObserverSpec",
-    "Polynomial", "ProcessModel", "StateSpaceModel", "ccf_realization",
+    "ProcessModel", "StateSpaceModel", "ccf_realization",
     "companion_matrix", "design", "errors", "extract_kinematic", "flatness_check",
     "flatness_profile", "flatness_targets", "frequency_grid", "frequency_response",
     "from_roots", "impulse_response", "initialize_state", "lde_filter",
@@ -46,18 +46,20 @@ PUBLIC_NAMES = (
 
 # Closed forms and float routes that are test oracles in conftest (the last
 # two, which the design document's placement gap replaced), a deleted stack
-# builder and names used only inside the package (companion_column and
+# builder, names used only inside the package (companion_column and
 # pcf_transform live in fixedgain.realize, where the realizations and the
-# design document build them on request): none of them is package surface.
+# design document build them on request) and the deleted polynomial class,
+# whose coefficients are float tuples now: none of them is package surface.
 REMOVED_NAMES = (
     "closed_form_gains", "controllability_matrix", "observability_matrix",
     "pcf_gain", "second_order_transfer", "white_noise_gain_k2",
     "companion_column", "pcf_transform", "placement_residual", "realized_char_poly",
+    "Polynomial",
 )
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(fixedgain.__all__) == sorted(PUBLIC_NAMES)
     assert len(set(fixedgain.__all__)) == len(fixedgain.__all__)
     for name in fixedgain.__all__:
@@ -161,7 +163,7 @@ _NUM, _DEN = fixedgain.transfer_coefficients(_RESULT)
     (lambda: _MODEL.transition(BIG), NonFiniteValue),
     (lambda: _MODEL.output_row(BIG), NonFiniteValue),
     (lambda: fixedgain.initialize_state(_RESULT.ss_kin, BIG), FixedGainError),
-    (lambda: fixedgain.Polynomial([1.0, BIG]), FixedGainError),
+    (lambda: fixedgain.realize.companion_column([1.0, BIG]), FixedGainError),
     (lambda: fixedgain.Matrix([[1.0, BIG]]), FixedGainError),
     (lambda: fixedgain.companion_matrix([BIG, 0.5]), FixedGainError),
     (lambda: fixedgain.from_roots([BIG]), NonFiniteValue),
@@ -195,7 +197,7 @@ _NUMBER_SITES = [
     ("transition", _MODEL.transition, float),
     ("output-row", _MODEL.output_row, float),
     ("first-sample", lambda v: fixedgain.initialize_state(_RESULT.ss_kin, v), float),
-    ("polynomial", lambda v: fixedgain.Polynomial([1.0, v]), float),
+    ("polynomial", lambda v: fixedgain.realize.companion_column([1.0, v]), float),
     ("matrix", lambda v: fixedgain.Matrix([[1.0, v]]), float),
     ("companion", lambda v: fixedgain.companion_matrix([v, 0.5]), float),
     ("roots", lambda v: fixedgain.from_roots([v]), complex),
@@ -204,7 +206,7 @@ _NUMBER_SITES = [
     ("omega", lambda v: fixedgain.frequency_response(_NUM, _DEN, v), complex),
 ]
 _LIST_SITES = [
-    ("polynomial-list-none", fixedgain.Polynomial),
+    ("polynomial-list-none", fixedgain.realize.companion_column),
     ("noise-gain-list-none", lambda v: fixedgain.white_noise_gain(v, _DEN)),
     ("poles-list-none", lambda v: fixedgain.ObserverSpec(_MODEL, v)),
     ("roots-list-none", fixedgain.from_roots),
@@ -237,8 +239,14 @@ def _state():
     (lambda: fixedgain.pcf_realization(None), "pcf_realization needs a DesignResult"),
     (lambda: fixedgain.ocf_realization(None), "ocf_realization needs a DesignResult"),
     (lambda: fixedgain.ccf_realization(_MODEL), "ccf_realization needs a DesignResult"),
+    (lambda: fixedgain.step_response(None, 3), "step_response needs a DesignResult"),
+    (lambda: fixedgain.step_response(_MODEL, 3), "step_response needs a DesignResult"),
+    (lambda: fixedgain.cli.design_document(None), "design_document needs a DesignResult"),
+    (lambda: fixedgain.cli.design_document(_RESULT, forms=("xyz",)),
+     "design_document has no form 'xyz'"),
 ], ids=["matrix-rows", "run-samples", "design", "design-of-a-model", "transfer", "pcf", "ocf",
-        "ccf-of-a-model"])
+        "ccf-of-a-model", "step-response", "step-response-of-a-model", "design-document",
+        "design-document-form"])
 def test_a_value_that_is_not_a_record_or_list_raises_a_typed_error(call, needed):
     with pytest.raises(FixedGainError, match=needed) as caught:
         call()
@@ -290,13 +298,13 @@ def _dot(u, v):
 @pytest.mark.parametrize("order, pole, lag", [(8, 0.8, 1.0), (7, 0.7, 0.5), (8, 0.3, 2.0)])
 def test_the_printed_sums_add_left_to_right(order, pole, lag):
     poles = (pole,) * order
-    a, s = from_roots([p - 1.0 for p in poles]).coeffs, _stirling(order)
+    a, s = from_roots([p - 1.0 for p in poles]), _stirling(order)
     assert _scaled_gains(poles) == [
         _left_to_right([s[n][j + 1] * a[n] / math.factorial(n - 1)
                         for n in range(j + 1, order + 1)]) for j in range(order)]
     spec = fixedgain.ObserverSpec.repeated(fixedgain.ProcessModel(order, 1.0), pole, lag=lag)
     num, den = fixedgain.transfer_coefficients(fixedgain.design(spec))
-    b, a = num.coeffs, den.coeffs
+    b, a = num, den
     assert fixedgain.steady_state_step(num, den) == _left_to_right(b) / _left_to_right(a)
     xs = [math.sin(0.3 * n) + 0.01 * n for n in range(40)]
     want, px, py = [], [0.0] * order, [0.0] * order  # most recent first

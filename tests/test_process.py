@@ -41,7 +41,7 @@ def test_measurement_row_picks_position():
 def test_char_poly_is_binomial_expansion():
     # All process poles at z = 1, so the coefficients alternate binomially.
     for order in range(1, 6):
-        got = ProcessModel(order, 0.1).char_poly.coeffs
+        got = ProcessModel(order, 0.1).char_poly
         want = [(-1.0) ** j * math.comb(order, j) for j in range(order + 1)]
         assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
 

@@ -249,7 +249,7 @@ def test_ccf_output_row_is_numerator():
     result = _reference_design()
     ccf = ccf_realization(result)
     num, _ = transfer_coefficients(result)
-    assert max_abs_diff(ccf.output_row.row(0), num.coeffs[:3]) < 1e-9
+    assert max_abs_diff(ccf.output_row.row(0), num[:3]) < 1e-9
 
 
 def test_ccf_first_order():
@@ -355,7 +355,7 @@ def test_dual_ccf_matches_numpy_controllability_reference(order, ts, lag):
     a = np.array(result.ss_kin.transition.data)
     b = np.array(result.ss_kin.input_gain.data)
     t = np.eye(order, k=-1)
-    t[0] = [-c for c in result.char_poly.coeffs[1:]]
+    t[0] = [-c for c in result.char_poly[1:]]
     e1 = np.eye(order)[:, :1]
     ctrb_kin = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(order)])
     ctrb_can = np.hstack([np.linalg.matrix_power(t, k) @ e1 for k in range(order)])
@@ -453,8 +453,8 @@ def test_certified_fallback_keeps_transfer_exact(order, ts):
     want_num[1] = 1.0
     want_den = [0.0] * (order + 1)
     want_den[0] = 1.0
-    assert max_abs_diff(num.coeffs, want_num) < 1e-12
-    assert max_abs_diff(den.coeffs, want_den) < 1e-12
+    assert max_abs_diff(num, want_num) < 1e-12
+    assert max_abs_diff(den, want_den) < 1e-12
 
 
 def _certifies(build, result) -> bool:
@@ -503,7 +503,7 @@ def test_six_state_lag_one_companion_forms_certify_at_every_time_unit(ts):
 
 def test_reference_transfer_coefficients():
     num, den = transfer_coefficients(_reference_design())
-    assert max_abs_diff(num.coeffs, REF_NUMERATOR) < 1e-12
+    assert max_abs_diff(num, REF_NUMERATOR) < 1e-12
     assert num[3] == 0.0
     assert den[0] == 1.0
 
@@ -525,8 +525,8 @@ def test_transfer_structural_invariants():
 def test_deadbeat_transfer_at_lag_0_passes_the_input_through():
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.0, lag=0.0))
     num, den = transfer_coefficients(result)
-    assert num.coeffs == pytest.approx((1.0, 0.0, 0.0), abs=1e-13)
-    assert den.coeffs == pytest.approx((1.0, 0.0, 0.0), abs=1e-13)
+    assert num == pytest.approx((1.0, 0.0, 0.0), abs=1e-13)
+    assert den == pytest.approx((1.0, 0.0, 0.0), abs=1e-13)
 
 
 def test_ocf_and_ccf_routes_agree():
@@ -554,13 +554,13 @@ def test_transfer_numerator_is_the_exact_recursion_rounded(spec):
     num, den = transfer_coefficients(result)
     # Bit for bit the exact pair of the loop F - k p, rounded once.
     exact_num, exact_den = transfer_pair_fraction(result)
-    assert num.coeffs == tuple(map(float, exact_num))
-    assert den.coeffs == tuple(map(float, exact_den))
+    assert num == tuple(map(float, exact_num))
+    assert den == tuple(map(float, exact_den))
     # And bit for bit the Cayley-Hamilton recursion on that exact loop, with
     # its characteristic polynomial from traces: no Sherman-Morrison step.
     want, want_den = loop_transfer_fraction(result)
     assert num[-1] == 0.0 and len(num) == spec.process.order + 1
-    assert num.coeffs == want and den.coeffs == want_den
+    assert num == want and den == want_den
 
 
 @pytest.mark.parametrize("lag", [-1.0, 0.0, 1.0, 2.0, 3.0])
@@ -570,26 +570,26 @@ def test_transfer_at_high_order_and_lag(order, lag):
     # read off the kinematic realization, does not depend on them.
     result = design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.8, lag=lag))
     num, _ = transfer_coefficients(result)
-    assert all(map(math.isfinite, num.coeffs))
-    scale = max(map(abs, num.coeffs))
+    assert all(map(math.isfinite, num))
+    scale = max(map(abs, num))
     want = transfer_numerator_fraction(result.ss_kin, result.char_poly)
-    assert max_abs_diff(num.coeffs, want) <= 1e-12 * scale
+    assert max_abs_diff(num, want) <= 1e-12 * scale
     try:
         via_ocf = ocf_realization(result).input_gain.col(0)[::-1]
     except Unobservable:
         return
-    assert max_abs_diff(num.coeffs[:-1], via_ocf) <= 1e-12 * scale
+    assert max_abs_diff(num[:-1], via_ocf) <= 1e-12 * scale
 
 
 def test_second_order_transfer_examples():
     num, den = second_order_transfer(0.0, 0.0)
-    assert num.coeffs == (1.0, 0.0, 0.0)
-    assert den.coeffs == (1.0, 0.0, 0.0)
+    assert num == (1.0, 0.0, 0.0)
+    assert den == (1.0, 0.0, 0.0)
     num, den = second_order_transfer(0.5, 1.0)
-    assert den.coeffs == (1.0, -1.0, 0.25)
-    assert num.coeffs == pytest.approx((0.5, -0.25, 0.0), abs=1e-15)
+    assert den == (1.0, -1.0, 0.25)
+    assert num == pytest.approx((0.5, -0.25, 0.0), abs=1e-15)
     # unity dc gain: coefficient sums match
-    assert sum(num.coeffs) == pytest.approx(sum(den.coeffs), abs=1e-15)
+    assert sum(num) == pytest.approx(sum(den), abs=1e-15)
 
 
 def test_second_order_transfer_matches_pipeline_fractional_lag():
@@ -597,8 +597,8 @@ def test_second_order_transfer_matches_pipeline_fractional_lag():
         result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), p, lag=q))
         num, den = transfer_coefficients(result)
         cnum, cden = second_order_transfer(p, q)
-        assert max_abs_diff(num.coeffs, cnum.coeffs) < 1e-10
-        assert max_abs_diff(den.coeffs, cden.coeffs) < 1e-10
+        assert max_abs_diff(num, cnum) < 1e-10
+        assert max_abs_diff(den, cden) < 1e-10
 
 
 def test_second_order_transfer_rejects_bad_pole():
@@ -613,7 +613,7 @@ def test_transfer_is_continuous_in_pole():
     bumped, _ = transfer_coefficients(
         design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5 + 1e-6, lag=1.0))
     )
-    assert max_abs_diff(base.coeffs, bumped.coeffs) < 1e-4
+    assert max_abs_diff(base, bumped) < 1e-4
 
 
 # --- state handling ----------------------------------------------------------
