@@ -7,14 +7,16 @@ ill-conditioned to mean anything, so the cap is enforced at construction.
 Storage is an immutable tuple of row tuples.
 
 The package's one summation rule: a float sum adds left to right from 0.0, as
-``reduce(add, terms, 0.0)`` does, never by ``sum``, which compensates its
-rounding from CPython 3.12 on.  So no printed number depends on the interpreter.
+``reduce(add, terms, 0.0)`` does, never by ``sum``, which compensates its rounding
+from CPython 3.12 on, so no printed number depends on the interpreter; over a state
+dimension it is :func:`_dot`, that sum written out and compiled.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from types import FunctionType
 
 from .errors import DimensionMismatch, FixedGainError, numbers
 
@@ -82,3 +84,15 @@ def identity_rows(n: int) -> tuple:
     """The rows of the n x n identity, built and checked once per n; wrap them
     with ``Matrix._of`` for a matrix of one's own."""
     return Matrix([[float(i == j) for j in range(n)] for i in range(n)]).data
+
+
+@lru_cache(maxsize=None)
+def _dot(k: int) -> FunctionType:
+    """``dot(a, b)`` = 0.0 + a0*b0 + ... + a{k-1}*b{k-1} of two length-k sequences, compiled on
+    first use for k in 1..ORDER_CAP; another length raises ValueError as it is unpacked."""
+    if not 1 <= k <= ORDER_CAP:
+        raise DimensionMismatch(f"no dot product of length {k}: the cap is {ORDER_CAP}")
+    a, b = (", ".join(f"{v}{j}" for j in range(k)) for v in "ab")
+    exec(f"def dot(a, b):\n    {a}, = a\n    {b}, = b\n    return 0.0 + "
+         + " + ".join(f"a{j} * b{j}" for j in range(k)), namespace := {})
+    return namespace["dot"]

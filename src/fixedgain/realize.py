@@ -36,10 +36,12 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache, reduce
-from operator import add, mul, or_, sub
+from itertools import repeat
+from operator import mul, or_, sub
 from types import CodeType, FunctionType
 
 from .errors import (
+    DimensionMismatch,
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
@@ -49,7 +51,7 @@ from .errors import (
     number,
     numbers,
 )
-from .linalg import Matrix, identity_rows
+from .linalg import Matrix, _dot, identity_rows
 from .process import ProcessModel
 
 
@@ -83,22 +85,21 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         return self.transition.rows
 
     def _advance(self, w: list, x: float) -> float:
-        """One step of ``w`` in place, by a left-to-right product; the
-        output read from the updated state.  ``float(x - 0.0)`` is x's own
-        double; a complex or str sample raises TypeError before ``w`` moves."""
-        x = float(x - 0.0)
-        w[:] = [reduce(add, map(mul, row, w), 0.0) + h * x
+        """Step ``w`` in place and read the output from it.  ``float(x - 0.0)`` is x's double;
+        a complex or str x raises TypeError, a w of another length ValueError, before w moves."""
+        x, dot = float(x - 0.0), _dot(self.order)
+        w[:] = [dot(row, w) + h * x
                 for row, (h,) in zip(self.transition.data, self.input_gain.data)]
-        return reduce(add, map(mul, self.output_row.data[0], w), 0.0)
+        return dot(self.output_row.data[0], w)
 
     def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
-        return tuple([reduce(add, map(mul, row, w), 0.0) for row in self.kin_from_form.data])
+        return tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
-        return [reduce(add, map(mul, row, kin), 0.0) for row in self.form_from_kin.data]
+        return list(map(_dot(self.order), self.form_from_kin.data, repeat(kin)))
 
     def _output(self, w: Sequence[float]) -> float:
-        return reduce(add, map(mul, self.output_row.data[0], w), 0.0)
+        return _dot(self.order)(self.output_row.data[0], w)
 
 
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
@@ -132,7 +133,7 @@ class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
         return list(map(mul, self.from_kin, kin))
 
     def _output(self, z: Sequence[float]) -> float:
-        return reduce(add, map(mul, self.output, z), 0.0)
+        return _dot(self.order)(self.output, z)
 
 
 # Globals of the compiled scaled kernel: its source calls float.
@@ -206,17 +207,16 @@ def _observable_form(
     (:func:`_last_unit_solve`).  A singular stack raises ``error``.
     """
     k = len(column)
-    columns = tuple(zip(*rows_a))
+    dot, columns = _dot(k), tuple(zip(*rows_a))
     stack = [c]
     for _ in range(k - 1):
-        stack.append(tuple([reduce(add, map(mul, stack[-1], a), 0.0) for a in columns]))
+        stack.append(tuple([dot(stack[-1], a) for a in columns]))
     krylov = [_last_unit_solve(stack, error)]
     for _ in range(k - 1):
-        krylov.append([reduce(add, map(mul, a, krylov[-1]), 0.0) for a in rows_a])
+        krylov.append([dot(a, krylov[-1]) for a in rows_a])
     horner = [c]
     for g in column[:0:-1]:
-        horner.append(tuple([reduce(add, map(mul, horner[-1], a), 0.0) - g * v
-                             for a, v in zip(columns, c)]))
+        horner.append(tuple([dot(horner[-1], a) - g * v for a, v in zip(columns, c)]))
     return tuple(zip(*krylov)), tuple(horner[::-1])
 
 
@@ -301,17 +301,16 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
     field is wrapped once."""
     kin = result.ss_kin
     kin_from_form, form_from_kin = pair
-    columns_a = tuple(zip(*kin.transition.data))
+    dot, columns_a = _dot(kin.order), tuple(zip(*kin.transition.data))
     columns_s = tuple(zip(*kin_from_form))
-    b = kin.input_gain.col(0)
-    tb = [reduce(add, map(mul, t, b), 0.0) for t in form_from_kin]
-    cs = [reduce(add, map(mul, kin.output_row.data[0], s), 0.0) for s in columns_s]
+    tb = list(map(dot, form_from_kin, repeat(kin.input_gain.col(0))))
+    cs = [dot(kin.output_row.data[0], s) for s in columns_s]
     gain = gain or tuple(tb)  # a field mapped across gaps 0 from itself, nan if not finite
     row = row or tuple(cs)
     gaps = [*map(sub, tb, gain), *map(sub, cs, row)]
     for t, want_a in zip(form_from_kin, transition):
-        ta = [reduce(add, map(mul, t, a), 0.0) for a in columns_a]
-        gaps += [reduce(add, map(mul, ta, s), 0.0) - want for s, want in zip(columns_s, want_a)]
+        ta = [dot(t, a) for a in columns_a]
+        gaps += [dot(ta, s) - want for s, want in zip(columns_s, want_a)]
     residual = max([abs(v) if v == v else math.inf for v in gaps])
     if residual > _CERTIFY_TOL:
         raise error(
@@ -454,20 +453,23 @@ def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return ss._output(state.vector)
+    try:
+        return ss._output(state.vector)
+    except ValueError:  # a vector of another length fails to unpack, as in step
+        raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     """Advance one sample: w <- transition @ w + input_gain * x, then return
     the output read from the updated state.  Mutates ``state`` in place.
 
-    Each dot product, here and in extract_kinematic, is a left-to-right
-    product, then a state entry adds ``h * x``.  The scaled loop runs the
-    same loop by predict and correct, compiled (:func:`_scaled_code`).
+    Each dot product, here and in extract_kinematic, is the summation rule compiled
+    for the realization's order (``linalg._dot``), then a state entry adds ``h * x``.
+    The scaled loop runs the same loop by predict and correct (:func:`_scaled_code`).
 
-    A sample that is not a real number in the double range (a str, None, a
-    complex, an int past it) raises FixedGainError and leaves the state as
-    it was."""
+    A sample that is not a real number in the double range (a str, None, a complex,
+    an int past it) raises FixedGainError, and a state vector of another length
+    DimensionMismatch; neither moves the state."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
@@ -475,6 +477,8 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     except (OverflowError, TypeError):  # raised before the state is written
         raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
                              " in the double range") from None
+    except ValueError:  # the vector fails to unpack before it is written
+        raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
 
 
 def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[float]:
@@ -486,9 +490,11 @@ def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[fl
 
 
 def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, ...]:
-    """Current state mapped back to kinematic coordinates
-    (position, velocity, ... regardless of the realization's form): each
-    row of ``kin_from_form`` summed as in :func:`step`."""
+    """Current state mapped back to kinematic coordinates (position, velocity,
+    ... in any form): each row of ``kin_from_form`` summed as in :func:`step`."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    return ss._kinematic(state.vector)
+    try:
+        return ss._kinematic(state.vector)
+    except ValueError:  # a vector of another length fails to unpack, as in step
+        raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None

@@ -1,14 +1,22 @@
 """The realizations' matrix carrier, and the reference product and
 elimination, against numpy as the independent reference."""
 
+import os
 import random
+import subprocess
+import sys
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fixedgain
 from conftest import SingularMatrix, gauss_jordan_full, inverse, matmul
 from fixedgain import Matrix
 from fixedgain.errors import DimensionMismatch
+from fixedgain.linalg import _dot
 
 
 def _random_matrix(rng, n, m=None):
@@ -122,3 +130,50 @@ def test_solve_is_the_inverse_column_for_column():
     b = Matrix(_random_matrix(rng, 3, 2))
     x = gauss_jordan_full(Matrix(_random_matrix(rng, 3)), b)
     assert (x.rows, len(x.row(0))) == (3, 2)
+
+
+# --- the compiled dot product --------------------------------------------------
+
+# nan, the infinities, signed zeros, subnormals and the extremes whose
+# products overflow to inf (and inf - inf to nan) or underflow to zero.
+EDGE_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1e308, 1e200, -1e-200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())] * 2),
+    min_size=k, max_size=k)))
+@example([(-0.0, 5.0)])  # 0.0 + -0.0 is 0.0: the sum starts from 0.0
+@example([(1.0, 1.0), (1e-16, 1.0), (-1.0, 1.0)])  # 0.0 left to right, 1.1e-16 right to left
+@example([(1e308, 10.0), (5e-324, 0.5), (-1e308, 10.0)])  # inf + -inf: nan
+def test_compiled_dot_is_the_left_to_right_sum(pairs):
+    # _dot(k) is the package's summation rule written out: the same terms,
+    # in the same order, from the same 0.0, so repr agrees bit for bit.
+    a, b = map(list, zip(*pairs))
+    assert repr(_dot(len(a))(a, b)) == repr(reduce(add, map(mul, a, b), 0.0))
+    assert repr(_dot(len(a))(tuple(a), b)) == repr(reduce(add, map(mul, a, b), 0.0))
+
+
+@pytest.mark.parametrize("k", [0, 9, -1, 100_000])
+def test_compiled_dot_refuses_a_length_outside_the_order_cap(k):
+    with pytest.raises(DimensionMismatch, match=f"^no dot product of length {k}: the cap is 8$"):
+        _dot(k)
+
+
+def test_compiled_dot_refuses_a_sequence_of_another_length():
+    dot = _dot(3)
+    for a, b in (([1.0] * 3, [1.0] * 2), ([1.0] * 3, [1.0] * 4), ([1.0] * 2, [1.0] * 3),
+                 ([1.0] * 3, [1.0] * 100_000)):
+        with pytest.raises(ValueError, match="unpack"):
+            dot(a, b)
+
+
+def test_importing_the_package_compiles_no_dot_product():
+    code = ("import fixedgain, fixedgain.cli; from fixedgain import linalg; "
+            "print(linalg._dot.cache_info().currsize)")
+    root = os.path.dirname(os.path.dirname(fixedgain.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

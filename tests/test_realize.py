@@ -58,7 +58,8 @@ from fixedgain.errors import (
 )
 from fixedgain.cli import design_document
 from fixedgain.design import _scaled_loop
-from fixedgain.realize import _last_unit_solve, companion_column
+from fixedgain.linalg import _dot
+from fixedgain.realize import _last_unit_solve, _scaled_code, companion_column
 
 
 def _reference_design():
@@ -641,6 +642,37 @@ def test_step_rejects_mismatched_state():
         read_output(pcf, state)
     with pytest.raises(FormMismatch):
         extract_kinematic(pcf, state)
+
+
+def _wrong_length_calls(ss, state):
+    return {"step": lambda: step(ss, state, 1.0), "read_output": lambda: read_output(ss, state),
+            "extract_kinematic": lambda: extract_kinematic(ss, state)}
+
+
+@pytest.mark.parametrize("length", [0, 2, 4, 100_000])
+def test_a_state_vector_of_another_length_is_refused_and_kept(length):
+    # Every form unpacks its state in its first product, so a vector that is
+    # not of the realization's order is refused before anything is written.
+    result = _reference_design()
+    for ss in _realizations(result):
+        assert ss.order == 3
+        state = initialize_state(ss, 1.0)
+        for call in _wrong_length_calls(ss, state).values():
+            call()  # every product and kernel of this order is built now
+        built = [(c.misses, c.currsize) for c in (_dot.cache_info(), _scaled_code.cache_info())]
+        vector = [0.5] * length
+        state.vector = vector
+        for name, call in _wrong_length_calls(ss, state).items():
+            with pytest.raises(DimensionMismatch,
+                               match="^state vector length is not the order 3$"):
+                call()
+            assert state.vector is vector and vector == [0.5] * length, (ss.form, name)
+        assert [(c.misses, c.currsize) for c in (_dot.cache_info(),
+                                                 _scaled_code.cache_info())] == built
+        # A vector of the right length still steps, in place.
+        state.vector = [0.5] * 3
+        step(ss, state, 1.0)
+        assert len(state.vector) == 3 and state.vector != [0.5] * 3
 
 
 def test_pure_delay_impulse_from_rest():
