@@ -10,7 +10,7 @@ Typical use:
     >>> from fixedgain import ProcessModel, ObserverSpec, design
     >>> model = ProcessModel(order=2, ts=0.1)
     >>> result = design(ObserverSpec.repeated(model, pole=0.8, lag=1.0))
-    >>> result.gains.kin.col(0)
+    >>> result.gains.kin
     (0.35999999999999993, 0.3999999999999998)
 """
 

@@ -79,18 +79,11 @@ def _design_from_args(args) -> DesignResult:
 # ---------------------------------------------------------------------------
 # document assembly
 
-def _matrix_rows(m) -> list[list[float]]:
-    return [list(row) for row in m.data]
-
-
 def _realization_entry(ss) -> dict:
-    return {
-        "transition": _matrix_rows(ss.transition),
-        "input_gain": list(ss.input_gain.col(0)),
-        "output_row": list(ss.output_row.row(0)),
-        "kin_from_form": _matrix_rows(ss.kin_from_form),
-        "form_from_kin": _matrix_rows(ss.form_from_kin),
-    }
+    """The realization's five fields by name, each matrix as rows and each vector flat."""
+    rows = {name: list(map(list, getattr(ss, name).data)) for name in ss._fields[1:]}
+    return {**rows, "input_gain": list(ss.input_gain.col(0)),
+            "output_row": list(ss.output_row.row(0))}
 
 
 def design_document(
@@ -123,7 +116,7 @@ def design_document(
         if 0.0 < first.real < 1.0:
             doc["design"]["memory"] = pole_to_memory(first.real)
 
-    gains = {"kin": list(result.gains.kin.col(0)), "pcf": list(result.gains.pcf.col(0))}
+    gains = {"kin": list(result.gains.kin), "pcf": list(result.gains.pcf)}
     if order <= 3:  # the scaled gains g_j the filter runs: gamma = 2 ts^2 k_2 = 4 g_2
         scaled = _scaled_gains(spec.poles)
         gains.update(zip(("alpha", "beta", "gamma"), scaled[:2] + [4.0 * g for g in scaled[2:]]))
@@ -154,12 +147,10 @@ def design_document(
                 raise
             omitted[form] = str(exc)
     pcf = realizations.get("pcf")  # its transform pair is the PCF pair
-    kin_from_pcf, pcf_from_kin = ((pcf.kin_from_form, pcf.form_from_kin) if pcf is not None
-                                  else realize.pcf_transform(model))
-    doc["transforms"] = {
-        "kin_from_pcf": _matrix_rows(kin_from_pcf),
-        "pcf_from_kin": _matrix_rows(pcf_from_kin),
-    }
+    kin_from_pcf, pcf_from_kin = ((pcf.kin_from_form.data, pcf.form_from_kin.data)
+                                  if pcf is not None else realize.pcf_transform(model))
+    doc["transforms"] = {"kin_from_pcf": list(map(list, kin_from_pcf)),
+                         "pcf_from_kin": list(map(list, pcf_from_kin))}
     doc["realizations"] = {form: _realization_entry(ss) for form, ss in realizations.items()}
     if omitted:
         doc["realizations_omitted"] = omitted
@@ -186,7 +177,7 @@ def verify_document(doc: dict) -> float:
     try:
         spec = doc["design"]
         model = ProcessModel(spec["order"], spec["sampling_period"])
-        output = model.output_row(spec["lag"], spec["derivative"]).row(0)
+        output = model.output_row(spec["lag"], spec["derivative"])
         poles = [complex(*numbers((re, im), "pole")) for re, im in spec["poles"]]
         gains = numbers(doc["gains"]["kin"], "gain")
         want = from_roots([p - 1.0 for p in poles])

@@ -79,7 +79,7 @@ class ObserverSpec(namedtuple("ObserverSpec", "process poles lag deriv")):
 
 
 class GainVectors(namedtuple("GainVectors", "kin pcf")):
-    """Correction gain in both coordinate systems (K x 1 columns)."""
+    """Correction gain in both coordinate systems, each a float K-tuple."""
 
     __slots__ = ()
 
@@ -147,23 +147,21 @@ def design(spec: ObserverSpec) -> DesignResult:
         if abs(p) >= 1.0:
             raise UnstablePoles(f"pole {p} is not strictly inside the unit circle")
     char, proc, k = from_roots(spec.poles), model.char_poly, model.order
-    gains = list(map(mul, _to_kin(model.ts, k), _scaled_gains(spec.poles)))
+    gains = tuple(map(mul, _to_kin(model.ts, k), _scaled_gains(spec.poles)))
     if not all(map(math.isfinite, gains)):
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
-    gain_kin_vec = Matrix._of(tuple([(g,) for g in gains]))
-    gain_pcf_vec = Matrix._of(tuple([(char[k - i] - proc[k - i],) for i in range(k)]))
-    f = model.transition_matrix.data  # F - k p, p = F's first row: one product an entry
+    f = model.transition_matrix  # F - k p, p = F's first row: one product an entry
     ss_kin = StateSpaceModel(
         form=Form.KIN,
         transition=Matrix._of(tuple([tuple([v - g * u for v, u in zip(row, f[0])])
                                      for row, g in zip(f, gains)])),
-        input_gain=gain_kin_vec,
-        output_row=model.output_row(spec.lag, spec.deriv),
+        input_gain=Matrix._of(tuple(zip(gains))),
+        output_row=Matrix._of((model.output_row(spec.lag, spec.deriv),)),
         kin_from_form=Matrix._of(identity_rows(k)),
         form_from_kin=Matrix._of(identity_rows(k)),
     )
-    return DesignResult(spec=spec, gains=GainVectors(kin=gain_kin_vec, pcf=gain_pcf_vec),
-                        char_poly=char, ss_kin=ss_kin)
+    pcf = tuple([char[k - i] - proc[k - i] for i in range(k)])
+    return DesignResult(spec, GainVectors(gains, pcf), char, ss_kin)
 
 
 def _scaled_loop(result: DesignResult) -> _ScaledLoop:

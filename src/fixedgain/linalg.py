@@ -1,10 +1,10 @@
-"""The carrier of a realization's small dense real matrices.
+"""The carrier of a realization record's small dense real matrices.
 
-A :class:`Matrix` holds no arithmetic: the package computes on its row tuples.
-It is sized for state dimensions of at most :data:`ORDER_CAP` (8): beyond
-that the observability products the realizations are built from are too
-ill-conditioned to mean anything, so the cap is enforced at construction.
-Storage is an immutable tuple of row tuples.
+A :class:`Matrix` holds no arithmetic: the package computes on row tuples, and
+returns every other matrix as one.  It is sized for state dimensions of at most
+:data:`ORDER_CAP` (8): beyond that the observability products the realizations
+are built from are too ill-conditioned to mean anything, so the cap is enforced
+at construction.  Storage is an immutable tuple of row tuples.
 
 The package's one summation rule: a float sum adds left to right from 0.0, as
 ``reduce(add, terms, 0.0)`` does, never by ``sum``, which compensates its rounding
@@ -35,14 +35,10 @@ class Matrix:
             data = tuple([numbers(row, "matrix entry") for row in rows])
         except TypeError:
             raise FixedGainError(f"Matrix needs iterable rows, not {type(rows).__name__}") from None
-        if not data or not data[0]:
-            raise DimensionMismatch("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(map(width.__ne__, map(len, data))):
+        width = len(data[0]) if data else 0
+        if width and any(map(width.__ne__, map(len, data))):
             raise DimensionMismatch("ragged rows")
-        if len(data) > ORDER_CAP or width > ORDER_CAP:
-            raise DimensionMismatch(f"matrix {len(data)}x{width} exceeds the"
-                                    f" {ORDER_CAP}x{ORDER_CAP} cap")
+        _check_shape(len(data), width)
         self.data = data
 
     @classmethod
@@ -52,21 +48,11 @@ class Matrix:
         m.data = data
         return m
 
-    # --- shape / access ---
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, ij) -> float:
-        i, j = ij
-        return self.data[i][j]
-
     def row(self, i: int) -> tuple:
         return self.data[i]
 
     def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        return tuple([row[j] for row in self.data])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.data == other.data
@@ -79,11 +65,19 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+def _check_shape(rows: int, cols: int, what: str = "matrix") -> None:
+    """Refuse a shape of ``what`` with no entry or past the cap."""
+    if not rows or not cols:
+        raise DimensionMismatch(f"{what} must have at least one row and column")
+    if rows > ORDER_CAP or cols > ORDER_CAP:
+        raise DimensionMismatch(f"{what} {rows}x{cols} exceeds the {ORDER_CAP}x{ORDER_CAP} cap")
+
+
 @lru_cache(maxsize=None)
 def identity_rows(n: int) -> tuple:
-    """The rows of the n x n identity, built and checked once per n; wrap them
-    with ``Matrix._of`` for a matrix of one's own."""
-    return Matrix([[float(i == j) for j in range(n)] for i in range(n)]).data
+    """The rows of the n x n identity, built once per n in 1..ORDER_CAP."""
+    _check_shape(n, n)
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from .errors import (
     number,
     shown,
 )
-from .linalg import ORDER_CAP, Matrix
+from .linalg import ORDER_CAP
 
 
 def check_deriv(deriv: int, order: int) -> None:
@@ -73,8 +73,8 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         return cls(*fields)
 
     @property
-    def transition_matrix(self) -> Matrix:
-        """K x K one-step transition (upper-triangular Toeplitz)."""
+    def transition_matrix(self) -> tuple[tuple[float, ...], ...]:
+        """Rows of the K x K one-step transition (upper-triangular Toeplitz)."""
         return self.transition(self.ts)
 
     @property
@@ -82,17 +82,13 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         """Characteristic polynomial (z - 1)**K: binomial coefficients, as floats."""
         return tuple([float((-1) ** j * math.comb(self.order, j)) for j in range(self.order + 1)])
 
-    def transition(self, t: float) -> Matrix:
-        """State transition over a signed time ``t`` (``transition(ts)`` is one
+    def transition(self, t: float) -> tuple[tuple[float, ...], ...]:
+        """Rows of the transition over a signed time ``t`` (``transition(ts)`` is one
         step): the closed form ``t**k / k!`` is exact, as the chain is nilpotent."""
         t = number(t, "transition time", error=NonFiniteValue)
-        return Matrix._of(tuple([_taylor_row(self.order, t, i) for i in range(self.order)]))
+        return tuple([_taylor_row(self.order, t, i) for i in range(self.order)])
 
-    def predictor_row(self) -> Matrix:
-        """Row 0 of the one-step transition: the position implied for the next sample."""
-        return Matrix._of((_taylor_row(self.order, self.ts, 0),))
-
-    def output_row(self, lag: float, deriv: int = 0) -> Matrix:
+    def output_row(self, lag: float, deriv: int = 0) -> tuple[float, ...]:
         """Read-out row for the ``deriv``-th derivative at ``lag`` samples back.
 
         Row ``deriv`` of the transition over ``-lag * ts`` seconds.  ``lag``
@@ -101,4 +97,4 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
         """
         check_deriv(deriv, self.order)
         lag = number(lag, "lag", error=NonFiniteValue)
-        return Matrix._of((_taylor_row(self.order, -lag * self.ts, deriv),))
+        return _taylor_row(self.order, -lag * self.ts, deriv)

@@ -51,8 +51,8 @@ from .errors import (
     number,
     numbers,
 )
-from .linalg import Matrix, _dot, identity_rows
-from .process import ProcessModel
+from .linalg import ORDER_CAP, Matrix, _check_shape, _dot, identity_rows
+from .process import ProcessModel, _taylor_row
 
 
 class Form(str, enum.Enum):
@@ -76,13 +76,32 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
     """One realization: w[n] = transition @ w[n-1] + input_gain * x[n],
     y[n] = output_row @ w[n] (the output uses the *updated* state).  The K x K
     transition, K x 1 input gain and 1 x K output row are in ``form``
-    coordinates; ``kin_from_form`` maps its state into kinematic ones."""
+    coordinates; ``kin_from_form`` maps its state into kinematic ones.  Every
+    construction, ``_replace`` too, refuses other shapes or K > ORDER_CAP."""
 
     __slots__ = ()
 
+    def __new__(cls, form, transition, input_gain, output_row, kin_from_form, form_from_kin):
+        rows = a, b, c, s, t = (transition.data, input_gain.data, output_row.data,
+                                kin_from_form.data, form_from_kin.data)
+        k = len(a)  # the order: one compare of every other side against it
+        if (len(a[0]), len(b), len(b[0]), len(c), len(c[0]), len(s), len(s[0]), len(t),
+                len(t[0])) != (k, k, 1, 1, k, k, k, k, k) or k > ORDER_CAP:
+            _check_shape(k, k, "transition")
+            for name, m, want in zip(cls._fields[1:], rows,
+                                     [(k, k), (k, 1), (1, k), (k, k), (k, k)]):
+                if (len(m), len(m[0])) != want:
+                    raise DimensionMismatch(f"{name} is {len(m)}x{len(m[0])}, not %dx%d" % want)
+        return tuple.__new__(cls, (form, transition, input_gain, output_row, kin_from_form,
+                                   form_from_kin))
+
+    @classmethod
+    def _make(cls, fields) -> StateSpaceModel:  # _replace builds its copy here
+        return cls(*fields)
+
     @property
     def order(self) -> int:
-        return self.transition.rows
+        return len(self.transition.data)
 
     def _advance(self, w: list, x: float) -> float:
         """Step ``w`` in place and read the output from it.  ``float(x - 0.0)`` is x's double;
@@ -178,18 +197,14 @@ class FilterState:
         return f"FilterState(form={self.form!r}, vector={self.vector!r})"
 
 
-def companion_matrix(column: Sequence[float]) -> Matrix:
-    """Companion matrix with the given last column over a shifted identity.
+def companion_matrix(column: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """Rows of the companion matrix with the given last column over a shifted identity.
 
     For column (g0, .., g_{K-1}) this is the K x K matrix whose last column is
     the given one and whose first K-1 columns are the identity shifted down
     one row -- the transition-matrix shape shared by the PCF and OCF forms.
     """
-    return Matrix._of(_companion_rows(numbers(column, "companion column entry")))
-
-
-def _companion_rows(column: tuple) -> tuple:
-    """The rows of :func:`companion_matrix` of a float ``column``."""
+    column = numbers(column, "companion column entry")
     rows = identity_rows(len(column))  # rotated down one row, last column dropped
     return tuple([row[:-1] + (g,) for row, g in zip(rows[-1:] + rows[:-1], column)])
 
@@ -262,9 +277,9 @@ def companion_column(char) -> tuple[float, ...]:
     return tuple(-char[k - i] for i in range(k))
 
 
-def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
-    """Similarity pair ``(kin_from_pcf, pcf_from_kin)`` between kinematic and
-    process-companion coordinates.
+def pcf_transform(model: ProcessModel) -> tuple[tuple, tuple]:
+    """Rows of the similarity pair ``(kin_from_pcf, pcf_from_kin)`` between
+    kinematic and process-companion coordinates.
 
     F(ts) = S^-1 F(1) S with S = diag(ts^j), and the predictor row scales
     alike, so the pair (T1^-1, T1) of ts = 1 is built once per order, by
@@ -274,16 +289,15 @@ def pcf_transform(model: ProcessModel) -> tuple[Matrix, Matrix]:
     unit_kin_from_pcf, unit_pcf_from_kin = _unit_pcf_transform(model.order)
     down = [model.ts ** -j for j in range(model.order)]  # finite: ProcessModel checks both
     up = [model.ts ** j for j in range(model.order)]
-    return (Matrix._of(tuple([tuple([v * d for v in row])
-                              for row, d in zip(unit_kin_from_pcf, down)])),
-            Matrix._of(tuple([tuple(map(mul, row, up)) for row in unit_pcf_from_kin])))
+    return (tuple([tuple([v * d for v in row]) for row, d in zip(unit_kin_from_pcf, down)]),
+            tuple([tuple(map(mul, row, up)) for row in unit_pcf_from_kin]))
 
 
 @lru_cache(maxsize=None)
 def _unit_pcf_transform(order: int) -> tuple[tuple, tuple]:
     """The rows of the ts = 1 pair, built once per order."""
-    model = ProcessModel(order, 1.0)
-    return _observable_form(model.predictor_row().row(0), model.transition_matrix.data,
+    model = ProcessModel(order, 1.0)  # row 0 of its transition predicts
+    return _observable_form(model.transition_matrix[0], model.transition_matrix,
                             companion_column(model.char_poly),
                             Unobservable("process/predictor pair is not observable at this order"))
 
@@ -333,10 +347,10 @@ def _as_design(result, what: str) -> "DesignResult":
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
-    pair = [m.data for m in pcf_transform(_as_design(result, "pcf_realization").spec.process)]
+    pair = pcf_transform(_as_design(result, "pcf_realization").spec.process)
     return _certified(result, Form.PCF, Unobservable,
-                      _companion_rows(companion_column(result.char_poly)), pair,
-                      gain=result.gains.pcf.col(0))
+                      companion_matrix(companion_column(result.char_poly)), pair,
+                      gain=result.gains.pcf)
 
 
 def ocf_realization(result: "DesignResult") -> StateSpaceModel:
@@ -353,7 +367,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     kin, col = _as_design(result, "ocf_realization").ss_kin, companion_column(result.char_poly)
     pair = _observable_form(kin.output_row.row(0), kin.transition.data, col,
                             Unobservable("closed-loop pair is not observable; cannot reach OCF"))
-    return _certified(result, Form.OCF, Unobservable, _companion_rows(col), pair,
+    return _certified(result, Form.OCF, Unobservable, companion_matrix(col), pair,
                       row=identity_rows(kin.order)[-1])
 
 
@@ -371,12 +385,10 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     transform identities and :class:`Uncontrollable` is raised when the
     construction or certification fails.
     """
-    kin = _as_design(result, "ccf_realization").ss_kin
-    col = companion_column(result.char_poly)
+    kin, col = _as_design(result, "ccf_realization").ss_kin, companion_column(result.char_poly)
     p_inv, p = _observable_form(
         kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
-        Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"),
-    )
+        Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"))
     pair = tuple(zip(*p[::-1])), tuple(zip(*p_inv))[::-1]
     rows = identity_rows(kin.order)
     return _certified(result, Form.CCF, Uncontrollable, (col[::-1],) + rows[:-1], pair,
@@ -401,7 +413,7 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
     lead; divided by their common power of two, they are canonical, the same
     for every exact similarity of the loop."""
     k = model.order
-    ints, x = _ints([*model.predictor_row().row(0)[1:], *gains, *output])
+    ints, x = _ints([*_taylor_row(k, model.ts, 0)[1:], *gains, *output])  # F's row 0
     g, v, c = ints[:k - 1], ints[k - 1:2 * k - 1], ints[2 * k - 1:]
     heads, nums = [], []  # (N^j k)_0 over 2**((j + 1) x), c N^j k over 2**((j + 2) x)
     for _ in range(k):
@@ -420,7 +432,7 @@ def _loop_pair(model, gains: Sequence[float], output: Sequence[float]) -> tuple[
 def _transfer_ints(result: "DesignResult") -> tuple[list[int], list[int]]:
     """z P(z - 1) and D(z - 1) of the design's loop (:func:`_loop_pair`) over
     descending powers of z, as integers over D's lead, a power of two."""
-    den, num = _loop_pair(result.spec.process, result.gains.kin.col(0),
+    den, num = _loop_pair(result.spec.process, result.gains.kin,
                           result.ss_kin.output_row.row(0))
     for poly in (den, num):  # Taylor shift by -1: u = z - 1
         for i in range(len(poly) - 1):
@@ -457,6 +469,8 @@ def read_output(ss: StateSpaceModel, state: FilterState) -> float:
         return ss._output(state.vector)
     except ValueError:  # a vector of another length fails to unpack, as in step
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
+    except (OverflowError, TypeError):  # an entry that is not a double, as in step
+        raise FixedGainError("state vector is not a list of numbers in the double range") from None
 
 
 def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
@@ -468,15 +482,19 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
     The scaled loop runs the same loop by predict and correct (:func:`_scaled_code`).
 
     A sample that is not a real number in the double range (a str, None, a complex,
-    an int past it) raises FixedGainError, and a state vector of another length
-    DimensionMismatch; neither moves the state."""
+    an int past it) raises FixedGainError, as does a state vector that is not a list
+    of them; a vector of another length raises DimensionMismatch.  None moves the state."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
         return ss._advance(state.vector, x)
     except (OverflowError, TypeError):  # raised before the state is written
-        raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
-                             " in the double range") from None
+        try:  # a sample that converts alone leaves the vector at fault
+            float(x - 0.0)
+        except (OverflowError, TypeError):
+            raise FixedGainError(f"a sample of type {type(x).__name__} is not a number"
+                                 " in the double range") from None
+        raise FixedGainError("state vector is not a list of numbers in the double range") from None
     except ValueError:  # the vector fails to unpack before it is written
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
 
@@ -498,3 +516,5 @@ def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, .
         return ss._kinematic(state.vector)
     except ValueError:  # a vector of another length fails to unpack, as in step
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
+    except (OverflowError, TypeError):  # an entry that is not a double, as in step
+        raise FixedGainError("state vector is not a list of numbers in the double range") from None

@@ -116,9 +116,9 @@ def reference_design():
     return design(ObserverSpec.repeated(model, REF_POLE, lag=REF_LAG))
 
 
-def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
-    """Kinematic gain column for a repeated real pole, orders 1-3, in closed
-    form.  The pipeline's gains must match it to roundoff."""
+def closed_form_gains(order: int, pole: float, ts: float) -> tuple[float, ...]:
+    """Kinematic gains for a repeated real pole, orders 1-3, in closed form.
+    The pipeline's gains must match them to roundoff."""
     p = float(pole)
     ts = float(ts)
     if not 0.0 <= p < 1.0:
@@ -137,7 +137,7 @@ def closed_form_gains(order: int, pole: float, ts: float) -> Matrix:
         ]
     else:
         raise ValueError(f"closed-form gains cover orders 1-3, got {order}")
-    return Matrix([[g] for g in gains])
+    return tuple(gains)
 
 
 def second_order_transfer(pole: float, lag: float) -> tuple[tuple, tuple]:
@@ -289,8 +289,8 @@ def companion_pair_fraction(row, transition, column) -> tuple[list, list]:
     exactly on its float inputs: Horner's rows t_(K-1) = c,
     t_(i-1) = t_i A - g_i c, and the Krylov matrix [x, Ax, ..] of the x
     that solves c A^i x = [i == K-1], all in Fractions."""
-    a = [[Fraction(v) for v in r] for r in transition.data]
-    c = [Fraction(v) for v in row.row(0)]
+    a = [[Fraction(v) for v in r] for r in transition]
+    c = [Fraction(v) for v in row]
     k = len(c)
     stack, h = [], c
     for i in range(k):
@@ -390,10 +390,10 @@ def loop_transfer_fraction(result) -> tuple[tuple[float, ...], tuple[float, ...]
     c_m I) and the numerator by the Cayley-Hamilton recursion on it, so no
     step is shared with the pair's Sherman-Morrison form."""
     model = result.spec.process
-    k = [Fraction(v) for v in result.gains.kin.col(0)]
-    p = [Fraction(v) for v in model.predictor_row().row(0)]
+    k = [Fraction(v) for v in result.gains.kin]
+    p = [Fraction(v) for v in model.transition_matrix[0]]
     a = [[Fraction(v) - g * w for v, w in zip(row, p)]
-         for row, g in zip(model.transition_matrix.data, k)]
+         for row, g in zip(model.transition_matrix, k)]
     order, coeffs = len(k), [Fraction(1)]
     m = [[Fraction(int(i == j)) for j in range(order)] for i in range(order)]
     for step in range(1, order + 1):
@@ -451,27 +451,34 @@ def noisy_polynomial(rng, order: int, rows: int) -> list[float]:
             for n in range(rows)]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, each entry summed left to right from 0.0 by the
+def rows_of(m) -> tuple:
+    """The row tuples of a realization's ``Matrix`` field, or of rows given as such."""
+    return m.data if isinstance(m, Matrix) else tuple(map(tuple, m))
+
+
+def matmul(a, b) -> tuple[tuple[float, ...], ...]:
+    """The rows of the product a b of two matrices given by their rows (or as
+    realization fields), each entry summed left to right from 0.0 by the
     package's rule, ``reduce(add, map(mul, row, col), 0.0)``: the reference a
     realization's steps and maps meet bit for bit."""
-    columns = tuple(zip(*b.data))
-    assert len(a.row(0)) == len(columns[0]), "inner dimensions differ"
-    return Matrix._of(tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in columns])
-                             for row in a.data]))
+    columns = tuple(zip(*rows_of(b)))
+    a = rows_of(a)
+    assert len(a[0]) == len(columns[0]), "inner dimensions differ"
+    return tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in columns])
+                  for row in a])
 
 
 def matrix_recursion_columns(ss, xs) -> list[list[float]]:
     """The columns y, state0, .., state(K-1) of the recursion of ``ss``
     written with :func:`matmul` over ``xs``: w <- G w + h x from the first
     sample's state, y = c w, kinematic state = T w."""
-    w = matmul(ss.form_from_kin, Matrix([[xs[0]]] + [[0.0]] * (ss.order - 1)))
+    w = matmul(ss.form_from_kin, [[xs[0]]] + [[0.0]] * (ss.order - 1))
     rows = []
     for n, x in enumerate(xs):
         if n:
-            moved = matmul(ss.transition, w).col(0)
-            w = Matrix([[m + h * x] for m, h in zip(moved, ss.input_gain.col(0))])
-        rows.append((matmul(ss.output_row, w)[0, 0], *matmul(ss.kin_from_form, w).col(0)))
+            moved = [m for m, in matmul(ss.transition, w)]
+            w = [[m + h * x] for m, h in zip(moved, ss.input_gain.col(0))]
+        rows.append((matmul(ss.output_row, w)[0][0], *[v for v, in matmul(ss.kin_from_form, w)]))
     return [list(column) for column in zip(*rows)]
 
 
@@ -495,25 +502,28 @@ class SingularMatrix(FixedGainError):
     has no usable inverse."""
 
 
-def inverse(m: Matrix) -> Matrix:
-    """``m`` inverted by :func:`gauss_jordan_full` against the identity; a
-    non-square ``m`` raises DimensionMismatch, a singular one SingularMatrix."""
-    return gauss_jordan_full(m, Matrix._of(identity_rows(m.rows)))
+def inverse(m) -> tuple[tuple[float, ...], ...]:
+    """The rows of ``m`` (rows, or a Matrix) inverted by :func:`gauss_jordan_full`
+    against the identity; a non-square ``m`` raises DimensionMismatch, a
+    singular one SingularMatrix."""
+    return gauss_jordan_full(m, identity_rows(len(rows_of(m))))
 
 
-def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
-    """The X with ``a @ X == rhs`` by Gauss-Jordan elimination of the rows of
+def gauss_jordan_full(a, rhs) -> tuple[tuple[float, ...], ...]:
+    """The rows of the X with ``a @ X == rhs`` (each given by its rows, or as a
+    Matrix) by Gauss-Jordan elimination of the rows of
     ``a`` extended by those of ``rhs``: partial pivoting on the largest
     magnitude, a pivot refused when it is at most 1e-12 times the largest
     magnitude its row had before elimination, multiplication by the
     reciprocal pivot, and every step updating every column of the extended
     rows, those left of its pivot included.  A singular ``a`` raises
     SingularMatrix naming the pivot column."""
-    n = a.rows
-    if len(a.row(0)) != n or rhs.rows != n:
+    a, rhs = rows_of(a), rows_of(rhs)
+    n = len(a)
+    if len(a[0]) != n or len(rhs) != n:
         raise DimensionMismatch("solve needs a square matrix and a right side of its height")
-    ext = [list(row + extra) for row, extra in zip(a.data, rhs.data)]
-    row_scale = [max(map(abs, row)) for row in a.data]
+    ext = [list(row + extra) for row, extra in zip(a, rhs)]
+    row_scale = [max(map(abs, row)) for row in a]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(ext[r][col]))
         pivot = ext[pivot_row][col]
@@ -527,7 +537,7 @@ def gauss_jordan_full(a: Matrix, rhs: Matrix) -> Matrix:
             f = ext[r][col]
             if r != col and f != 0.0:
                 ext[r] = [v - f * w for v, w in zip(ext[r], pivot_vals)]
-    return Matrix([row[n:] for row in ext])
+    return tuple([tuple(row[n:]) for row in ext])
 
 
 def transfer_pair_fraction(result) -> tuple[list[Fraction], list[Fraction]]:
@@ -536,9 +546,9 @@ def transfer_pair_fraction(result) -> tuple[list[Fraction], list[Fraction]]:
     u^(K-1-j) and P(u) = sum_j (c N^j k) u^(K-1-j), N = F - I, each then
     expanded in z by binomials."""
     model = result.spec.process
-    f = [[Fraction(v) for v in row] for row in model.transition_matrix.data]
-    k = [Fraction(v) for v in result.gains.kin.col(0)]
-    p = [Fraction(v) for v in model.predictor_row().row(0)]
+    f = [[Fraction(v) for v in row] for row in model.transition_matrix]
+    k = [Fraction(v) for v in result.gains.kin]
+    p = f[0]
     c = [Fraction(v) for v in result.ss_kin.output_row.row(0)]
     n = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(f)]
     order, v, d_u, p_u = len(k), k, [Fraction(1)], []
@@ -559,10 +569,9 @@ def loop_noise_gain_fraction(result) -> float:
     """Exact noise gain of the design's loop F - k p, read by c, from the
     float F, k, p and c, rounded once (the Lyapunov solve in Fractions)."""
     model = result.spec.process
-    f = [[Fraction(v) for v in row] for row in model.transition_matrix.data]
-    k = [Fraction(v) for v in result.gains.kin.col(0)]
-    p = [Fraction(v) for v in model.predictor_row().row(0)]
-    a = [[v - g * w for v, w in zip(row, p)] for row, g in zip(f, k)]
+    f = [[Fraction(v) for v in row] for row in model.transition_matrix]
+    k = [Fraction(v) for v in result.gains.kin]
+    a = [[v - g * w for v, w in zip(row, f[0])] for row, g in zip(f, k)]
     return _lyapunov_fraction(a, k, [Fraction(v) for v in result.ss_kin.output_row.row(0)])
 
 
@@ -572,22 +581,22 @@ def _realization_noise_gain(ss) -> float:
     P <- P + A^m P A'^m, A^m <- A^2m, until the added term no longer moves
     c P c' and A^m has decayed by 1e-12.  Raises NonConvergent when A^m has
     not decayed after 64 doublings or stops being finite."""
-    am = ss.transition
-    col = ss.input_gain
+    am = ss.transition.data
+    col = ss.input_gain.data
     out = ss.output_row.data[0]
-    p = matmul(col, Matrix([col.col(0)]))
+    p = matmul(col, [ss.input_gain.col(0)])
 
-    def quad(m: Matrix) -> float:  # c m c'
-        return sum(map(mul, out, [sum(map(mul, r, out)) for r in m.data]))
+    def quad(m) -> float:  # c m c'
+        return sum(map(mul, out, [sum(map(mul, r, out)) for r in m]))
 
-    def peak(m: Matrix) -> float:
-        return max(abs(v) for row in m.data for v in row)
+    def peak(m) -> float:
+        return max(abs(v) for row in m for v in row)
 
     top = peak(am)
 
     for _ in range(64):
-        step = matmul(matmul(am, p), Matrix(zip(*am.data)))
-        p = Matrix([map(add, x, y) for x, y in zip(p.data, step.data)])
+        step = matmul(matmul(am, p), zip(*am))
+        p = tuple([tuple(map(add, x, y)) for x, y in zip(p, step)])
         am = matmul(am, am)
         total = quad(p)
         if not math.isfinite(total):
@@ -603,7 +612,7 @@ def realized_char_poly(result) -> tuple[float, ...]:
     its last column.  Agrees with ``result.char_poly`` up to roundoff."""
     kin_from_pcf, pcf_from_kin = pcf_transform(result.spec.process)
     rotated = matmul(matmul(pcf_from_kin, result.ss_kin.transition), kin_from_pcf)
-    return (1.0, *[-c for c in reversed(rotated.col(-1))])
+    return (1.0, *[-row[-1] for row in reversed(rotated)])
 
 
 def placement_residual(char, poles) -> float:
@@ -626,10 +635,10 @@ def placement_residual(char, poles) -> float:
 
 # --- the process model's rows by the routes it once stored them -------------
 
-def taylor_transition(order: int, t: float) -> Matrix:
-    """The whole K x K transition over ``t``: t**(j-i) / (j-i)! for j >= i."""
-    return Matrix([[t ** (j - i) / math.factorial(j - i) if j >= i else 0.0
-                    for j in range(order)] for i in range(order)])
+def taylor_transition(order: int, t: float) -> tuple[tuple[float, ...], ...]:
+    """The rows of the whole K x K transition over ``t``: t**(j-i) / (j-i)! for j >= i."""
+    return tuple([tuple([t ** (j - i) / math.factorial(j - i) if j >= i else 0.0
+                         for j in range(order)]) for i in range(order)])
 
 
 def process_char_poly_product(order: int) -> tuple[float, ...]:
@@ -637,15 +646,15 @@ def process_char_poly_product(order: int) -> tuple[float, ...]:
     return from_roots([1.0] * order)
 
 
-def predictor_row_product(model) -> Matrix:
+def predictor_row_product(model) -> tuple[float, ...]:
     """The measurement row e0 times the whole one-step transition."""
-    e0 = Matrix([[1.0] + [0.0] * (model.order - 1)])
-    return matmul(e0, taylor_transition(model.order, model.ts))
+    e0 = [[1.0] + [0.0] * (model.order - 1)]
+    return matmul(e0, taylor_transition(model.order, model.ts))[0]
 
 
-def output_row_of_transition(model, lag: float, deriv: int) -> Matrix:
+def output_row_of_transition(model, lag: float, deriv: int) -> tuple[float, ...]:
     """Row ``deriv`` of the whole transition over -lag * ts."""
-    return Matrix([taylor_transition(model.order, -float(lag) * model.ts).row(deriv)])
+    return taylor_transition(model.order, -float(lag) * model.ts)[deriv]
 
 
 # --- the argparse parser the CLI once built ----------------------------------

@@ -1,14 +1,18 @@
-"""Check that ``python -m fixedgain`` prints the same bytes under several interpreters.
+"""Check that ``python -m fixedgain`` prints the same bytes under several interpreters,
+or under one interpreter from two source trees.
 
 Builds the cli deck and the first four stream files of each seed with
 ``perfbench/workloads.py`` (the benchmark's own inputs), runs every command
-once under each interpreter given, with this checkout's ``src`` on
-``PYTHONPATH``, and lists the commands whose exit code, stdout or stderr
-differ between them.  Exits 1 when any command differs.  Standard library
-only.
+once under each interpreter given, and lists the commands whose exit code,
+stdout or stderr differ between them.  An interpreter given as ``PYTHON``
+runs with this checkout's ``src`` on ``PYTHONPATH``; one given as
+``PYTHON=SRC`` runs with the tree ``SRC`` there instead, so a change can be
+compared with another revision's bytes (a ``git archive`` copy of it, say).
+Exits 1 when any command differs.  Standard library only.
 
     python tests/interpreter_digests.py --seed 1000 --seed 1004 \\
         python3.10 python3.11 python3.12 python3.13
+    python3.11 tests/interpreter_digests.py --seed 4301 python3.11 python3.11=../parent/src
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ def commands(seed: int, scratch: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def digest(python: str, argv: list[str]) -> str:
-    """sha256 of the exit code, stdout and stderr of ``python -m fixedgain argv``."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def digest(interpreter: str, argv: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr of ``python -m fixedgain argv``,
+    ``interpreter`` being ``python`` or ``python=SRC`` (see the module docstring)."""
+    python, _, src = interpreter.partition("=")
+    env = {**os.environ, "PYTHONPATH": src or str(ROOT / "src")}
     proc = subprocess.run([python, "-m", "fixedgain", *argv], capture_output=True, env=env,
                           timeout=600)
     parts = (str(proc.returncode).encode(), proc.stdout, proc.stderr)
@@ -56,7 +62,8 @@ def digest(python: str, argv: list[str]) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("interpreters", nargs="+", metavar="PYTHON",
-                        help="interpreters to compare, the first one the reference")
+                        help="interpreters to compare, the first one the reference; "
+                             "PYTHON=SRC runs PYTHON on the source tree SRC")
     parser.add_argument("--seed", type=int, action="append", metavar="N",
                         help="workload seed (repeatable; default 1000)")
     args = parser.parse_args()

@@ -32,6 +32,7 @@ from conftest import (
     matmul,
     max_abs_diff,
     realized_char_poly,
+    rows_of,
     second_order_transfer,
     white_noise_gain_k2,
 )
@@ -63,11 +64,12 @@ def _report(capsys, index, label, ok, detail):
 
 
 def _mat_dev(matrix, rows):
-    """Largest entrywise |difference| between a Matrix and nested rows."""
+    """Largest entrywise |difference| between a matrix (its rows, or a Matrix)
+    and nested rows of the same shape."""
     return max(
-        abs(matrix[i, j] - rows[i][j])
-        for i in range(matrix.rows)
-        for j in range(len(matrix.row(i)))
+        abs(v - w)
+        for got, want in zip(rows_of(matrix), rows, strict=True)
+        for v, w in zip(got, want, strict=True)
     )
 
 
@@ -96,8 +98,8 @@ def test_reference_third_order_design_constants(reference_design, capsys):
     kin_from_pcf, pcf_from_kin = pcf_transform(model)
 
     printed = max(
-        max_abs_diff(r.gains.pcf.col(0), REF_GAIN_PCF),
-        max_abs_diff(r.gains.kin.col(0), REF_GAIN_KIN),
+        max_abs_diff(r.gains.pcf, REF_GAIN_PCF),
+        max_abs_diff(r.gains.kin, REF_GAIN_KIN),
         max_abs_diff(r.char_poly, REF_CHAR),
         _mat_dev(r.ss_kin.transition, REF_CLOSED_LOOP_4DP),
         _mat_dev(kin_from_pcf, REF_KIN_FROM_PCF),
@@ -107,21 +109,21 @@ def test_reference_third_order_design_constants(reference_design, capsys):
 
     # Independent routes to the same quantities must agree far tighter than
     # the printed four-decimal values do.
-    kin_via_transform = matmul(kin_from_pcf, r.gains.pcf)
+    kin_via_transform = matmul(kin_from_pcf, [[g] for g in r.gains.pcf])
     identity = [[1.0 if i == j else 0.0 for j in range(order)] for i in range(order)]
     ocf_gain = ocf.input_gain.col(0)
     num_via_ocf = [ocf_gain[order - 1 - j] for j in range(order)] + [0.0]
     num_via_ccf = list(ccf.output_row.row(0)) + [0.0]
-    correction = matmul(r.gains.kin, model.predictor_row()).data
-    rebuilt_loop = [list(map(sub, f, kp)) for f, kp in zip(model.transition_matrix.data, correction)]
-    closed = closed_form_gains(order, REF_POLE, REF_TS).col(0)
+    correction = matmul([[g] for g in r.gains.kin], model.transition_matrix[:1])
+    rebuilt_loop = [list(map(sub, f, kp)) for f, kp in zip(model.transition_matrix, correction)]
+    closed = closed_form_gains(order, REF_POLE, REF_TS)
     consistency = max(
-        _mat_dev(kin_via_transform, [[v] for v in r.gains.kin.col(0)]),
+        _mat_dev(kin_via_transform, [[v] for v in r.gains.kin]),
         max_abs_diff(realized_char_poly(r), r.char_poly),
         _mat_dev(matmul(kin_from_pcf, pcf_from_kin), identity),
         max_abs_diff(num_via_ocf, num_via_ccf),
         _mat_dev(r.ss_kin.transition, rebuilt_loop),
-        max(abs(c - g) / abs(g) for c, g in zip(closed, r.gains.kin.col(0))),
+        max(abs(c - g) / abs(g) for c, g in zip(closed, r.gains.kin)),
     )
 
     ok = printed <= 1e-3 and consistency <= 1e-9
@@ -178,17 +180,17 @@ def test_closed_form_gains_match_placement(reference_design, capsys):
         order = rng.choice((2, 3))
         pole = rng.uniform(0.0, 0.99)
         ts = 10.0 ** rng.uniform(-3.0, 1.0)
-        closed = closed_form_gains(order, pole, ts).col(0)
+        closed = closed_form_gains(order, pole, ts)
         placed = design(
             ObserverSpec.repeated(ProcessModel(order, ts), pole)
-        ).gains.kin.col(0)
+        ).gains.kin
         worst_rel = max(
             worst_rel,
             max(abs(c - g) / max(abs(c), abs(g)) for c, g in zip(closed, placed)),
         )
 
-    ref_closed = closed_form_gains(3, REF_POLE, REF_TS).col(0)
-    ref_placed = reference_design.gains.kin.col(0)
+    ref_closed = closed_form_gains(3, REF_POLE, REF_TS)
+    ref_placed = reference_design.gains.kin
     ref_rel = max(
         abs(c - g) / max(abs(c), abs(g)) for c, g in zip(ref_closed, ref_placed)
     )

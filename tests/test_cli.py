@@ -182,7 +182,7 @@ def test_document_gap_catches_a_gain_error(spec):
     model = spec.process
     doc = {"design": {"order": model.order, "sampling_period": model.ts, "lag": spec.lag,
                       "poles": [[p.real, p.imag] for p in spec.poles], "derivative": spec.deriv},
-           "gains": {"kin": list(design(spec).gains.kin.col(0))}}
+           "gains": {"kin": list(design(spec).gains.kin)}}
     bound = 1e-13 if all(p.real < 0.0 for p in spec.poles) else 1e-14
     assert verify_document(doc) <= bound
     doc["gains"]["kin"][-1] *= 1.0 + 1e-9
@@ -216,7 +216,7 @@ def test_document_transforms_and_companion_columns_are_the_realize_builders(spec
     except fixedgain.errors.NonConvergent:  # a clustered negative set can design an unstable loop
         assume(False)
     kin_from_pcf, pcf_from_kin = (
-        [list(row) for row in m.data] for m in realize.pcf_transform(spec.process))
+        [list(row) for row in m] for m in realize.pcf_transform(spec.process))
     assert doc["transforms"] == {"kin_from_pcf": kin_from_pcf, "pcf_from_kin": pcf_from_kin}
     if "pcf" in doc["realizations"]:
         entry = doc["realizations"]["pcf"]
@@ -238,7 +238,7 @@ def test_document_builds_the_pcf_pair_once(monkeypatch, forms):
     doc = design_document(result, forms)
     assert built == [result.spec.process]
     assert doc["transforms"]["kin_from_pcf"] == [list(row) for row in
-                                                 pcf_transform(result.spec.process)[0].data]
+                                                 pcf_transform(result.spec.process)[0]]
 
 
 def test_verify_document_refuses_unfit_gains_and_poles():

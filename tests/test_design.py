@@ -33,7 +33,6 @@ from conftest import (
 from fixedgain import (
     DesignResult,
     GainVectors,
-    Matrix,
     ObserverSpec,
     ProcessModel,
     companion_matrix,
@@ -95,7 +94,7 @@ def test_pcf_gain_is_columnwise_gap(reference_design):
     assert col_prc == (1.0, -3.0, 3.0)
     assert col_obs == pytest.approx((0.512, -1.92, 2.4), abs=1e-15)
     gap = tuple(gp - go for gp, go in zip(col_prc, col_obs))
-    assert r.gains.pcf.col(0) == gap
+    assert r.gains.pcf == gap
     assert gap == pytest.approx((0.488, -1.08, 0.6), abs=1e-15)
 
 
@@ -103,20 +102,20 @@ def test_pcf_gain_is_columnwise_gap(reference_design):
 
 def test_pcf_transform_reference_values():
     kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(3, 0.04))
-    assert max(max_abs_diff(r, w) for r, w in zip(kin_from_pcf.data, REF_KIN_FROM_PCF)) < 1e-9
-    assert max(max_abs_diff(r, w) for r, w in zip(pcf_from_kin.data, REF_PCF_FROM_KIN)) < 1e-12
+    assert max(max_abs_diff(r, w) for r, w in zip(kin_from_pcf, REF_KIN_FROM_PCF)) < 1e-9
+    assert max(max_abs_diff(r, w) for r, w in zip(pcf_from_kin, REF_PCF_FROM_KIN)) < 1e-12
 
 
 def test_pcf_transform_directions_invert_each_other():
     kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(4, 0.3))
-    prod = np.array(matmul(kin_from_pcf, pcf_from_kin).data)
+    prod = np.array(matmul(kin_from_pcf, pcf_from_kin))
     assert float(np.max(np.abs(prod - np.eye(4)))) < 1e-9
 
 
 def test_pcf_transform_first_order_is_identity():
     kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(1, 0.7))
-    assert kin_from_pcf.data == ((1.0,),)
-    assert pcf_from_kin.data == ((1.0,),)
+    assert kin_from_pcf == ((1.0,),)
+    assert pcf_from_kin == ((1.0,),)
 
 
 def test_pcf_transform_carries_the_similarity():
@@ -127,8 +126,8 @@ def test_pcf_transform_carries_the_similarity():
     kin_from_pcf, pcf_from_kin = pcf_transform(model)
     rotated = matmul(matmul(pcf_from_kin, model.transition_matrix), kin_from_pcf)
     want = companion_matrix(companion_column(model.char_poly))
-    assert float(np.max(np.abs(np.array(rotated.data) - np.array(want.data)))) < 1e-8
-    row = matmul(model.predictor_row(), kin_from_pcf).row(0)
+    assert float(np.max(np.abs(np.array(rotated) - np.array(want)))) < 1e-8
+    row = matmul(model.transition_matrix[:1], kin_from_pcf)[0]
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-9)
 
 
@@ -139,19 +138,19 @@ def test_pcf_transform_is_the_unit_pair_scaled():
         unit_kin_from_pcf, unit_pcf_from_kin = pcf_transform(ProcessModel(order, 1.0))
         for ts in (1e-4, 0.04, 3.0, 1e3):
             kin_from_pcf, pcf_from_kin = pcf_transform(ProcessModel(order, ts))
-            assert kin_from_pcf.data == tuple(
+            assert kin_from_pcf == tuple(
                 tuple(v * ts ** -i for v in row)
-                for i, row in enumerate(unit_kin_from_pcf.data))
-            assert pcf_from_kin.data == tuple(
+                for i, row in enumerate(unit_kin_from_pcf))
+            assert pcf_from_kin == tuple(
                 tuple(v * ts ** j for j, v in enumerate(row))
-                for row in unit_pcf_from_kin.data)
+                for row in unit_pcf_from_kin)
 
 
 # --- the design pipeline -----------------------------------------------------
 
 def test_reference_design_gains(reference_design):
-    assert max_abs_diff(reference_design.gains.pcf.col(0), REF_GAIN_PCF) < 1e-12
-    assert max_abs_diff(reference_design.gains.kin.col(0), REF_GAIN_KIN) < 1e-12
+    assert max_abs_diff(reference_design.gains.pcf, REF_GAIN_PCF) < 1e-12
+    assert max_abs_diff(reference_design.gains.kin, REF_GAIN_KIN) < 1e-12
 
 
 def test_reference_design_char_poly(reference_design):
@@ -240,7 +239,7 @@ def test_gains_are_the_exact_ackermann_gains_rounded(spec):
     # into it: (j!/ts^j) sum |s(n, j+1) a_(K-n)| / (n-1)!.
     model = spec.process
     order = model.order
-    got = design(spec).gains.kin.col(0)
+    got = design(spec).gains.kin
     want = ackermann_gains_fraction(spec.poles, model.ts)
     a = from_roots([p - 1.0 for p in spec.poles])
     s = _stirling(order)
@@ -256,7 +255,7 @@ def test_repeated_pole_gains_are_exact_to_a_few_ulps(order):
     eps = 2.0 ** -52
     for p in (0.0, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
         for ts in (1e-4, 1.0, 100.0):
-            got = design(ObserverSpec.repeated(ProcessModel(order, ts), p)).gains.kin.col(0)
+            got = design(ObserverSpec.repeated(ProcessModel(order, ts), p)).gains.kin
             want = ackermann_gains_fraction((p,) * order, ts)
             for g, w in zip(got, want):
                 assert abs(Fraction(g) - w) <= 4 * order * eps * abs(w)
@@ -303,18 +302,18 @@ def test_first_order_design_is_exponential_smoother():
 # --- closed-form gains -------------------------------------------------------
 
 def test_closed_form_gains_second_order_values():
-    assert closed_form_gains(2, 0.0, 1.0).col(0) == pytest.approx((1.0, 1.0))
-    assert closed_form_gains(2, 0.0, 0.1).col(0) == pytest.approx((1.0, 10.0))
-    assert closed_form_gains(2, 0.8, 1.0).col(0) == pytest.approx((0.36, 0.04))
+    assert closed_form_gains(2, 0.0, 1.0) == pytest.approx((1.0, 1.0))
+    assert closed_form_gains(2, 0.0, 0.1) == pytest.approx((1.0, 10.0))
+    assert closed_form_gains(2, 0.8, 1.0) == pytest.approx((0.36, 0.04))
 
 
 def test_closed_form_gains_third_order_reference():
-    got = closed_form_gains(3, 0.8, 0.04).col(0)
+    got = closed_form_gains(3, 0.8, 0.04)
     assert max_abs_diff(got, REF_GAIN_KIN) < 1e-12
 
 
 def test_closed_form_gains_first_order():
-    assert closed_form_gains(1, 0.25, 1.0).col(0) == (0.75,)
+    assert closed_form_gains(1, 0.25, 1.0) == (0.75,)
 
 
 def test_closed_form_gains_match_pipeline():
@@ -323,8 +322,8 @@ def test_closed_form_gains_match_pipeline():
         order = rng.choice((2, 3))
         p = rng.uniform(0.0, 0.99)
         ts = 10.0 ** rng.uniform(-3, 1)
-        closed = closed_form_gains(order, p, ts).col(0)
-        piped = design(ObserverSpec.repeated(ProcessModel(order, ts), p)).gains.kin.col(0)
+        closed = closed_form_gains(order, p, ts)
+        piped = design(ObserverSpec.repeated(ProcessModel(order, ts), p)).gains.kin
         for c, g in zip(closed, piped):
             assert abs(c - g) <= 1e-8 * max(abs(c), abs(g), 1e-30)
 
@@ -342,8 +341,8 @@ def test_gain_scale_covariance():
     # Element k of the kinematic gain scales as ts**(-k); the first element
     # is independent of the sampling period.
     p = 0.7
-    a = design(ObserverSpec.repeated(ProcessModel(3, 1.0), p)).gains.kin.col(0)
-    b = design(ObserverSpec.repeated(ProcessModel(3, 0.2), p)).gains.kin.col(0)
+    a = design(ObserverSpec.repeated(ProcessModel(3, 1.0), p)).gains.kin
+    b = design(ObserverSpec.repeated(ProcessModel(3, 0.2), p)).gains.kin
     for k in range(3):
         assert b[k] == pytest.approx(a[k] / 0.2 ** k, rel=1e-9)
 
@@ -454,7 +453,9 @@ def test_gain_vectors_and_design_result_records():
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
     gains = result.gains
     assert repr(gains) == f"GainVectors(kin={gains.kin!r}, pcf={gains.pcf!r})"
-    assert gains == GainVectors(Matrix(gains.kin.data), pcf=Matrix(gains.pcf.data))
+    assert type(gains.kin) is type(gains.pcf) is tuple
+    assert {type(v) for v in gains.kin + gains.pcf} == {float}
+    assert gains == GainVectors(tuple([*gains.kin]), pcf=tuple([*gains.pcf]))
     assert hash(gains) == hash(GainVectors(gains.kin, gains.pcf))
     for field in ("kin", "pcf"):
         with pytest.raises(AttributeError):

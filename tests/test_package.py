@@ -74,6 +74,67 @@ def test_package_docstring_example_runs():
     assert result.failed == 0
 
 
+def test_readme_quick_start_runs_as_written():
+    # The "Library quick start" block of README.md, run as printed, gives the
+    # values its comments state.
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(path, encoding="utf-8") as readme:
+        block = readme.read().split("## Library quick start\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert "result.gains.kin   # (0.488, 2.70, 5.00)" in block
+    assert namespace["result"].gains.kin == pytest.approx((0.488, 2.70, 5.00), rel=1e-12)
+    assert "white_noise_gain(num, den)          # 0.176..." in block
+    assert repr(fixedgain.white_noise_gain(namespace["num"], namespace["den"])).startswith("0.176")
+    assert len(namespace["ys"]) == 4 and all(map(math.isfinite, namespace["ys"]))
+
+
+def _matrices_in(value, path: str):
+    """The path of every Matrix found in ``value``, through tuples, lists and
+    records, with a StateSpaceModel's own fields skipped."""
+    if isinstance(value, fixedgain.Matrix):
+        return [path]
+    if isinstance(value, fixedgain.StateSpaceModel):
+        return []
+    if isinstance(value, (tuple, list)):
+        fields = getattr(value, "_fields", range(len(value)))
+        return [p for i, v in zip(fields, value) for p in _matrices_in(v, f"{path}[{i!r}]")]
+    return []
+
+
+def test_only_a_realization_record_holds_a_matrix():
+    # Every other matrix or vector the package returns is a float tuple (rows
+    # of floats for a matrix), from the process model to the companion builders.
+    model = fixedgain.ProcessModel(3, 0.04)
+    result = fixedgain.design(fixedgain.ObserverSpec.repeated(model, 0.8, lag=2.0))
+    values = {
+        "transition_matrix": model.transition_matrix,
+        "transition": model.transition(-0.3),
+        "output_row": model.output_row(2.0, 1),
+        "char_poly": model.char_poly,
+        "gains": result.gains,
+        "result": result,
+        "transfer_coefficients": fixedgain.transfer_coefficients(result),
+        "pcf_transform": fixedgain.realize.pcf_transform(model),
+        "companion_matrix": fixedgain.companion_matrix(
+            fixedgain.realize.companion_column(result.char_poly)),
+        "companion_column": fixedgain.realize.companion_column(result.char_poly),
+    }
+    assert not [p for name, v in values.items() for p in _matrices_in(v, name)]
+    for name in ("transition_matrix", "transition", "pcf_transform", "companion_matrix"):
+        rows = values[name] if name != "pcf_transform" else values[name][0] + values[name][1]
+        assert type(values[name]) is tuple and all(type(r) is tuple for r in rows), name
+        assert {type(v) for r in rows for v in r} == {float}, name
+    for flat in (model.output_row(2.0, 1), *result.gains, result.char_poly,
+                 values["companion_column"]):
+        assert type(flat) is tuple and {type(v) for v in flat} == {float}
+    # The realizations themselves carry Matrix fields, five each.
+    for ss in (result.ss_kin, fixedgain.pcf_realization(result),
+               fixedgain.ocf_realization(result), fixedgain.ccf_realization(result)):
+        assert [type(m) for m in ss[1:]] == [fixedgain.Matrix] * 5
+
+
 def _modules_loaded_by(statement):
     # A fresh interpreter, so modules pytest already loaded do not hide any.
     package_root = os.path.dirname(os.path.dirname(fixedgain.__file__))

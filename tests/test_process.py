@@ -30,12 +30,12 @@ def test_transition_is_scaled_taylor_triangle():
     for i in range(4):
         for j in range(4):
             want = 0.5 ** (j - i) / math.factorial(j - i) if j >= i else 0.0
-            assert model.transition_matrix[i, j] == pytest.approx(want, abs=1e-15)
+            assert model.transition_matrix[i][j] == pytest.approx(want, abs=1e-15)
 
 
 def test_measurement_row_picks_position():
     model = ProcessModel(3, 1.0)
-    assert model.output_row(0.0).row(0) == (1.0, 0.0, 0.0)
+    assert model.output_row(0.0) == (1.0, 0.0, 0.0)
 
 
 def test_char_poly_is_binomial_expansion():
@@ -50,53 +50,48 @@ def test_transition_group_property():
     model = ProcessModel(4, 0.25)
     lhs = matmul(model.transition(0.7), model.transition(-0.3))
     rhs = model.transition(0.4)
-    assert float(np.max(np.abs(np.array(lhs.data) - np.array(rhs.data)))) < 1e-13
+    assert float(np.max(np.abs(np.array(lhs) - np.array(rhs)))) < 1e-13
 
 
 def test_backward_transition_is_matrix_inverse():
     model = ProcessModel(3, 0.04)
-    inv = np.linalg.inv(np.array(model.transition_matrix.data))
-    got = np.array(model.transition(-0.04).data)
+    inv = np.linalg.inv(np.array(model.transition_matrix))
+    got = np.array(model.transition(-0.04))
     assert float(np.max(np.abs(got - inv))) < 1e-13
 
 
 def test_two_steps_back_matches_negative_matrix_power():
     # Closed-form transition over -2*ts against the repeated-inverse route.
     model = ProcessModel(3, 0.04)
-    closed = np.array(model.transition(-0.08).data)
-    powered = np.linalg.matrix_power(np.linalg.inv(np.array(model.transition_matrix.data)), 2)
+    closed = np.array(model.transition(-0.08))
+    powered = np.linalg.matrix_power(np.linalg.inv(np.array(model.transition_matrix)), 2)
     assert float(np.max(np.abs(closed - powered))) < 1e-12
     assert closed[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert closed[0, 1] == pytest.approx(-0.08, abs=1e-15)
     assert closed[0, 2] == pytest.approx(0.0032, abs=1e-15)
 
 
-def test_predictor_row_is_first_transition_row():
-    model = ProcessModel(3, 0.1)
-    assert model.predictor_row().row(0) == model.transition_matrix.row(0)
-
-
 def test_output_row_zero_lag_is_measurement():
     model = ProcessModel(3, 0.1)
-    assert model.output_row(0.0).row(0) == (1.0, 0.0, 0.0)
+    assert model.output_row(0.0) == (1.0, 0.0, 0.0)
 
 
 def test_output_row_lagged_position():
     model = ProcessModel(3, 0.04)
-    row = model.output_row(2.0).row(0)
+    row = model.output_row(2.0)
     assert row == pytest.approx((1.0, -0.08, 0.0032), abs=1e-15)
 
 
 def test_output_row_fractional_lag_and_derivative():
     model = ProcessModel(3, 0.04)
     # velocity read-out half a sample back: row 1 of the backward transition
-    row = model.output_row(0.5, deriv=1).row(0)
+    row = model.output_row(0.5, deriv=1)
     assert row == pytest.approx((0.0, 1.0, -0.02), abs=1e-15)
 
 
 def test_output_row_prediction_uses_negative_lag():
     model = ProcessModel(2, 1.0)
-    assert model.output_row(-1.0).row(0) == (1.0, 1.0)
+    assert model.output_row(-1.0) == (1.0, 1.0)
 
 
 def test_derivative_index_validated():
@@ -151,7 +146,7 @@ def test_read_out_time_past_the_double_range_is_refused():
     for deriv in (0, 1):
         with pytest.raises(NonFiniteValue, match=re.escape("transition over t = -inf overflows")):
             model.output_row(1e300, deriv)
-    assert model.output_row(1e300, 2).row(0) == (0.0, 0.0, 1.0)
+    assert model.output_row(1e300, 2) == (0.0, 0.0, 1.0)
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(NonFiniteValue):
             model.transition(t)
@@ -207,6 +202,6 @@ def test_rows_on_request_match_the_stored_routes_bit_for_bit(order, ts, lag):
     model = ProcessModel(order, ts)
     assert repr(model.char_poly) == repr(process_char_poly_product(order))
     assert repr(model.transition_matrix) == repr(taylor_transition(order, ts))
-    assert repr(model.predictor_row()) == repr(predictor_row_product(model))
+    assert repr(model.transition_matrix[0]) == repr(predictor_row_product(model))
     for deriv in range(order):
         assert repr(model.output_row(lag, deriv)) == repr(output_row_of_transition(model, lag, deriv))

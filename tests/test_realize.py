@@ -74,13 +74,13 @@ def _pure_delay_design():
 
 def test_companion_matrix_layout():
     m = companion_matrix((1.0, -3.0, 3.0))
-    assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, -3.0), (0.0, 1.0, 3.0))
+    assert m == ((0.0, 0.0, 1.0), (1.0, 0.0, -3.0), (0.0, 1.0, 3.0))
 
 
 def test_companion_matrix_converts_its_column_to_float():
     m = companion_matrix([1, 2, 3])
-    assert m.data == ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0))
-    assert {type(v) for row in m.data for v in row} == {float}
+    assert m == ((0.0, 0.0, 1.0), (1.0, 0.0, 2.0), (0.0, 1.0, 3.0))
+    assert {type(v) for row in m for v in row} == {float}
 
 
 @pytest.mark.parametrize("column, message", [
@@ -88,7 +88,7 @@ def test_companion_matrix_converts_its_column_to_float():
     ([0.5] * 9, "matrix 9x9 exceeds the 8x8 cap"),
 ])
 def test_companion_matrix_refuses_an_empty_or_oversized_column(column, message):
-    # The shifted identity is checked as a Matrix once per order.
+    # The shifted identity is checked once per order, as a Matrix's shape is.
     with pytest.raises(DimensionMismatch, match=f"^{message}$"):
         companion_matrix(column)
 
@@ -118,11 +118,11 @@ def test_realization_matrices_hold_only_float_row_tuples(order):
         result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
         built = _realizations(result)
         forms.update(ss.form for ss in built)
-        for m in [m for ss in built[:-1] for m in _matrices(ss)] + list(result.gains):
+        for m in [m for ss in built[:-1] for m in _matrices(ss)]:
             assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
             assert {type(v) for row in m.data for v in row} == {float}, m
-        for field in built[-1]:  # the scaled loop holds float tuples
-            assert type(field) is tuple and {type(v) for v in field} == {float}, built[-1]
+        for field in [*built[-1], *result.gains]:  # the scaled loop and gains: float tuples
+            assert type(field) is tuple and {type(v) for v in field} == {float}, field
     assert forms == set(Form)
 
 
@@ -135,14 +135,14 @@ def test_companion_forms_fix_two_fields_and_map_the_third_across(order):
     for ts, lag, deriv in ((1, 2, 0), (2, 0, order - 1), (3, -1, order // 2)):
         result = design(ObserverSpec.repeated(ProcessModel(order, ts), 0.5, lag=lag, deriv=deriv))
         kin, col = result.ss_kin, companion_column(result.char_poly)
-        companion = companion_matrix(col).data
+        companion = companion_matrix(col)
         unit = tuple(tuple(float(i == j) for j in range(order)) for i in range(order))
         for ss in _realizations(result)[1:-1]:
             forms.add(ss.form)
-            mapped_row = matmul(kin.output_row, ss.kin_from_form).data
-            mapped_gain = matmul(ss.form_from_kin, kin.input_gain).data
+            mapped_row = matmul(kin.output_row, ss.kin_from_form)
+            mapped_gain = matmul(ss.form_from_kin, kin.input_gain)
             if ss.form is Form.PCF:
-                fixed = (companion, result.gains.pcf.data, mapped_row)
+                fixed = (companion, tuple(zip(result.gains.pcf)), mapped_row)
             elif ss.form is Form.OCF:
                 fixed = (companion, mapped_gain, unit[-1:])
             else:  # the transposed companion matrix, reversed in both orders
@@ -154,13 +154,13 @@ def test_companion_forms_fix_two_fields_and_map_the_third_across(order):
 
 
 def test_designs_of_one_order_share_no_matrix():
-    # Matrix.data can be reassigned, so each design and realization owns its
-    # matrices; only the immutable row tuples are shared.
+    # Matrix.data can be reassigned, so each realization owns its matrices;
+    # only the immutable row tuples are shared.
     spec = ObserverSpec.repeated(ProcessModel(3, 0.04), 0.8, lag=2.0)
     first, second = design(spec), design(spec)
-    owned = [[m for ss in _realizations(result)[:-1] for m in _matrices(ss)] + list(result.gains)
+    owned = [[m for ss in _realizations(result)[:-1] for m in _matrices(ss)]
              for result in (first, second)]
-    assert len(owned[0]) == len(owned[1]) == 22
+    assert len(owned[0]) == len(owned[1]) == 20
     assert not {id(m) for m in owned[0]} & {id(m) for m in owned[1]}
     assert first.ss_kin.kin_from_form is not first.ss_kin.form_from_kin
     want = [m.data for m in owned[1]]
@@ -176,19 +176,19 @@ def test_designs_of_one_order_share_no_matrix():
 def test_pcf_transition_is_companion_of_observer_polynomial():
     result = _reference_design()
     pcf = pcf_realization(result)
-    assert pcf.transition.data == companion_matrix(companion_column(result.char_poly)).data
-    assert pcf.input_gain.col(0) == result.gains.pcf.col(0)
+    assert pcf.transition.data == companion_matrix(companion_column(result.char_poly))
+    assert pcf.input_gain.col(0) == result.gains.pcf
 
 
 def test_pcf_similarity_identities():
     result = _reference_design()
     pcf = pcf_realization(result)
     kin = result.ss_kin
-    rotated = np.array(matmul(matmul(pcf.form_from_kin, kin.transition), pcf.kin_from_form).data)
+    rotated = np.array(matmul(matmul(pcf.form_from_kin, kin.transition), pcf.kin_from_form))
     assert float(np.max(np.abs(rotated - np.array(pcf.transition.data)))) < 1e-8
     # The predictor row becomes the last unit row in companion coordinates.
     model = result.spec.process
-    row = matmul(model.predictor_row(), pcf.kin_from_form).row(0)
+    row = matmul(model.transition_matrix[:1], pcf.kin_from_form)[0]
     assert row == pytest.approx((0.0, 0.0, 1.0), abs=1e-8)
 
 
@@ -196,7 +196,7 @@ def test_ocf_structure_and_reference_gain():
     result = _reference_design()
     ocf = ocf_realization(result)
     assert ocf.output_row.row(0) == (0.0, 0.0, 1.0)
-    assert ocf.transition.data == companion_matrix(companion_column(result.char_poly)).data
+    assert ocf.transition.data == companion_matrix(companion_column(result.char_poly))
     assert max_abs_diff(ocf.input_gain.col(0), REF_GAIN_OCF) < 1e-9
 
 
@@ -278,7 +278,8 @@ def test_uncontrollable_zero_gain_raises():
     result = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5))
     kin = result.ss_kin
     result = result._replace(ss_kin=kin._replace(
-        transition=ProcessModel(2, 1.0).transition_matrix, input_gain=Matrix([[0.0], [0.0]])))
+        transition=Matrix(ProcessModel(2, 1.0).transition_matrix),
+        input_gain=Matrix([[0.0], [0.0]])))
     with pytest.raises(Uncontrollable,
                        match="^closed-loop pair is not controllable; cannot reach CCF$"):
         ccf_realization(result)
@@ -286,7 +287,7 @@ def test_uncontrollable_zero_gain_raises():
 
 @st.composite
 def _stacks(draw):
-    """A K x K matrix, K = 1..8: random entries (zeros among them), rows and
+    """The rows of a K x K matrix, K = 1..8: random entries (zeros among them), rows and
     columns scaled across 1e+-150, or one row a combination of two others
     plus a perturbation of 0 to 1e-8."""
     n = draw(st.integers(1, 8))
@@ -302,7 +303,7 @@ def _stacks(draw):
         eps = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 1e-8]))
         x, y = draw(entries), draw(entries)
         a[target] = [x * u + y * v + eps * w for u, v, w in zip(a[i], a[j], a[target])]
-    return Matrix(a)
+    return tuple(map(tuple, a))
 
 
 @settings(max_examples=400, deadline=None)
@@ -314,19 +315,19 @@ def test_last_unit_solve_is_the_full_width_elimination_bit_for_bit(a):
     # reference's relative pivot test refuses, the one-vector solve, which
     # refuses only an exactly zero pivot and leaves roundoff to the
     # certification, either raises the caller's own error or returns K floats.
-    unit = Matrix([[0.0]] * (a.rows - 1) + [[1.0]])
+    unit = [[0.0]] * (len(a) - 1) + [[1.0]]
     error = Unobservable("stack is singular")
     try:
         want = gauss_jordan_full(a, unit)
     except SingularMatrix:
         try:
-            got = _last_unit_solve(list(a.data), error)
+            got = _last_unit_solve(list(a), error)
         except Unobservable as refused:
             assert refused is error
         else:
-            assert len(got) == a.rows and all(type(v) is float for v in got)
+            assert len(got) == len(a) and all(type(v) is float for v in got)
     else:
-        assert repr(_last_unit_solve(list(a.data), error)) == repr(list(want.col(0)))
+        assert repr(_last_unit_solve(list(a), error)) == repr([v for v, in want])
 
 
 @pytest.mark.parametrize("zero", range(3))
@@ -388,7 +389,8 @@ def test_companion_transforms_match_the_exact_builder(order, ts, lag):
     kin, col = result.ss_kin, companion_column(result.char_poly)
     horner_tol = 4 * order * 2.0 ** -52
     ocf = ocf_realization(result)
-    kin_from_ocf, ocf_from_kin = companion_pair_fraction(kin.output_row, kin.transition, col)
+    kin_from_ocf, ocf_from_kin = companion_pair_fraction(
+        kin.output_row.row(0), kin.transition.data, col)
     assert _dev(ocf.form_from_kin, ocf_from_kin) <= horner_tol
     assert _dev(ocf.kin_from_form, kin_from_ocf) <= 1e-8
     try:
@@ -397,7 +399,7 @@ def test_companion_transforms_match_the_exact_builder(order, ts, lag):
         assert order >= 7  # every lower order certifies at pole 0.8
         return
     p_inv, p = companion_pair_fraction(
-        Matrix([kin.input_gain.col(0)]), Matrix(zip(*kin.transition.data)), col)
+        kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col)
     assert _dev(ccf.kin_from_form, [list(r) for r in zip(*p[::-1])]) <= horner_tol
     assert _dev(ccf.form_from_kin, [list(r) for r in zip(*p_inv)][::-1]) <= 1e-8
 
@@ -411,7 +413,7 @@ def test_ocf_is_pcf_when_the_read_out_is_the_predictor_row(order, ts):
     # system: every matrix agrees to roundoff.
     model = ProcessModel(order, ts)
     result = design(ObserverSpec.repeated(model, 0.8, lag=-1.0))
-    assert result.ss_kin.output_row == model.predictor_row()
+    assert result.ss_kin.output_row.row(0) == model.transition_matrix[0]
     ocf, pcf = ocf_realization(result), pcf_realization(result)
     for name in ("transition", "input_gain", "output_row", "kin_from_form", "form_from_kin"):
         want = [v for row in getattr(pcf, name).data for v in row]
@@ -491,9 +493,10 @@ def test_six_state_lag_one_companion_forms_certify_at_every_time_unit(ts):
     result = design(ObserverSpec.repeated(ProcessModel(6, ts), 0.8, lag=1.0))
     kin, col = result.ss_kin, companion_column(result.char_poly)
     ocf, ccf = ocf_realization(result), ccf_realization(result)
-    kin_from_ocf, ocf_from_kin = companion_pair_fraction(kin.output_row, kin.transition, col)
+    kin_from_ocf, ocf_from_kin = companion_pair_fraction(
+        kin.output_row.row(0), kin.transition.data, col)
     p_inv, p = companion_pair_fraction(
-        Matrix([kin.input_gain.col(0)]), Matrix(zip(*kin.transition.data)), col)
+        kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col)
     for got, want in ((ocf.kin_from_form, kin_from_ocf), (ocf.form_from_kin, ocf_from_kin),
                       (ccf.kin_from_form, [list(r) for r in zip(*p[::-1])]),
                       (ccf.form_from_kin, [list(r) for r in zip(*p_inv)][::-1])):
@@ -675,6 +678,82 @@ def test_a_state_vector_of_another_length_is_refused_and_kept(length):
         assert len(state.vector) == 3 and state.vector != [0.5] * 3
 
 
+_NOT_NUMBERS = "^state vector is not a list of numbers in the double range$"
+
+
+@pytest.mark.parametrize("vector", [["a", 0.5, 0.5], [0.5, None, 0.5], [10 ** 400, 0.5, 0.5],
+                                    (1.0, 0.5, 0.5), None],
+                         ids=["str", "none-entry", "huge-int", "tuple", "none"])
+def test_a_state_vector_that_is_not_a_list_of_doubles_is_blamed_and_kept(vector):
+    # The sample is converted again on the error path only: a sample that
+    # converts leaves the vector at fault.  Nothing is written, and a sample
+    # that does not convert is still blamed first.
+    result = _reference_design()
+    realizations = _realizations(result)
+    assert {ss.form for ss in realizations} == set(Form)
+    for ss in realizations:
+        state, before = FilterState(ss.form, vector), repr(vector)
+        calls = {"step": lambda: step(ss, state, 1.0), "run": lambda: run(ss, state, [1.0])}
+        if type(vector) is not tuple:  # a tuple reads; only step cannot write it
+            calls.update(_wrong_length_calls(ss, state))
+        for name, call in calls.items():
+            with pytest.raises(FixedGainError, match=_NOT_NUMBERS) as caught:
+                call()
+            assert type(caught.value) is FixedGainError, (ss.form, name)
+            assert state.vector is vector and repr(vector) == before, (ss.form, name)
+        with pytest.raises(FixedGainError,
+                           match="^a sample of type str is not a number in the double range$"):
+            step(ss, state, "x")
+        good = initialize_state(ss, 1.0)
+        with pytest.raises(FixedGainError,
+                           match="^a sample of type NoneType is not a number in the double range$"):
+            step(ss, good, None)
+
+
+def _misshapen_fields(k: int) -> list:
+    """(field, Matrix) pairs that do not fit an order-``k`` realization: each
+    has one side of another length, ``n``, within the cap."""
+    n = k + 1 if k < 8 else k - 1
+    return [(name, Matrix([[1.0] * cols] * rows)) for name, rows, cols in (
+        ("transition", k, n), ("transition", n, k), ("input_gain", n, 1), ("input_gain", k, n),
+        ("output_row", 1, n), ("output_row", n, k), ("kin_from_form", k, n),
+        ("kin_from_form", n, n), ("form_from_kin", n, k))]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8])
+def test_a_realization_refuses_fields_whose_shapes_disagree(order):
+    # The record checks its five shapes when it is built, _replace included,
+    # and names the first field that does not fit K, the transition's height.
+    result = design(ObserverSpec.repeated(ProcessModel(order, 1.0), 0.5))
+    for ss in _realizations(result)[:-1]:
+        for name, m in _misshapen_fields(order):
+            rows, cols = len(m.data), len(m.data[0])
+            want = {"transition": (rows, rows), "input_gain": (order, 1),
+                    "output_row": (1, order)}.get(name, (order, order))
+            message = f"^{name} is {rows}x{cols}, not {want[0]}x{want[1]}$"
+            fields = ss._asdict()
+            fields[name] = m
+            for build in (lambda: ss._replace(**{name: m}), lambda: StateSpaceModel(**fields),
+                          lambda: StateSpaceModel(*fields.values())):
+                with pytest.raises(DimensionMismatch, match=message):
+                    build()
+    big = Matrix._of(((1.0,) * 9,) * 9)
+    with pytest.raises(DimensionMismatch, match="^transition 9x9 exceeds the 8x8 cap$"):
+        result.ss_kin._replace(transition=big)
+
+
+def test_a_misshapen_realization_is_refused_before_it_steps():
+    # A K = 2 record with a 1 x 1 gain, a 1 x 3 read-out or a 1 x 1 map to
+    # kinematic coordinates is refused where it is built, naming the field,
+    # not where a step or read-out first trips over it.
+    ss = design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5)).ss_kin
+    for name, m in (("input_gain", Matrix([[1.0]])), ("output_row", Matrix([[1.0, 2.0, 3.0]])),
+                    ("kin_from_form", Matrix([[1.0]]))):
+        with pytest.raises(DimensionMismatch, match=f"^{name} is "):
+            ss._replace(**{name: m})
+    assert ss.order == 2 and ss == design(ObserverSpec.repeated(ProcessModel(2, 1.0), 0.5)).ss_kin
+
+
 def test_pure_delay_impulse_from_rest():
     result = _pure_delay_design()
     state = initialize_state(result.ss_kin, 0.0)
@@ -762,16 +841,16 @@ def test_extract_kinematic_is_identity_in_kin_form():
 
 # --- kernel bit-identity ------------------------------------------------------
 
-def _column(values) -> Matrix:
-    return Matrix([[v] for v in values])
+def _column(values) -> list[list[float]]:
+    return [[v] for v in values]
 
 
 def reference_step(ss, w, x):
     """One step of the recursion written with :func:`matmul`: the updated
     state and the output read from it."""
-    moved = matmul(ss.transition, _column(w)).col(0)
+    moved = [m for m, in matmul(ss.transition, _column(w))]
     new = [m + h * x for m, h in zip(moved, ss.input_gain.col(0))]
-    return new, matmul(ss.output_row, _column(new))[0, 0]
+    return new, matmul(ss.output_row, _column(new))[0][0]
 
 
 def assert_steps_as_matrix_products(ss, x0, xs):
@@ -780,7 +859,7 @@ def assert_steps_as_matrix_products(ss, x0, xs):
     count."""
     state = initialize_state(ss, x0)
     w = list(state.vector)
-    assert repr(read_output(ss, state)) == repr(matmul(ss.output_row, _column(w))[0, 0])
+    assert repr(read_output(ss, state)) == repr(matmul(ss.output_row, _column(w))[0][0])
     ys = []
     for x in xs:
         w, y = reference_step(ss, w, x)
@@ -788,7 +867,7 @@ def assert_steps_as_matrix_products(ss, x0, xs):
         assert repr(state.vector) == repr(w)
         assert repr(read_output(ss, state)) == repr(y)
         assert repr(extract_kinematic(ss, state)) == repr(
-            matmul(ss.kin_from_form, _column(w)).col(0))
+            tuple([v for v, in matmul(ss.kin_from_form, _column(w))]))
         ys.append(y)
     again = initialize_state(ss, x0)
     assert repr(run(ss, again, xs)) == repr(ys)
@@ -828,7 +907,7 @@ def test_kernel_is_bit_identical_to_matrix_products(order_deriv, pole, lag, ts, 
 def _model(transition, input_gain, output_row, kin_from_form):
     k = len(transition)
     return StateSpaceModel(
-        form=Form.KIN, transition=Matrix(transition), input_gain=_column(input_gain),
+        form=Form.KIN, transition=Matrix(transition), input_gain=Matrix(_column(input_gain)),
         output_row=Matrix([output_row]), kin_from_form=Matrix(kin_from_form),
         form_from_kin=Matrix([[float(i == j) for j in range(k)] for i in range(k)]),
     )
@@ -937,7 +1016,7 @@ def test_scaled_gains_are_alpha_beta_and_a_quarter_gamma(order, ts, pole):
     want = [gains["alpha"], gains.get("beta"), gains.get("gamma", 0.0) / 4.0][:order]
     assert list(loop.gain) == want
     # The kinematic gains are the scaled ones mapped back, bit for bit.
-    assert result.gains.kin.col(0) == tuple(g * d for g, d in zip(loop.gain, loop.to_kin))
+    assert result.gains.kin == tuple(g * d for g, d in zip(loop.gain, loop.to_kin))
 
 
 def test_scaled_state_and_kinematic_state_refuse_each_other():
