@@ -77,16 +77,25 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
     y[n] = output_row @ w[n] (the output uses the *updated* state).  The K x K
     transition, K x 1 input gain and 1 x K output row are in ``form``
     coordinates; ``kin_from_form`` maps its state into kinematic ones.  Every
-    construction, ``_replace`` too, refuses other shapes or K > ORDER_CAP."""
+    construction, ``_replace`` too, refuses a field that is not a Matrix, other
+    shapes or K > ORDER_CAP."""
 
     __slots__ = ()
 
     def __new__(cls, form, transition, input_gain, output_row, kin_from_form, form_from_kin):
-        rows = a, b, c, s, t = (transition.data, input_gain.data, output_row.data,
-                                kin_from_form.data, form_from_kin.data)
-        k = len(a)  # the order: one compare of every other side against it
-        if (len(a[0]), len(b), len(b[0]), len(c), len(c[0]), len(s), len(s[0]), len(t),
-                len(t[0])) != (k, k, 1, 1, k, k, k, k, k) or k > ORDER_CAP:
+        try:  # a field that is not a Matrix fails here: no .data, or an ndarray's memoryview
+            rows = a, b, c, s, t = (transition.data, input_gain.data, output_row.data,
+                                    kin_from_form.data, form_from_kin.data)
+            k = len(a)  # the order: one compare of every other side against it
+            fits = (len(a[0]), len(b), len(b[0]), len(c), len(c[0]), len(s), len(s[0]), len(t),
+                    len(t[0])) == (k, k, 1, 1, k, k, k, k, k) and k <= ORDER_CAP
+        except (AttributeError, TypeError, NotImplementedError):
+            fits = False
+        if not fits:
+            for name, m in zip(cls._fields[1:], (transition, input_gain, output_row,
+                                                 kin_from_form, form_from_kin)):
+                if not isinstance(m, Matrix):
+                    raise DimensionMismatch(f"{name} must be a Matrix, not {type(m).__name__}")
             _check_shape(k, k, "transition")
             for name, m, want in zip(cls._fields[1:], rows,
                                      [(k, k), (k, 1), (1, k), (k, k), (k, k)]):
@@ -105,20 +114,33 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
 
     def _advance(self, w: list, x: float) -> float:
         """Step ``w`` in place and read the output from it.  ``float(x - 0.0)`` is x's double;
-        a complex or str x raises TypeError, a w of another length ValueError, before w moves."""
+        a complex or str x or entry of w raises TypeError, a w of another length ValueError,
+        before w moves."""
         x, dot = float(x - 0.0), _dot(self.order)
-        w[:] = [dot(row, w) + h * x
-                for row, (h,) in zip(self.transition.data, self.input_gain.data)]
-        return dot(self.output_row.data[0], w)
+        new = [dot(row, w) + h * x
+               for row, (h,) in zip(self.transition.data, self.input_gain.data)]
+        y = _real(dot(self.output_row.data[0], new))
+        w[:] = new
+        return y
 
     def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
-        return tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
+        kin = tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
+        _real(kin[0])
+        return kin
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
         return list(map(_dot(self.order), self.form_from_kin.data, repeat(kin)))
 
     def _output(self, w: Sequence[float]) -> float:
-        return _dot(self.order)(self.output_row.data[0], w)
+        return _real(_dot(self.order)(self.output_row.data[0], w))
+
+
+def _real(v):
+    """``v``, or TypeError if it is complex: a dense form's every product runs over the
+    whole state, so one complex entry makes each result complex."""
+    if isinstance(v, complex):
+        raise TypeError("complex state vector")
+    return v
 
 
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):

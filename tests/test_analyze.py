@@ -530,9 +530,11 @@ def test_frequency_grid_needs_two_points(points):
 @st.composite
 def _stable_transfers(draw):
     """K = 0-20 denominators with real roots and conjugate pairs of magnitude
-    at most 1 - 0.05**(8 / max(K, 8)), so that |D| stays above 0.05**8 on the
-    unit circle, and numerators of 1 to K + 2 coefficients: the evaluator's
-    passes of 8 Horner steps end at 9 and 17 coefficients."""
+    at most 1 - 0.05**(8 / max(K, 8)), so that |D| stays above 0.75 * 0.05**8 on
+    the unit circle, and numerators of 1 to K + 2 coefficients: the evaluator's
+    passes of 8 Horner steps end at 9 and 17 coefficients.  A denominator is
+    monic or scaled by -1, 0.75 or 3, and a numerator may lead with exactly
+    1.0: a leading 1.0 starts the grid's evaluation at z + c1."""
     order = draw(st.integers(0, 20))
     top = 1.0 - 0.05 ** (8 / max(order, 8))
     roots: list[complex] = []
@@ -544,7 +546,10 @@ def _stable_transfers(draw):
         else:
             roots.append(draw(st.sampled_from([size, -size])))
     num = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=order + 2))
-    return tuple(num), from_roots(roots)
+    if draw(st.booleans()):
+        num[0] = 1.0
+    scale = draw(st.sampled_from([1.0, 1.0, -1.0, 0.75, 3.0]))
+    return tuple(num), tuple([scale * c for c in from_roots(roots)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -560,10 +565,13 @@ def test_frequency_grid_is_the_per_point_evaluation(transfer, points):
 
 
 def test_frequency_response_at_real_omega():
-    # The oracle takes exp(i * complex(omega)): a real omega gives the same bits, signed zeros too.
+    # The oracle takes exp(i * complex(omega)): a real omega gives the same bits, signed zeros
+    # too.  At a zero omega it takes exp(1j * omega), as the function does: CPython 3.14 keeps
+    # the sign of 1j * -0.0's imaginary zero, 3.10-3.13 do not.  -0.0 is the signed-zero edge
+    # of the first Horner step, which stays c0 * z + c1 off the frequency grid.
     num, den = _transfer(3, 0.04, 0.8, 2.0)
-    for omega in (0.0, 0.3, -0.3, 2.5, -2.5, math.pi, -math.pi):
-        z = cmath.exp(1j * complex(omega))
+    for omega in (0.0, -0.0, 0.3, -0.3, 2.5, -2.5, math.pi, -math.pi):
+        z = cmath.exp(1j * (omega if omega == 0.0 else complex(omega)))
         for b in (num, (-0.0,), (-0.0, 0.0), (-0.0, -0.0)):
             assert repr(frequency_response(b, den, omega)) == repr(horner(b, z) / horner(den, z))
 

@@ -710,6 +710,45 @@ def test_a_state_vector_that_is_not_a_list_of_doubles_is_blamed_and_kept(vector)
             step(ss, good, None)
 
 
+@pytest.mark.parametrize("vector", [[1j, 0.0, 0.0], [0.5, 0.5, complex(0.5, 0.0)],
+                                    [0j, 0j, 0j], [0.5, np.complex128(1j), 0.5]],
+                         ids=["imaginary", "complex-real", "complex-zeros", "numpy-complex"])
+def test_a_complex_state_vector_is_refused_on_the_dense_forms_and_kept(vector):
+    # Every product of a dense form runs over the whole state, so a complex entry
+    # makes each result complex and one test of a result refuses it, as the
+    # scaled loop's step refuses a Python complex by float().  That float() takes
+    # a numpy complex's real part with a warning, so the scaled loop is left out there.
+    result = _reference_design()
+    realizations = _realizations(result)
+    assert {ss.form for ss in realizations} == set(Form)
+    if any(isinstance(v, np.complex128) for v in vector):
+        realizations.pop()
+    for ss in realizations:
+        state, before = FilterState(ss.form, vector), repr(vector)
+        calls = {"step": lambda: step(ss, state, 1.0), "run": lambda: run(ss, state, [1.0])}
+        if ss.form is not Form.SCALED:
+            calls.update(_wrong_length_calls(ss, state))
+        for name, call in calls.items():
+            with pytest.raises(FixedGainError, match=_NOT_NUMBERS) as caught:
+                call()
+            assert type(caught.value) is FixedGainError, (ss.form, name)
+            assert state.vector is vector and repr(vector) == before, (ss.form, name)
+
+
+def test_int_and_float_subclass_state_entries_step_as_before():
+    # A vector of ints, or of numpy float64s, steps and reads out through the same
+    # products as its doubles.
+    result = _reference_design()
+    for ss in _realizations(result)[:-1]:
+        for entries in ([1, 0, 2], [np.float64(0.5), 2, np.float64(-1.25)]):
+            state = FilterState(ss.form, list(entries))
+            twin = FilterState(ss.form, [float(v) for v in entries])
+            assert read_output(ss, state) == read_output(ss, twin)
+            assert step(ss, state, 0.75) == step(ss, twin, 0.75)
+            assert state.vector == twin.vector
+            assert extract_kinematic(ss, state) == extract_kinematic(ss, twin)
+
+
 def _misshapen_fields(k: int) -> list:
     """(field, Matrix) pairs that do not fit an order-``k`` realization: each
     has one side of another length, ``n``, within the cap."""
@@ -740,6 +779,22 @@ def test_a_realization_refuses_fields_whose_shapes_disagree(order):
     big = Matrix._of(((1.0,) * 9,) * 9)
     with pytest.raises(DimensionMismatch, match="^transition 9x9 exceeds the 8x8 cap$"):
         result.ss_kin._replace(transition=big)
+
+
+@pytest.mark.parametrize("value", [((1.0, 0.0, 0.0),) * 3, None, [[1.0]], np.eye(3)],
+                         ids=["tuple", "none", "list", "ndarray"])
+def test_a_realization_refuses_a_field_that_is_not_a_matrix(value):
+    # Each of the five fields, by _replace, by keyword and by position, is refused
+    # with a typed error that names it, not an AttributeError from the shape check.
+    ss = _reference_design().ss_kin
+    for name in ss._fields[1:]:
+        fields = ss._asdict()
+        fields[name] = value
+        for build in (lambda: ss._replace(**{name: value}), lambda: StateSpaceModel(**fields),
+                      lambda: StateSpaceModel(*fields.values())):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^{name} must be a Matrix, not {type(value).__name__}$"):
+                build()
 
 
 def test_a_misshapen_realization_is_refused_before_it_steps():
