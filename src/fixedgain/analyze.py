@@ -155,12 +155,13 @@ def impulse_response(num, den, tol: float = 1e-12) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _horner_block(steps: int, first: bool, divide: bool, monic: bool = False):
+def _horner_block(steps: int, first: bool, divide: bool, monic: bool):
     """``block(zs, dvs, acc, c0, ..)``: ``steps`` steps ``acc * z + c`` at each z of ``zs``
     from the previous pass's values ``acc``, or if ``first`` the leading coefficient
     ``acc``; with ``divide``, each over its ``dvs``.  The first step is c0 * z + c1, as in
     Horner's rule from the leading coefficient; only a constant is promoted to z's type.
-    With ``monic`` (a leading 1.0, at points where 1.0 * z is z bit for bit) it is z + c1."""
+    With ``monic`` (a leading 1.0) it is z + c1: every z is exp(i omega) for a real omega,
+    where 1.0 * z is z bit for bit (see _responses)."""
     value = ("acc" if steps else "acc * (z * 0 + 1)") if first else "a"
     for j in range(steps):
         value = f"z + c{j}" if monic and not j else f"({value}) * z + c{j}"
@@ -174,26 +175,27 @@ def _horner_block(steps: int, first: bool, divide: bool, monic: bool = False):
     return namespace["block"]
 
 
-def _horner(p: tuple, zs, dvs=None, plain: bool = False) -> list[complex]:
-    """Coefficients ``p`` at each z of ``zs``, over ``dvs`` when given, 8 steps a pass;
-    ``plain`` says 1.0 * z is z bit for bit at every z, so a leading 1.0 starts at z + c1."""
+def _horner(p: tuple, zs, dvs=None) -> list[complex]:
+    """Coefficients ``p`` at each z of ``zs``, over ``dvs`` when given, 8 steps a pass."""
     acc, tail = p[0], p[1:]
     for i in range(0, len(tail), 8) or (0,):
         block = tail[i:i + 8]
         acc = _horner_block(len(block), i == 0, dvs is not None and i + 8 >= len(tail),
-                            plain and i == 0 < len(tail) and acc == 1.0)(zs, dvs, acc, *block)
+                            i == 0 < len(tail) and acc == 1.0)(zs, dvs, acc, *block)
     return acc
 
 
-def _responses(num, den, omegas, zs, plain: bool = False) -> list[complex]:
+def _responses(num, den, omegas, zs) -> list[complex]:
     """N(z) / D(z) at each z of ``zs``, bit-identical to Horner's rule from the leading
     coefficient (signed zeros included) for any number of coefficients: each runs over all
     points in passes of up to 8 Horner steps, N's last dividing by D.  Only a |D| under
     1e-12, or one abs() overflows on, has D searched in order: its first zero names omega.
-    ``plain`` is _horner's: 1.0 * z = (Re z - 0.0 Im z, Im z + 0.0 Re z) is z unless Im z
-    is -0.0 or Re z is -0.0, which no z = exp(i omega) with omega in [0, pi] is."""
+    A leading 1.0 starts at z + c1: up to CPython 3.13, 1.0 * z = (Re z - 0.0 Im z,
+    Im z + 0.0 Re z) is a finite z unless Re z or Im z is -0.0.  Re exp(i omega) = cos omega
+    is never a zero, and Im is -0.0 only from omega = -0.0, whose 1j * -0.0 is already +0.0
+    (3.14 multiplies real by complex part-wise, so 1.0 * z is z)."""
     b, a = _finite_pair(num, den)
-    dvs = _horner(a, zs, None, plain)
+    dvs = _horner(a, zs)
     try:
         clear = min(map(abs, dvs)) >= 1e-12
     except OverflowError:
@@ -204,7 +206,7 @@ def _responses(num, den, omegas, zs, plain: bool = False) -> list[complex]:
                 raise PoleOnUnitCircle(f"denominator vanishes at omega = {omega!r}")
     except OverflowError:  # abs() of a complex D whose finite parts overflow
         raise NonFiniteValue("frequency response denominator overflows") from None
-    hs = _horner(b, zs, dvs, plain)
+    hs = _horner(b, zs, dvs)
     if not all(map(cmath.isfinite, hs)):
         raise NonFiniteValue("frequency response overflows")
     return hs
@@ -399,4 +401,4 @@ def frequency_grid(num, den, points: int = 1024) -> list[tuple[float, complex]]:
     """(cycles-per-sample, response) pairs on a uniform grid of points >= 2 over [0, 0.5]."""
     _check_count(points, 2, "frequency grid needs at least 2 points")
     fs, omegas, zs = _grid(points)
-    return list(zip(fs, _responses(num, den, omegas, zs, plain=True)))
+    return list(zip(fs, _responses(num, den, omegas, zs)))

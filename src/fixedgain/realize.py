@@ -115,32 +115,31 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
     def _advance(self, w: list, x: float) -> float:
         """Step ``w`` in place and read the output from it.  ``float(x - 0.0)`` is x's double;
         a complex or str x or entry of w raises TypeError, a w of another length ValueError,
-        before w moves."""
+        before w moves.  Every product runs over the whole state, so one complex entry
+        makes each result complex, and the output's type shows it."""
         x, dot = float(x - 0.0), _dot(self.order)
         new = [dot(row, w) + h * x
                for row, (h,) in zip(self.transition.data, self.input_gain.data)]
-        y = _real(dot(self.output_row.data[0], new))
+        y = dot(self.output_row.data[0], new)
+        if type(y) is not float and isinstance(y, complex):  # a float costs one type()
+            raise TypeError("complex state vector")
         w[:] = new
         return y
 
     def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
         kin = tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
-        _real(kin[0])
+        if isinstance(kin[0], complex):  # as in _advance
+            raise TypeError("complex state vector")
         return kin
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
         return list(map(_dot(self.order), self.form_from_kin.data, repeat(kin)))
 
     def _output(self, w: Sequence[float]) -> float:
-        return _real(_dot(self.order)(self.output_row.data[0], w))
-
-
-def _real(v):
-    """``v``, or TypeError if it is complex: a dense form's every product runs over the
-    whole state, so one complex entry makes each result complex."""
-    if isinstance(v, complex):
-        raise TypeError("complex state vector")
-    return v
+        y = _dot(self.order)(self.output_row.data[0], w)
+        if isinstance(y, complex):  # as in _advance
+            raise TypeError("complex state vector")
+        return y
 
 
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):

@@ -1,13 +1,15 @@
 """Time the sweep workload's library calls one layer at a time, on one or more source trees.
 
-Replays the sweep specs of ``perfbench/workloads.py`` for a seed's rounds through the
-call chain of ``perfbench/chain.py``: design (process model, observer spec and
-``design()``), ``transfer_coefficients``, ``white_noise_gain``, ``flatness_profile``,
-the 1,024-point ``frequency_grid`` and the pcf, ocf and ccf realizations (one that does
-not certify is timed to its refusal, as the chain records it omitted).  Each operation
-runs the whole chain ``--repeat`` times; each call is timed by ``time.perf_counter``
-and keeps its best time.  Only the operations that ``perfbench/oracle.py`` passes (the
-sweep's ok operations) are kept.  Prints, for each tree, the median microseconds per
+Replays the sweep specs of ``perfbench/workloads.py`` for a seed's rounds through
+``perfbench/chain.py``'s ``sweep_op``, the benchmark's own call chain, with its eight
+calls wrapped in ``time.perf_counter``: ``chain.design_spec`` (process model, observer
+spec and ``design()``), then ``transfer_coefficients``, ``white_noise_gain``,
+``flatness_profile``, the 1,024-point ``frequency_grid`` and the pcf, ocf and ccf
+realizations, which the chain looks up on the package at call time (one that does not
+certify is timed to its refusal, as the chain records it omitted).  Each operation
+runs the whole chain ``--repeat`` times, and each call keeps its best time.  Only the
+operations whose ``chain.outputs`` record ``perfbench/oracle.py`` passes (the sweep's
+ok operations) are kept.  Prints, for each tree, the median microseconds per
 operation of each layer and of their sum, over all ok operations and per order K, then
 for each further tree its change from the first in percent.
 
@@ -16,7 +18,7 @@ one given as ``PYTHON=SRC`` runs with the tree ``SRC`` there instead (a ``git ar
 copy of another revision, say).  Each tree runs in its own child process, ``--runs``
 times, the trees taking turns; an operation keeps its best time over the runs.  The
 oracle needs numpy and scipy under every interpreter given.  Otherwise standard library
-only.
+only; ``perfbench/`` is imported, never written.
 
     python3.11 tests/sweep_layers.py --seed 1301 --rounds 8 python3.11=../parent/src python3.11
 """
@@ -39,57 +41,44 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
 
 LAYERS = ("design", "transfer", "wng", "flatness", "grid", "pcf", "ocf", "ccf")
-GRID_POINTS = 1024
+CALLS = ("transfer_coefficients", "white_noise_gain", "flatness_profile", "frequency_grid",
+         "pcf_realization", "ocf_realization", "ccf_realization")
 
 
-def _timed(best: list, i: int, call, *args):
-    """``call(*args)``, its time kept in ``best[i]`` when it beats what is there."""
-    start = time.perf_counter()
-    try:
-        return call(*args)
-    finally:
-        best[i] = min(best[i], time.perf_counter() - start)
-
-
-def _chain(fg, errors, spec: dict, best: list) -> dict:
-    """One sweep operation, each layer timed into ``best``: the record the oracle checks."""
-    pole = math.exp(-1.0 / spec["memory"])
-    result = _timed(best, 0, lambda: fg.design(fg.ObserverSpec.repeated(
-        fg.ProcessModel(spec["order"], spec["ts"]), pole, lag=spec["lag"], deriv=spec["deriv"])))
-    num, den = _timed(best, 1, fg.transfer_coefficients, result)
-    wng = _timed(best, 2, fg.white_noise_gain, num, den)
-    flat = _timed(best, 3, fg.flatness_profile, num, den, spec["deriv"], spec["lag"],
-                  spec["ts"], spec["order"])
-    grid = _timed(best, 4, fg.frequency_grid, num, den, GRID_POINTS)
-    for i, form in enumerate(("pcf", "ocf", "ccf"), 5):
+def _timed(best: list, i: int, call):
+    """``call`` wrapped to keep its time in ``best[i]`` when it beats what is there."""
+    def wrapper(*args):
+        start = time.perf_counter()
         try:
-            _timed(best, i, getattr(fg, f"{form}_realization"), result)
-        except (errors.Unobservable, errors.Uncontrollable):
-            pass
-    ss = result.ss_kin
-    return {"spec": spec, "A": [list(row) for row in ss.transition.data],
-            "B": list(ss.input_gain.col(0)), "C": list(ss.output_row.row(0)), "wng": wng,
-            "flat": [measured for _, measured in flat], "f": [f for f, _ in grid],
-            "H": [h for _, h in grid]}
+            return call(*args)
+        finally:
+            best[i] = min(best[i], time.perf_counter() - start)
+    return wrapper
 
 
 def child(seed: int, rounds: int, repeat: int) -> None:
     """Print {op key: [order, best seconds per layer]} for the ok operations, as JSON."""
     import fixedgain as fg
-    import oracle
     from fixedgain import errors
 
+    import chain
+    import oracle
+
+    best = [math.inf] * len(LAYERS)
+    chain.design_spec = _timed(best, 0, chain.design_spec)
+    for i, name in enumerate(CALLS, 1):
+        setattr(fg, name, _timed(best, i, getattr(fg, name)))
     ops = {}
     for index in range(rounds):
         for j, spec in enumerate(workloads.sweep_round(seed, index)):
-            best = [math.inf] * len(LAYERS)
+            best[:] = [math.inf] * len(LAYERS)
             try:
                 for _ in range(repeat):
-                    record = _chain(fg, errors, spec, best)
+                    op_result = chain.sweep_op(spec)
             except errors.FixedGainError:
                 continue
-            if oracle.check_sweep(record) is None:
-                ops[f"{index}-{j}"] = [spec["order"], best]
+            if oracle.check_sweep({"spec": spec, **chain.outputs(op_result)}) is None:
+                ops[f"{index}-{j}"] = [spec["order"], list(best)]
     json.dump(ops, sys.stdout)
 
 

@@ -568,11 +568,13 @@ def test_frequency_response_at_real_omega():
     # The oracle takes exp(i * complex(omega)): a real omega gives the same bits, signed zeros
     # too.  At a zero omega it takes exp(1j * omega), as the function does: CPython 3.14 keeps
     # the sign of 1j * -0.0's imaginary zero, 3.10-3.13 do not.  -0.0 is the signed-zero edge
-    # of the first Horner step, which stays c0 * z + c1 off the frequency grid.
+    # of the first Horner step: a leading 1.0 (the monic denominator, the last numerator)
+    # starts at z + c1, which is 1.0 * z + c1 at every real omega, this one included.
     num, den = _transfer(3, 0.04, 0.8, 2.0)
+    assert den[0] == 1.0
     for omega in (0.0, -0.0, 0.3, -0.3, 2.5, -2.5, math.pi, -math.pi):
         z = cmath.exp(1j * (omega if omega == 0.0 else complex(omega)))
-        for b in (num, (-0.0,), (-0.0, 0.0), (-0.0, -0.0)):
+        for b in (num, (-0.0,), (-0.0, 0.0), (-0.0, -0.0), (1.0, -0.0)):
             assert repr(frequency_response(b, den, omega)) == repr(horner(b, z) / horner(den, z))
 
 
