@@ -13,14 +13,20 @@ class FixedGainError(ValueError):
     """Base class for all errors raised by this package."""
 
 
+_is_complex = complex.__instancecheck__
+
+
 def numbers(values, what: str, convert=float,
             error: type[FixedGainError] = FixedGainError) -> tuple:
     """``tuple(map(convert, values))``, ``convert`` ``float`` or ``complex``:
     the package's one gate for numbers from outside.  A number past the double
     range (an int such as 10**400) raises ``error``; what ``convert`` refuses
-    (a str, None, a complex where a real is needed, a ``values`` that is not
-    iterable) raises FixedGainError.  Each message names ``what``."""
+    (a str, None, a ``values`` that is not iterable) raises FixedGainError, as
+    does any complex where a real is needed, numpy's too, before ``float`` would
+    take its real part with a warning.  Each message names ``what``."""
     try:
+        if convert is float and any(map(_is_complex, values := tuple(values))):
+            raise TypeError("a complex is not a real number")
         return tuple(map(convert, values))
     except OverflowError:
         raise error(f"{what} is past the double range") from None

@@ -51,7 +51,7 @@ from .errors import (
     number,
     numbers,
 )
-from .linalg import ORDER_CAP, Matrix, _check_shape, _dot, identity_rows
+from .linalg import Matrix, _check_shape, _dot, identity_rows
 from .process import ProcessModel, _taylor_row
 
 
@@ -76,33 +76,27 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
     """One realization: w[n] = transition @ w[n-1] + input_gain * x[n],
     y[n] = output_row @ w[n] (the output uses the *updated* state).  The K x K
     transition, K x 1 input gain and 1 x K output row are in ``form``
-    coordinates; ``kin_from_form`` maps its state into kinematic ones.  Every
-    construction, ``_replace`` too, refuses a field that is not a Matrix, other
-    shapes or K > ORDER_CAP."""
+    coordinates; ``kin_from_form`` maps its state into kinematic ones.  A record
+    built by construction, ``_replace`` or unpickling refuses a field that is not a
+    Matrix, other shapes or K > ORDER_CAP; the package builds its own by :meth:`_of`."""
 
     __slots__ = ()
 
     def __new__(cls, form, transition, input_gain, output_row, kin_from_form, form_from_kin):
-        try:  # a field that is not a Matrix fails here: no .data, or an ndarray's memoryview
-            rows = a, b, c, s, t = (transition.data, input_gain.data, output_row.data,
-                                    kin_from_form.data, form_from_kin.data)
-            k = len(a)  # the order: one compare of every other side against it
-            fits = (len(a[0]), len(b), len(b[0]), len(c), len(c[0]), len(s), len(s[0]), len(t),
-                    len(t[0])) == (k, k, 1, 1, k, k, k, k, k) and k <= ORDER_CAP
-        except (AttributeError, TypeError, NotImplementedError):
-            fits = False
-        if not fits:
-            for name, m in zip(cls._fields[1:], (transition, input_gain, output_row,
-                                                 kin_from_form, form_from_kin)):
-                if not isinstance(m, Matrix):
-                    raise DimensionMismatch(f"{name} must be a Matrix, not {type(m).__name__}")
-            _check_shape(k, k, "transition")
-            for name, m, want in zip(cls._fields[1:], rows,
-                                     [(k, k), (k, 1), (1, k), (k, k), (k, k)]):
-                if (len(m), len(m[0])) != want:
-                    raise DimensionMismatch(f"{name} is {len(m)}x{len(m[0])}, not %dx%d" % want)
-        return tuple.__new__(cls, (form, transition, input_gain, output_row, kin_from_form,
-                                   form_from_kin))
+        fields = transition, input_gain, output_row, kin_from_form, form_from_kin
+        k = len(transition.data) if isinstance(transition, Matrix) else 1  # else refused below
+        _check_shape(k, k, "transition")
+        for name, m, want in zip(cls._fields[1:], fields, ((k, k), (k, 1), (1, k), (k, k), (k, k))):
+            if not isinstance(m, Matrix):
+                raise DimensionMismatch(f"{name} must be a Matrix, not {type(m).__name__}")
+            if (shape := (len(m.data), len(m.data[0]))) != want:
+                raise DimensionMismatch(f"{name} is %dx%d, not %dx%d" % (*shape, *want))
+        return tuple.__new__(cls, (form, *fields))
+
+    @classmethod
+    def _of(cls, form: Form, *rows: tuple) -> StateSpaceModel:
+        """The record of ``form`` over five row tuples that fit, by ``Matrix._of``: no checks."""
+        return tuple.__new__(cls, (form, *map(Matrix._of, rows)))
 
     @classmethod
     def _make(cls, fields) -> StateSpaceModel:  # _replace builds its copy here
@@ -127,19 +121,13 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         return y
 
     def _kinematic(self, w: Sequence[float]) -> tuple[float, ...]:
-        kin = tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
-        if isinstance(kin[0], complex):  # as in _advance
-            raise TypeError("complex state vector")
-        return kin
+        return tuple(map(_dot(self.order), self.kin_from_form.data, repeat(w)))
 
     def _from_kin(self, kin: Sequence[float]) -> list[float]:
         return list(map(_dot(self.order), self.form_from_kin.data, repeat(kin)))
 
     def _output(self, w: Sequence[float]) -> float:
-        y = _dot(self.order)(self.output_row.data[0], w)
-        if isinstance(y, complex):  # as in _advance
-            raise TypeError("complex state vector")
-        return y
+        return _dot(self.order)(self.output_row.data[0], w)
 
 
 class _ScaledLoop(namedtuple("_ScaledLoop", "gain output to_kin from_kin")):
@@ -292,10 +280,14 @@ def companion_column(char) -> tuple[float, ...]:
     char = numbers(char, "polynomial coefficient")
     if char and char[0] != 1.0:
         raise NotMonic(f"expected leading coefficient 1, got {char[0]!r}")
-    k = len(char) - 1
-    if k < 1:
+    if len(char) < 2:
         raise NotMonic("characteristic polynomial must have degree >= 1")
-    return tuple(-char[k - i] for i in range(k))
+    return _column(char)
+
+
+def _column(char: tuple) -> tuple:
+    """:func:`companion_column` of a design's own ``char_poly``: no checks."""
+    return tuple([-c for c in char[:0:-1]])
 
 
 def pcf_transform(model: ProcessModel) -> tuple[tuple, tuple]:
@@ -354,8 +346,8 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
             "coordinates are numerically degenerate, e.g. a read-out that "
             "nearly cancels a pole)"
         )
-    return StateSpaceModel(form, *map(Matrix._of, (transition, tuple(zip(gain)), (row,),
-                                                   kin_from_form, form_from_kin)))
+    return StateSpaceModel._of(form, transition, tuple(zip(gain)), (row,), kin_from_form,
+                               form_from_kin)
 
 
 def _as_design(result, what: str) -> "DesignResult":
@@ -370,7 +362,7 @@ def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
     pair = pcf_transform(_as_design(result, "pcf_realization").spec.process)
     return _certified(result, Form.PCF, Unobservable,
-                      companion_matrix(companion_column(result.char_poly)), pair,
+                      companion_matrix(_column(result.char_poly)), pair,
                       gain=result.gains.pcf)
 
 
@@ -385,7 +377,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     roundoff of it) raise :class:`Unobservable` rather than returning a
     corrupt transform.
     """
-    kin, col = _as_design(result, "ocf_realization").ss_kin, companion_column(result.char_poly)
+    kin, col = _as_design(result, "ocf_realization").ss_kin, _column(result.char_poly)
     pair = _observable_form(kin.output_row.row(0), kin.transition.data, col,
                             Unobservable("closed-loop pair is not observable; cannot reach OCF"))
     return _certified(result, Form.OCF, Unobservable, companion_matrix(col), pair,
@@ -406,7 +398,7 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     transform identities and :class:`Uncontrollable` is raised when the
     construction or certification fails.
     """
-    kin, col = _as_design(result, "ccf_realization").ss_kin, companion_column(result.char_poly)
+    kin, col = _as_design(result, "ccf_realization").ss_kin, _column(result.char_poly)
     p_inv, p = _observable_form(
         kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"))
@@ -483,11 +475,14 @@ def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:
-    """Filter output implied by the current state, without advancing it."""
+    """Filter output implied by the current state, without advancing it.  A state
+    vector is refused as in :func:`step`, a complex entry too: the output sums them all."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
-        return ss._output(state.vector)
+        if isinstance(y := ss._output(state.vector), complex):
+            raise TypeError
+        return y
     except ValueError:  # a vector of another length fails to unpack, as in step
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
     except (OverflowError, TypeError):  # an entry that is not a double, as in step
@@ -504,7 +499,8 @@ def step(ss: StateSpaceModel, state: FilterState, x: float) -> float:
 
     A sample that is not a real number in the double range (a str, None, a complex,
     an int past it) raises FixedGainError, as does a state vector that is not a list
-    of them; a vector of another length raises DimensionMismatch.  None moves the state."""
+    of them; a vector of another length raises DimensionMismatch.  None moves the state.
+    The scaled loop's ``float(x - z0)`` takes a numpy complex's real part: no test per sample."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
@@ -530,11 +526,14 @@ def run(ss: StateSpaceModel, state: FilterState, xs: Sequence[float]) -> list[fl
 
 def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, ...]:
     """Current state mapped back to kinematic coordinates (position, velocity,
-    ... in any form): each row of ``kin_from_form`` summed as in :func:`step`."""
+    ... in any form): each row of ``kin_from_form`` summed as in :func:`step`.  A state vector
+    is refused as in :func:`read_output`, by the sum: the scaled loop maps each entry alone."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
-        return ss._kinematic(state.vector)
+        if isinstance(sum(kin := ss._kinematic(state.vector)), complex):
+            raise TypeError
+        return kin
     except ValueError:  # a vector of another length fails to unpack, as in step
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
     except (OverflowError, TypeError):  # an entry that is not a double, as in step

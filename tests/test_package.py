@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tokenize
 
+import numpy as np
 import pytest
 
 import fixedgain
@@ -242,7 +243,8 @@ def test_a_number_past_the_double_range_raises_a_typed_error(call, error):
 
 
 # The same entry points given what float() or complex() refuses: a str, None,
-# or a complex where a real is needed.  Each raises FixedGainError naming the
+# or a complex where a real is needed, numpy's included (float() would take its
+# real part with a warning).  Each raises FixedGainError naming the
 # parameter, as does a list of numbers that is None.
 _NUMBER_SITES = [
     ("impulse-tol", lambda v: fixedgain.impulse_response(_NUM, _DEN, tol=v), float),
@@ -277,8 +279,9 @@ _LIST_SITES = [
 @pytest.mark.parametrize("call, value", [
     pytest.param(call, value, id=f"{name}-{label}")
     for name, call, kind in _NUMBER_SITES
-    for label, value in (("str", "a"), ("none", None), ("complex", 1j))
-    if kind is float or label != "complex"
+    for label, value in (("str", "a"), ("none", None), ("complex", 1j),
+                         ("numpy-complex", np.complex128(1 + 1j)))
+    if kind is float or "complex" not in label
 ] + [pytest.param(call, None, id=name) for name, call in _LIST_SITES])
 def test_a_value_that_is_not_a_number_raises_a_typed_error(call, value):
     with pytest.raises(FixedGainError, match="must be a number"):

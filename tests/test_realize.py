@@ -715,19 +715,20 @@ def test_a_state_vector_that_is_not_a_list_of_doubles_is_blamed_and_kept(vector)
                          ids=["imaginary", "complex-real", "complex-zeros", "numpy-complex"])
 def test_a_complex_state_vector_is_refused_on_the_dense_forms_and_kept(vector):
     # Every product of a dense form runs over the whole state, so a complex entry
-    # makes each result complex and one test of a result refuses it, as the
-    # scaled loop's step refuses a Python complex by float().  That float() takes
-    # a numpy complex's real part with a warning, so the scaled loop is left out there.
+    # makes each result complex and one test of a result refuses it; read_output
+    # sums every entry and extract_kinematic tests its tuple whole, on every view.
+    # The scaled loop's step refuses a Python complex by float(), which takes a numpy
+    # complex's real part with a warning; testing every sample there would cost each
+    # one, so its step and run are left out for numpy's.
     result = _reference_design()
     realizations = _realizations(result)
     assert {ss.form for ss in realizations} == set(Form)
-    if any(isinstance(v, np.complex128) for v in vector):
-        realizations.pop()
+    numpy_complex = any(isinstance(v, np.complex128) for v in vector)
     for ss in realizations:
         state, before = FilterState(ss.form, vector), repr(vector)
-        calls = {"step": lambda: step(ss, state, 1.0), "run": lambda: run(ss, state, [1.0])}
-        if ss.form is not Form.SCALED:
-            calls.update(_wrong_length_calls(ss, state))
+        calls = {"run": lambda: run(ss, state, [1.0]), **_wrong_length_calls(ss, state)}
+        if numpy_complex and ss.form is Form.SCALED:
+            del calls["step"], calls["run"]
         for name, call in calls.items():
             with pytest.raises(FixedGainError, match=_NOT_NUMBERS) as caught:
                 call()
@@ -747,6 +748,19 @@ def test_int_and_float_subclass_state_entries_step_as_before():
             assert step(ss, state, 0.75) == step(ss, twin, 0.75)
             assert state.vector == twin.vector
             assert extract_kinematic(ss, state) == extract_kinematic(ss, twin)
+
+
+@pytest.mark.parametrize("ts", [1e-3, 1.0, 1e3])
+def test_every_record_the_package_builds_passes_the_validating_constructor(ts):
+    # The package builds its records by StateSpaceModel._of, unchecked; each must be
+    # one the validating constructor takes unchanged.
+    designs = [ObserverSpec.repeated(ProcessModel(k, ts), 0.5, lag=1.0) for k in range(1, 9)]
+    designs += [ObserverSpec(ProcessModel(2, ts), (0.6 + 0.3j, 0.6 - 0.3j), lag=0.5, deriv=1),
+                ObserverSpec(ProcessModel(3, ts), (-0.5, -0.25, 0.1), lag=-1.0)]
+    for spec in designs:
+        for ss in _realizations(design(spec))[:-1]:
+            assert type(ss) is StateSpaceModel
+            assert StateSpaceModel(*ss) == ss, (spec, ss.form)
 
 
 def _misshapen_fields(k: int) -> list:
