@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import identity_rows
 from .poly import from_roots
-from .process import ProcessModel, _taylor_row, check_deriv
+from .process import ProcessModel, check_deriv
 from .realize import Form, StateSpaceModel, _ScaledLoop
 
 
@@ -152,9 +152,8 @@ def design(spec: ObserverSpec) -> DesignResult:
         raise NonFiniteValue(f"the gains overflow at ts = {model.ts!r}")
     f = model.transition_matrix  # F - k p, p = F's first row: one product an entry
     rows = tuple([tuple([v - g * u for v, u in zip(row, f[0])]) for row, g in zip(f, gains)])
-    # The spec is checked, so the read-out row is built as ProcessModel.output_row builds it.
-    row = _taylor_row(k, -spec.lag * model.ts, spec.deriv)
-    ss_kin = StateSpaceModel._of(Form.KIN, rows, tuple(zip(gains)), (row,), identity_rows(k),
+    ss_kin = StateSpaceModel._of(Form.KIN, rows, tuple(zip(gains)),
+                                 (model.output_row(spec.lag, spec.deriv),), identity_rows(k),
                                  identity_rows(k))
     pcf = tuple([char[k - i] - proc[k - i] for i in range(k)])
     return DesignResult(spec, GainVectors(gains, pcf), char, ss_kin)

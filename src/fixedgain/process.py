@@ -74,9 +74,8 @@ class ProcessModel(namedtuple("ProcessModel", "order ts")):
 
     @property
     def transition_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """Rows of the K x K one-step transition (upper-triangular Toeplitz): ``transition(ts)``
-        without the number gate, which ``ts`` passed when the model was built."""
-        return tuple([_taylor_row(self.order, self.ts, i) for i in range(self.order)])
+        """Rows of the K x K one-step transition (upper-triangular Toeplitz)."""
+        return self.transition(self.ts)
 
     @property
     def char_poly(self) -> tuple[float, ...]:

@@ -94,7 +94,7 @@ class StateSpaceModel(namedtuple("StateSpaceModel", "form transition input_gain 
         return tuple.__new__(cls, (form, *fields))
 
     @classmethod
-    def _of(cls, form: Form, *rows: tuple) -> StateSpaceModel:
+    def _of(cls, form, *rows) -> StateSpaceModel:
         """The record of ``form`` over five row tuples that fit, by ``Matrix._of``: no checks."""
         return tuple.__new__(cls, (form, *map(Matrix._of, rows)))
 
@@ -282,11 +282,6 @@ def companion_column(char) -> tuple[float, ...]:
         raise NotMonic(f"expected leading coefficient 1, got {char[0]!r}")
     if len(char) < 2:
         raise NotMonic("characteristic polynomial must have degree >= 1")
-    return _column(char)
-
-
-def _column(char: tuple) -> tuple:
-    """:func:`companion_column` of a design's own ``char_poly``: no checks."""
     return tuple([-c for c in char[:0:-1]])
 
 
@@ -330,10 +325,9 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
     kin_from_form, form_from_kin = pair
     dot, columns_a = _dot(kin.order), tuple(zip(*kin.transition.data))
     columns_s = tuple(zip(*kin_from_form))
-    tb = list(map(dot, form_from_kin, repeat(kin.input_gain.col(0))))
-    cs = [dot(kin.output_row.data[0], s) for s in columns_s]
-    gain = gain or tuple(tb)  # a field mapped across gaps 0 from itself, nan if not finite
-    row = row or tuple(cs)
+    tb = tuple(map(dot, form_from_kin, repeat(kin.input_gain.col(0))))
+    cs = tuple([dot(kin.output_row.data[0], s) for s in columns_s])
+    gain, row = gain or tb, row or cs  # a field mapped across gaps 0 from itself, nan if not finite
     gaps = [*map(sub, tb, gain), *map(sub, cs, row)]
     for t, want_a in zip(form_from_kin, transition):
         ta = [dot(t, a) for a in columns_a]
@@ -343,8 +337,7 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
         raise error(
             f"cannot certify the {form.value} transform: identity "
             f"residual {residual:.3e} exceeds {_CERTIFY_TOL:g} (the design's "
-            "coordinates are numerically degenerate, e.g. a read-out that "
-            "nearly cancels a pole)"
+            "coordinates are numerically degenerate, e.g. a read-out that nearly cancels a pole)"
         )
     return StateSpaceModel._of(form, transition, tuple(zip(gain)), (row,), kin_from_form,
                                form_from_kin)
@@ -352,17 +345,25 @@ def _certified(result: "DesignResult", form: Form, error, transition: tuple, pai
 
 def _as_design(result, what: str) -> "DesignResult":
     """``result``, or FixedGainError if it lacks a DesignResult's fields (no isinstance:
-    design imports this module)."""
+    design imports this module), or DimensionMismatch if its parts are not of one order
+    (a copy by ``_replace`` is not checked): the records built from it are not checked."""
     if getattr(result, "_fields", None) != ("spec", "gains", "char_poly", "ss_kin"):
         raise FixedGainError(f"{what} needs a DesignResult, not {type(result).__name__}")
-    return result
+    spec, gains, char, kin = result
+    try:  # a part that is not a sequence or a record fits no order
+        if len(char) - 1 == len(gains.kin) == len(gains.pcf) == kin.order == spec.process.order:
+            return result
+    except (AttributeError, TypeError):
+        pass
+    raise DimensionMismatch(f"{what} needs a DesignResult whose char_poly, gains, ss_kin and"
+                            " process are of one order")
 
 
 def pcf_realization(result: "DesignResult") -> StateSpaceModel:
     """Rebase a design into process-companion coordinates (:func:`pcf_transform`)."""
     pair = pcf_transform(_as_design(result, "pcf_realization").spec.process)
     return _certified(result, Form.PCF, Unobservable,
-                      companion_matrix(_column(result.char_poly)), pair,
+                      companion_matrix(companion_column(result.char_poly)), pair,
                       gain=result.gains.pcf)
 
 
@@ -377,7 +378,7 @@ def ocf_realization(result: "DesignResult") -> StateSpaceModel:
     roundoff of it) raise :class:`Unobservable` rather than returning a
     corrupt transform.
     """
-    kin, col = _as_design(result, "ocf_realization").ss_kin, _column(result.char_poly)
+    kin, col = _as_design(result, "ocf_realization").ss_kin, companion_column(result.char_poly)
     pair = _observable_form(kin.output_row.row(0), kin.transition.data, col,
                             Unobservable("closed-loop pair is not observable; cannot reach OCF"))
     return _certified(result, Form.OCF, Unobservable, companion_matrix(col), pair,
@@ -398,7 +399,7 @@ def ccf_realization(result: "DesignResult") -> StateSpaceModel:
     transform identities and :class:`Uncontrollable` is raised when the
     construction or certification fails.
     """
-    kin, col = _as_design(result, "ccf_realization").ss_kin, _column(result.char_poly)
+    kin, col = _as_design(result, "ccf_realization").ss_kin, companion_column(result.char_poly)
     p_inv, p = _observable_form(
         kin.input_gain.col(0), tuple(zip(*kin.transition.data)), col,
         Uncontrollable("closed-loop pair is not controllable; cannot reach CCF"))
@@ -471,18 +472,24 @@ def initialize_state(ss: StateSpaceModel, x0: float) -> FilterState:
     expressed in the realization's own coordinates.  A first sample that
     ``float`` refuses, or past the double range, raises FixedGainError."""
     x0 = number(x0, "first sample")
-    return FilterState(form=ss.form, vector=ss._from_kin((x0,) + (0.0,) * (ss.order - 1)))
+    return FilterState(ss.form, ss._from_kin((x0,) + (0.0,) * (ss.order - 1)))
 
 
 def read_output(ss: StateSpaceModel, state: FilterState) -> float:
     """Filter output implied by the current state, without advancing it.  A state
     vector is refused as in :func:`step`, a complex entry too: the output sums them all."""
+    return _read(ss, state, lambda w: (ss._output(w),))[0]
+
+
+def _read(ss, state, read):
+    """``read(state.vector)``, a tuple, with :func:`step`'s refusals of the vector: a
+    complex entry shows in the sum of the tuple, on every view."""
     if state.form is not ss.form:
         raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
     try:
-        if isinstance(y := ss._output(state.vector), complex):
+        if isinstance(sum(out := read(state.vector)), complex):
             raise TypeError
-        return y
+        return out
     except ValueError:  # a vector of another length fails to unpack, as in step
         raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
     except (OverflowError, TypeError):  # an entry that is not a double, as in step
@@ -528,13 +535,4 @@ def extract_kinematic(ss: StateSpaceModel, state: FilterState) -> tuple[float, .
     """Current state mapped back to kinematic coordinates (position, velocity,
     ... in any form): each row of ``kin_from_form`` summed as in :func:`step`.  A state vector
     is refused as in :func:`read_output`, by the sum: the scaled loop maps each entry alone."""
-    if state.form is not ss.form:
-        raise FormMismatch(f"state is {state.form}, realization is {ss.form}")
-    try:
-        if isinstance(sum(kin := ss._kinematic(state.vector)), complex):
-            raise TypeError
-        return kin
-    except ValueError:  # a vector of another length fails to unpack, as in step
-        raise DimensionMismatch(f"state vector length is not the order {ss.order}") from None
-    except (OverflowError, TypeError):  # an entry that is not a double, as in step
-        raise FixedGainError("state vector is not a list of numbers in the double range") from None
+    return _read(ss, state, ss._kinematic)

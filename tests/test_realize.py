@@ -52,6 +52,7 @@ from fixedgain.errors import (
     FixedGainError,
     FormMismatch,
     NonFiniteValue,
+    NotMonic,
     Uncontrollable,
     Unobservable,
     UnstablePoles,
@@ -761,6 +762,39 @@ def test_every_record_the_package_builds_passes_the_validating_constructor(ts):
         for ss in _realizations(design(spec))[:-1]:
             assert type(ss) is StateSpaceModel
             assert StateSpaceModel(*ss) == ss, (spec, ss.form)
+
+
+def _tampered(r) -> dict:
+    """Copies of the design ``r`` by ``_replace`` (never checked) whose parts disagree in order."""
+    return {
+        "pcf-gains-short": r._replace(gains=r.gains._replace(pcf=r.gains.pcf[:2])),
+        "kin-gains-short": r._replace(gains=r.gains._replace(kin=r.gains.kin[:2])),
+        "char-poly-short": r._replace(char_poly=r.char_poly[:3]),
+        "char-poly-none": r._replace(char_poly=None),
+        "ss-kin-none": r._replace(ss_kin=None),
+        "spec-none": r._replace(spec=None),
+        "gains-none": r._replace(gains=None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tampered(_reference_design())))
+@pytest.mark.parametrize("build", [pcf_realization, ocf_realization, ccf_realization,
+                                   transfer_coefficients, design_document])
+def test_a_design_copy_whose_parts_disagree_is_refused_where_it_enters(build, name):
+    # The realizations build their records unchecked, so a DesignResult is checked
+    # where it enters; a record that does not fit its order must never be returned.
+    with pytest.raises(DimensionMismatch, match="needs a DesignResult whose char_poly, "
+                                                "gains, ss_kin and process are of one order"):
+        build(_tampered(_reference_design())[name])
+
+
+@pytest.mark.parametrize("build", [pcf_realization, ocf_realization, ccf_realization])
+def test_a_design_copy_with_a_char_poly_that_is_not_monic_numbers_is_refused(build):
+    r = _reference_design()
+    with pytest.raises(NotMonic, match="^expected leading coefficient 1, got 2.0$"):
+        build(r._replace(char_poly=(2.0,) + r.char_poly[1:]))
+    with pytest.raises(FixedGainError, match="^polynomial coefficient must be a number"):
+        build(r._replace(char_poly=("a",) * len(r.char_poly)))
 
 
 def _misshapen_fields(k: int) -> list:
